@@ -3,10 +3,12 @@
 Hodge-style invariants live in ``Z[u, v, u^-1, v^-1]``: intermediate
 expressions routinely carry negative exponents (for example after the
 substitution ``t -> v/u``) even though the end results are honest
-polynomials.  :class:`BiLaurent` stores a sparse map ``(p, q) -> Fraction``
-and supports the handful of exact operations the invariant formulas need,
+polynomials.  :class:`BiLaurent` stores a sparse map ``(p, q) -> c`` and
+supports the handful of exact operations the invariant formulas need,
 including exact division with a hard failure when a division does not come
-out evenly.
+out evenly.  Coefficients follow the integer-first rule of
+:mod:`equimirror.algebra.unipoly` (``_coerce`` and ``_div``): an integral
+value is an ``int``, only a non-integral one is a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from ..errors import InexactDivision
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _coerce, _div
 
 Key = Tuple[int, int]
 
@@ -25,19 +27,22 @@ class BiLaurent:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Key, Fraction] | Iterable[Tuple[Key, object]] = ()):
+    def __init__(self, terms: Dict[Key, object] | Iterable[Tuple[Key, object]] = ()):
         if isinstance(terms, dict):
             items = terms.items()
         else:
             items = terms
-        clean: Dict[Key, Fraction] = {}
+        clean: Dict[Key, object] = {}
         for (p, q), c in items:
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            key = (int(p), int(q))
+            if key in clean:
+                c = clean[key] + c
+            if type(c) is not int:
+                c = _coerce(c)
             if c != 0:
-                key = (int(p), int(q))
-                clean[key] = clean.get(key, Fraction(0)) + c
-                if clean[key] == 0:
-                    del clean[key]
+                clean[key] = c
+            else:
+                clean.pop(key, None)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -51,11 +56,11 @@ class BiLaurent:
 
     @classmethod
     def one(cls) -> BiLaurent:
-        return cls({(0, 0): Fraction(1)})
+        return cls({(0, 0): 1})
 
     @classmethod
     def monomial(cls, p: int, q: int, c=1) -> BiLaurent:
-        return cls({(p, q): Fraction(c)})
+        return cls({(p, q): c})
 
     @classmethod
     def from_unipoly(cls, poly: UniPoly, u_exp: int, v_exp: int) -> BiLaurent:
@@ -76,8 +81,8 @@ class BiLaurent:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, p: int, q: int) -> Fraction:
-        return self.terms.get((p, q), Fraction(0))
+    def coefficient(self, p: int, q: int):
+        return self.terms.get((p, q), 0)
 
     def is_polynomial(self) -> bool:
         return all(p >= 0 and q >= 0 for p, q in self.terms)
@@ -95,7 +100,7 @@ class BiLaurent:
         if isinstance(other, BiLaurent):
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == BiLaurent({(0, 0): Fraction(other)}).terms
+            return self.terms == BiLaurent({(0, 0): other}).terms
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -109,11 +114,7 @@ class BiLaurent:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = out.get(key, 0) + c
         return BiLaurent(out)
 
     __radd__ = __add__
@@ -135,15 +136,11 @@ class BiLaurent:
             return BiLaurent({key: c * other for key, c in self.terms.items()})
         if not isinstance(other, BiLaurent):
             return NotImplemented
-        out: Dict[Key, Fraction] = {}
+        out: Dict[Key, object] = {}
         for (p1, q1), c1 in self.terms.items():
             for (p2, q2), c2 in other.terms.items():
                 key = (p1 + p2, q1 + q2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                out[key] = out.get(key, 0) + c1 * c2
         return BiLaurent(out)
 
     __rmul__ = __mul__
@@ -175,17 +172,17 @@ class BiLaurent:
         lead_key = max(den)
         lead_c = den[lead_key]
         rem = dict(num)
-        quo: Dict[Key, Fraction] = {}
+        quo: Dict[Key, object] = {}
         while rem:
             key = max(rem)
             p, q = key[0] - lead_key[0], key[1] - lead_key[1]
             if p < 0 or q < 0:
                 raise InexactDivision(f"{self!r} is not divisible by {divisor!r}")
-            factor = rem[key] / lead_c
+            factor = _div(rem[key], lead_c)
             quo[(p, q)] = factor
             for (dp, dq), dc in den.items():
                 k2 = (p + dp, q + dq)
-                s = rem.get(k2, Fraction(0)) - factor * dc
+                s = rem.get(k2, 0) - factor * dc
                 if s == 0:
                     rem.pop(k2, None)
                 else:
@@ -210,16 +207,17 @@ class BiLaurent:
         """Substitute ``u <-> v``."""
         return BiLaurent({(q, p): c for (p, q), c in self.terms.items()})
 
-    def at_one(self) -> Fraction:
+    def at_one(self):
         """Evaluate at ``u = v = 1``."""
-        return sum(self.terms.values(), Fraction(0))
+        return _coerce(sum(self.terms.values(), 0))
 
-    def evaluate(self, u_val, v_val) -> Fraction:
+    def evaluate(self, u_val, v_val):
+        # Fraction bases keep negative powers exact
         u_val, v_val = Fraction(u_val), Fraction(v_val)
-        total = Fraction(0)
+        total = 0
         for (p, q), c in self.terms.items():
             total += c * u_val**p * v_val**q
-        return total
+        return _coerce(total)
 
     # -- presentation -----------------------------------------------------------
 
@@ -260,7 +258,7 @@ def _as_bilaurent(value):
     if isinstance(value, BiLaurent):
         return value
     if isinstance(value, (int, Fraction)):
-        return BiLaurent({(0, 0): Fraction(value)})
+        return BiLaurent({(0, 0): value})
     if isinstance(value, UniPoly):
         raise TypeError("substitute the variable explicitly with from_unipoly")
     return NotImplemented

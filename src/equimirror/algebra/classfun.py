@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import SubgroupMismatch
+from .unipoly import _coerce
 
 
 def _same_group(a, b) -> bool:
@@ -104,12 +105,11 @@ class ClassFun:
 
     def average(self):
         """``(1/|G|) * sum over g`` of the values; works for polynomial values too."""
-        scale = Fraction(1, self.group.order)
         total = None
         for size, value in zip(self.group.class_sizes, self.values):
-            term = value * Fraction(size)
+            term = value * size
             total = term if total is None else total + term
-        return total * scale
+        return _scale(total, Fraction(1, self.group.order))
 
     def invariant_dim(self) -> int:
         """Dimension of the invariant subspace of a rational character.
@@ -118,9 +118,9 @@ class ClassFun:
         integer; anything else means the input was not a character.
         """
         avg = self.average()
-        if not isinstance(avg, Fraction) or avg.denominator != 1 or avg < 0:
+        if type(avg) is not int or avg < 0:
             raise ValueError(f"not a character: group average is {avg}")
-        return int(avg)
+        return avg
 
     # -- moving between groups --------------------------------------------------
 
@@ -154,8 +154,14 @@ class ClassFun:
                 total = term if total is None else total + term
             if total is None:
                 total = self.values[0] * 0
-            vals.append(total * Fraction(1, sub.order))
+            vals.append(_scale(total, Fraction(1, sub.order)))
         return ClassFun(parent, tuple(vals))
+
+
+def _scale(value, factor: Fraction):
+    """``value * factor``, a scalar result in the integer-first form."""
+    out = value * factor
+    return _coerce(out) if isinstance(out, Fraction) else out
 
 
 # Polynomial-valued class functions use the same machinery; the alias keeps

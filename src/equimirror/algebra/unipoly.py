@@ -1,11 +1,17 @@
 """Exact univariate polynomials over the rationals.
 
-A :class:`UniPoly` is a dense, immutable coefficient vector with
-``fractions.Fraction`` entries and no trailing zeros.  Everything in this
-package that manipulates one-variable polynomials (characteristic
-polynomials, h/g recursions, numerators of lattice-point series) goes
-through this class, so all arithmetic stays exact: there is no floating
-point anywhere downstream.
+A :class:`UniPoly` is a dense, immutable coefficient vector with no
+trailing zeros.  Coefficients are integer-first: an integral value is
+stored as an ``int`` and only a non-integral one as a
+``fractions.Fraction`` (with denominator > 1).  :func:`_coerce` is that
+rule and :func:`_div` divides under it, with ``divmod`` when both operands
+are integers; :mod:`equimirror.algebra.bilaurent` uses the same two
+helpers.  Almost every division in the package is by a monic
+characteristic polynomial, so in practice the coefficients stay plain
+integers.  Everything that manipulates one-variable polynomials
+(characteristic polynomials, h/g recursions, numerators of lattice-point
+series) goes through this class, so all arithmetic stays exact: there is
+no floating point anywhere downstream.
 """
 
 from __future__ import annotations
@@ -18,12 +24,24 @@ from ..errors import InexactDivision, NegativeExponent
 Rational = Fraction
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value):
+    """Canonical form of an exact coefficient: ``int`` when integral."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+def _div(a, b):
+    """Exact quotient ``a / b`` in canonical form (``b`` nonzero)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coerce(Fraction(a, b))
 
 
 class UniPoly:
@@ -37,7 +55,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [c if type(c) is int else _coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -78,14 +96,14 @@ class UniPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
@@ -133,7 +151,7 @@ class UniPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return UniPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -169,10 +187,11 @@ class UniPoly:
         if len(rem) < dn:
             raise InexactDivision(f"{self!r} is not divisible by {divisor!r}")
         lead = dc[-1]
-        quo = [Fraction(0)] * (len(rem) - dn + 1)
+        quo = [0] * (len(rem) - dn + 1)
         for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + dn - 1] / lead
-            if c != 0:
+            c = rem[k + dn - 1]
+            if c:
+                c = _div(c, lead)
                 quo[k] = c
                 for i, d in enumerate(dc):
                     rem[k + i] -= c * d
@@ -194,7 +213,7 @@ class UniPoly:
             raise NegativeExponent(f"shift by {k} would create negative exponents")
         if not self.coeffs:
             return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
+        return UniPoly((0,) * k + self.coeffs)
 
     def reverse(self, k: int) -> UniPoly:
         """Return ``t^k * p(1/t)``; requires ``deg(p) <= k``."""
@@ -202,7 +221,7 @@ class UniPoly:
             raise NegativeExponent(
                 f"cannot reverse degree-{self.degree} polynomial at exponent {k}"
             )
-        out = [Fraction(0)] * (k + 1)
+        out = [0] * (k + 1)
         for i, c in enumerate(self.coeffs):
             out[k - i] = c
         return UniPoly(out)
@@ -213,12 +232,10 @@ class UniPoly:
 
     def evaluate(self, x):
         """Evaluate at ``x`` (Horner); ``x`` may be rational or a UniPoly."""
-        if isinstance(x, int):
-            x = Fraction(x)
-        acc = Fraction(0) if isinstance(x, Fraction) else UniPoly(())
+        acc = UniPoly(()) if isinstance(x, UniPoly) else 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return acc if isinstance(acc, UniPoly) else _coerce(acc)
 
     def derivative(self) -> UniPoly:
         return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -279,30 +296,31 @@ def truncate_tau(p: UniPoly, bound) -> UniPoly:
     return p.truncate(cut)
 
 
-def series_inverse(p: UniPoly, order: int) -> Sequence[Fraction]:
+def series_inverse(p: UniPoly, order: int) -> Sequence:
     """Coefficients of the power series ``1/p`` up to degree ``order``.
 
-    The constant term of ``p`` must be nonzero.
+    The constant term of ``p`` must be nonzero.  Coefficients follow the
+    integer-first rule of :class:`UniPoly`.
     """
     if p.coefficient(0) == 0:
         raise ZeroDivisionError("series inverse needs a nonzero constant term")
     c0 = p.coefficient(0)
-    inv = [Fraction(1) / c0]
+    inv = [_div(1, c0)]
     for n in range(1, order + 1):
-        s = Fraction(0)
+        s = 0
         for k in range(1, min(n, p.degree) + 1):
             s += p.coefficient(k) * inv[n - k]
-        inv.append(-s / c0)
+        inv.append(_div(-s, c0))
     return inv
 
 
-def series_ratio(num: UniPoly, den: UniPoly, order: int) -> Sequence[Fraction]:
+def series_ratio(num: UniPoly, den: UniPoly, order: int) -> Sequence:
     """Coefficients of ``num/den`` as a power series up to degree ``order``."""
     inv = series_inverse(den, order)
     out = []
     for n in range(order + 1):
-        s = Fraction(0)
+        s = 0
         for k in range(0, min(n, num.degree) + 1):
             s += num.coefficient(k) * inv[n - k]
-        out.append(s)
+        out.append(_coerce(s))
     return out

@@ -344,8 +344,7 @@ def verify_identities(
                     phi_t.poly(f, e).reverse(dim), cx.char_series(f, e), order
                 )
                 got = [
-                    Fraction(cx.count_fixed(f, e, m, interior=True))
-                    for m in range(order + 1)
+                    cx.count_fixed(f, e, m, interior=True) for m in range(order + 1)
                 ]
                 if list(expected) != got:
                     reciprocity.append(

@@ -348,36 +348,44 @@ def solve_in_row_basis(basis: IntMatrix, vector: Sequence[int]) -> Tuple[int, ..
 
     ``basis`` must have independent rows spanning a saturated lattice
     containing ``vector``; under those assumptions the coordinates exist,
-    are unique and integral.  Solved through the Gram matrix with exact
-    rational elimination.  Raises ValueError if the vector falls outside
-    the span (or the coordinates come out fractional, which means the
-    basis was not saturated).
+    are unique and integral.  Solved through the Gram matrix by
+    fraction-free Bareiss elimination and integer back-substitution, so
+    every intermediate value is an ``int``.  Raises ValueError if the rows
+    are dependent, if the vector falls outside the span, or if the
+    coordinates come out fractional (which means the basis was not
+    saturated).
     """
-    from fractions import Fraction
-
     k = basis.nrows
     if k == 0:
         if any(vector):
             raise ValueError("vector outside the span of an empty basis")
         return ()
     gram = basis @ basis.transpose()
-    rhs = [vec_dot(row, vector) for row in basis.rows]
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(gram.rows)]
+    a = [list(row) + [vec_dot(brow, vector)] for row, brow in zip(gram.rows, basis.rows)]
+    prev = 1
     for col in range(k):
         piv = next((i for i in range(col, k) if a[i][col]), None)
         if piv is None:
             raise ValueError("dependent rows in basis")
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(k):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    coords = [a[i][k] for i in range(k)]
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError("vector not in the integer row span")
-    out = tuple(int(c) for c in coords)
+        top = a[col]
+        p = top[col]
+        for i in range(col + 1, k):
+            row = a[i]
+            f = row[col]
+            for j in range(col + 1, k + 1):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = p
+    coords = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = a[i]
+        s = row[k] - sum(row[j] * coords[j] for j in range(i + 1, k))
+        q, r = divmod(s, row[i])
+        if r:
+            raise ValueError("vector not in the integer row span")
+        coords[i] = q
+    out = tuple(coords)
     check = [sum(cc * row[j] for cc, row in zip(out, basis.rows)) for j in range(basis.ncols)]
     if tuple(check) != tuple(vector):
         raise ValueError("vector outside the span")

@@ -9,8 +9,9 @@ tightest bound.
 
 Counting then walks the levels innermost-last; the compiled kernel
 (``_scan``, built from Cython) is used automatically when it imported
-successfully and the coefficients fit comfortably in 64-bit arithmetic,
-otherwise the pure-Python twin takes over with arbitrary precision.
+successfully and ``_fits_int64`` proves that its arithmetic stays within
+64 bits, otherwise the pure-Python twin takes over with arbitrary
+precision.
 """
 
 from __future__ import annotations
@@ -95,11 +96,49 @@ def prepare_levels(
 
 
 def _fits_int64(levels: Levels) -> bool:
-    for lev in levels:
+    """True when the compiled kernel provably stays inside signed 64 bits.
+
+    Entries beyond ``2**31`` stay with the Python backend outright.  The
+    proof propagates an integer box for ``x_0 .. x_{j-1}`` level by level:
+    a row ``c . x <= rhs`` at level ``j`` bounds ``x_j`` by
+    ``(rhs - min over the box of sum c_i x_i) / c_j``, so every prefix the
+    scan visits lies in the box.  The kernel's running sum
+    ``rhs - sum c_i x_i`` is then at most ``|rhs| + sum |c_i| * max|x_i|``
+    in size, its loop counter at most ``max|x_j| + 1`` and its point count
+    at most the product of the box widths; all must stay below ``2**63``.
+    An unbounded level is left to the Python backend, which reports it.
+    """
+    limit = 2**63
+    boxes: List[Tuple[int, int]] = []
+    volume = 1
+    for j, lev in enumerate(levels):
+        lo = hi = None
         for row in lev:
-            for value in row:
-                if value > _INT64_GUARD or value < -_INT64_GUARD:
-                    return False
+            if any(value > _INT64_GUARD or value < -_INT64_GUARD for value in row):
+                return False
+            rhs = row[-1]
+            size = abs(rhs)
+            low = 0
+            for c, (blo, bhi) in zip(row, boxes):
+                size += abs(c) * max(-blo, bhi)
+                low += c * blo if c > 0 else c * bhi
+            if size >= limit:
+                return False
+            c = row[j]
+            if c > 0:
+                b = (rhs - low) // c
+                hi = b if hi is None else min(hi, b)
+            else:
+                b = -((rhs - low) // -c)
+                lo = b if lo is None else max(lo, b)
+        if lo is None or hi is None:
+            return False
+        if hi < lo:
+            return True  # no prefix reaches a deeper level
+        volume *= hi - lo + 1
+        if max(-lo, hi) + 1 >= limit or volume >= limit:
+            return False
+        boxes.append((lo, hi))
     return True
 
 

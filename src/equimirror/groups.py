@@ -14,7 +14,6 @@ a lattice with the induced group acting on the dual lattice.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .algebra.classfun import ClassFun
@@ -165,11 +164,11 @@ class MatrixGroup:
     # -- standard class functions ------------------------------------------------
 
     def trivial_character(self) -> ClassFun:
-        return ClassFun(self, tuple(Fraction(1) for _ in self.classes))
+        return ClassFun(self, (1,) * len(self.classes))
 
     def det_character(self) -> ClassFun:
         return ClassFun(
-            self, tuple(Fraction(det(self.elements[i])) for i in self.class_reps)
+            self, tuple(det(self.elements[i]) for i in self.class_reps)
         )
 
     # -- dual action ----------------------------------------------------------------

@@ -534,7 +534,7 @@ class EulerCharacteristics:
     """Per-class Euler characteristics and the quotient value."""
 
     per_class: ClassFun
-    quotient: Fraction
+    quotient: int | Fraction
 
 
 def euler_characteristics(epoly: EPoly) -> EulerCharacteristics:

@@ -158,6 +158,172 @@ def test_bilaurent_json_is_sorted():
     assert list(b.to_json()) == sorted(b.to_json())
 
 
+# -- the integer-first representation ------------------------------------------
+#
+# Every stored coefficient is an ``int`` when it is integral and a
+# ``Fraction`` with denominator > 1 otherwise.  Results are checked against
+# plain ``Fraction`` arithmetic on coefficient lists and dicts.
+
+
+def assert_int_first(value):
+    coeffs = value.coeffs if isinstance(value, UniPoly) else value.terms.values()
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def _rand_coeff(rng):
+    """Ints, proper fractions and integral Fractions such as 4/2."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-5, 5)
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5), rng.choice((2, 3)))
+    return Fraction(2 * rng.randint(-3, 3), 2)
+
+
+def _oracle_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def _oracle_series_ratio(num, den, order):
+    inv = [Fraction(1) / den[0]]
+    for n in range(1, order + 1):
+        s = sum(
+            (Fraction(den[k]) * inv[n - k] for k in range(1, min(n, len(den) - 1) + 1)),
+            Fraction(0),
+        )
+        inv.append(-s / den[0])
+    return [
+        sum((Fraction(num[k]) * inv[n - k] for k in range(min(n, len(num) - 1) + 1)),
+            Fraction(0))
+        for n in range(order + 1)
+    ]
+
+
+def _trimmed(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def test_unipoly_coefficients_are_int_first():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        a = [_rand_coeff(rng) for _ in range(rng.randint(1, 5))]
+        b = [_rand_coeff(rng) for _ in range(rng.randint(1, 5))]
+        pa, pb = UniPoly(a), UniPoly(b)
+        assert_int_first(pa)
+        total = pa + pb
+        longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+        expected = [Fraction(x) for x in longer]
+        for i, y in enumerate(shorter):
+            expected[i] += y
+        assert total.coeffs == _trimmed(expected)
+        assert_int_first(total)
+        product = pa * pb
+        assert product.coeffs == _trimmed(_oracle_mul(a, b))
+        assert_int_first(product)
+        assert_int_first(pa * Fraction(2, 3))
+        k = rng.randint(0, 3)
+        assert pa.shift(k).coeffs == _trimmed([0] * k + a)
+        assert_int_first(pa.shift(k))
+        rev = pa.reverse(len(a) - 1 + k)
+        assert rev.coeffs == _trimmed([0] * k + a[::-1])
+        assert_int_first(rev)
+        if not pb.is_zero():
+            quotient = product.exact_div(pb)
+            assert quotient == pa
+            assert_int_first(quotient)
+        if b[0] != 0:
+            order = rng.randint(0, 6)
+            series = series_ratio(pa, pb, order)
+            assert series == _oracle_series_ratio(a, b, order)
+            for c in series:
+                assert type(c) is int or c.denominator > 1, repr(c)
+
+
+def test_unipoly_exact_div_keeps_ints_until_a_true_fraction():
+    # the monic divisions of the h recursion stay in plain integers
+    num = UniPoly((-1, 0, 0, 0, 1))
+    q = num.exact_div(UniPoly((-1, 1)))
+    assert q == UniPoly((1, 1, 1, 1))
+    assert all(type(c) is int for c in q.coeffs)
+    # leading coefficient 2: the quotient is genuinely non-integral
+    q = UniPoly((1, 3, 2)).exact_div(UniPoly((2, 2)))
+    assert q.coeffs == (Fraction(1, 2), 1)
+    assert_int_first(q)
+    assert UniPoly((Fraction(1, 2), Fraction(1, 2))).exact_div(UniPoly((1, 1))) == (
+        Fraction(1, 2)
+    )
+    with pytest.raises(InexactDivision):
+        UniPoly((1, 0, 1)).exact_div(UniPoly((1, 2)))
+    # integral Fractions on the way in come out as ints
+    p = UniPoly((Fraction(4, 2), Fraction(1, 2), Fraction(-3, 3)))
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+    assert hash(p) == hash(UniPoly((2, Fraction(1, 2), -1)))
+    assert type(p.evaluate(2)) is int
+    assert p.to_json() == {"0": [2, 1], "1": [1, 2], "2": [-1, 1]}
+
+
+def test_bilaurent_coefficients_are_int_first():
+    rng = random.Random(1018)
+
+    def rand_terms():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = (rng.randint(-2, 2), rng.randint(-2, 2))
+            terms[key] = terms.get(key, 0) + _rand_coeff(rng)
+        return terms
+
+    for _ in range(150):
+        ta, tb = rand_terms(), rand_terms()
+        a, b = BiLaurent(ta), BiLaurent(tb)
+        assert_int_first(a)
+        expected = {k: Fraction(v) for k, v in ta.items()}
+        for k, v in tb.items():
+            expected[k] = expected.get(k, Fraction(0)) + v
+        total = a + b
+        assert total.terms == {k: v for k, v in expected.items() if v}
+        assert_int_first(total)
+        assert_int_first(a - b)
+        expected = {}
+        for (p1, q1), c1 in ta.items():
+            for (p2, q2), c2 in tb.items():
+                key = (p1 + p2, q1 + q2)
+                expected[key] = expected.get(key, Fraction(0)) + Fraction(c1) * c2
+        product = a * b
+        assert product.terms == {k: v for k, v in expected.items() if v}
+        assert_int_first(product)
+        if not b.is_zero():
+            quotient = product.exact_div(b)
+            assert quotient == a
+            assert_int_first(quotient)
+        assert type(a.at_one()) is int or a.at_one().denominator > 1
+
+
+def test_bilaurent_exact_div_int_first_edges():
+    assert all(type(c) is int for c in BiLaurent.one().terms.values())
+    assert type(BiLaurent.monomial(1, 2, Fraction(6, 3)).coefficient(1, 2)) is int
+    uv = BiLaurent.monomial(1, 1)
+    # leading coefficient 2: (uv + 1/2) = (2uv + 1) / 2
+    q = (uv * 2 + 1).exact_div(BiLaurent.monomial(0, 0, 2))
+    assert q.terms == {(1, 1): 1, (0, 0): Fraction(1, 2)}
+    assert_int_first(q)
+    q = (uv * uv - 1).exact_div(uv * 2 + 2)
+    assert q == uv * Fraction(1, 2) - Fraction(1, 2)
+    assert_int_first(q)
+    with pytest.raises(InexactDivision):
+        (uv * uv + 1).exact_div(uv + 1)
+    merged = BiLaurent([((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2))])
+    assert merged.terms == {(0, 0): 1}
+    assert_int_first(merged)
+
+
 def _sym3():
     return generate_group(
         [
@@ -178,6 +344,11 @@ def test_classfun_average_and_invariant_dim():
     broken = ClassFun(group, tuple(v + Fraction(1, 3) for v in values))
     with pytest.raises(ValueError):
         broken.invariant_dim()
+    # plain int values average to a plain int
+    ints = ClassFun(group, tuple(rep.trace() for rep in group.class_rep_elements()))
+    assert type(ints.average()) is int
+    assert ints.invariant_dim() == 1
+    assert type(group.trivial_character().average()) is int
 
 
 def test_classfun_induce_matches_orbit_counts():

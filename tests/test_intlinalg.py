@@ -164,12 +164,50 @@ def test_annihilator_rows():
 def test_solve_in_row_basis_errors():
     basis = IntMatrix([[1, 0, 0], [0, 2, 0]])
     assert solve_in_row_basis(basis, (3, 4, 0)) == (3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in the integer row span"):
         solve_in_row_basis(basis, (0, 1, 0))  # fractional coordinate
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the span"):
         solve_in_row_basis(basis, (0, 0, 1))  # outside the span
     with pytest.raises(ValueError):
         solve_in_row_basis(IntMatrix(()), (1, 0))
+    dependent = IntMatrix([[1, 2, 0], [2, 4, 0]])
+    with pytest.raises(ValueError, match="dependent rows in basis"):
+        solve_in_row_basis(dependent, (1, 2, 0))
+    # a basis that is not in echelon form: the first pivot is not the
+    # only entry of its column, so elimination has real work to do
+    skew = IntMatrix([[1, 1, 0], [0, 1, 1]])
+    assert solve_in_row_basis(skew, (2, -1, -3)) == (2, -3)
+    assert solve_in_row_basis(skew, (0, 0, 0)) == (0, 0)
+    # the normal (1, -1, 1) has Gram coordinates (0, 0): caught by the final
+    # reconstruction check
+    with pytest.raises(ValueError, match="outside the span"):
+        solve_in_row_basis(skew, (1, -1, 1))
+    # (1, 0, 0) has least-squares coordinates (2/3, -1/3)
+    with pytest.raises(ValueError, match="not in the integer row span"):
+        solve_in_row_basis(skew, (1, 0, 0))
+    # the lattice spanned by (1, 1, 0) and (0, 2, 2) is not saturated:
+    # (0, 1, 1) lies in its rational span with coordinates (0, 1/2)
+    with pytest.raises(ValueError, match="not in the integer row span"):
+        solve_in_row_basis(IntMatrix([[1, 1, 0], [0, 2, 2]]), (0, 1, 1))
+
+
+def test_solve_in_row_basis_recovers_coordinates():
+    """Random independent bases in general position, random integer
+    coordinates: the solve returns exactly the coordinates used."""
+    rng = random.Random(7331)
+    trials = 0
+    while trials < 60:
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 5)
+        basis = rand_matrix(rng, k, n, -6, 6)
+        if hnf_rows(basis).nrows < k:
+            continue
+        trials += 1
+        coords = tuple(rng.randint(-9, 9) for _ in range(k))
+        vector = tuple(
+            sum(c * row[j] for c, row in zip(coords, basis.rows)) for j in range(n)
+        )
+        assert solve_in_row_basis(basis, vector) == coords
 
 
 def test_primitive():

@@ -115,3 +115,36 @@ def test_backend_name():
     if scan.compiled_available():
         _, small = scan.prepare_levels(unit_box_rows(2, 0, 2), 2)
         assert scan.backend_name(small) == "compiled"
+
+
+def test_int64_guard_bounds_the_running_sum():
+    """Every entry is within 2**31, yet ``-2**31*x0 - 2**31*x1`` reaches
+    2**63 on the box ``x0, x1 in [2**31 - 1, 2**31]``: the guard must
+    send this system to the arbitrary-precision backend."""
+    big = 2**31
+    rows = [
+        ((1, 0, 0), big),
+        ((-1, 0, 0), -(big - 1)),
+        ((0, 1, 0), big),
+        ((0, -1, 0), -(big - 1)),
+        ((0, 0, 1), 2**30),
+        ((0, 0, -1), -(2**30)),
+        ((-big, -big, 1), 1004036884),
+    ]
+    feasible, levels = scan.prepare_levels(rows, 3)
+    assert feasible
+    assert all(abs(v) <= big for lev in levels for row in lev for v in row)
+    assert not scan._fits_int64(levels)
+    assert scan.backend_name(levels) == "python"
+    assert scan.count_levels(levels, force_backend="python") == 4
+    assert scan.count_levels(levels) == 4
+
+
+def test_int64_guard_accepts_small_systems():
+    _, levels = scan.prepare_levels(unit_box_rows(3, -4, 4), 3)
+    assert scan._fits_int64(levels)
+    # an empty level ends the proof: no prefix reaches a deeper level
+    _, empty = scan.prepare_levels([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 0)], 2)
+    assert scan._fits_int64(empty)
+    # a direction with no upper bound is left to the Python backend
+    assert not scan._fits_int64([((-1, 0),)])
