@@ -18,16 +18,15 @@ import sys
 from time import perf_counter
 
 from equimirror.cli.models import build_cross, build_cube, build_fermat
-from equimirror.geometry import scan
+from equimirror.geometry import counting, scan
+from equimirror.geometry.intlinalg import IntMatrix
 
 
 def dilate_system(polytope, m):
-    """Inequality rows cutting the height-``m`` slice out of the cone."""
-    rows = [(row, 0) for row in polytope.cone_rows]
-    height = (0,) * polytope.dim + (1,)
-    rows.append((height, m))
-    rows.append((tuple(-h for h in height), -m))
-    return rows, polytope.dim + 1
+    """The system ``(rows, k)`` of the height-``m`` slice of the cone, built
+    by the counting layer exactly as ``fixed_slice_count`` builds it."""
+    identity = IntMatrix.identity(polytope.dim + 1)
+    return counting.slice_system(polytope.cone_rows, (), identity, m)
 
 
 def workloads(scale):

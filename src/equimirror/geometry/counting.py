@@ -3,26 +3,33 @@
 Everything the equivariant tables need reduces to counting integer points
 of one kind of system.  The cone over a polytope sits in ``Z^(d+1)`` with
 the last coordinate as the height; a face is selected by turning the
-facet inequalities containing it into equalities; fixing by a group
-element adds the equalities ``(g - I) y = 0``; and a height ``m`` slice
-adds ``height(y) = m``.  The equalities are eliminated by substituting a
-saturated integer basis of their kernel, leaving a finite inequality
-system in the kernel coordinates that the scan backend counts exactly.
+facet inequalities containing it into equalities, and fixing by a group
+element adds the equalities ``(g - I) y = 0``.  These equalities are
+eliminated once per (face, element): a saturated integer basis of their
+kernel is rotated so that its first column has height ``g >= 0`` and every
+other column height 0, and the remaining facet rows are written in it.
 
-Counts are memoised process-wide; the same query is asked over and over
-while the recursions assemble their tables.
+A height ``m`` slice is then a substitution, not a constraint: it is empty
+unless ``g`` divides ``m`` (for ``g = 0`` unless ``m = 0``), and otherwise
+fixing the first coordinate to ``m / g`` leaves a finite inequality system
+in the other coordinates that the scan backend counts exactly.
+
+Bases and counts are memoised process-wide; the same query is asked over
+and over while the recursions assemble their tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .intlinalg import IntMatrix, integer_kernel, vec_dot
-from .scan import count_system, iter_system
+from . import scan
+from .intlinalg import IntMatrix, _gcd_reduce_columns, integer_kernel, vec_dot
 
 Row = Tuple[int, ...]
+FaceBasis = Tuple[IntMatrix, int, Tuple[Row, ...]]
 
 _cache: Dict[tuple, int] = {}
+_bases: Dict[tuple, FaceBasis] = {}
 
 
 def cache_size() -> int:
@@ -31,6 +38,7 @@ def cache_size() -> int:
 
 def clear_cache() -> None:
     _cache.clear()
+    _bases.clear()
 
 
 def homogenize(facets: Iterable[Tuple[Sequence[int], int]]) -> Tuple[Row, ...]:
@@ -39,35 +47,72 @@ def homogenize(facets: Iterable[Tuple[Sequence[int], int]]) -> Tuple[Row, ...]:
     return tuple(tuple(a) + (-b,) for a, b in facets)
 
 
-def _kernel_rows(
-    cone_rows: Tuple[Row, ...],
-    tight: Tuple[int, ...],
-    matrix: IntMatrix,
-    m: int,
-    interior: bool,
-):
-    """Substitute the equality kernel; return (kernel, inequality rows)."""
+def _face_basis(
+    cone_rows: Tuple[Row, ...], tight: Tuple[int, ...], matrix: IntMatrix
+) -> FaceBasis:
+    """The fixed lattice of a face, height first: ``(basis, g, rows)``.
+
+    ``basis`` has one column per kernel coordinate; column 0 has height
+    ``g >= 0`` and the others height 0 (``g = 0`` when the whole kernel
+    lies at height 0).  ``rows`` are the non-tight cone rows written in
+    the basis.
+    """
+    key = (cone_rows, tight, matrix.rows)
+    hit = _bases.get(key)
+    if hit is not None:
+        return hit
     n = matrix.nrows
     eq_rows = [cone_rows[i] for i in tight]
     delta = matrix - IntMatrix.identity(n)
     eq_rows.extend(r for r in delta.rows if any(r))
-    if eq_rows:
-        kernel = integer_kernel(IntMatrix(eq_rows))
-    else:
-        kernel = IntMatrix.identity(n)
-    k = kernel.ncols
-    cols = kernel.columns()
-    rows = []
+    kernel = integer_kernel(IntMatrix(eq_rows)) if eq_rows else IntMatrix.identity(n)
+    # one row per cone coordinate, even when the kernel is trivial
+    columns = kernel.columns()
+    cols: List[List[int]] = [[c[i] for c in columns] for i in range(n)]
+    height = [list(cols[n - 1])]
+    g = 0
+    if _gcd_reduce_columns(height, cols, 0, 0):
+        g = height[0][0]
+        if g < 0:
+            g = -g
+            for row in cols:
+                row[0] = -row[0]
+    basis = IntMatrix(cols)
+    columns = basis.columns()
+    skip = set(tight)
+    rows = tuple(
+        tuple(vec_dot(row, c) for c in columns)
+        for i, row in enumerate(cone_rows)
+        if i not in skip
+    )
+    entry = _bases[key] = (basis, g, rows)
+    return entry
+
+
+def slice_system(
+    cone_rows: Tuple[Row, ...],
+    tight: Tuple[int, ...],
+    matrix: IntMatrix,
+    m: int,
+    interior: bool = False,
+) -> Optional[Tuple[List[Tuple[Row, int]], int]]:
+    """The inequality system ``(rows, k)`` of the height-``m`` slice of the
+    face picked out by ``tight``, fixed by ``matrix``.
+
+    Its variables are the face basis coordinates after the substituted
+    height coordinate (all of them when ``g = 0``).  ``None`` when the
+    slice has no lattice point because ``g`` does not divide ``m``.
+    """
+    basis, g, rows = _face_basis(cone_rows, tight, matrix)
     rhs = -1 if interior else 0
-    tight_set = set(tight)
-    for i, row in enumerate(cone_rows):
-        if i in tight_set:
-            continue
-        rows.append((tuple(vec_dot(row, c) for c in cols), rhs))
-    height = kernel.rows[n - 1] if k else ()
-    rows.append((tuple(height), m))
-    rows.append((tuple(-h for h in height), -m))
-    return kernel, rows
+    if g == 0:
+        if m != 0:
+            return None
+        return [(row, rhs) for row in rows], basis.ncols
+    if m < 0 or m % g:
+        return None
+    t = m // g
+    return [(row[1:], rhs - row[0] * t) for row in rows], basis.ncols - 1
 
 
 def fixed_slice_count(
@@ -89,8 +134,8 @@ def fixed_slice_count(
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    kernel, rows = _kernel_rows(cone_rows, tight, matrix, m, interior)
-    value = count_system(rows, kernel.ncols)
+    system = slice_system(cone_rows, tight, matrix, m, interior)
+    value = 0 if system is None else scan.count_system(*system)
     _cache[key] = value
     return value
 
@@ -103,11 +148,9 @@ def fixed_slice_points(
     interior: bool = False,
 ) -> Tuple[Tuple[int, ...], ...]:
     """The points themselves (sorted), for tests and small searches."""
-    if m < 0:
+    system = slice_system(cone_rows, tight, matrix, m, interior)
+    if system is None:
         return ()
-    kernel, rows = _kernel_rows(cone_rows, tight, matrix, m, interior)
-    n = matrix.nrows
-    if kernel.ncols == 0:
-        return tuple((0,) * n for _ in iter_system(rows, 0))
-    pts = [tuple(kernel.apply(c)) for c in iter_system(rows, kernel.ncols)]
-    return tuple(sorted(pts))
+    basis, g, _ = _face_basis(cone_rows, tight, matrix)
+    prefix = (m // g,) if g else ()
+    return tuple(sorted(basis.apply(prefix + z) for z in scan.iter_system(*system)))

@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DimensionCap, NotReflexive
-from . import counting
+from . import counting, scan
 from .intlinalg import (
     IntMatrix,
     integer_kernel,
@@ -200,7 +200,7 @@ def _validate_facets(
 def _check_bounded(facets: Tuple[Facet, ...], d: int) -> None:
     rows = [(a, 0) for a, _ in facets]
     try:
-        rays = counting.count_system(rows, d)
+        rays = scan.count_system(rows, d)
     except ValueError:
         raise ValueError("facet list does not bound the polytope") from None
     if rays != 1:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import comb
+
+import pytest
 
 from equimirror.cli.models import build_cube, build_cross, build_fermat, build_simplex
 from equimirror.cli.models import fermat_permutation
@@ -138,9 +141,104 @@ def test_cache_grows_and_clears():
 
     counting.clear_cache()
     assert cache_size() == 0
+    assert not counting._bases
     cube = build_cube(2)
     count_polytope(cube, 1)
     assert cache_size() == 1
+    assert len(counting._bases) == 1
     count_polytope(cube, 1)
-    assert cache_size() == 1
+    count_polytope(cube, 2)
+    assert cache_size() == 2
+    assert len(counting._bases) == 1
+    counting.clear_cache()
+    assert cache_size() == 0
+    assert not counting._bases
+
+
+def test_height_step_above_one():
+    """The flip ``(x, h) -> (h - x, h)`` of ``[0, 1]`` fixes ``x = h / 2``:
+    its fixed lattice has height step 2, so odd dilates hold no point."""
+    rows = homogenize([((-1,), 0), ((1,), 1)])
+    flip = IntMatrix([[-1, 1], [0, 1]])
+    for m in range(8):
+        even = m % 2 == 0
+        assert fixed_slice_count(rows, (), flip, m) == (1 if even else 0)
+        assert fixed_slice_count(rows, (), flip, m, interior=True) == (
+            1 if even and m >= 2 else 0
+        )
+        assert fixed_slice_points(rows, (), flip, m) == (((m // 2, m),) if even else ())
+    assert fixed_slice_count(rows, (), flip, -2) == 0
+
+
+def brute_force_count(rows, tight, matrix, m, interior):
+    """Enumerate ``[-m, m]^d`` at height ``m`` and test every condition."""
+    d = matrix.nrows - 1
+    total = 0
+    for x in itertools.product(range(-m, m + 1), repeat=d):
+        y = x + (m,)
+        if matrix.apply(y) != y:
+            continue
+        ok = True
+        for i, row in enumerate(rows):
+            s = sum(c * v for c, v in zip(row, y))
+            if i in tight:
+                ok = s == 0
+            else:
+                ok = s < 0 if interior else s <= 0
+            if not ok:
+                break
+        total += ok
+    return total
+
+
+def signed_permutations(d, rng, count):
+    """A few homogenised coordinate permutations with sign changes."""
+    mats = [IntMatrix.identity(d + 1)]
+    for _ in range(count):
+        perm = list(range(d))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(d)]
+        rows = [[0] * d for _ in range(d)]
+        for i, j in enumerate(perm):
+            rows[i][j] = signs[i]
+        mats.append(homog(IntMatrix(rows)))
+    return mats
+
+
+@pytest.mark.parametrize("build", [build_cube, build_cross, build_simplex])
+@pytest.mark.parametrize("d", [2, 3])
+def test_counts_match_brute_force(build, d):
+    """Every vertex of these polytopes lies in ``[-1, 1]^d``, so the box
+    ``[-m, m]^d`` holds the whole ``m``-dilate."""
+    rng = random.Random(d)
+    polytope = build(d)
+    rows = polytope.cone_rows
+    faces = [(), (0,), (0, len(rows) - 1), tuple(range(len(rows)))]
+    for matrix in signed_permutations(d, rng, 3):
+        for tight in faces:
+            for m in range(4):
+                for interior in (False, True):
+                    expected = brute_force_count(rows, tight, matrix, m, interior)
+                    got = fixed_slice_count(rows, tight, matrix, m, interior)
+                    assert got == expected, (polytope, tight, matrix, m, interior)
+
+
+def test_one_kernel_per_face_and_element(monkeypatch):
+    from equimirror.geometry import counting
+
+    calls = []
+    original = counting.integer_kernel
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(counting, "integer_kernel", counted)
+    counting.clear_cache()
+    rows = homogenize(build_cube(3).facets)
+    swap = homog(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    for m in range(6):
+        for interior in (False, True):
+            fixed_slice_count(rows, (0,), swap, m, interior)
+    assert len(calls) == 1
     counting.clear_cache()

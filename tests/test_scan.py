@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +150,13 @@ def test_int64_guard_accepts_small_systems():
     assert scan._fits_int64(empty)
     # a direction with no upper bound is left to the Python backend
     assert not scan._fits_int64([((-1, 0),)])
+
+
+def test_bench_scan_runs():
+    """The backend microbenchmark builds its systems through the counting
+    layer; a quick run keeps it in step with that layer."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_scan.py"
+    spec = importlib.util.spec_from_file_location("bench_scan", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.main(["--repeats", "1"]) == 0
