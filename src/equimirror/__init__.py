@@ -30,7 +30,6 @@ from .geometry import (
     abstract_dual_face,
     abstract_primal,
     abstract_quotient,
-    build_cone,
 )
 from .groups import MatrixGroup, Subgroup, generate_group, orbits, stabilizer
 from .invariants import (
@@ -81,7 +80,6 @@ __all__ = [
     "abstract_dual_face",
     "abstract_primal",
     "abstract_quotient",
-    "build_cone",
     "cs_closed_forms",
     "e_affine_face",
     "e_affine_hypersurface",

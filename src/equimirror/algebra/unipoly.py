@@ -237,9 +237,6 @@ class UniPoly:
             acc = acc * x + c
         return acc if isinstance(acc, UniPoly) else _coerce(acc)
 
-    def derivative(self) -> UniPoly:
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     # -- presentation ----------------------------------------------------
 
     def __repr__(self) -> str:

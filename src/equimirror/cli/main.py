@@ -13,7 +13,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -45,7 +45,14 @@ from ..invariants import (
     mirror_check,
     tables_for,
 )
-from .models import COMMANDS, ModelConfig, build_model, parse_config
+from .models import (
+    COMMANDS,
+    ModelConfig,
+    build_model,
+    parse_config,
+    with_cap,
+    with_commands,
+)
 from .report import (
     SCHEMA_VERSION,
     InvariantReport,
@@ -807,7 +814,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", type=Path, help="JSON model configuration (see README)"
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="fan per-class work out over N threads"
+        "--threads",
+        type=int,
+        default=1,
+        help="fan per-class work out over N threads (output unchanged; no faster, "
+        "as the GIL serialises the threads)",
     )
     parser.add_argument(
         "--json", type=Path, dest="json_path", help="also write the report as JSON"
@@ -844,9 +855,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         config = parse_config(text)
-        if args.cap_group is not None:
-            config = replace(config, cap_group=args.cap_group)
-        config = replace(config, commands=(args.command,))
+        config = with_commands(with_cap(config, args.cap_group), (args.command,))
         report, code = run(
             config,
             threads=max(1, args.threads),

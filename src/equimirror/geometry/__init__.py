@@ -7,7 +7,6 @@ from .cones import (
     abstract_dual_face,
     abstract_primal,
     abstract_quotient,
-    build_cone,
 )
 from .intlinalg import IntMatrix, char_poly, char_series, det, integer_kernel
 from .polytope import LatticePolytope
@@ -21,7 +20,6 @@ __all__ = [
     "abstract_dual_face",
     "abstract_primal",
     "abstract_quotient",
-    "build_cone",
     "char_poly",
     "char_series",
     "det",

@@ -1,11 +1,12 @@
 """The face poset of a cone over a polytope, with its group action.
 
-``build_cone`` takes a full-dimensional lattice polytope and a matrix
-group preserving it and produces a :class:`ConeComplex`: every face of
-the cone over the polytope (the polytope placed at height one), ordered
-lexicographically by vertex index set so that the apex comes first, with
-saturated span bases, the induced action of each group element on each
-invariant face, and exact characteristic data for those restrictions.
+:class:`ConeComplex` takes a full-dimensional lattice polytope and a
+matrix group preserving it (:class:`NotInvariant` otherwise) and holds
+every face of the cone over the polytope (the polytope placed at height
+one), ordered lexicographically by vertex index set so that the apex comes
+first, with saturated span bases, the induced action of each group element
+on each invariant face, and exact characteristic data for those
+restrictions.
 
 Faces are found by intersecting facet vertex sets — the intersection of
 two faces is a face, and every proper face is an intersection of facets,
@@ -241,12 +242,6 @@ class ConeComplex:
         dual = self.dual()
         g = self.base_group.elements[e]
         return dual.base_group.index_of[self.base_group.dual_element(g)]
-
-
-def build_cone(polytope: LatticePolytope, group: MatrixGroup) -> ConeComplex:
-    """Cone over the polytope with the action of ``group`` (which must
-    preserve the polytope; :class:`NotInvariant` otherwise)."""
-    return ConeComplex(polytope, group)
 
 
 def _vertex_action(polytope, group, vertex_of) -> Tuple[Tuple[int, ...], ...]:

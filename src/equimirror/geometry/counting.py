@@ -12,7 +12,8 @@ other column height 0, and the remaining facet rows are written in it.
 A height ``m`` slice is then a substitution, not a constraint: it is empty
 unless ``g`` divides ``m`` (for ``g = 0`` unless ``m = 0``), and otherwise
 fixing the first coordinate to ``m / g`` leaves a finite inequality system
-in the other coordinates that the scan backend counts exactly.
+in the other coordinates, which ``scan.count_system`` counts with exact
+integers.
 
 Bases and counts are memoised process-wide; the same query is asked over
 and over while the recursions assemble their tables.

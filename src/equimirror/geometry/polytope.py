@@ -110,29 +110,6 @@ class LatticePolytope:
         facets = [(a, b + vec_dot(a, s)) for a, b in self.facets]
         return LatticePolytope(verts, facets)
 
-    # -- counting ------------------------------------------------------------
-
-    def lattice_points_fixed(self, matrix: Optional[IntMatrix], m: int = 1) -> int:
-        """Lattice points of ``m * P`` fixed by the given ``d x d`` matrix
-        (``None`` meaning the identity); ``m = 0`` counts the single origin."""
-        return counting.fixed_slice_count(
-            self._cone_rows, (), _homogenize_element(matrix, self.dim), m
-        )
-
-    def interior_lattice_points_fixed(
-        self, matrix: Optional[IntMatrix], m: int = 1
-    ) -> int:
-        """Fixed lattice points in the strict interior of ``m * P``."""
-        return counting.fixed_slice_count(
-            self._cone_rows, (), _homogenize_element(matrix, self.dim), m, True
-        )
-
-    def lattice_point_list(self, m: int = 1, interior: bool = False) -> Tuple[Vector, ...]:
-        pts = counting.fixed_slice_points(
-            self._cone_rows, (), IntMatrix.identity(self.dim + 1), m, interior
-        )
-        return tuple(p[:-1] for p in pts)
-
     # -- reflexivity -----------------------------------------------------------
 
     def is_reflexive(self) -> bool:
@@ -151,17 +128,6 @@ class LatticePolytope:
         dual_vertices = [a for a, _ in self.facets]
         dual_facets = [(v, 1) for v in self.vertices]
         return LatticePolytope(dual_vertices, dual_facets)
-
-
-def _homogenize_element(matrix: Optional[IntMatrix], d: int) -> IntMatrix:
-    """Extend a ``d x d`` lattice map to the cone's ``Z^(d+1)`` fixing height."""
-    if matrix is None:
-        return IntMatrix.identity(d + 1)
-    if matrix.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix, got {matrix.shape}")
-    rows = [row + (0,) for row in matrix.rows]
-    rows.append((0,) * d + (1,))
-    return IntMatrix(rows)
 
 
 def _validate_facets(

@@ -7,11 +7,13 @@ Rows are gcd-normalised with floored right-hand sides — valid because we
 only ever care about integer points — and deduplicated keeping the
 tightest bound.
 
-Counting then walks the levels innermost-last; the compiled kernel
-(``_scan``, built from Cython) is used automatically when it imported
-successfully and ``_fits_int64`` proves that its arithmetic stays within
-64 bits, otherwise the pure-Python twin takes over with arbitrary
-precision.
+``levels[j]`` then holds rows ``(c_0, ..., c_j, rhs)`` with ``c_j != 0``,
+meaning ``sum c_i x_i <= rhs``, and by the projection property the rows
+at level ``j`` bound ``x_j`` exactly once ``x_0 .. x_{j-1}`` are fixed.
+``count_levels`` walks the levels innermost-last and counts the last one
+in closed form; ``prepare_levels -> count_levels`` is the one route from
+rows to a count.  The scan is pure Python with exact integers, so no
+input is too large for it.
 """
 
 from __future__ import annotations
@@ -19,25 +21,17 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from . import scan_py
-
-try:  # pragma: no cover - exercised indirectly via backend tests
-    from . import _scan  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover
-    _scan = None
-
-_INT64_GUARD = 2**31
-
-Levels = List[Tuple[Tuple[int, ...], ...]]
+Row = Tuple[int, ...]
+Levels = List[Tuple[Row, ...]]
 
 
 def compiled_available() -> bool:
-    return _scan is not None
+    """Always False: there is no compiled scan kernel."""
+    return False
 
 
 def backend_name(levels: Levels | None = None) -> str:
-    if _scan is not None and (levels is None or _fits_int64(levels)):
-        return "compiled"
+    """The scan backend that counts ``levels``: always ``"python"``."""
     return "python"
 
 
@@ -95,68 +89,48 @@ def prepare_levels(
     return feasible, levels
 
 
-def _fits_int64(levels: Levels) -> bool:
-    """True when the compiled kernel provably stays inside signed 64 bits.
-
-    Entries beyond ``2**31`` stay with the Python backend outright.  The
-    proof propagates an integer box for ``x_0 .. x_{j-1}`` level by level:
-    a row ``c . x <= rhs`` at level ``j`` bounds ``x_j`` by
-    ``(rhs - min over the box of sum c_i x_i) / c_j``, so every prefix the
-    scan visits lies in the box.  The kernel's running sum
-    ``rhs - sum c_i x_i`` is then at most ``|rhs| + sum |c_i| * max|x_i|``
-    in size, its loop counter at most ``max|x_j| + 1`` and its point count
-    at most the product of the box widths; all must stay below ``2**63``.
-    An unbounded level is left to the Python backend, which reports it.
-    """
-    limit = 2**63
-    boxes: List[Tuple[int, int]] = []
-    volume = 1
-    for j, lev in enumerate(levels):
-        lo = hi = None
-        for row in lev:
-            if any(value > _INT64_GUARD or value < -_INT64_GUARD for value in row):
-                return False
-            rhs = row[-1]
-            size = abs(rhs)
-            low = 0
-            for c, (blo, bhi) in zip(row, boxes):
-                size += abs(c) * max(-blo, bhi)
-                low += c * blo if c > 0 else c * bhi
-            if size >= limit:
-                return False
-            c = row[j]
-            if c > 0:
-                b = (rhs - low) // c
-                hi = b if hi is None else min(hi, b)
-            else:
-                b = -((rhs - low) // -c)
-                lo = b if lo is None else max(lo, b)
-        if lo is None or hi is None:
-            return False
-        if hi < lo:
-            return True  # no prefix reaches a deeper level
-        volume *= hi - lo + 1
-        if max(-lo, hi) + 1 >= limit or volume >= limit:
-            return False
-        boxes.append((lo, hi))
-    return True
+def _bounds(rows: Sequence[Row], x: List[int], j: int) -> Tuple[int, int]:
+    """Integer range [lo, hi] for x_j given the prefix x[0:j]; hi < lo means empty."""
+    lo = None
+    hi = None
+    for row in rows:
+        s = row[-1]
+        for i in range(j):
+            s -= row[i] * x[i]
+        c = row[j]
+        if c > 0:
+            b = s // c
+            if hi is None or b < hi:
+                hi = b
+        else:
+            b = -(s // (-c))
+            if lo is None or b > lo:
+                lo = b
+    if lo is None or hi is None:
+        raise ValueError("unbounded direction in lattice scan")
+    return lo, hi
 
 
-def count_levels(levels: Levels, force_backend: str | None = None) -> int:
+def count_levels(levels: Levels) -> int:
     """Count the integer solutions of a prepared (feasible) system."""
-    if not levels:
+    k = len(levels)
+    if k == 0:
         return 1  # zero variables: the empty point, feasibility already checked
-    if force_backend == "python":
-        return scan_py.count_levels(levels)
-    if force_backend == "compiled":
-        if _scan is None:
-            raise RuntimeError("compiled scan kernel is not available")
-        return _scan.count_levels(list(levels))
-    if force_backend is not None:
-        raise ValueError(f"unknown backend {force_backend!r}")
-    if _scan is not None and _fits_int64(levels):
-        return _scan.count_levels(list(levels))
-    return scan_py.count_levels(levels)
+    x = [0] * k
+
+    def rec(j: int) -> int:
+        lo, hi = _bounds(levels[j], x, j)
+        if hi < lo:
+            return 0
+        if j == k - 1:
+            return hi - lo + 1
+        total = 0
+        for val in range(lo, hi + 1):
+            x[j] = val
+            total += rec(j + 1)
+        return total
+
+    return rec(0)
 
 
 def count_system(rows: Iterable[Tuple[Sequence[int], int]], k: int) -> int:
@@ -170,8 +144,22 @@ def count_system(rows: Iterable[Tuple[Sequence[int], int]], k: int) -> int:
 def iter_system(
     rows: Iterable[Tuple[Sequence[int], int]], k: int
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield the integer points themselves (always the pure backend)."""
+    """Yield the integer points themselves, in lexicographic order."""
     feasible, levels = prepare_levels(rows, k)
     if not feasible:
         return
-    yield from scan_py.iter_levels(levels)
+    if k == 0:
+        yield ()
+        return
+    x = [0] * k
+
+    def rec(j: int) -> Iterator[Tuple[int, ...]]:
+        lo, hi = _bounds(levels[j], x, j)
+        for val in range(lo, hi + 1):
+            x[j] = val
+            if j == k - 1:
+                yield tuple(x)
+            else:
+                yield from rec(j + 1)
+
+    yield from rec(0)

@@ -15,17 +15,9 @@ from equimirror.cli.models import (
     build_simplex,
     fermat_permutation,
 )
-from equimirror.geometry import scan
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
-
-
-def pytest_report_header(config):
-    return (
-        f"equimirror scan backend: {scan.backend_name()} "
-        f"(compiled kernel available: {scan.compiled_available()})"
-    )
 
 
 def trivial_complex(polytope) -> ConeComplex:

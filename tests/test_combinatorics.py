@@ -18,7 +18,8 @@ from equimirror.combinatorics import (
 from equimirror.errors import NotInvariant
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix
-from equimirror.groups import generate_group
+from equimirror.geometry.polytope import LatticePolytope
+from equimirror.groups import generate_group, inverse_unimodular
 
 
 def trivial(polytope):
@@ -177,6 +178,54 @@ def test_stilde_induction_crosscheck(sym3_cube3, cube4_central, quintic_a5):
     for cx in (sym3_cube3, cube4_central, quintic_a5):
         table = stilde(cx)
         assert table.class_poly() == table.class_poly_by_induction()
+
+
+# -- unimodular change of coordinates ---------------------------------------------
+
+
+def test_tables_invariant_under_unimodular_map(sym3_cube3):
+    """``P -> U P`` with ``G -> U G U^-1`` leaves every top-face table
+    unchanged class by class; element order is lexicographic, so the class
+    of ``g`` is matched to the class of ``U g U^-1``, not by index."""
+    cx = sym3_cube3
+    n = cx.dim
+    rng = random.Random(2)
+    rows = [list(r) for r in IntMatrix.identity(n).rows]
+    for _ in range(8):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    u = IntMatrix(rows)
+    u_inv = inverse_unimodular(u)
+    assert not u.is_identity()
+    # facet a . x <= b of P becomes (a U^-1) . y <= b of U P
+    image = LatticePolytope(
+        [u.apply(v) for v in cx.polytope.vertices],
+        [(u_inv.transpose().apply(a), b) for a, b in cx.polytope.facets],
+    )
+    group = cx.base_group
+    moved = ConeComplex(
+        image, generate_group([u @ g @ u_inv for g in group.elements])
+    )
+    assert moved.base_group.order == group.order
+    match = [
+        moved.base_group.class_index_of_element(u @ g @ u_inv)
+        for g in group.class_rep_elements()
+    ]
+    assert sorted(match) == list(range(len(group.classes)))
+    assert match != sorted(match)  # this seed reorders the classes
+    pairs = [
+        (phi(cx).class_poly(), phi(moved).class_poly()),
+        (hg(cx).h_class_poly(), hg(moved).h_class_poly()),
+        (hg(cx).g_class_poly(), hg(moved).g_class_poly()),
+        (stilde(cx).class_poly(), stilde(moved).class_poly()),
+    ]
+    for ours, theirs in pairs:
+        for k, k_moved in enumerate(match):
+            assert ours.value_at_class(k) == theirs.value_at_class(k_moved)
 
 
 # -- Moebius function --------------------------------------------------------------

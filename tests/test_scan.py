@@ -1,13 +1,9 @@
-"""Inequality-system elimination and point counting, both backends."""
+"""Inequality-system elimination and point counting."""
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
-
-import pytest
 
 from equimirror.geometry import scan
 
@@ -39,9 +35,7 @@ def test_box_counts():
     assert scan.count_system(rows, 3) == 5**3
     feasible, levels = scan.prepare_levels(rows, 3)
     assert feasible
-    assert scan.count_levels(levels, force_backend="python") == 125
-    if scan.compiled_available():
-        assert scan.count_levels(levels, force_backend="compiled") == 125
+    assert scan.count_levels(levels) == 125
 
 
 def test_infeasible_systems():
@@ -77,6 +71,7 @@ def test_iter_system_matches_count():
 
 
 def test_backends_agree_random():
+    """Counts and point lists agree with box enumeration on random systems."""
     rng = random.Random(60646)
     for trial in range(90):
         k = rng.randint(1, 3)
@@ -87,20 +82,12 @@ def test_backends_agree_random():
             rows.append((coeffs, rng.randint(-4, 6)))
         expected = brute_count(rows, k)
         feasible, levels = scan.prepare_levels(rows, k)
-        got_py = scan.count_levels(levels, force_backend="python") if feasible else 0
-        assert got_py == expected, (trial, rows)
-        if scan.compiled_available() and feasible:
-            assert scan.count_levels(levels, force_backend="compiled") == expected
+        got = scan.count_levels(levels) if feasible else 0
+        assert got == expected, (trial, rows)
         if feasible and expected:
             pts = list(scan.iter_system(rows, k))
             assert len(pts) == expected
             assert len(set(pts)) == expected
-
-
-def test_force_backend_validation():
-    _, levels = scan.prepare_levels(unit_box_rows(1, 0, 1), 1)
-    with pytest.raises(ValueError):
-        scan.count_levels(levels, force_backend="fortran")
 
 
 def test_big_coefficients_fall_back():
@@ -113,16 +100,14 @@ def test_big_coefficients_fall_back():
 
 
 def test_backend_name():
-    assert scan.backend_name() in ("compiled", "python")
-    if scan.compiled_available():
-        _, small = scan.prepare_levels(unit_box_rows(2, 0, 2), 2)
-        assert scan.backend_name(small) == "compiled"
+    assert scan.backend_name() == "python"
+    assert scan.compiled_available() is False
 
 
 def test_int64_guard_bounds_the_running_sum():
     """Every entry is within 2**31, yet ``-2**31*x0 - 2**31*x1`` reaches
-    2**63 on the box ``x0, x1 in [2**31 - 1, 2**31]``: the guard must
-    send this system to the arbitrary-precision backend."""
+    2**63 on the box ``x0, x1 in [2**31 - 1, 2**31]``: a 64-bit running sum
+    would overflow, exact integers count all 4 points."""
     big = 2**31
     rows = [
         ((1, 0, 0), big),
@@ -136,27 +121,5 @@ def test_int64_guard_bounds_the_running_sum():
     feasible, levels = scan.prepare_levels(rows, 3)
     assert feasible
     assert all(abs(v) <= big for lev in levels for row in lev for v in row)
-    assert not scan._fits_int64(levels)
-    assert scan.backend_name(levels) == "python"
-    assert scan.count_levels(levels, force_backend="python") == 4
     assert scan.count_levels(levels) == 4
-
-
-def test_int64_guard_accepts_small_systems():
-    _, levels = scan.prepare_levels(unit_box_rows(3, -4, 4), 3)
-    assert scan._fits_int64(levels)
-    # an empty level ends the proof: no prefix reaches a deeper level
-    _, empty = scan.prepare_levels([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 0)], 2)
-    assert scan._fits_int64(empty)
-    # a direction with no upper bound is left to the Python backend
-    assert not scan._fits_int64([((-1, 0),)])
-
-
-def test_bench_scan_runs():
-    """The backend microbenchmark builds its systems through the counting
-    layer; a quick run keeps it in step with that layer."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_scan.py"
-    spec = importlib.util.spec_from_file_location("bench_scan", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    assert bench.main(["--repeats", "1"]) == 0
+    assert scan.count_system(rows, 3) == 4
