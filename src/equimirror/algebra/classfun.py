@@ -9,8 +9,8 @@ returned.  :class:`ClassPoly` is a thin alias kept for readability.
 
 The group object only needs the interface provided by
 :class:`equimirror.groups.MatrixGroup`: ``elements``, ``classes``,
-``class_reps``, ``class_sizes``, ``class_index_of_element``, ``mul``,
-``inv`` and ``index_of``.
+``class_reps``, ``class_sizes``, ``class_index_of_element``, ``inv``
+and ``index_of``.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class ClassFun:
             g = parent.elements[rep_idx]
             total = None
             for x in parent.elements:
-                y = parent.mul(parent.inv(x), parent.mul(g, x))
+                y = parent.inv(x) @ g @ x
                 k = sub_index.get(y)
                 if k is None:
                     continue

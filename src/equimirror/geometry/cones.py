@@ -63,7 +63,9 @@ class ConeComplex:
         vertex_of = {v: i for i, v in enumerate(polytope.vertices)}
         self._vertex_images = _vertex_action(polytope, group, vertex_of)
 
-        self.group = _homogenized_group(group)
+        # homogenizing keeps the lexicographic order, so element and class
+        # indices of ``group`` and ``self.group`` agree
+        self.group = group.image(_homogenize)
         self.faces = _enumerate_faces(polytope)
         self._index_of_vertexset = {f.vertex_set: f.index for f in self.faces}
         self.apex_index = self._index_of_vertexset[frozenset()]
@@ -85,6 +87,7 @@ class ConeComplex:
         self._detsign: Dict[Tuple[int, int], int] = {}
         self._dual: Optional[ConeComplex] = None
         self._dual_faces: Optional[Tuple[int, ...]] = None
+        self.tables = None  # the invariants layer's memo, set by tables_for
 
     # -- plumbing ---------------------------------------------------------
 
@@ -125,9 +128,6 @@ class ConeComplex:
         return tuple(g for g in self._below[j] if vs <= self.faces[g].vertex_set)
 
     # -- action ---------------------------------------------------------------
-
-    def element(self, e: int) -> IntMatrix:
-        return self.group.elements[e]
 
     def base_element(self, e: int) -> IntMatrix:
         return self.base_group.elements[e]
@@ -206,11 +206,15 @@ class ConeComplex:
     # -- duality ------------------------------------------------------------------
 
     def dual(self) -> ConeComplex:
-        """The complex of the dual cone (polar dual polytope, dual action)."""
+        """The complex of the dual cone (polar dual polytope, dual action).
+
+        Polar duality and the contragredient are involutions, so the dual's
+        dual is ``self``."""
         if self._dual is None:
             self._dual = ConeComplex(
                 self.polytope.dual_reflexive(), self.base_group.dual_group()
             )
+            self._dual._dual = self
         return self._dual
 
     def dual_face_index(self, f: int) -> int:
@@ -260,22 +264,8 @@ def _vertex_action(polytope, group, vertex_of) -> Tuple[Tuple[int, ...], ...]:
     return tuple(images)
 
 
-def _homogenized_group(group: MatrixGroup) -> MatrixGroup:
-    d = group.dim
-    elements = []
-    for g in group.elements:
-        rows = [row + (0,) for row in g.rows]
-        rows.append((0,) * d + (1,))
-        elements.append(IntMatrix(rows))
-    homog = MatrixGroup(tuple(elements))
-    # The embedding preserves the element sort order, hence all indexing
-    # (element indices and conjugacy classes) lines up positionally.
-    for a, b in zip(group.elements, homog.elements):
-        if tuple(r + (0,) for r in a.rows) != b.rows[:-1]:  # pragma: no cover
-            raise SubgroupMismatch("homogenisation disturbed the element order")
-    if group.classes != homog.classes:  # pragma: no cover - sanity
-        raise SubgroupMismatch("homogenisation disturbed the classes")
-    return homog
+def _homogenize(g: IntMatrix) -> IntMatrix:
+    return IntMatrix([row + (0,) for row in g.rows] + [(0,) * g.nrows + (1,)])
 
 
 def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:

@@ -6,6 +6,10 @@ lexicographically by their rows; every deterministic iteration order in
 the package (conjugacy classes, class representatives, report layouts)
 derives from that single convention.
 
+Only :func:`generate_group` and :class:`Subgroup` build a group from an
+element set.  Derived groups (contragredient, homogenized) are images
+(:meth:`MatrixGroup.image`) that carry inverses and classes over.
+
 The module also provides subgroups tied to a parent group, generic orbit
 and stabilizer computations for group actions on finite sets, and the
 conjugation-transpose "dual" homomorphism that matches a group acting on
@@ -116,25 +120,49 @@ class MatrixGroup:
     # -- structure ----------------------------------------------------------
 
     def _build_classes(self) -> None:
-        n = len(self.elements)
-        assigned = [-1] * n
-        classes: List[Tuple[int, ...]] = []
-        for i in range(n):
-            if assigned[i] >= 0:
+        found: set = set()
+        classes = []
+        for i, g in enumerate(self.elements):
+            if i in found:
                 continue
-            k = len(classes)
-            members = set()
-            g = self.elements[i]
-            for x_idx, x in enumerate(self.elements):
-                y = inverse_of(self, x) @ g @ x
-                members.add(self.index_of[y])
+            members = {
+                self.index_of[self.elements[self._inverse[x_idx]] @ g @ x]
+                for x_idx, x in enumerate(self.elements)
+            }
+            found |= members
+            classes.append(members)
+        self._set_classes(classes)
+
+    def _set_classes(self, classes: Iterable[Iterable[int]]) -> None:
+        """Store conjugacy classes of element indices, ordered by smallest
+        member, which is also the class representative."""
+        self.classes: Tuple[Tuple[int, ...], ...] = tuple(
+            sorted(tuple(sorted(c)) for c in classes)
+        )
+        self.class_reps: Tuple[int, ...] = tuple(c[0] for c in self.classes)
+        self.class_sizes: Tuple[int, ...] = tuple(len(c) for c in self.classes)
+        class_of = [0] * len(self.elements)
+        for k, members in enumerate(self.classes):
             for m in members:
-                assigned[m] = k
-            classes.append(tuple(sorted(members)))
-        self.classes: Tuple[Tuple[int, ...], ...] = tuple(classes)
-        self.class_reps: Tuple[int, ...] = tuple(c[0] for c in classes)
-        self.class_sizes: Tuple[int, ...] = tuple(len(c) for c in classes)
-        self._class_of_index: Tuple[int, ...] = tuple(assigned)
+                class_of[m] = k
+        self._class_of_index: Tuple[int, ...] = tuple(class_of)
+
+    def image(self, hom: Callable[[IntMatrix], IntMatrix]) -> "MatrixGroup":
+        """The image under an injective homomorphism ``hom``: the images are
+        sorted as usual, and inverses and classes are carried over through
+        the index permutation instead of recomputed."""
+        images = [hom(g) for g in self.elements]
+        order = sorted(range(len(images)), key=images.__getitem__)
+        position = {old: new for new, old in enumerate(order)}
+        out = MatrixGroup.__new__(MatrixGroup)
+        out.elements = tuple(images[old] for old in order)
+        out.dim = out.elements[0].nrows
+        out.index_of = {g: i for i, g in enumerate(out.elements)}
+        if len(out.index_of) != len(order):
+            raise ValueError("homomorphism is not injective on the group")
+        out._inverse = [position[self._inverse[old]] for old in order]
+        out._set_classes([position[m] for m in c] for c in self.classes)
+        return out
 
     @property
     def order(self) -> int:
@@ -142,9 +170,6 @@ class MatrixGroup:
 
     def contains(self, element: IntMatrix) -> bool:
         return element in self.index_of
-
-    def mul(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
-        return a @ b
 
     def inv(self, a: IntMatrix) -> IntMatrix:
         return self.elements[self._inverse[self.index_of[a]]]
@@ -178,11 +203,7 @@ class MatrixGroup:
         return self.inv(g).transpose()
 
     def dual_group(self) -> "MatrixGroup":
-        return MatrixGroup(self.dual_element(g) for g in self.elements)
-
-
-def inverse_of(group: MatrixGroup, x: IntMatrix) -> IntMatrix:
-    return group.elements[group._inverse[group.index_of[x]]]
+        return self.image(self.dual_element)
 
 
 class Subgroup:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from .algebra import BiLaurent, ClassFun, ClassPoly, UniPoly
 from .combinatorics import (
@@ -56,18 +55,15 @@ class Tables:
     stilde: StildeTable
 
 
-_TABLE_CACHE: "WeakKeyDictionary[ConeComplex, Tables]" = WeakKeyDictionary()
-
-
 def tables_for(complex: ConeComplex) -> Tables:
-    """Shared per-complex tables so repeated invariant calls reuse work."""
-    cached = _TABLE_CACHE.get(complex)
-    if cached is None:
+    """Per-complex tables, kept on the complex so repeated invariant calls
+    reuse work and the tables are freed with the complex."""
+    if complex.tables is None:
         phi_table = phi(complex)
         hg_table = hg(complex)
-        cached = Tables(phi_table, hg_table, stilde(complex, phi_table, hg_table))
-        _TABLE_CACHE[complex] = cached
-    return cached
+        stilde_table = stilde(complex, phi_table, hg_table)
+        complex.tables = Tables(phi_table, hg_table, stilde_table)
+    return complex.tables
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +405,11 @@ class MirrorReport:
         return tuple(k for k, r in enumerate(self.residual) if not r.is_zero())
 
 
-def mirror_check(
-    complex: ConeComplex, mirror: Optional[ConeComplex] = None
-) -> MirrorReport:
-    """Check ``E_st(X; u,v) = (-u)^{d-1} det(rho) E_st(X*; 1/u, v)`` per class.
-
-    ``mirror`` may be passed explicitly but must be the polar-dual complex
-    (same vertices and the contragredient group); omitted, it is built
-    from ``complex`` directly.
-    """
-    dual = complex.dual()
-    if mirror is not None:
-        if (
-            mirror.polytope.vertices != dual.polytope.vertices
-            or mirror.base_group.elements != dual.base_group.elements
-        ):
-            raise SubgroupMismatch(
-                "mirror complex is not the polar dual of the primal complex"
-            )
-        dual = mirror
+def mirror_check(complex: ConeComplex) -> MirrorReport:
+    """Check ``E_st(X; u,v) = (-u)^{d-1} det(rho) E_st(X*; 1/u, v)`` per class,
+    with ``X*`` the polar-dual complex ``complex.dual()``."""
     left = e_stringy_reflexive(complex)
-    right_side = e_stringy_reflexive(dual)
+    right_side = e_stringy_reflexive(complex.dual())
     d = complex.dim
     sign = -1 if (d - 1) % 2 else 1
     lefts, rights, residuals = [], [], []

@@ -20,6 +20,19 @@ from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
 
 
+def random_unimodular(rng, n: int) -> IntMatrix:
+    """A seeded product of eight random elementary integer row operations."""
+    rows = [list(r) for r in IntMatrix.identity(n).rows]
+    for _ in range(8):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
 def trivial_complex(polytope) -> ConeComplex:
     return ConeComplex(polytope, generate_group([], rank=polytope.dim))
 

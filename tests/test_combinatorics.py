@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import random_unimodular
 
 from equimirror.algebra import UniPoly
 from equimirror.cli.models import build_cross, build_cube, build_fermat
@@ -189,16 +190,7 @@ def test_tables_invariant_under_unimodular_map(sym3_cube3):
     of ``g`` is matched to the class of ``U g U^-1``, not by index."""
     cx = sym3_cube3
     n = cx.dim
-    rng = random.Random(2)
-    rows = [list(r) for r in IntMatrix.identity(n).rows]
-    for _ in range(8):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            rows[i] = [-x for x in rows[i]]
-        else:
-            c = rng.randint(-2, 2)
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    u = IntMatrix(rows)
+    u = random_unimodular(random.Random(2), n)
     u_inv = inverse_unimodular(u)
     assert not u.is_identity()
     # facet a . x <= b of P becomes (a U^-1) . y <= b of U P

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_unimodular
 
 from equimirror.errors import CapExceeded, NonInvertible, NotAnAction, SubgroupMismatch
 from equimirror.geometry.intlinalg import IntMatrix, det
 from equimirror.groups import (
+    MatrixGroup,
     Subgroup,
     generate_group,
     inverse_unimodular,
@@ -113,7 +115,7 @@ def test_classes_partition_and_conjugation():
     for _ in range(60):
         a = rng.choice(g.elements)
         h = rng.choice(g.elements)
-        conj = g.mul(g.mul(h, a), g.inv(h))
+        conj = h @ a @ g.inv(h)
         assert g.class_index_of_element(conj) == g.class_index_of_element(a)
         assert det(conj) == det(a)
         assert conj.trace() == a.trace()
@@ -123,7 +125,7 @@ def test_elements_sorted_and_inverse_table():
     g = perm_group(["(123)"], 3)
     assert list(g.elements) == sorted(g.elements)
     for a in g.elements:
-        assert g.mul(a, g.inv(a)) == IntMatrix.identity(3)
+        assert a @ g.inv(a) == IntMatrix.identity(3)
 
 
 def test_subgroup():
@@ -170,6 +172,60 @@ def test_dual_group():
         d = g.dual_element(a)
         assert d == g.inv(a).transpose()
         assert dual.contains(d)
+
+
+def random_signed_permutation(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        rows[j][i] = rng.choice((-1, 1))
+    return IntMatrix(rows)
+
+
+def homogenize(g):
+    return IntMatrix([r + (0,) for r in g.rows] + [(0,) * g.nrows + (1,)])
+
+
+def assert_same_group(image, rebuilt):
+    assert image.elements == rebuilt.elements
+    assert image.index_of == rebuilt.index_of
+    assert image._inverse == rebuilt._inverse
+    assert image.classes == rebuilt.classes
+    assert image.class_reps == rebuilt.class_reps
+    assert image.class_sizes == rebuilt.class_sizes
+    for g in rebuilt.elements:
+        assert image.class_index_of_element(g) == rebuilt.class_index_of_element(g)
+
+
+def test_image_equals_rebuild(sym3_cube3):
+    """Transporting inverses and classes through the index permutation of
+    a homomorphism gives what a from-scratch build of the image gives."""
+    rng = random.Random(36)
+    gens = {n: [random_signed_permutation(rng, n) for _ in range(2)] for n in (3, 4)}
+    sources = [sym3_cube3.base_group]
+    for n, gs in gens.items():
+        sources.append(generate_group(gs))
+        u = random_unimodular(rng, n)
+        u_inv = inverse_unimodular(u)
+        sources.append(generate_group([u @ g @ u_inv for g in gs]))
+    reordered = 0
+    for group in sources:
+        n = group.dim
+        u = random_unimodular(rng, n)
+        u_inv = inverse_unimodular(u)
+        homs = (homogenize, group.dual_element, lambda g: u @ g @ u_inv)
+        for hom in homs:
+            image = group.image(hom)
+            assert_same_group(image, MatrixGroup(hom(g) for g in group.elements))
+            moved = [image.index_of[hom(g)] for g in group.elements]
+            reordered += moved != sorted(moved)
+        rebuilt = MatrixGroup(map(group.dual_element, group.elements))
+        assert_same_group(group.dual_group(), rebuilt)
+    assert reordered >= len(sources)  # the maps really permute the indices
+    # the cone complex's own homogenized group
+    homogenized = MatrixGroup(map(homogenize, sources[0].elements))
+    assert_same_group(sym3_cube3.group, homogenized)
+    with pytest.raises(ValueError):
+        sources[1].image(lambda g: IntMatrix.identity(3))
 
 
 def test_standard_characters():

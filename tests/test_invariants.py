@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from equimirror.invariants import (
     hodge_diamond,
     hypersurface_checks,
     mirror_check,
+    tables_for,
 )
 
 UV = BiLaurent.monomial(1, 1)
@@ -316,11 +319,36 @@ def test_mirror_check_subgroup_sweep():
         assert mirror_check(quintic(*words)).verdict, words
 
 
-def test_mirror_check_explicit_mirror(cube3_central):
-    report = mirror_check(cube3_central, mirror=cube3_central.dual())
-    assert report.verdict
-    with pytest.raises(SubgroupMismatch):
-        mirror_check(cube3_central, mirror=cube3_central)
+def test_duality_is_an_involution(cube3_central):
+    """``cx.dual().dual()`` is ``cx`` itself, the face and element pairings
+    invert each other, and the mirror identity holds seen from the dual."""
+    for cx in (cube3_central, quintic("(12345)"), quintic("(12)(34)", "(123)")):
+        dual = cx.dual()
+        assert dual.dual() is cx
+        for f in range(cx.face_count):
+            assert dual.dual_face_index(cx.dual_face_index(f)) == f
+        for e in range(cx.group.order):
+            assert dual.dual_element_index(cx.dual_element_index(e)) == e
+        assert mirror_check(dual).verdict
+
+
+def test_restriction_to_a_subgroup_commutes(quintic_a5):
+    """Restricting the A5 stringy class function to a subgroup gives the
+    subgroup's own stringy values, class by class."""
+    full = e_stringy_reflexive(quintic_a5).classfun()
+    for words in (("(12345)",), ("(12)(34)", "(123)"), ("(12)(34)",)):
+        sub = quintic(*words)
+        assert full.restrict(sub.group).values == e_stringy_reflexive(sub).values, words
+
+
+def test_tables_are_freed_with_the_complex():
+    cx = ConeComplex(build_cube(3), generate_group([IntMatrix.identity(3).scale(-1)]))
+    assert tables_for(cx) is tables_for(cx) is cx.tables
+    tables_for(cx.dual())
+    ref = weakref.ref(cx)
+    del cx
+    gc.collect()
+    assert ref() is None
 
 
 # -- closed forms ------------------------------------------------------------------
