@@ -9,18 +9,20 @@ generators, a command that needs reflexivity on a model without it),
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.bilaurent import BiLaurent
 from ..algebra.unipoly import UniPoly
-from ..combinatorics import verify_identities
+from ..combinatorics import IdentityReport, verify_identities
 from ..errors import (
     CapExceeded,
     ConfigError,
@@ -32,9 +34,9 @@ from ..errors import (
     PhiNotPolynomial,
 )
 from ..geometry.cones import ConeComplex
-from ..geometry.intlinalg import IntMatrix
-from ..groups import generate_group
+from ..geometry.intlinalg import IntMatrix, det
 from ..invariants import (
+    Diamond,
     EPoly,
     cs_closed_forms,
     e_affine_hypersurface,
@@ -59,6 +61,7 @@ from .report import (
     classfun_json,
     describe_classes,
     diamond_rows,
+    element_order,
     format_bilaurent,
     format_fraction,
     format_unipoly,
@@ -81,7 +84,6 @@ class RunContext:
     """Everything a command handler needs besides the complex itself."""
 
     complex: ConeComplex
-    threads: int = 1
     gamma: Optional[int] = None
     quotient: bool = False
 
@@ -97,15 +99,6 @@ def _class_indices(ctx: RunContext) -> List[int]:
     return [ctx.gamma]
 
 
-def _pmap(ctx: RunContext, fn: Callable, items: Sequence) -> List:
-    """Order-preserving map, fanned out over threads when asked to."""
-    items = list(items)
-    if ctx.threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _identity_class(cx: ConeComplex) -> int:
     identity = IntMatrix.identity(cx.group.dim)
     return cx.group.class_index_of_element(identity)
@@ -119,7 +112,7 @@ def _cmd_faces(ctx: RunContext):
     cx = ctx.complex
     by_dim = Counter(face.dim for face in cx.faces)
     ks = _class_indices(ctx)
-    counts = _pmap(ctx, lambda k: len(cx.invariant_faces(cx.group.class_reps[k])), ks)
+    counts = [len(cx.invariant_faces(cx.group.class_reps[k])) for k in ks]
     reflexive = cx.polytope.is_reflexive()
     payload = {
         "total": cx.face_count,
@@ -139,82 +132,57 @@ def _cmd_faces(ctx: RunContext):
     return payload, lines, True
 
 
-def _dual_aligned(ctx: RunContext, value_of_dual_element: Callable) -> List:
-    """Evaluate a dual-side quantity at the contragredient of each class rep."""
+# A top-face column: (payload key, text name, dotted path of the table method).
+_Column = Tuple[str, str, str]
+
+
+def _top_command(ctx: RunContext, primal: Sequence[_Column], dual: Sequence[_Column]):
+    """Tabulate top-face polynomials per class, one text line per class and
+    column; then, when the polytope is reflexive, the ``dual`` columns on
+    the polar dual at the contragredient of each class rep."""
     cx = ctx.complex
-    return _pmap(
-        ctx,
-        lambda k: value_of_dual_element(
-            cx.dual_element_index(cx.group.class_reps[k])
-        ),
-        _class_indices(ctx),
-    )
+    ks = _class_indices(ctx)
+    reps = [cx.group.class_reps[k] for k in ks]
+    sides = [(cx, reps, primal)]
+    if cx.polytope.is_reflexive():
+        sides.append((cx.dual(), [cx.dual_element_index(e) for e in reps], dual))
+    payload, lines = {}, []
+    for side, elements, columns in sides:
+        tables = tables_for(side)
+        polys = [
+            [attrgetter(path)(tables)(side.top_index, e) for e in elements]
+            for _, _, path in columns
+        ]
+        for (key, _, _), column in zip(columns, polys):
+            payload[key] = {str(k): p.to_json() for k, p in zip(ks, column)}
+        for i, k in enumerate(ks):
+            lines += [
+                f"{name}(class {k}) = {format_unipoly(column[i])}"
+                for (_, name, _), column in zip(columns, polys)
+            ]
+    return payload, lines, True
 
 
 def _cmd_phi(ctx: RunContext):
-    cx = ctx.complex
-    tables = tables_for(cx)
-    ks = _class_indices(ctx)
-    polys = _pmap(
-        ctx, lambda k: tables.phi.poly(cx.top_index, cx.group.class_reps[k]), ks
+    return _top_command(
+        ctx, [("top", "phi[C]", "phi.poly")], [("dual_top", "phi[C*]", "phi.poly")]
     )
-    payload = {"top": {str(k): p.to_json() for k, p in zip(ks, polys)}}
-    lines = [f"phi[C](class {k}) = {format_unipoly(p)}" for k, p in zip(ks, polys)]
-    if cx.polytope.is_reflexive():
-        dual = cx.dual()
-        dual_tables = tables_for(dual)
-        duals = _dual_aligned(ctx, lambda e: dual_tables.phi.poly(dual.top_index, e))
-        payload["dual_top"] = {str(k): p.to_json() for k, p in zip(ks, duals)}
-        lines += [
-            f"phi[C*](class {k}) = {format_unipoly(p)}" for k, p in zip(ks, duals)
-        ]
-    return payload, lines, True
 
 
 def _cmd_hg(ctx: RunContext):
-    cx = ctx.complex
-    tables = tables_for(cx)
-    ks = _class_indices(ctx)
-    reps = [cx.group.class_reps[k] for k in ks]
-    hs = _pmap(ctx, lambda e: tables.hg.h_face(cx.top_index, e), reps)
-    gs = _pmap(ctx, lambda e: tables.hg.g_face(cx.top_index, e), reps)
-    payload = {
-        "h_top": {str(k): p.to_json() for k, p in zip(ks, hs)},
-        "g_top": {str(k): p.to_json() for k, p in zip(ks, gs)},
-    }
-    lines = []
-    for k, h_poly, g_poly in zip(ks, hs, gs):
-        lines.append(f"h[C](class {k}) = {format_unipoly(h_poly)}")
-        lines.append(f"g[C](class {k}) = {format_unipoly(g_poly)}")
-    if cx.polytope.is_reflexive():
-        dual = cx.dual()
-        dual_tables = tables_for(dual)
-        dgs = _dual_aligned(ctx, lambda e: dual_tables.hg.g_face(dual.top_index, e))
-        payload["dual_g_top"] = {str(k): p.to_json() for k, p in zip(ks, dgs)}
-        lines += [f"g[C*](class {k}) = {format_unipoly(p)}" for k, p in zip(ks, dgs)]
-    return payload, lines, True
+    return _top_command(
+        ctx,
+        [("h_top", "h[C]", "hg.h_face"), ("g_top", "g[C]", "hg.g_face")],
+        [("dual_g_top", "g[C*]", "hg.g_face")],
+    )
 
 
 def _cmd_stilde(ctx: RunContext):
-    cx = ctx.complex
-    tables = tables_for(cx)
-    ks = _class_indices(ctx)
-    polys = _pmap(
-        ctx, lambda k: tables.stilde.poly(cx.top_index, cx.group.class_reps[k]), ks
+    return _top_command(
+        ctx,
+        [("top", "stilde[C]", "stilde.poly")],
+        [("dual_top", "stilde[C*]", "stilde.poly")],
     )
-    payload = {"top": {str(k): p.to_json() for k, p in zip(ks, polys)}}
-    lines = [f"stilde[C](class {k}) = {format_unipoly(p)}" for k, p in zip(ks, polys)]
-    if cx.polytope.is_reflexive():
-        dual = cx.dual()
-        dual_tables = tables_for(dual)
-        duals = _dual_aligned(
-            ctx, lambda e: dual_tables.stilde.poly(dual.top_index, e)
-        )
-        payload["dual_top"] = {str(k): p.to_json() for k, p in zip(ks, duals)}
-        lines += [
-            f"stilde[C*](class {k}) = {format_unipoly(p)}" for k, p in zip(ks, duals)
-        ]
-    return payload, lines, True
 
 
 def _epoly_payload(ctx: RunContext, epoly: EPoly):
@@ -326,25 +294,19 @@ def _cmd_euler(ctx: RunContext):
 
 def _cmd_identities(ctx: RunContext):
     cx = ctx.complex
-    combined = verify_identities(cx).checks + hypersurface_checks(cx).checks
-    ok = all(c.ok for c in combined)
+    report = IdentityReport(verify_identities(cx).checks + hypersurface_checks(cx).checks)
     payload = {
-        "ok": ok,
+        "ok": report.ok,
         "checks": [
             {
                 "name": c.name,
                 "ok": c.ok,
                 "failures": [[f, k, msg] for f, k, msg in c.failures],
             }
-            for c in combined
+            for c in report.checks
         ],
     }
-    lines = []
-    for c in combined:
-        lines.append(f"{c.name}: {'ok' if c.ok else f'FAILED x{len(c.failures)}'}")
-        for f, k, msg in c.failures[:3]:
-            lines.append(f"  face {f}, class {k}: {msg}")
-    return payload, lines, ok
+    return payload, report.summary().splitlines(), report.ok
 
 
 _HANDLERS: Dict[str, Callable] = {
@@ -367,12 +329,15 @@ def run(
     gamma: Optional[int] = None,
     quotient: Optional[bool] = None,
 ) -> Tuple[InvariantReport, int]:
-    """Build the configured model and execute its commands in order."""
+    """Build the configured model and execute its commands in order.
+
+    ``threads`` is accepted and ignored: commands run sequentially, and the
+    keyword stays only because ``perfbench/sample.py`` passes ``threads=1``.
+    """
     polytope, group, name = build_model(config)
     cx = ConeComplex(polytope, group)
     ctx = RunContext(
         complex=cx,
-        threads=max(1, threads),
         gamma=gamma,
         quotient=config.quotient_only if quotient is None else quotient,
     )
@@ -392,340 +357,245 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# selftest: the golden table suite plus negative and determinism controls
+# selftest: one table of golden values plus a fault-injection and a
+# determinism control
 
 
-def _check(failures: List[str], ok: bool, label: str) -> None:
-    if not ok:
-        failures.append(label)
+_QUINTIC_GROUPS = {
+    "A5": ("(12)(34)", "(123)", "(12345)"),
+    "Sym5": ("(12)", "(12345)"),
+    "Z2": ("(12)(34)",),
+    "Z2xZ2": ("(12)(34)", "(13)(24)"),
+    "Z3": ("(123)",),
+    "Z5": ("(12345)",),
+    "A4": ("(12)(34)", "(123)"),
+    "Sym3": ("(12)(45)", "(23)(45)"),
+    "D5": ("(12)(35)", "(12345)"),
+}
+
+_MODELS: Dict[str, ModelConfig] = {
+    "cube3": ModelConfig(builtin="cube", d=3),
+    "cube3/central": ModelConfig(builtin="cube", d=3, group=("central",)),
+    "cube4": ModelConfig(builtin="cube", d=4),
+    "cube4/central": ModelConfig(builtin="cube", d=4, group=("central",)),
+    **{f"simplex{d}": ModelConfig(builtin="simplex", d=d) for d in range(1, 5)},
+    **{
+        f"quintic/{name}": ModelConfig(builtin="fermat", d=4, group=gens)
+        for name, gens in _QUINTIC_GROUPS.items()
+    },
+    "cubic-curve": ModelConfig(vertices=((2, -1), (-1, 2), (-1, -1))),
+}
 
 
-def _complex_for(builtin: str, d: int, group_entries: Sequence) -> ConeComplex:
-    config = ModelConfig(builtin=builtin, d=d, group=tuple(group_entries))
-    polytope, group, _ = build_model(config)
+def _complex_of(model: str) -> ConeComplex:
+    polytope, group, _ = build_model(_MODELS[model])
     return ConeComplex(polytope, group)
 
 
-def _invariant_pair(cx: ConeComplex) -> Tuple[int, int]:
-    """(h^{1,1}, h^{2,1}) of the quotient for a 3-fold model."""
-    diamond = hodge_diamond(e_stringy_reflexive(cx))
-    return diamond.invariant_entry(1, 1), diamond.invariant_entry(2, 1)
+class _Model:
+    """A complex whose stringy E-polynomial, diamond and dual are each
+    computed at most once, however many golden rows read them."""
+
+    def __init__(self, cx: ConeComplex):
+        self.cx = cx
+
+    @cached_property
+    def stringy(self) -> EPoly:
+        return e_stringy_reflexive(self.cx)
+
+    @cached_property
+    def diamond(self) -> Diamond:
+        return hodge_diamond(self.stringy)
+
+    @cached_property
+    def dual(self) -> "_Model":
+        return _Model(self.cx.dual())
 
 
-def _case_cube4(failures: List[str]) -> None:
-    cx = _complex_for("cube", 4, ())
-    tables = tables_for(cx)
-    top = cx.top_index
-    _check(
-        failures,
-        tables.phi.poly(top, 0) == UniPoly((1, 76, 230, 76, 1)),
-        "phi[C] of the 4-cube",
-    )
-    _check(
-        failures,
-        tables.hg.h_face(top, 0) == UniPoly((1, 12, 14, 12, 1)),
-        "h[C] of the 4-cube",
-    )
-    _check(
-        failures, tables.hg.g_face(top, 0) == UniPoly((1, 11, 2)), "g[C] of the 4-cube"
-    )
-    _check(
-        failures,
-        tables.stilde.poly(top, 0) == UniPoly((0, 1, 68, 68, 1)),
-        "stilde[C] of the 4-cube",
-    )
-    dual = cx.dual()
-    dual_tables = tables_for(dual)
-    _check(
-        failures,
-        dual_tables.phi.poly(dual.top_index, 0) == UniPoly((1, 4, 6, 4, 1)),
-        "phi[C*] of the 4-cube",
-    )
-    _check(
-        failures,
-        dual_tables.hg.g_face(dual.top_index, 0) == UniPoly((1, 3, 2)),
-        "g[C*] of the 4-cube",
-    )
-    _check(
-        failures,
-        dual_tables.stilde.poly(dual.top_index, 0) == UniPoly((0, 1, 4, 4, 1)),
-        "stilde[C*] of the 4-cube",
-    )
-    proper = [
-        f
-        for f in range(dual.face_count)
-        if 0 < dual.faces[f].dim < dual.cdim
-    ]
-    _check(
-        failures,
-        all(dual_tables.stilde.poly(f, 0) == UniPoly.zero() for f in proper),
-        "stilde of every proper dual face vanishes",
-    )
-    primal = hodge_diamond(e_stringy_reflexive(cx))
-    partner = hodge_diamond(e_stringy_reflexive(dual))
-    _check(
-        failures,
-        (primal.invariant_entry(1, 1), primal.invariant_entry(2, 1)) == (4, 68),
-        "4-cube diamond (4, 68)",
-    )
-    _check(
-        failures,
-        (partner.invariant_entry(1, 1), partner.invariant_entry(2, 1)) == (68, 4),
-        "dual diamond (68, 4)",
-    )
-    _check(
-        failures,
-        euler_characteristics(e_stringy_reflexive(cx)).quotient == Fraction(-128),
-        "4-cube Euler characteristic -128",
-    )
-    _check(
-        failures,
-        euler_characteristics(e_stringy_reflexive(dual)).quotient == Fraction(128),
-        "dual Euler characteristic 128",
-    )
+def _mu_signature(m: _Model, even_only: bool = False) -> Dict[Tuple[int, int], int]:
+    """Map (class size, element order) -> h^{2,1} character value, over all
+    classes or over those of determinant 1 (the even permutations)."""
+    group = m.cx.group
+    out = {}
+    for k, rep_idx in enumerate(group.class_reps):
+        rep = group.elements[rep_idx]
+        if even_only and det(rep) != 1:
+            continue
+        key = (group.class_sizes[k], element_order(group, rep))
+        out[key] = int(m.diamond.hodge(2, 1).values[k])
+    return out
 
 
-def _case_cube4_central(failures: List[str]) -> None:
-    cx = _complex_for("cube", 4, ("central",))
-    tables = tables_for(cx)
-    eps = cx.base_group.index_of[IntMatrix.identity(4).scale(-1)]
-    top = cx.top_index
-    _check(
-        failures,
-        tables.hg.h_face(top, eps) == UniPoly((1, 4, 6, 4, 1)),
-        "h[C](central) = (1+t)^4",
-    )
-    _check(
-        failures,
-        tables.phi.poly(top, eps) == UniPoly((1, 4, 6, 4, 1)),
-        "phi[C](central) = (1+t)^4",
-    )
-    stringy = e_stringy_reflexive(cx)
-    forms = cs_closed_forms(4)
-    _check(
-        failures,
-        stringy.value_of_element(eps) == forms.stringy_identity,
-        "E_st(central) closed form",
-    )
-    _check(
-        failures,
-        stringy.value_of_element(eps).at_one() == 0,
-        "chi(central) = 0",
-    )
-    diamond = hodge_diamond(stringy)
-    _check(
-        failures,
-        (diamond.invariant_entry(1, 1), diamond.invariant_entry(2, 1)) == (4, 36),
-        "quotient diamond (4, 36)",
-    )
-    k_id = _identity_class(cx)
+def _halving_rule_holds(m: _Model) -> bool:
+    """The free-involution halving rule maps the cover diamond (dimensions
+    at the identity) to the computed quotient diamond."""
+    diamond = m.diamond
+    k_id = _identity_class(m.cx)
     cover = [
         [int(diamond.hodge(p, q).values[k_id]) for q in range(diamond.size + 1)]
         for p in range(diamond.size + 1)
     ]
-    _check(
-        failures,
-        cs_closed_forms(4, cover).quotient == diamond.invariant,
-        "halving rule reproduces the quotient diamond",
-    )
-    partner = hodge_diamond(e_stringy_reflexive(cx.dual()))
-    _check(
-        failures,
-        (partner.invariant_entry(1, 1), partner.invariant_entry(2, 1)) == (36, 4),
-        "mirror quotient diamond (36, 4)",
-    )
-    _check(
-        failures,
-        euler_characteristics(stringy).quotient == Fraction(-64),
-        "quotient Euler characteristic -64",
-    )
-    _check(
-        failures,
-        euler_characteristics(e_stringy_reflexive(cx.dual())).quotient
-        == Fraction(64),
-        "mirror quotient Euler characteristic 64",
-    )
-    _check(failures, mirror_check(cx).verdict, "mirror identity for the central pair")
+    return cs_closed_forms(m.cx.dim, cover).quotient == diamond.invariant
 
 
-def _mu_signature(cx: ConeComplex, diamond) -> Dict[Tuple[int, int], Fraction]:
-    """Map (class size, element order) -> h^{2,1} character value."""
-    from .report import element_order
-
-    out = {}
-    for k, rep_idx in enumerate(cx.group.class_reps):
-        rep = cx.group.elements[rep_idx]
-        key = (cx.group.class_sizes[k], element_order(cx.group, rep))
-        out[key] = diamond.hodge(2, 1).values[k]
-    return out
-
-
-def _case_quintic_a5(failures: List[str]) -> None:
-    cx = _complex_for("fermat", 4, ("(12)(34)", "(123)", "(12345)"))
-    _check(failures, cx.group.order == 60, "A5 has order 60")
-    stringy = e_stringy_reflexive(cx)
-    diamond = hodge_diamond(stringy)
-    _check(
-        failures,
-        all(v == 1 for v in diamond.hodge(1, 1).values),
-        "h^{1,1} of the quintic is the trivial character",
-    )
-    expected = {(1, 1): 101, (15, 2): 5, (20, 3): 5, (12, 5): 1}
-    got = _mu_signature(cx, diamond)
-    _check(
-        failures,
-        {k: int(v) for k, v in got.items()} == expected,
-        "h^{2,1} of the quintic has character mu = (101, 5, 5, 1, 1)",
-    )
-    _check(
-        failures,
-        (diamond.invariant_entry(1, 1), diamond.invariant_entry(2, 1)) == (1, 5),
-        "quintic/A5 quotient diamond (1, 5)",
-    )
-    partner = hodge_diamond(e_stringy_reflexive(cx.dual()))
-    _check(
-        failures,
-        (partner.invariant_entry(1, 1), partner.invariant_entry(2, 1)) == (5, 1),
-        "mirror quintic/A5 quotient diamond (5, 1)",
-    )
-    _check(failures, mirror_check(cx).verdict, "mirror identity for the quintic/A5")
-
-
-def _case_quintic_sym5(failures: List[str]) -> None:
-    cx = _complex_for("fermat", 4, ("(12)", "(12345)"))
-    _check(failures, cx.group.order == 120, "Sym5 has order 120")
-    diamond = hodge_diamond(e_stringy_reflexive(cx))
-    _check(
-        failures,
-        all(v == 1 for v in diamond.hodge(1, 1).values),
-        "h^{1,1} under Sym5 is the trivial character",
-    )
-    got = _mu_signature(cx, diamond)
-    even = {(1, 1): 101, (15, 2): 5, (20, 3): 5, (24, 5): 1}
-    _check(
-        failures,
-        all(int(got[key]) == value for key, value in even.items()),
-        "mu restricted to the even classes is (101, 5, 5, 1)",
-    )
-    _check(failures, mirror_check(cx).verdict, "mirror identity for the quintic/Sym5")
-
-
-def _case_quintic_subgroup_mirrors(failures: List[str]) -> None:
-    subgroups = {
-        "Z2": ("(12)(34)",),
-        "Z2xZ2": ("(12)(34)", "(13)(24)"),
-        "Z3": ("(123)",),
-        "Z5": ("(12345)",),
-        "A4": ("(12)(34)", "(123)"),
-        "Sym3": ("(12)(45)", "(23)(45)"),
-        "D5": ("(12)(35)", "(12345)"),
-    }
-    for name, gens in subgroups.items():
-        cx = _complex_for("fermat", 4, gens)
-        _check(failures, mirror_check(cx).verdict, f"mirror identity for quintic/{name}")
-
-
-def _case_d3(failures: List[str]) -> None:
-    k3 = _complex_for("cube", 3, ())
-    rows = hodge_diamond(e_stringy_reflexive(k3)).invariant
-    _check(
-        failures,
-        rows == ((1, 0, 1), (0, 20, 0), (1, 0, 1)),
-        "3-cube K3 diamond",
-    )
-    _check(
-        failures,
-        euler_characteristics(e_stringy_reflexive(k3)).quotient == Fraction(24),
-        "K3 Euler characteristic 24",
-    )
-    enriques = _complex_for("cube", 3, ("central",))
-    eps = enriques.base_group.index_of[IntMatrix.identity(3).scale(-1)]
-    stringy = e_stringy_reflexive(enriques)
-    expected = (
-        BiLaurent.one()
-        - BiLaurent.monomial(2, 0)
-        - BiLaurent.monomial(0, 2)
-        + BiLaurent.monomial(2, 2)
-    )
-    _check(
-        failures,
-        stringy.value_of_element(eps) == expected,
-        "E_st(central) = 1 - u^2 - v^2 + (uv)^2 in dimension 3",
-    )
-    diamond = hodge_diamond(stringy)
-    _check(
-        failures,
-        diamond.invariant == ((1, 0, 0), (0, 10, 0), (0, 0, 1)),
-        "Enriques quotient diamond (h^{1,1} = 10, h^{2,0} = 0)",
-    )
-    _check(
-        failures,
-        euler_characteristics(stringy).quotient == Fraction(12),
-        "Enriques Euler characteristic 12",
+def _proper_stilde_support(m: _Model, e: int) -> Tuple[int, ...]:
+    """The proper faces (neither apex nor top) where Stilde(F, e) is nonzero."""
+    stilde = tables_for(m.cx).stilde
+    return tuple(
+        face.index
+        for face in m.cx.faces
+        if 0 < face.dim < m.cx.cdim and not stilde.poly(face.index, e).is_zero()
     )
 
 
-def _case_simplex_hg(failures: List[str]) -> None:
-    for d in range(1, 5):
-        cx = _complex_for("simplex", d, ())
-        tables = tables_for(cx)
-        _check(
-            failures,
-            tables.hg.h_face(cx.top_index, 0) == UniPoly((1,) * (d + 1)),
-            f"h[C] of the {d}-simplex is 1 + t + ... + t^{d}",
+# Each golden quantity as a function of (model, element index or None).  A
+# quantity named with a trailing "*" is read on the polar dual instead, at
+# the contragredient element.
+_QUANTITIES: Dict[str, Callable[[_Model, Optional[int]], object]] = {
+    "order": lambda m, e: m.cx.group.order,
+    "phi": lambda m, e: tables_for(m.cx).phi.poly(m.cx.top_index, e),
+    "h": lambda m, e: tables_for(m.cx).hg.h_face(m.cx.top_index, e),
+    "g": lambda m, e: tables_for(m.cx).hg.g_face(m.cx.top_index, e),
+    "stilde": lambda m, e: tables_for(m.cx).stilde.poly(m.cx.top_index, e),
+    "stilde support on proper faces": _proper_stilde_support,
+    "E_affine": lambda m, e: e_affine_hypersurface(m.cx).value_of_element(e),
+    "E_st": lambda m, e: m.stringy.value_of_element(e),
+    "chi": lambda m, e: m.stringy.value_of_element(e).at_one(),
+    "h11 character": lambda m, e: m.diamond.hodge(1, 1).values,
+    "mu": lambda m, e: _mu_signature(m),
+    "mu on even classes": lambda m, e: _mu_signature(m, even_only=True),
+    "quotient diamond": lambda m, e: m.diamond.invariant,
+    "quotient (h11, h21)": lambda m, e: (
+        m.diamond.invariant_entry(1, 1),
+        m.diamond.invariant_entry(2, 1),
+    ),
+    "quotient chi": lambda m, e: euler_characteristics(m.stringy).quotient,
+    "halving rule": lambda m, e: _halving_rule_holds(m),
+    "mirror verdict": lambda m, e: mirror_check(m.cx).verdict,
+}
+
+# The golden values: (case, model, element, quantity, expected).  The element
+# names a scalar matrix in ``_SCALARS``, or is None for a quantity of the
+# whole group.
+_SCALARS = {"I": 1, "-I": -1}
+_GOLDEN: Tuple[Tuple[str, str, Optional[str], str, object], ...] = (
+    ("cube4-trivial", "cube4", "I", "phi", UniPoly((1, 76, 230, 76, 1))),
+    ("cube4-trivial", "cube4", "I", "h", UniPoly((1, 12, 14, 12, 1))),
+    ("cube4-trivial", "cube4", "I", "g", UniPoly((1, 11, 2))),
+    ("cube4-trivial", "cube4", "I", "stilde", UniPoly((0, 1, 68, 68, 1))),
+    ("cube4-trivial", "cube4", "I", "phi*", UniPoly((1, 4, 6, 4, 1))),
+    ("cube4-trivial", "cube4", "I", "g*", UniPoly((1, 3, 2))),
+    ("cube4-trivial", "cube4", "I", "stilde*", UniPoly((0, 1, 4, 4, 1))),
+    ("cube4-trivial", "cube4", "I", "stilde support on proper faces*", ()),
+    ("cube4-trivial", "cube4", None, "quotient (h11, h21)", (4, 68)),
+    ("cube4-trivial", "cube4", None, "quotient (h11, h21)*", (68, 4)),
+    ("cube4-trivial", "cube4", None, "quotient chi", -128),
+    ("cube4-trivial", "cube4", None, "quotient chi*", 128),
+    ("cube4-central", "cube4/central", "-I", "h", UniPoly((1, 4, 6, 4, 1))),
+    ("cube4-central", "cube4/central", "-I", "phi", UniPoly((1, 4, 6, 4, 1))),
+    ("cube4-central", "cube4/central", "-I", "E_st",
+     cs_closed_forms(4).stringy_identity),
+    ("cube4-central", "cube4/central", "-I", "chi", 0),
+    ("cube4-central", "cube4/central", None, "quotient (h11, h21)", (4, 36)),
+    ("cube4-central", "cube4/central", None, "halving rule", True),
+    ("cube4-central", "cube4/central", None, "quotient (h11, h21)*", (36, 4)),
+    ("cube4-central", "cube4/central", None, "quotient chi", -64),
+    ("cube4-central", "cube4/central", None, "quotient chi*", 64),
+    ("cube4-central", "cube4/central", None, "mirror verdict", True),
+    ("quintic-a5", "quintic/A5", None, "order", 60),
+    ("quintic-a5", "quintic/A5", None, "h11 character", (1,) * 5),
+    ("quintic-a5", "quintic/A5", None, "mu",
+     {(1, 1): 101, (15, 2): 5, (20, 3): 5, (12, 5): 1}),
+    ("quintic-a5", "quintic/A5", None, "quotient (h11, h21)", (1, 5)),
+    ("quintic-a5", "quintic/A5", None, "quotient (h11, h21)*", (5, 1)),
+    ("quintic-a5", "quintic/A5", None, "mirror verdict", True),
+    ("quintic-sym5", "quintic/Sym5", None, "order", 120),
+    ("quintic-sym5", "quintic/Sym5", None, "h11 character", (1,) * 7),
+    ("quintic-sym5", "quintic/Sym5", None, "mu on even classes",
+     {(1, 1): 101, (15, 2): 5, (20, 3): 5, (24, 5): 1}),
+    ("quintic-sym5", "quintic/Sym5", None, "mirror verdict", True),
+    *(
+        ("quintic-subgroup-mirrors", f"quintic/{name}", None, "mirror verdict", True)
+        for name in ("Z2", "Z2xZ2", "Z3", "Z5", "A4", "Sym3", "D5")
+    ),
+    ("d3-surfaces", "cube3", None, "quotient diamond",
+     ((1, 0, 1), (0, 20, 0), (1, 0, 1))),
+    ("d3-surfaces", "cube3", None, "quotient chi", 24),
+    ("d3-surfaces", "cube3/central", "-I", "E_st",
+     BiLaurent.one()
+     - BiLaurent.monomial(2, 0)
+     - BiLaurent.monomial(0, 2)
+     + BiLaurent.monomial(2, 2)),
+    ("d3-surfaces", "cube3/central", None, "quotient diamond",
+     ((1, 0, 0), (0, 10, 0), (0, 0, 1))),
+    ("d3-surfaces", "cube3/central", None, "quotient chi", 12),
+    *(
+        row
+        for d in range(1, 5)
+        for row in (
+            ("simplex-hg", f"simplex{d}", "I", "h", UniPoly((1,) * (d + 1))),
+            ("simplex-hg", f"simplex{d}", "I", "g", UniPoly.one()),
         )
-        _check(
-            failures,
-            tables.hg.g_face(cx.top_index, 0) == UniPoly.one(),
-            f"g[C] of the {d}-simplex is 1",
-        )
+    ),
+    ("cubic-curve", "cubic-curve", "I", "phi", UniPoly((1, 7, 1))),
+    ("cubic-curve", "cubic-curve", "I", "E_affine",
+     BiLaurent.monomial(1, 1)
+     - BiLaurent.monomial(1, 0)
+     - BiLaurent.monomial(0, 1)
+     - BiLaurent.monomial(0, 0, 8)),
+)
 
 
-def _case_cubic_curve(failures: List[str]) -> None:
-    polytope, group, _ = build_model(
-        ModelConfig(vertices=((2, -1), (-1, 2), (-1, -1)))
-    )
-    cx = ConeComplex(polytope, group)
-    tables = tables_for(cx)
-    _check(
-        failures,
-        tables.phi.poly(cx.top_index, 0) == UniPoly((1, 7, 1)),
-        "phi of the cubic-curve triangle is 1 + 7t + t^2",
-    )
-    affine = e_affine_hypersurface(cx)
-    expected = (
-        BiLaurent.monomial(1, 1)
-        - BiLaurent.monomial(1, 0)
-        - BiLaurent.monomial(0, 1)
-        - BiLaurent.monomial(0, 0, 8)
-    )
-    _check(
-        failures,
-        affine.value_at_class(0) == expected,
-        "affine E-polynomial of the cubic curve is uv - u - v - 8",
-    )
+def _golden_case(name: str) -> Callable[[List[str]], None]:
+    """The selftest case that checks every ``_GOLDEN`` row of ``name``,
+    building each of its models once."""
+
+    def case(failures: List[str]) -> None:
+        models: Dict[str, _Model] = {}
+        for row_case, model, element, quantity, expected in _GOLDEN:
+            if row_case != name:
+                continue
+            if model not in models:
+                models[model] = _Model(_complex_of(model))
+            m = models[model]
+            e = None
+            if element is not None:
+                scalar = IntMatrix.identity(m.cx.dim).scale(_SCALARS[element])
+                e = m.cx.base_group.index_of[scalar]
+            evaluate = _QUANTITIES[quantity.rstrip("*")]
+            if quantity.endswith("*"):
+                e = None if e is None else m.cx.dual_element_index(e)
+                m = m.dual
+            got = evaluate(m, e)
+            if got != expected:
+                at = "" if element is None else f" at {element}"
+                failures.append(
+                    f"{quantity} of {model}{at}: got {got!r}, expected {expected!r}"
+                )
+
+    return case
 
 
 def _case_fault_injection(failures: List[str]) -> None:
-    cx = _complex_for("cube", 3, ())
+    cx = _complex_of("cube3")
     tables = tables_for(cx)
     top = cx.top_index
     doctored = tables.phi.override(
         top, 0, tables.phi.poly(top, 0) + UniPoly((0, 1))
     )
     report = verify_identities(cx, phi_table=doctored)
-    _check(failures, not report.ok, "doctored phi table is detected")
+    if report.ok:
+        failures.append("doctored phi table went undetected")
     cited = {
         (f, k)
         for check in report.checks
         for f, k, _ in check.failures
         if check.name == "reciprocity"
     }
-    _check(
-        failures,
-        (top, 0) in cited,
-        "reciprocity failure cites the corrupted face and class",
-    )
+    if (top, 0) not in cited:
+        failures.append(
+            "reciprocity failure does not cite the corrupted face and class"
+        )
 
 
 def _case_determinism(failures: List[str]) -> None:
@@ -734,33 +604,26 @@ def _case_determinism(failures: List[str]) -> None:
         '"commands": ["faces", "phi", "hg", "stilde", "stringy", "diamond", "euler"]}'
     )
     documents = []
-    for threads in (1, 2, 1):
-        report, code = run(config, threads=threads)
-        _check(failures, code == EXIT_OK, f"determinism run (threads={threads}) exits 0")
+    for attempt in range(3):
+        report, code = run(config)
+        if code != EXIT_OK:
+            failures.append(f"determinism run {attempt} exited {code}")
         documents.append(report.to_json())
-    _check(
-        failures,
-        len(set(documents)) == 1,
-        "reports are byte-identical across runs and thread counts",
-    )
+    if len(set(documents)) != 1:
+        failures.append("reports differ between identical runs")
 
 
 _SELFTEST_CASES: Tuple[Tuple[str, Callable[[List[str]], None]], ...] = (
-    ("cube4-trivial", _case_cube4),
-    ("cube4-central", _case_cube4_central),
-    ("quintic-a5", _case_quintic_a5),
-    ("quintic-sym5", _case_quintic_sym5),
-    ("quintic-subgroup-mirrors", _case_quintic_subgroup_mirrors),
-    ("d3-surfaces", _case_d3),
-    ("simplex-hg", _case_simplex_hg),
-    ("cubic-curve", _case_cubic_curve),
+    *((name, _golden_case(name)) for name in dict.fromkeys(r[0] for r in _GOLDEN)),
     ("fault-injection", _case_fault_injection),
     ("determinism", _case_determinism),
 )
 
 
 def selftest(threads: int = 1, json_path: Optional[Path] = None, out=None) -> int:
-    """Run the golden suite; returns 0 when every case passes."""
+    """Run the golden table and the controls, one case per thread when
+    ``threads`` > 1 (the report is the same either way); returns 0 when
+    every case passes."""
     out = out if out is not None else sys.stdout
 
     def run_case(item):
@@ -790,11 +653,9 @@ def selftest(threads: int = 1, json_path: Optional[Path] = None, out=None) -> in
         cases_json.append({"name": name, "ok": ok, "failures": failures})
     out.write(f"selftest: {'all passed' if all_ok else 'FAILURES'}\n")
     if json_path is not None:
-        import json as _json
-
         document = {"schema": SCHEMA_VERSION, "selftest": cases_json}
         json_path.write_text(
-            _json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     return EXIT_OK if all_ok else EXIT_IDENTITY
 
@@ -817,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="fan per-class work out over N threads (output unchanged; no faster, "
-        "as the GIL serialises the threads)",
+        help="run the selftest cases on N threads (output unchanged); other "
+        "commands ignore it",
     )
     parser.add_argument(
         "--json", type=Path, dest="json_path", help="also write the report as JSON"
@@ -856,12 +717,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         config = parse_config(text)
         config = with_commands(with_cap(config, args.cap_group), (args.command,))
-        report, code = run(
-            config,
-            threads=max(1, args.threads),
-            gamma=args.gamma,
-            quotient=args.quotient or None,
-        )
+        report, code = run(config, gamma=args.gamma, quotient=args.quotient or None)
         sys.stdout.write(report.render())
         if args.json_path is not None:
             args.json_path.write_text(report.to_json(), encoding="utf-8")

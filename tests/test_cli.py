@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import types
+from collections import Counter
 from fractions import Fraction
 from io import StringIO
 
@@ -421,6 +422,87 @@ def test_selftest_case_functions_pass_directly():
         failures = []
         fn(failures)
         assert failures == [], (name, failures)
+
+
+def test_selftest_case_names_and_golden_row_counts():
+    assert [name for name, _ in cli._SELFTEST_CASES] == [
+        "cube4-trivial",
+        "cube4-central",
+        "quintic-a5",
+        "quintic-sym5",
+        "quintic-subgroup-mirrors",
+        "d3-surfaces",
+        "simplex-hg",
+        "cubic-curve",
+        "fault-injection",
+        "determinism",
+    ]
+    per_case = Counter(row[0] for row in cli._GOLDEN)
+    assert list(per_case.items()) == [
+        ("cube4-trivial", 12),
+        ("cube4-central", 10),
+        ("quintic-a5", 6),
+        ("quintic-sym5", 4),
+        ("quintic-subgroup-mirrors", 7),
+        ("d3-surfaces", 5),
+        ("simplex-hg", 8),
+        ("cubic-curve", 2),
+    ]
+    assert len(set(row[:4] for row in cli._GOLDEN)) == len(cli._GOLDEN)
+
+
+def test_golden_quantities_and_models_have_no_dead_entries():
+    quantities = {quantity.rstrip("*") for _, _, _, quantity, _ in cli._GOLDEN}
+    assert quantities == set(cli._QUANTITIES)
+    assert {model for _, model, _, _, _ in cli._GOLDEN} == set(cli._MODELS)
+    assert {element for _, _, element, _, _ in cli._GOLDEN} == {None, *cli._SCALARS}
+
+
+def test_selftest_flipped_golden_row_fails_only_its_case(monkeypatch):
+    rows = list(cli._GOLDEN)
+    index = rows.index(
+        ("cubic-curve", "cubic-curve", "I", "phi", UniPoly((1, 7, 1)))
+    )
+    rows[index] = rows[index][:4] + (UniPoly((1, 8, 1)),)
+    monkeypatch.setattr(cli, "_GOLDEN", tuple(rows))
+    subset = tuple(
+        item for item in cli._SELFTEST_CASES
+        if item[0] in ("simplex-hg", "cubic-curve")
+    )
+    monkeypatch.setattr(cli, "_SELFTEST_CASES", subset)
+    buf = StringIO()
+    assert cli.selftest(out=buf) == 3
+    lines = buf.getvalue().splitlines()
+    assert lines[0].split()[:2] == ["simplex-hg", "ok"]
+    assert lines[1].split()[:2] == ["cubic-curve", "FAIL"]
+    assert lines[2].strip().startswith("phi of cubic-curve at I: got UniPoly(")
+    assert "expected UniPoly(1 + 8*t + t^2)" in lines[2]
+    assert lines[3:] == ["selftest: FAILURES"]
+
+
+def test_main_selftest_threads_and_exit_codes(tmp_path, monkeypatch, capsys):
+    def failing(failures):
+        failures.append("deliberately wrong")
+
+    subset = tuple(
+        item for item in cli._SELFTEST_CASES
+        if item[0] in ("simplex-hg", "cubic-curve")
+    )
+    monkeypatch.setattr(cli, "_SELFTEST_CASES", subset)
+    json_path = tmp_path / "selftest.json"
+    assert cli.main(["selftest", "--threads", "2", "--json", str(json_path)]) == 0
+    assert "selftest: all passed" in capsys.readouterr().out
+    document = json.loads(json_path.read_text())
+    assert document == {
+        "schema": 1,
+        "selftest": [
+            {"failures": [], "name": "simplex-hg", "ok": True},
+            {"failures": [], "name": "cubic-curve", "ok": True},
+        ],
+    }
+    monkeypatch.setattr(cli, "_SELFTEST_CASES", subset + (("tiny-fail", failing),))
+    assert cli.main(["selftest", "--threads", "2"]) == 3
+    assert "deliberately wrong" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
