@@ -13,9 +13,7 @@ import json
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -392,110 +390,94 @@ def _complex_of(model: str) -> ConeComplex:
     return ConeComplex(polytope, group)
 
 
-class _Model:
-    """A complex whose stringy E-polynomial, diamond and dual are each
-    computed at most once, however many golden rows read them."""
-
-    def __init__(self, cx: ConeComplex):
-        self.cx = cx
-
-    @cached_property
-    def stringy(self) -> EPoly:
-        return e_stringy_reflexive(self.cx)
-
-    @cached_property
-    def diamond(self) -> Diamond:
-        return hodge_diamond(self.stringy)
-
-    @cached_property
-    def dual(self) -> "_Model":
-        return _Model(self.cx.dual())
+def _diamond(cx: ConeComplex) -> Diamond:
+    return hodge_diamond(e_stringy_reflexive(cx))
 
 
-def _mu_signature(m: _Model, even_only: bool = False) -> Dict[Tuple[int, int], int]:
-    """Map (class size, element order) -> h^{2,1} character value, over all
-    classes or over those of determinant 1 (the even permutations)."""
-    group = m.cx.group
-    out = {}
-    for k, rep_idx in enumerate(group.class_reps):
-        rep = group.elements[rep_idx]
-        if even_only and det(rep) != 1:
-            continue
-        key = (group.class_sizes[k], element_order(group, rep))
-        out[key] = int(m.diamond.hodge(2, 1).values[k])
-    return out
+def _mu_signature(cx: ConeComplex) -> Tuple[Tuple[int, int, int], ...]:
+    """The h^{2,1} character on the determinant-1 classes, as sorted
+    (class size, element order, value) triples, one per class."""
+    group = cx.group
+    h21 = _diamond(cx).hodge(2, 1).values
+    return tuple(
+        sorted(
+            (group.class_sizes[k], element_order(group, rep), int(h21[k]))
+            for k, rep in enumerate(group.elements[i] for i in group.class_reps)
+            if det(rep) == 1
+        )
+    )
 
 
-def _halving_rule_holds(m: _Model) -> bool:
+def _halving_rule_holds(cx: ConeComplex) -> bool:
     """The free-involution halving rule maps the cover diamond (dimensions
     at the identity) to the computed quotient diamond."""
-    diamond = m.diamond
-    k_id = _identity_class(m.cx)
+    diamond = _diamond(cx)
+    k_id = _identity_class(cx)
     cover = [
         [int(diamond.hodge(p, q).values[k_id]) for q in range(diamond.size + 1)]
         for p in range(diamond.size + 1)
     ]
-    return cs_closed_forms(m.cx.dim, cover).quotient == diamond.invariant
+    return cs_closed_forms(cx.dim, cover).quotient == diamond.invariant
 
 
-def _proper_stilde_support(m: _Model, e: int) -> Tuple[int, ...]:
+def _proper_stilde_support(cx: ConeComplex, e: int) -> Tuple[int, ...]:
     """The proper faces (neither apex nor top) where Stilde(F, e) is nonzero."""
-    stilde = tables_for(m.cx).stilde
+    stilde = tables_for(cx).stilde
     return tuple(
         face.index
-        for face in m.cx.faces
-        if 0 < face.dim < m.cx.cdim and not stilde.poly(face.index, e).is_zero()
+        for face in cx.faces
+        if 0 < face.dim < cx.cdim and not stilde.poly(face.index, e).is_zero()
     )
 
 
-# Each golden quantity as a function of (model, element index or None).  A
-# quantity named with a trailing "*" is read on the polar dual instead, at
+# Each golden quantity as a function of (complex, element index or None).
+# A quantity named with a trailing "*" is read on the polar dual instead, at
 # the contragredient element.
-_QUANTITIES: Dict[str, Callable[[_Model, Optional[int]], object]] = {
-    "order": lambda m, e: m.cx.group.order,
-    "phi": lambda m, e: tables_for(m.cx).phi.poly(m.cx.top_index, e),
-    "h": lambda m, e: tables_for(m.cx).hg.h_face(m.cx.top_index, e),
-    "g": lambda m, e: tables_for(m.cx).hg.g_face(m.cx.top_index, e),
-    "stilde": lambda m, e: tables_for(m.cx).stilde.poly(m.cx.top_index, e),
+_QUANTITIES: Dict[str, Callable[[ConeComplex, Optional[int]], object]] = {
+    "order": lambda cx, e: cx.group.order,
+    "phi": lambda cx, e: tables_for(cx).phi.poly(cx.top_index, e),
+    "h": lambda cx, e: tables_for(cx).hg.h_face(cx.top_index, e),
+    "g": lambda cx, e: tables_for(cx).hg.g_face(cx.top_index, e),
+    "stilde": lambda cx, e: tables_for(cx).stilde.poly(cx.top_index, e),
     "stilde support on proper faces": _proper_stilde_support,
-    "E_affine": lambda m, e: e_affine_hypersurface(m.cx).value_of_element(e),
-    "E_st": lambda m, e: m.stringy.value_of_element(e),
-    "chi": lambda m, e: m.stringy.value_of_element(e).at_one(),
-    "h11 character": lambda m, e: m.diamond.hodge(1, 1).values,
-    "mu": lambda m, e: _mu_signature(m),
-    "mu on even classes": lambda m, e: _mu_signature(m, even_only=True),
-    "quotient diamond": lambda m, e: m.diamond.invariant,
-    "quotient (h11, h21)": lambda m, e: (
-        m.diamond.invariant_entry(1, 1),
-        m.diamond.invariant_entry(2, 1),
+    "E_affine": lambda cx, e: e_affine_hypersurface(cx).value_of_element(e),
+    "E_st": lambda cx, e: e_stringy_reflexive(cx).value_of_element(e),
+    "chi": lambda cx, e: e_stringy_reflexive(cx).value_of_element(e).at_one(),
+    "h11 character": lambda cx, e: _diamond(cx).hodge(1, 1).values,
+    "mu": lambda cx, e: _mu_signature(cx),
+    "quotient diamond": lambda cx, e: _diamond(cx).invariant,
+    "quotient (h11, h21)": lambda cx, e: (
+        _diamond(cx).invariant_entry(1, 1),
+        _diamond(cx).invariant_entry(2, 1),
     ),
-    "quotient chi": lambda m, e: euler_characteristics(m.stringy).quotient,
-    "halving rule": lambda m, e: _halving_rule_holds(m),
-    "mirror verdict": lambda m, e: mirror_check(m.cx).verdict,
+    "quotient chi": lambda cx, e: euler_characteristics(
+        e_stringy_reflexive(cx)
+    ).quotient,
+    "halving rule": lambda cx, e: _halving_rule_holds(cx),
+    "mirror verdict": lambda cx, e: mirror_check(cx).verdict,
 }
 
 # The golden values: (case, model, element, quantity, expected).  The element
-# names a scalar matrix in ``_SCALARS``, or is None for a quantity of the
-# whole group.
-_SCALARS = {"I": 1, "-I": -1}
-_GOLDEN: Tuple[Tuple[str, str, Optional[str], str, object], ...] = (
-    ("cube4-trivial", "cube4", "I", "phi", UniPoly((1, 76, 230, 76, 1))),
-    ("cube4-trivial", "cube4", "I", "h", UniPoly((1, 12, 14, 12, 1))),
-    ("cube4-trivial", "cube4", "I", "g", UniPoly((1, 11, 2))),
-    ("cube4-trivial", "cube4", "I", "stilde", UniPoly((0, 1, 68, 68, 1))),
-    ("cube4-trivial", "cube4", "I", "phi*", UniPoly((1, 4, 6, 4, 1))),
-    ("cube4-trivial", "cube4", "I", "g*", UniPoly((1, 3, 2))),
-    ("cube4-trivial", "cube4", "I", "stilde*", UniPoly((0, 1, 4, 4, 1))),
-    ("cube4-trivial", "cube4", "I", "stilde support on proper faces*", ()),
+# is the scalar c of the matrix c*I, or None for a quantity of the whole
+# group.
+_GOLDEN: Tuple[Tuple[str, str, Optional[int], str, object], ...] = (
+    ("cube4-trivial", "cube4", 1, "phi", UniPoly((1, 76, 230, 76, 1))),
+    ("cube4-trivial", "cube4", 1, "h", UniPoly((1, 12, 14, 12, 1))),
+    ("cube4-trivial", "cube4", 1, "g", UniPoly((1, 11, 2))),
+    ("cube4-trivial", "cube4", 1, "stilde", UniPoly((0, 1, 68, 68, 1))),
+    ("cube4-trivial", "cube4", 1, "phi*", UniPoly((1, 4, 6, 4, 1))),
+    ("cube4-trivial", "cube4", 1, "g*", UniPoly((1, 3, 2))),
+    ("cube4-trivial", "cube4", 1, "stilde*", UniPoly((0, 1, 4, 4, 1))),
+    ("cube4-trivial", "cube4", 1, "stilde support on proper faces*", ()),
     ("cube4-trivial", "cube4", None, "quotient (h11, h21)", (4, 68)),
     ("cube4-trivial", "cube4", None, "quotient (h11, h21)*", (68, 4)),
     ("cube4-trivial", "cube4", None, "quotient chi", -128),
     ("cube4-trivial", "cube4", None, "quotient chi*", 128),
-    ("cube4-central", "cube4/central", "-I", "h", UniPoly((1, 4, 6, 4, 1))),
-    ("cube4-central", "cube4/central", "-I", "phi", UniPoly((1, 4, 6, 4, 1))),
-    ("cube4-central", "cube4/central", "-I", "E_st",
+    ("cube4-central", "cube4/central", -1, "h", UniPoly((1, 4, 6, 4, 1))),
+    ("cube4-central", "cube4/central", -1, "phi", UniPoly((1, 4, 6, 4, 1))),
+    ("cube4-central", "cube4/central", -1, "E_st",
      cs_closed_forms(4).stringy_identity),
-    ("cube4-central", "cube4/central", "-I", "chi", 0),
+    ("cube4-central", "cube4/central", -1, "chi", 0),
     ("cube4-central", "cube4/central", None, "quotient (h11, h21)", (4, 36)),
     ("cube4-central", "cube4/central", None, "halving rule", True),
     ("cube4-central", "cube4/central", None, "quotient (h11, h21)*", (36, 4)),
@@ -505,14 +487,14 @@ _GOLDEN: Tuple[Tuple[str, str, Optional[str], str, object], ...] = (
     ("quintic-a5", "quintic/A5", None, "order", 60),
     ("quintic-a5", "quintic/A5", None, "h11 character", (1,) * 5),
     ("quintic-a5", "quintic/A5", None, "mu",
-     {(1, 1): 101, (15, 2): 5, (20, 3): 5, (12, 5): 1}),
+     ((1, 1, 101), (12, 5, 1), (12, 5, 1), (15, 2, 5), (20, 3, 5))),
     ("quintic-a5", "quintic/A5", None, "quotient (h11, h21)", (1, 5)),
     ("quintic-a5", "quintic/A5", None, "quotient (h11, h21)*", (5, 1)),
     ("quintic-a5", "quintic/A5", None, "mirror verdict", True),
     ("quintic-sym5", "quintic/Sym5", None, "order", 120),
     ("quintic-sym5", "quintic/Sym5", None, "h11 character", (1,) * 7),
-    ("quintic-sym5", "quintic/Sym5", None, "mu on even classes",
-     {(1, 1): 101, (15, 2): 5, (20, 3): 5, (24, 5): 1}),
+    ("quintic-sym5", "quintic/Sym5", None, "mu",
+     ((1, 1, 101), (15, 2, 5), (20, 3, 5), (24, 5, 1))),
     ("quintic-sym5", "quintic/Sym5", None, "mirror verdict", True),
     *(
         ("quintic-subgroup-mirrors", f"quintic/{name}", None, "mirror verdict", True)
@@ -521,7 +503,7 @@ _GOLDEN: Tuple[Tuple[str, str, Optional[str], str, object], ...] = (
     ("d3-surfaces", "cube3", None, "quotient diamond",
      ((1, 0, 1), (0, 20, 0), (1, 0, 1))),
     ("d3-surfaces", "cube3", None, "quotient chi", 24),
-    ("d3-surfaces", "cube3/central", "-I", "E_st",
+    ("d3-surfaces", "cube3/central", -1, "E_st",
      BiLaurent.one()
      - BiLaurent.monomial(2, 0)
      - BiLaurent.monomial(0, 2)
@@ -533,12 +515,12 @@ _GOLDEN: Tuple[Tuple[str, str, Optional[str], str, object], ...] = (
         row
         for d in range(1, 5)
         for row in (
-            ("simplex-hg", f"simplex{d}", "I", "h", UniPoly((1,) * (d + 1))),
-            ("simplex-hg", f"simplex{d}", "I", "g", UniPoly.one()),
+            ("simplex-hg", f"simplex{d}", 1, "h", UniPoly((1,) * (d + 1))),
+            ("simplex-hg", f"simplex{d}", 1, "g", UniPoly.one()),
         )
     ),
-    ("cubic-curve", "cubic-curve", "I", "phi", UniPoly((1, 7, 1))),
-    ("cubic-curve", "cubic-curve", "I", "E_affine",
+    ("cubic-curve", "cubic-curve", 1, "phi", UniPoly((1, 7, 1))),
+    ("cubic-curve", "cubic-curve", 1, "E_affine",
      BiLaurent.monomial(1, 1)
      - BiLaurent.monomial(1, 0)
      - BiLaurent.monomial(0, 1)
@@ -548,27 +530,28 @@ _GOLDEN: Tuple[Tuple[str, str, Optional[str], str, object], ...] = (
 
 def _golden_case(name: str) -> Callable[[List[str]], None]:
     """The selftest case that checks every ``_GOLDEN`` row of ``name``,
-    building each of its models once."""
+    building each of its models once (the complex keeps its tables, stringy
+    E-polynomial and dual, so rows share them)."""
 
     def case(failures: List[str]) -> None:
-        models: Dict[str, _Model] = {}
+        models: Dict[str, ConeComplex] = {}
         for row_case, model, element, quantity, expected in _GOLDEN:
             if row_case != name:
                 continue
             if model not in models:
-                models[model] = _Model(_complex_of(model))
-            m = models[model]
+                models[model] = _complex_of(model)
+            cx = models[model]
             e = None
             if element is not None:
-                scalar = IntMatrix.identity(m.cx.dim).scale(_SCALARS[element])
-                e = m.cx.base_group.index_of[scalar]
+                scalar = IntMatrix.identity(cx.dim).scale(element)
+                e = cx.base_group.index_of[scalar]
             evaluate = _QUANTITIES[quantity.rstrip("*")]
             if quantity.endswith("*"):
-                e = None if e is None else m.cx.dual_element_index(e)
-                m = m.dual
-            got = evaluate(m, e)
+                e = None if e is None else cx.dual_element_index(e)
+                cx = cx.dual()
+            got = evaluate(cx, e)
             if got != expected:
-                at = "" if element is None else f" at {element}"
+                at = "" if element is None else f" at {element}*I"
                 failures.append(
                     f"{quantity} of {model}{at}: got {got!r}, expected {expected!r}"
                 )
@@ -621,30 +604,20 @@ _SELFTEST_CASES: Tuple[Tuple[str, Callable[[List[str]], None]], ...] = (
 
 
 def selftest(threads: int = 1, json_path: Optional[Path] = None, out=None) -> int:
-    """Run the golden table and the controls, one case per thread when
-    ``threads`` > 1 (the report is the same either way); returns 0 when
-    every case passes."""
+    """Run the golden table and the controls in order; returns 0 when every
+    case passes.  ``threads`` is accepted and ignored (the cases ran no
+    faster on threads), so callers that pass it keep working."""
     out = out if out is not None else sys.stdout
-
-    def run_case(item):
-        name, fn = item
+    all_ok = True
+    cases_json = []
+    for name, fn in _SELFTEST_CASES:
         failures: List[str] = []
         started = time.perf_counter()
         try:
             fn(failures)
         except EquimirrorError as exc:
             failures.append(f"raised {type(exc).__name__}: {exc}")
-        return name, failures, time.perf_counter() - started
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_case, _SELFTEST_CASES))
-    else:
-        results = [run_case(item) for item in _SELFTEST_CASES]
-
-    all_ok = True
-    cases_json = []
-    for name, failures, elapsed in results:
+        elapsed = time.perf_counter() - started
         ok = not failures
         all_ok = all_ok and ok
         out.write(f"{name:<28} {'ok' if ok else 'FAIL':<5} ({elapsed:.2f}s)\n")
@@ -678,8 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="run the selftest cases on N threads (output unchanged); other "
-        "commands ignore it",
+        help="accepted and ignored: every command and the selftest run "
+        "sequentially (threads gave no speed-up under the GIL)",
     )
     parser.add_argument(
         "--json", type=Path, dest="json_path", help="also write the report as JSON"
@@ -708,7 +681,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return selftest(threads=max(1, args.threads), json_path=args.json_path)
+            return selftest(json_path=args.json_path)
         if args.config is None:
             raise ConfigError(f"command {args.command!r} requires --config")
         try:

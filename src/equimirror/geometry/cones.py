@@ -88,6 +88,7 @@ class ConeComplex:
         self._dual: Optional[ConeComplex] = None
         self._dual_faces: Optional[Tuple[int, ...]] = None
         self.tables = None  # the invariants layer's memo, set by tables_for
+        self.stringy = None  # its memo of e_stringy_reflexive
 
     # -- plumbing ---------------------------------------------------------
 

@@ -239,9 +239,16 @@ def e_stringy_reflexive(
 
     where ``F*`` is the matching face of the dual cone and its polynomial
     is evaluated at the contragredient element.
+
+    Computed from the complex's own tables, the result is kept on the
+    complex (``complex.stringy``) and reused; other ``tables`` (a doctored
+    table, say) are evaluated afresh and not kept.
     """
     if not complex.polytope.is_reflexive():
         raise NotReflexive("stringy invariants need a reflexive polytope")
+    own = tables is None or tables is complex.tables
+    if own and complex.stringy is not None:
+        return complex.stringy
     if tables is None:
         tables = tables_for(complex)
     dual = complex.dual()
@@ -262,12 +269,15 @@ def e_stringy_reflexive(
         if not scaled.is_polynomial():
             raise InexactDivision(f"stringy E-polynomial is not polynomial: {scaled}")
         values.append(_bounded(scaled, complex.dim - 1, "stringy E-polynomial"))
-    return EPoly(
+    epoly = EPoly(
         group=complex.group,
         values=tuple(values),
         dim=complex.dim,
         kind="stringy-reflexive",
     )
+    if own:
+        complex.stringy = epoly
+    return epoly
 
 
 def e_stringy_strata(complex: ConeComplex, tables: Optional[Tables] = None) -> EPoly:

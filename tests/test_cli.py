@@ -455,13 +455,13 @@ def test_golden_quantities_and_models_have_no_dead_entries():
     quantities = {quantity.rstrip("*") for _, _, _, quantity, _ in cli._GOLDEN}
     assert quantities == set(cli._QUANTITIES)
     assert {model for _, model, _, _, _ in cli._GOLDEN} == set(cli._MODELS)
-    assert {element for _, _, element, _, _ in cli._GOLDEN} == {None, *cli._SCALARS}
+    assert {element for _, _, element, _, _ in cli._GOLDEN} == {None, 1, -1}
 
 
 def test_selftest_flipped_golden_row_fails_only_its_case(monkeypatch):
     rows = list(cli._GOLDEN)
     index = rows.index(
-        ("cubic-curve", "cubic-curve", "I", "phi", UniPoly((1, 7, 1)))
+        ("cubic-curve", "cubic-curve", 1, "phi", UniPoly((1, 7, 1)))
     )
     rows[index] = rows[index][:4] + (UniPoly((1, 8, 1)),)
     monkeypatch.setattr(cli, "_GOLDEN", tuple(rows))
@@ -475,7 +475,7 @@ def test_selftest_flipped_golden_row_fails_only_its_case(monkeypatch):
     lines = buf.getvalue().splitlines()
     assert lines[0].split()[:2] == ["simplex-hg", "ok"]
     assert lines[1].split()[:2] == ["cubic-curve", "FAIL"]
-    assert lines[2].strip().startswith("phi of cubic-curve at I: got UniPoly(")
+    assert lines[2].strip().startswith("phi of cubic-curve at 1*I: got UniPoly(")
     assert "expected UniPoly(1 + 8*t + t^2)" in lines[2]
     assert lines[3:] == ["selftest: FAILURES"]
 

@@ -22,6 +22,7 @@ from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.groups import generate_group
 from equimirror.invariants import (
     EPoly,
+    Tables,
     cs_closed_forms,
     e_affine_hypersurface,
     e_stringy_reflexive,
@@ -347,6 +348,22 @@ def test_tables_are_freed_with_the_complex():
     tables_for(cx.dual())
     ref = weakref.ref(cx)
     del cx
+    gc.collect()
+    assert ref() is None
+
+
+def test_stringy_is_kept_on_the_complex():
+    cx = ConeComplex(build_cube(3), generate_group([IntMatrix.identity(3).scale(-1)]))
+    st = e_stringy_reflexive(cx)
+    assert st is e_stringy_reflexive(cx) is cx.stringy
+    own = tables_for(cx)
+    assert e_stringy_reflexive(cx, own) is st
+    fresh = e_stringy_reflexive(cx, Tables(own.phi, own.hg, own.stilde))
+    assert fresh is not st and fresh.values == st.values and cx.stringy is st
+    assert mirror_check(cx).verdict
+    assert cx.dual().stringy is not None  # mirror_check kept the dual's too
+    ref = weakref.ref(cx)
+    del cx, own  # the tables refer to their complex
     gc.collect()
     assert ref() is None
 
