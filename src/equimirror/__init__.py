@@ -14,10 +14,9 @@ from .combinatorics import (
     IdentityReport,
     PhiTable,
     StildeTable,
-    hg,
+    Tables,
     mobius_gamma,
-    phi,
-    stilde,
+    tables_for,
     verify_identities,
 )
 from .errors import EquimirrorError
@@ -38,7 +37,6 @@ from .invariants import (
     EPoly,
     EulerCharacteristics,
     MirrorReport,
-    Tables,
     cs_closed_forms,
     e_affine_face,
     e_affine_hypersurface,
@@ -48,7 +46,6 @@ from .invariants import (
     euler_characteristics,
     hodge_diamond,
     mirror_check,
-    tables_for,
 )
 
 __version__ = "0.1.0"
@@ -88,14 +85,11 @@ __all__ = [
     "e_torus",
     "euler_characteristics",
     "generate_group",
-    "hg",
     "hodge_diamond",
     "mirror_check",
     "mobius_gamma",
     "orbits",
-    "phi",
     "stabilizer",
-    "stilde",
     "tables_for",
     "truncate_tau",
     "verify_identities",

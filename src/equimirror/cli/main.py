@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.bilaurent import BiLaurent
 from ..algebra.unipoly import UniPoly
-from ..combinatorics import IdentityReport, verify_identities
+from ..combinatorics import IdentityReport, tables_for, verify_identities
 from ..errors import (
     CapExceeded,
     ConfigError,
@@ -43,7 +43,6 @@ from ..invariants import (
     hodge_diamond,
     hypersurface_checks,
     mirror_check,
-    tables_for,
 )
 from .models import (
     COMMANDS,

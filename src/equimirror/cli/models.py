@@ -142,6 +142,13 @@ def build_fermat(d: int) -> LatticePolytope:
     return LatticePolytope(tuple(verts), tuple(facets))
 
 
+def _cycles(word: str) -> Dict[int, int]:
+    try:
+        return parse_cycles(word)
+    except ValueError as exc:
+        raise ConfigError(f"bad permutation {word!r}: {exc}") from exc
+
+
 def fermat_permutation(word: str, d: int) -> IntMatrix:
     """A permutation of the ``d + 1`` homogeneous coordinates as a rank-``d``
     matrix on the Fermat polytope's lattice.
@@ -149,7 +156,7 @@ def fermat_permutation(word: str, d: int) -> IntMatrix:
     The lattice is the sum-zero hyperplane in ``Z^{d+1}`` with the last
     coordinate dropped; basis vector ``e_j`` lifts to ``e_j - e_{d+1}``.
     """
-    perm = parse_cycles(word)
+    perm = _cycles(word)
     n = d + 1
     if any(k > n or v > n for k, v in perm.items()):
         raise ConfigError(f"permutation {word!r} moves points beyond degree {n}")
@@ -209,7 +216,7 @@ def _generator_matrix(entry: object, model: BuiltinModel) -> IntMatrix:
         if entry.startswith("("):
             if model.name == "fermat":
                 return fermat_permutation(entry, d)
-            perm = parse_cycles(entry)
+            perm = _cycles(entry)
             if any(k > d or v > d for k, v in perm.items()):
                 raise ConfigError(
                     f"permutation {entry!r} moves points beyond degree {d}"
@@ -249,6 +256,11 @@ def build_model(config: ModelConfig) -> Tuple[LatticePolytope, MatrixGroup, str]
 def _require(condition: bool, message: str):
     if not condition:
         raise ConfigError(message)
+
+
+def _is_int(x: object) -> bool:
+    """A JSON integer; ``true``/``false`` are bools, not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -292,7 +304,7 @@ def parse_config(text: str) -> ModelConfig:
         )
         _require("d" in raw, "builtin models need the dimension key 'd'")
         d = raw["d"]
-        _require(isinstance(d, int) and not isinstance(d, bool), "'d' must be an integer")
+        _require(_is_int(d), "'d' must be an integer")
         _require("facets" not in raw, "'facets' only applies to inline polytopes")
     else:
         _require("d" not in raw, "'d' only applies to builtin models")
@@ -302,7 +314,7 @@ def parse_config(text: str) -> ModelConfig:
             "'vertices' must be a non-empty list of integer lists",
         )
         _require(
-            all(isinstance(x, int) and not isinstance(x, bool) for p in v for x in p),
+            all(_is_int(x) for p in v for x in p),
             "vertex coordinates must be integers",
         )
         vertices = tuple(tuple(p) for p in v)
@@ -314,15 +326,20 @@ def parse_config(text: str) -> ModelConfig:
                     isinstance(pair, list)
                     and len(pair) == 2
                     and isinstance(pair[0], list)
-                    and isinstance(pair[1], int)
                     for pair in f
                 ),
                 "'facets' must be a list of [normal, offset] pairs",
             )
+            _require(
+                all(_is_int(x) for a, b in f for x in a + [b]),
+                "facet normals and offsets must be integers",
+            )
             facets = tuple((tuple(a), b) for a, b in f)
 
+    group = raw.get("group", [])
+    _require(isinstance(group, list), "'group' must be a list of generators")
     group_entries = []
-    for entry in raw.get("group", []):
+    for entry in group:
         if isinstance(entry, str):
             group_entries.append(entry)
         elif isinstance(entry, list):
@@ -335,7 +352,9 @@ def parse_config(text: str) -> ModelConfig:
                 f"group entries must be strings or matrices, got {type(entry).__name__}"
             )
 
-    commands = tuple(raw.get("commands", ()))
+    commands = raw.get("commands", [])
+    _require(isinstance(commands, list), "'commands' must be a list of command names")
+    commands = tuple(commands)
     for command in commands:
         _require(
             command in COMMANDS,
@@ -344,7 +363,7 @@ def parse_config(text: str) -> ModelConfig:
 
     cap = raw.get("cap_group", GROUP_CAP_DEFAULT)
     _require(
-        isinstance(cap, int) and not isinstance(cap, bool) and cap >= 1,
+        _is_int(cap) and cap >= 1,
         "'cap_group' must be a positive integer",
     )
     quotient = raw.get("quotient", False)

@@ -9,13 +9,16 @@ same recursion serves faces, quotients and dual faces), and the
 ``stilde`` polynomial mixing ``phi`` with ``g`` of relative dual faces.
 
 Everything is evaluated one group element at a time with exact integer
-or rational arithmetic, memoised per (cone, element).  Class-function
-views over a face's stabilizer are provided on each table, together with
-an independent induction-based assembly of the top polynomial used to
-cross-check the per-element sums.
+or rational arithmetic, memoised per (cone, element).  A complex has one
+set of the three tables, :class:`Tables`, and :func:`tables_for` is the
+only way to get it: the set is kept on the complex, so every invariant,
+command and check shares its entries.  Class-function views over a face's
+stabilizer are provided on each table, together with an independent
+induction-based assembly of the top polynomial used to cross-check the
+per-element sums.
 
-``verify_identities`` re-derives the tables' defining identities from
-scratch — reciprocity against independently counted interior points,
+``verify_identities`` checks the shared tables against their defining
+identities — reciprocity against independently counted interior points,
 palindromy, the convolution that characterises ``g``, and the
 reconstruction of ``phi`` from lower faces — and reports any offending
 (face, class) pair instead of silently trusting the pipeline.
@@ -85,11 +88,6 @@ class PhiTable:
         return table
 
 
-def phi(complex: ConeComplex) -> PhiTable:
-    """Lazy table of equivariant Ehrhart numerators for the complex."""
-    return PhiTable(complex)
-
-
 class HGTable:
     """The local ``h``/``g`` polynomials of abstract cones.
 
@@ -154,11 +152,6 @@ class HGTable:
 
     def g_class_poly(self, f: Optional[int] = None) -> ClassPoly:
         return _stabilizer_class_poly(self.complex, f, self.g_face)
-
-
-def hg(complex: ConeComplex) -> HGTable:
-    """Lazy ``h``/``g`` table for the complex's abstract cones."""
-    return HGTable(complex)
 
 
 class StildeTable:
@@ -231,14 +224,26 @@ class StildeTable:
         return total
 
 
-def stilde(complex: ConeComplex, phi_table: Optional[PhiTable] = None,
-           hg_table: Optional[HGTable] = None) -> StildeTable:
-    """Lazy table of the mixed polynomials, sharing the given sub-tables."""
-    return StildeTable(
-        complex,
-        phi_table if phi_table is not None else phi(complex),
-        hg_table if hg_table is not None else hg(complex),
-    )
+@dataclass(frozen=True)
+class Tables:
+    """The three combinatorial tables of one complex, computed lazily."""
+
+    phi: PhiTable
+    hg: HGTable
+    stilde: StildeTable
+
+
+def tables_for(complex: ConeComplex) -> Tables:
+    """The complex's tables, the only way to get them: they are kept on the
+    complex, so every caller shares one set and it is freed with the
+    complex."""
+    if complex.tables is None:
+        phi_table = PhiTable(complex)
+        hg_table = HGTable(complex)
+        complex.tables = Tables(
+            phi_table, hg_table, StildeTable(complex, phi_table, hg_table)
+        )
+    return complex.tables
 
 
 def _stabilizer_class_poly(
@@ -281,6 +286,9 @@ def mobius_gamma(complex: ConeComplex, lower: int, upper: int, e: int) -> int:
 
 # -- identity verification ----------------------------------------------------
 
+# How many dilation steps beyond the face dimension reciprocity compares.
+_RECIPROCITY_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -311,21 +319,24 @@ class IdentityReport:
 
 
 def verify_identities(
-    complex: ConeComplex,
-    phi_table: Optional[PhiTable] = None,
-    depth: int = 3,
+    complex: ConeComplex, phi_table: Optional[PhiTable] = None
 ) -> IdentityReport:
-    """Re-derive the defining identities of all tables, per conjugacy class.
+    """Re-derive the defining identities of the complex's tables, per
+    conjugacy class.
 
     ``phi_table`` may be a doctored table (see :meth:`PhiTable.override`);
     the reciprocity and reconstruction checks will then point at the
-    corrupted face and class.  ``depth`` is how many extra dilation steps
-    beyond the face dimension the reciprocity comparison counts.
+    corrupted face and class.  It is paired with the complex's own ``h``/``g``
+    table, which never reads ``phi``, in a throwaway ``Stilde`` table, so the
+    shared tables never see the doctored values.
     """
     cx = complex
-    phi_t = phi_table if phi_table is not None else phi(cx)
-    hg_t = hg(cx)
-    st_t = stilde(cx, phi_t, hg_t)
+    tables = tables_for(cx)
+    hg_t = tables.hg
+    if phi_table is None:
+        phi_t, st_t = tables.phi, tables.stilde
+    else:
+        phi_t, st_t = phi_table, StildeTable(cx, phi_table, hg_t)
     reps = [(k, cx.group.class_reps[k]) for k in range(len(cx.group.classes))]
 
     reciprocity: List[Tuple[int, int, str]] = []
@@ -339,7 +350,7 @@ def verify_identities(
         for f in invariant:
             dim = cx.faces[f].dim
             if dim > 0:
-                order = dim + depth
+                order = dim + _RECIPROCITY_DEPTH
                 expected = series_ratio(
                     phi_t.poly(f, e).reverse(dim), cx.char_series(f, e), order
                 )

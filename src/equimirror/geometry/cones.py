@@ -87,8 +87,8 @@ class ConeComplex:
         self._detsign: Dict[Tuple[int, int], int] = {}
         self._dual: Optional[ConeComplex] = None
         self._dual_faces: Optional[Tuple[int, ...]] = None
-        self.tables = None  # the invariants layer's memo, set by tables_for
-        self.stringy = None  # its memo of e_stringy_reflexive
+        self.tables = None  # the combinatorial tables, set by tables_for
+        self.stringy = None  # the stringy E-polynomial, set by e_stringy_reflexive
 
     # -- plumbing ---------------------------------------------------------
 
@@ -348,12 +348,6 @@ class AbstractCone:
     def elements(self) -> Tuple[int, ...]:
         return self.complex.interval(self.base, self.ambient)
 
-    def element_dim(self, f: int) -> int:
-        faces = self.complex.faces
-        if self.kind == "Q":
-            return faces[f].dim - faces[self.base].dim
-        return faces[self.ambient].dim - faces[f].dim
-
     def element_invariant(self, f: int, e: int) -> bool:
         return self.complex.is_invariant(f, e)
 
@@ -362,12 +356,6 @@ class AbstractCone:
         if self.kind == "Q":
             return cx.charpoly(f, e).exact_div(cx.charpoly(self.base, e))
         return cx.charpoly(self.ambient, e).exact_div(cx.charpoly(f, e))
-
-    def element_detsign(self, f: int, e: int) -> int:
-        cx = self.complex
-        if self.kind == "Q":
-            return cx.detsign(f, e) * cx.detsign(self.base, e)
-        return cx.detsign(self.ambient, e) * cx.detsign(f, e)
 
     def subcone(self, f: int) -> AbstractCone:
         if self.kind == "Q":

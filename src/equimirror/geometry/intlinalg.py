@@ -24,7 +24,7 @@ def _as_int(x) -> int:
     """
     n = int(x)
     if n != x:
-        raise ValueError(f"matrix entries must be integers, got {x!r}")
+        raise ValueError(f"entries must be integers, got {x!r}")
     return n
 
 

@@ -18,6 +18,7 @@ from ..errors import DimensionCap, NotReflexive
 from . import counting, scan
 from .intlinalg import (
     IntMatrix,
+    _as_int,
     integer_kernel,
     primitive,
     vec_dot,
@@ -43,7 +44,7 @@ class LatticePolytope:
         vertices: Iterable[Sequence[int]],
         facets: Optional[Iterable[Tuple[Sequence[int], int]]] = None,
     ):
-        verts = tuple(sorted({tuple(int(x) for x in v) for v in vertices}))
+        verts = tuple(sorted({tuple(_as_int(x) for x in v) for v in vertices}))
         if not verts:
             raise ValueError("a polytope needs at least one vertex")
         d = len(verts[0])
@@ -105,7 +106,7 @@ class LatticePolytope:
             raise ValueError(f"{tuple(point)} is not a vertex") from None
 
     def translate(self, shift: Sequence[int]) -> LatticePolytope:
-        s = tuple(int(x) for x in shift)
+        s = tuple(_as_int(x) for x in shift)
         verts = [tuple(x + y for x, y in zip(v, s)) for v in self.vertices]
         facets = [(a, b + vec_dot(a, s)) for a, b in self.facets]
         return LatticePolytope(verts, facets)
@@ -135,8 +136,8 @@ def _validate_facets(
 ) -> Tuple[Facet, ...]:
     out: List[Facet] = []
     for a, b in facets:
-        av = tuple(int(x) for x in a)
-        bv = int(b)
+        av = tuple(_as_int(x) for x in a)
+        bv = _as_int(b)
         if len(av) != d:
             raise ValueError("facet normal of wrong dimension")
         g = vec_gcd(av)

@@ -293,8 +293,8 @@ def stabilizer(
 def parse_cycles(word: str) -> Dict[int, int]:
     """Parse disjoint-cycle notation like ``"(12)(34)"`` into a 1-based map.
 
-    Only single-digit points are supported, which covers permutation
-    degrees up to 9.
+    Points are the single digits 1-9, which covers permutation degrees up
+    to 9; anything else raises ``ValueError``.
     """
     word = word.replace(" ", "")
     if not word:
@@ -304,8 +304,13 @@ def parse_cycles(word: str) -> Dict[int, int]:
     while i < len(word):
         if word[i] != "(":
             raise ValueError(f"expected '(' at position {i} in {word!r}")
-        j = word.index(")", i)
-        cycle = [int(ch) for ch in word[i + 1 : j]]
+        j = word.find(")", i)
+        if j < 0:
+            raise ValueError(f"unclosed cycle at position {i} in {word!r}")
+        points = word[i + 1 : j]
+        if any(ch not in "123456789" for ch in points):
+            raise ValueError(f"cycle {word[i:j+1]!r} has a point outside 1-9")
+        cycle = [int(ch) for ch in points]
         if len(set(cycle)) != len(cycle) or not cycle:
             raise ValueError(f"bad cycle {word[i:j+1]!r}")
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):

@@ -7,7 +7,9 @@ the quotient ``G``-polynomials.  All arithmetic is exact; whenever a
 formula promises a polynomial (no negative exponents, bounded degree) that
 promise is checked and a violation raises instead of silently truncating.
 
-Per-class results are bundled into :class:`EPoly`.  The coefficients are
+The tables come from :func:`tables_for`, one set per complex shared by
+every function here; the stringy E-polynomial is likewise kept on the
+complex.  Per-class results are bundled into :class:`EPoly`.  The coefficients are
 stored raw, i.e. as the alternating sums the formulas produce; the
 ``(-1)^{p+q}`` sign flip that turns them into Hodge numbers happens only
 in :func:`hodge_diamond`.
@@ -21,16 +23,7 @@ from math import comb
 from typing import Optional, Sequence, Tuple
 
 from .algebra import BiLaurent, ClassFun, ClassPoly, UniPoly
-from .combinatorics import (
-    HGTable,
-    IdentityCheck,
-    IdentityReport,
-    PhiTable,
-    StildeTable,
-    hg,
-    phi,
-    stilde,
-)
+from .combinatorics import IdentityCheck, IdentityReport, tables_for
 from .errors import (
     IdentityFailure,
     InexactDivision,
@@ -44,26 +37,6 @@ from .groups import MatrixGroup
 
 _T_MINUS_ONE = UniPoly((-1, 1))
 _UV_INVERSE = BiLaurent.monomial(-1, -1)
-
-
-@dataclass(frozen=True)
-class Tables:
-    """The three combinatorial tables of one complex, computed lazily."""
-
-    phi: PhiTable
-    hg: HGTable
-    stilde: StildeTable
-
-
-def tables_for(complex: ConeComplex) -> Tables:
-    """Per-complex tables, kept on the complex so repeated invariant calls
-    reuse work and the tables are freed with the complex."""
-    if complex.tables is None:
-        phi_table = phi(complex)
-        hg_table = hg(complex)
-        stilde_table = stilde(complex, phi_table, hg_table)
-        complex.tables = Tables(phi_table, hg_table, stilde_table)
-    return complex.tables
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +136,7 @@ def face_torus_value(complex: ConeComplex, f: int, e: int) -> BiLaurent:
 # hypersurfaces in tori
 
 
-def e_affine_face(
-    complex: ConeComplex, f: int, e: int, tables: Optional[Tables] = None
-) -> BiLaurent:
+def e_affine_face(complex: ConeComplex, f: int, e: int) -> BiLaurent:
     """E-polynomial of the hypersurface slice in one face's torus.
 
     For a nonzero face ``F`` and group element ``e`` this evaluates
@@ -180,8 +151,7 @@ def e_affine_face(
     negative exponent surviving the cancellation is an implementation
     fault and raises :class:`InexactDivision`.
     """
-    if tables is None:
-        tables = tables_for(complex)
+    tables = tables_for(complex)
     face_dim = complex.faces[f].dim
     boundary = BiLaurent.zero()
     for sub in complex.faces_below(f):
@@ -204,19 +174,11 @@ def e_affine_face(
     return value
 
 
-def e_affine_hypersurface(
-    complex: ConeComplex, tables: Optional[Tables] = None
-) -> EPoly:
+def e_affine_hypersurface(complex: ConeComplex) -> EPoly:
     """Per-class E-polynomial of a non-degenerate hypersurface in the torus."""
-    if tables is None:
-        tables = tables_for(complex)
     top = complex.top_index
     values = tuple(
-        _bounded(
-            e_affine_face(complex, top, e, tables),
-            complex.dim - 1,
-            "affine E-polynomial",
-        )
+        _bounded(e_affine_face(complex, top, e), complex.dim - 1, "affine E-polynomial")
         for e in complex.group.class_reps
     )
     return EPoly(group=complex.group, values=values, dim=complex.dim, kind="affine")
@@ -226,9 +188,7 @@ def e_affine_hypersurface(
 # stringy invariants of reflexive hypersurfaces
 
 
-def e_stringy_reflexive(
-    complex: ConeComplex, tables: Optional[Tables] = None
-) -> EPoly:
+def e_stringy_reflexive(complex: ConeComplex) -> EPoly:
     """Stringy E-polynomial via the pairing of primal and dual Stilde data.
 
     Per class the value is
@@ -240,19 +200,14 @@ def e_stringy_reflexive(
     where ``F*`` is the matching face of the dual cone and its polynomial
     is evaluated at the contragredient element.
 
-    Computed from the complex's own tables, the result is kept on the
-    complex (``complex.stringy``) and reused; other ``tables`` (a doctored
-    table, say) are evaluated afresh and not kept.
+    The result is kept on the complex (``complex.stringy``) and reused.
     """
     if not complex.polytope.is_reflexive():
         raise NotReflexive("stringy invariants need a reflexive polytope")
-    own = tables is None or tables is complex.tables
-    if own and complex.stringy is not None:
+    if complex.stringy is not None:
         return complex.stringy
-    if tables is None:
-        tables = tables_for(complex)
-    dual = complex.dual()
-    dual_tables = tables_for(dual)
+    tables = tables_for(complex)
+    dual_tables = tables_for(complex.dual())
     values = []
     for e in complex.group.class_reps:
         e_hat = complex.dual_element_index(e)
@@ -275,12 +230,11 @@ def e_stringy_reflexive(
         dim=complex.dim,
         kind="stringy-reflexive",
     )
-    if own:
-        complex.stringy = epoly
+    complex.stringy = epoly
     return epoly
 
 
-def e_stringy_strata(complex: ConeComplex, tables: Optional[Tables] = None) -> EPoly:
+def e_stringy_strata(complex: ConeComplex) -> EPoly:
     """Stringy E-polynomial as a sum of torus-orbit strata.
 
     Per class: the sum over invariant nonzero faces ``F`` of the affine
@@ -290,10 +244,7 @@ def e_stringy_strata(complex: ConeComplex, tables: Optional[Tables] = None) -> E
     """
     if not complex.polytope.is_reflexive():
         raise NotReflexive("stringy invariants need a reflexive polytope")
-    if tables is None:
-        tables = tables_for(complex)
-    dual = complex.dual()
-    dual_tables = tables_for(dual)
+    dual_tables = tables_for(complex.dual())
     values = []
     for e in complex.group.class_reps:
         e_hat = complex.dual_element_index(e)
@@ -301,7 +252,7 @@ def e_stringy_strata(complex: ConeComplex, tables: Optional[Tables] = None) -> E
         for face in complex.invariant_faces(e):
             if complex.faces[face].dim == 0:
                 continue
-            slice_part = e_affine_face(complex, face, e, tables)
+            slice_part = e_affine_face(complex, face, e)
             weight = BiLaurent.from_unipoly(
                 dual_tables.phi.poly(complex.dual_face_index(face), e_hat), 1, 1
             )
@@ -327,9 +278,7 @@ def _specialize_v_one(value: BiLaurent) -> BiLaurent:
     return total
 
 
-def hypersurface_checks(
-    complex: ConeComplex, tables: Optional[Tables] = None
-) -> IdentityReport:
+def hypersurface_checks(complex: ConeComplex) -> IdentityReport:
     """Cross-checks tying the hypersurface formulas to independent data.
 
     * high coefficients: in total degree above ``d - 1`` the affine
@@ -343,11 +292,10 @@ def hypersurface_checks(
     combinatorial identity report, so a hit can be rerun per class.
     """
     cx = complex
-    if tables is None:
-        tables = tables_for(cx)
     d = cx.dim
     top = cx.top_index
-    affine = e_affine_hypersurface(cx, tables)
+    affine = e_affine_hypersurface(cx)
+    phi_table = tables_for(cx).phi
     torus = e_torus(cx.base_group)
     high = []
     collapse = []
@@ -365,7 +313,7 @@ def hypersurface_checks(
         sign = cx.detsign(top, e) * (-1 if (d + 1) % 2 else 1)
         bracket = BiLaurent.from_unipoly(
             char_poly(cx.base_element(e)), 1, 0
-        ) + sign * BiLaurent.from_unipoly(tables.phi.poly(top, e), 1, 0)
+        ) + sign * BiLaurent.from_unipoly(phi_table.poly(top, e), 1, 0)
         if left != bracket * BiLaurent.monomial(-1, 0):
             collapse.append((top, k, "v = 1 specialization disagrees"))
     checks = [
@@ -373,8 +321,8 @@ def hypersurface_checks(
         IdentityCheck("affine v=1 specialization", tuple(collapse)),
     ]
     if cx.polytope.is_reflexive():
-        st = e_stringy_reflexive(cx, tables)
-        strata = e_stringy_strata(cx, tables)
+        st = e_stringy_reflexive(cx)
+        strata = e_stringy_strata(cx)
         self_dual = []
         agreement = []
         inv = BiLaurent.monomial(d - 1, d - 1)

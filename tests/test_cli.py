@@ -110,6 +110,16 @@ def test_parse_config_rejections():
          "'cap_group' must be a positive integer"),
         ('{"builtin": "cube", "d": 2, "quotient": "yes"}',
          "'quotient' must be a boolean"),
+        ('{"builtin": "cube", "d": 2, "group": 5}', "'group' must be a list"),
+        ('{"builtin": "cube", "d": 2, "group": "central"}', "'group' must be a list"),
+        ('{"builtin": "cube", "d": 2, "commands": 5}', "'commands' must be a list"),
+        ('{"builtin": "cube", "d": 2, "commands": "phi"}', "'commands' must be a list"),
+        ('{"vertices": [[0, 0], [1, 0], [0, 1]], "facets": [[[1.7, 1], 1]]}',
+         "facet normals and offsets must be integers"),
+        ('{"vertices": [[0, 0], [1, 0], [0, 1]], "facets": [[[1, 1], 1.0]]}',
+         "facet normals and offsets must be integers"),
+        ('{"vertices": [[0, 0], [1, 0], [0, 1]], "facets": [[[1, true], 1]]}',
+         "facet normals and offsets must be integers"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError) as info:
@@ -191,6 +201,16 @@ def test_build_model_rejections():
         (ModelConfig(builtin="fermat", d=6), "'fermat' needs 2 <= d <= 5"),
         (ModelConfig(builtin="cube", d=0), "'cube' needs 1 <= d <= 5"),
         (ModelConfig(vertices=((0, 0), (1, 0))), "bad inline polytope"),
+        (ModelConfig(vertices=((0.5, 0), (1, 0), (0, 1), (1.9, 1))),
+         "bad inline polytope"),
+        # point 0 is not a point, so these must not become the identity
+        (ModelConfig(builtin="fermat", d=4, group=("(40)",)),
+         "bad permutation '(40)'"),
+        (ModelConfig(builtin="cube", d=2, group=("(20)",)), "bad permutation '(20)'"),
+        (ModelConfig(builtin="cube", d=3, group=("(1a)",)), "bad permutation '(1a)'"),
+        (ModelConfig(builtin="cube", d=3, group=("(11)",)), "bad permutation '(11)'"),
+        (ModelConfig(builtin="cube", d=3, group=("(12",)), "bad permutation '(12'"),
+        (ModelConfig(builtin="fermat", d=4, group=("(12",)), "bad permutation '(12'"),
     ]
     for cfg, needle in cases:
         with pytest.raises(ConfigError) as info:

@@ -9,13 +9,7 @@ from conftest import random_unimodular
 
 from equimirror.algebra import UniPoly
 from equimirror.cli.models import build_cross, build_cube, build_fermat
-from equimirror.combinatorics import (
-    hg,
-    mobius_gamma,
-    phi,
-    stilde,
-    verify_identities,
-)
+from equimirror.combinatorics import mobius_gamma, tables_for, verify_identities
 from equimirror.errors import NotInvariant
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix
@@ -40,18 +34,18 @@ def ident_class(cx):
 
 
 def test_phi_oracles(cube4, cubic_curve, quintic_a5):
-    assert phi(cube4).class_poly().value_at_class(ident_class(cube4)) == UniPoly(
-        (1, 76, 230, 76, 1)
-    )
-    assert phi(cubic_curve).class_poly().value_at_class(0) == UniPoly((1, 7, 1))
-    quintic_phi = phi(quintic_a5).class_poly()
+    cube_phi = tables_for(cube4).phi.class_poly()
+    assert cube_phi.value_at_class(ident_class(cube4)) == UniPoly((1, 76, 230, 76, 1))
+    curve_phi = tables_for(cubic_curve).phi.class_poly()
+    assert curve_phi.value_at_class(0) == UniPoly((1, 7, 1))
+    quintic_phi = tables_for(quintic_a5).phi.class_poly()
     assert quintic_phi.value_at_class(ident_class(quintic_a5)) == UniPoly(
         (1, 121, 381, 121, 1)
     )
 
 
 def test_phi_small_faces(cube3):
-    table = phi(cube3)
+    table = tables_for(cube3).phi
     assert table.poly(cube3.apex_index, 0) == UniPoly.one()
     vertex = next(f.index for f in cube3.faces if f.dim == 1)
     assert table.poly(vertex, 0) == UniPoly.one()
@@ -61,7 +55,7 @@ def test_phi_small_faces(cube3):
 
 
 def test_phi_central_involution(cube4_central):
-    cp = phi(cube4_central).class_poly()
+    cp = tables_for(cube4_central).phi.class_poly()
     minus = base_class(cube4_central, IntMatrix.identity(4).scale(-1))
     assert cp.value_at_class(minus) == UniPoly((1, 4, 6, 4, 1))
     assert cp.value_at_class(ident_class(cube4_central)) == UniPoly((1, 76, 230, 76, 1))
@@ -69,16 +63,16 @@ def test_phi_central_involution(cube4_central):
 
 def test_phi_palindromic_iff_reflexive(cube3, cross3, simplex3, quintic_a5):
     for cx in (cube3, cross3, quintic_a5):
-        top = phi(cx).class_poly()
+        top = tables_for(cx).phi.class_poly()
         for k in range(len(top.group.classes)):
             assert top.value_at_class(k).is_palindromic(cx.dim)
-    not_reflexive = phi(simplex3).class_poly().value_at_class(0)
+    not_reflexive = tables_for(simplex3).phi.class_poly().value_at_class(0)
     assert not not_reflexive.is_palindromic(simplex3.dim)
 
 
 def test_phi_requires_invariance(sym3_cube3):
     cx = sym3_cube3
-    table = phi(cx)
+    table = tables_for(cx).phi
     e = next(
         e for e in range(cx.group.order)
         if cx.invariant_faces(e) != tuple(range(cx.face_count))
@@ -92,21 +86,21 @@ def test_phi_requires_invariance(sym3_cube3):
 
 
 def test_hg_oracles(cube4, simplex3):
-    table = hg(cube4)
+    table = tables_for(cube4).hg
     k = ident_class(cube4)
     assert table.h_class_poly().value_at_class(k) == UniPoly((1, 12, 14, 12, 1))
     assert table.g_class_poly().value_at_class(k) == UniPoly((1, 11, 2))
     cross4 = trivial(build_cross(4))
-    assert hg(cross4).g_class_poly().value_at_class(0) == UniPoly((1, 3, 2))
-    simplex_h = hg(simplex3).h_class_poly().value_at_class(0)
+    assert tables_for(cross4).hg.g_class_poly().value_at_class(0) == UniPoly((1, 3, 2))
+    simplex_h = tables_for(simplex3).hg.h_class_poly().value_at_class(0)
     assert simplex_h == UniPoly((1, 1, 1, 1))
-    assert hg(simplex3).g_class_poly().value_at_class(0) == UniPoly.one()
+    assert tables_for(simplex3).hg.g_class_poly().value_at_class(0) == UniPoly.one()
 
 
 def test_hg_by_trace_on_permuted_cube(sym3_cube3):
     cx = sym3_cube3
-    h_cp = hg(cx).h_class_poly()
-    g_cp = hg(cx).g_class_poly()
+    h_cp = tables_for(cx).hg.h_class_poly()
+    g_cp = tables_for(cx).hg.g_class_poly()
     h_by_trace = {
         rep.trace(): h_cp.value_at_class(k)
         for k, rep in zip(range(len(cx.base_group.classes)),
@@ -131,7 +125,7 @@ def test_hg_by_trace_on_permuted_cube(sym3_cube3):
 
 def test_h_monic_palindromic_everywhere(cube3_central, sym3_cube3, cross3):
     for cx in (cube3_central, sym3_cube3, cross3):
-        table = hg(cx)
+        table = tables_for(cx).hg
         top_dim = cx.cdim
         cp = table.h_class_poly()
         for k in range(len(cp.group.classes)):
@@ -147,22 +141,23 @@ def test_h_monic_palindromic_everywhere(cube3_central, sym3_cube3, cross3):
 
 
 def test_stilde_oracles(cube4, square, cubic_curve, quintic_a5):
-    assert stilde(cube4).class_poly().value_at_class(
+    assert tables_for(cube4).stilde.class_poly().value_at_class(
         ident_class(cube4)
     ) == UniPoly((0, 1, 68, 68, 1))
-    assert stilde(square).class_poly().value_at_class(0) == UniPoly((0, 1, 1))
-    assert stilde(cubic_curve).class_poly().value_at_class(0) == UniPoly((0, 1, 1))
-    quintic = stilde(quintic_a5).class_poly()
+    for cx in (square, cubic_curve):
+        assert tables_for(cx).stilde.class_poly().value_at_class(0) == UniPoly((0, 1, 1))
+    quintic = tables_for(quintic_a5).stilde.class_poly()
     assert quintic.value_at_class(ident_class(quintic_a5)) == UniPoly(
         (0, 1, 101, 101, 1)
     )
     cross4 = trivial(build_cross(4))
-    assert stilde(cross4).class_poly().value_at_class(0) == UniPoly((0, 1, 4, 4, 1))
+    cross_stilde = tables_for(cross4).stilde.class_poly()
+    assert cross_stilde.value_at_class(0) == UniPoly((0, 1, 4, 4, 1))
 
 
 def test_stilde_vanishes_on_simplicial_proper_faces():
     cross4 = trivial(build_cross(4))
-    table = stilde(cross4)
+    table = tables_for(cross4).stilde
     for face in cross4.faces:
         if 0 < face.dim < cross4.cdim:
             assert table.poly(face.index, 0) == UniPoly.zero()
@@ -170,14 +165,14 @@ def test_stilde_vanishes_on_simplicial_proper_faces():
 
 def test_stilde_palindromic_on_reflexive(cube4_central, quintic_a5):
     for cx in (cube4_central, quintic_a5):
-        cp = stilde(cx).class_poly()
+        cp = tables_for(cx).stilde.class_poly()
         for k in range(len(cp.group.classes)):
             assert cp.value_at_class(k).is_palindromic(cx.cdim)
 
 
 def test_stilde_induction_crosscheck(sym3_cube3, cube4_central, quintic_a5):
     for cx in (sym3_cube3, cube4_central, quintic_a5):
-        table = stilde(cx)
+        table = tables_for(cx).stilde
         assert table.class_poly() == table.class_poly_by_induction()
 
 
@@ -210,10 +205,10 @@ def test_tables_invariant_under_unimodular_map(sym3_cube3):
     assert sorted(match) == list(range(len(group.classes)))
     assert match != sorted(match)  # this seed reorders the classes
     pairs = [
-        (phi(cx).class_poly(), phi(moved).class_poly()),
-        (hg(cx).h_class_poly(), hg(moved).h_class_poly()),
-        (hg(cx).g_class_poly(), hg(moved).g_class_poly()),
-        (stilde(cx).class_poly(), stilde(moved).class_poly()),
+        (tables_for(cx).phi.class_poly(), tables_for(moved).phi.class_poly()),
+        (tables_for(cx).hg.h_class_poly(), tables_for(moved).hg.h_class_poly()),
+        (tables_for(cx).hg.g_class_poly(), tables_for(moved).hg.g_class_poly()),
+        (tables_for(cx).stilde.class_poly(), tables_for(moved).stilde.class_poly()),
     ]
     for ours, theirs in pairs:
         for k, k_moved in enumerate(match):
@@ -275,10 +270,21 @@ def test_verify_identities_spread(
 
 
 def test_verify_identities_catches_fault(cube3):
-    table = phi(cube3)
+    table = tables_for(cube3).phi
     top = cube3.top_index
     doctored = table.override(top, 0, table.poly(top, 0) + UniPoly.t())
     report = verify_identities(cube3, phi_table=doctored)
     assert not report.ok
     reciprocity = next(c for c in report.checks if c.name == "reciprocity")
     assert any(f == top for f, _k, _msg in reciprocity.failures)
+    # the doctored run leaves the complex's shared tables untouched
+    assert tables_for(cube3).phi.poly(top, 0) == UniPoly((1, 23, 23, 1))
+    assert verify_identities(cube3).ok
+
+
+def test_verify_identities_uses_the_shared_tables():
+    cx = trivial(build_cube(3))
+    assert cx.tables is None
+    assert verify_identities(cx).ok
+    assert cx.tables is tables_for(cx)
+    assert cx.tables.hg._h and cx.tables.stilde._polys

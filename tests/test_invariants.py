@@ -22,7 +22,6 @@ from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.groups import generate_group
 from equimirror.invariants import (
     EPoly,
-    Tables,
     cs_closed_forms,
     e_affine_hypersurface,
     e_stringy_reflexive,
@@ -357,9 +356,6 @@ def test_stringy_is_kept_on_the_complex():
     st = e_stringy_reflexive(cx)
     assert st is e_stringy_reflexive(cx) is cx.stringy
     own = tables_for(cx)
-    assert e_stringy_reflexive(cx, own) is st
-    fresh = e_stringy_reflexive(cx, Tables(own.phi, own.hg, own.stilde))
-    assert fresh is not st and fresh.values == st.values and cx.stringy is st
     assert mirror_check(cx).verdict
     assert cx.dual().stringy is not None  # mirror_check kept the dual's too
     ref = weakref.ref(cx)

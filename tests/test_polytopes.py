@@ -42,6 +42,23 @@ def test_polytope_guards():
         LatticePolytope(())
 
 
+def test_polytope_refuses_non_integral_input():
+    # truncating these entries would silently build the unit square
+    square_facets = (((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0))
+    unit = ((0, 0), (1, 0), (0, 1), (1, 1))
+    assert LatticePolytope(unit, square_facets).vertices == tuple(sorted(unit))
+    for vertices, facets in (
+        (((0.5, 0), (1, 0), (0, 1), (1.9, 1)), None),
+        (unit, (((1.7, 0), 1),) + square_facets[1:]),
+        (unit, (((1, 0), 1.5),) + square_facets[1:]),
+        ((("0", 0), (1, 0), (0, 1), (1, 1)), None),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            LatticePolytope(vertices, facets)
+    with pytest.raises(ValueError, match="must be integers"):
+        LatticePolytope(unit).translate((0.5, 0))
+
+
 def test_translate():
     square = build_cube(2)
     moved = square.translate((5, 5))
