@@ -229,6 +229,25 @@ def _generator_matrix(entry: object, model: BuiltinModel) -> IntMatrix:
         raise ConfigError(f"bad generator matrix: {exc}") from exc
 
 
+def _check_generator(g: IntMatrix, model: BuiltinModel) -> None:
+    """Reject a generator of the wrong size or one that maps a vertex of the
+    polytope outside it, before the closure could run into the group cap."""
+    d = model.d
+    if not g.is_square() or g.nrows != d:
+        raise ConfigError(
+            f"bad generator matrix: {g.nrows}x{g.ncols} on a polytope in Z^{d}, "
+            f"expected {d}x{d}"
+        )
+    vertices = frozenset(model.polytope.vertices)
+    for v in model.polytope.vertices:
+        w = g.apply(v)
+        if w not in vertices:
+            raise ConfigError(
+                f"generator {[list(r) for r in g.rows]} maps vertex {list(v)} "
+                f"to {list(w)}, which is not a vertex of the polytope"
+            )
+
+
 def build_model(config: ModelConfig) -> Tuple[LatticePolytope, MatrixGroup, str]:
     """Construct the polytope and the generated matrix group of a config."""
     if config.builtin is not None:
@@ -249,6 +268,8 @@ def build_model(config: ModelConfig) -> Tuple[LatticePolytope, MatrixGroup, str]
         )
         name = "inline"
     generators = [_generator_matrix(entry, model) for entry in config.group]
+    for g in generators:
+        _check_generator(g, model)
     group = generate_group(generators, cap=config.cap_group, rank=model.d)
     return model.polytope, group, name
 

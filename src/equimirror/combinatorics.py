@@ -9,13 +9,16 @@ same recursion serves faces, quotients and dual faces), and the
 ``stilde`` polynomial mixing ``phi`` with ``g`` of relative dual faces.
 
 Everything is evaluated one group element at a time with exact integer
-or rational arithmetic, memoised per (cone, element).  A complex has one
-set of the three tables, :class:`Tables`, and :func:`tables_for` is the
-only way to get it: the set is kept on the complex, so every invariant,
-command and check shares its entries.  Class-function views over a face's
-stabilizer are provided on each table, together with an independent
-induction-based assembly of the top polynomial used to cross-check the
-per-element sums.
+or rational arithmetic.  ``phi`` and ``stilde`` are memoised per (face,
+element); ``h`` and ``g`` are computed once per interval shape (the
+dimension and the characteristic polynomials on the interval, see
+:class:`HGTable`), however many (cone, element) pairs share it.  A
+complex has one set of the three tables, :class:`Tables`, and
+:func:`tables_for` is the only way to get it: the set is kept on the
+complex, so every invariant, command and check shares its entries.
+Class-function views over a face's stabilizer are provided on each
+table, together with an independent induction-based assembly of the top
+polynomial used to cross-check the per-element sums.
 
 ``verify_identities`` checks the shared tables against their defining
 identities — reciprocity against independently counted interior points,
@@ -42,6 +45,9 @@ from .geometry.cones import (
 )
 
 ONE = UniPoly.one()
+
+# The zero cone: dimension 0, top polynomial 1, nothing below the top.
+_ZERO_SHAPE = (0, ONE, ())
 
 
 class PhiTable:
@@ -95,35 +101,37 @@ class HGTable:
     k - 1, assembled from the proper faces; ``g`` is the truncation of
     ``(1 - t) h`` to degrees at most ``(k - 1) / 2``.  The zero cone has
     ``h = g = 1``.
+
+    The recursion reads only the cone's *shape* at the element: its
+    dimension, the characteristic polynomial of its top element, and the
+    multiset of pairs (characteristic polynomial of ``x``, shape of the
+    subcone below ``x``) over the fixed ``x`` other than the top.  By
+    induction ``h`` and ``g`` are functions of the shape (Stanley's toric
+    ``h``/``g`` depend only on the interval; Stapledon, arXiv:1003.1738,
+    gives the equivariant form), so each cone is reduced to an interned
+    shape id and the polynomials are computed once per distinct shape.
+    ``_h`` and ``_g`` keep the answers to outside calls per (cone,
+    element).  All of it lives on the table, so it is freed with the
+    complex.
     """
 
     def __init__(self, complex: ConeComplex):
         self.complex = complex
         self._h: Dict[tuple, UniPoly] = {}
         self._g: Dict[tuple, UniPoly] = {}
+        # cone.key + (e,) -> shape id; shape -> shape id; shape id -> shape
+        self._shape_of: Dict[tuple, int] = {}
+        self._shape_ids: Dict[tuple, int] = {_ZERO_SHAPE: 0}
+        self._shapes: List[tuple] = [_ZERO_SHAPE]
+        self._h_by_shape: Dict[int, UniPoly] = {}
+        self._g_by_shape: Dict[int, UniPoly] = {}
 
     def h(self, cone: AbstractCone, e: int) -> UniPoly:
         key = cone.key + (e,)
         hit = self._h.get(key)
         if hit is not None:
             return hit
-        k = cone.dim
-        if k == 0:
-            value = ONE
-        else:
-            top = cone.top_element
-            if not cone.element_invariant(top, e):
-                raise NotInvariant(f"cone {cone.key} is not fixed by element {e}")
-            char_top = cone.element_charpoly(top, e)
-            t_minus_one = UniPoly([-1, 1])
-            value = UniPoly.zero()
-            for h_elt in cone.elements():
-                if h_elt == top or not cone.element_invariant(h_elt, e):
-                    continue
-                ratio = char_top.exact_div(
-                    t_minus_one * cone.element_charpoly(h_elt, e)
-                )
-                value = value + ratio * self.g(cone.subcone(h_elt), e)
+        value = self._shape_h(self._shape(cone, e))
         self._h[key] = value
         return value
 
@@ -132,13 +140,66 @@ class HGTable:
         hit = self._g.get(key)
         if hit is not None:
             return hit
+        value = self._shape_g(self._shape(cone, e))
+        self._g[key] = value
+        return value
+
+    def _shape(self, cone: AbstractCone, e: int) -> int:
+        """The interned shape id of ``cone`` at element ``e``."""
         k = cone.dim
         if k == 0:
-            value = ONE
-        else:
-            one_minus_t = UniPoly([1, -1])
-            value = truncate_tau(one_minus_t * self.h(cone, e), Fraction(k - 1, 2))
-        self._g[key] = value
+            return 0
+        key = cone.key + (e,)
+        sid = self._shape_of.get(key)
+        if sid is not None:
+            return sid
+        top = cone.top_element
+        if not cone.element_invariant(top, e):
+            raise NotInvariant(f"cone {cone.key} is not fixed by element {e}")
+        char_top = cone.element_charpoly(top, e)
+        below = [
+            (cone.element_charpoly(x, e), self._shape(cone.subcone(x), e))
+            for x in cone.elements()
+            if x != top and cone.element_invariant(x, e)
+        ]
+        below.sort(key=lambda pair: (pair[0].coeffs, pair[1]))
+        shape = (k, char_top, tuple(below))
+        sid = self._shape_ids.get(shape)
+        if sid is None:
+            sid = self._shape_ids[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        self._shape_of[key] = sid
+        return sid
+
+    def _shape_h(self, sid: int) -> UniPoly:
+        value = self._h_by_shape.get(sid)
+        if value is None:
+            value = self._h_by_shape[sid] = self._compute_h(sid)
+        return value
+
+    def _shape_g(self, sid: int) -> UniPoly:
+        value = self._g_by_shape.get(sid)
+        if value is None:
+            k = self._shapes[sid][0]
+            if k == 0:
+                value = ONE
+            else:
+                one_minus_t = UniPoly([1, -1])
+                value = truncate_tau(
+                    one_minus_t * self._shape_h(sid), Fraction(k - 1, 2)
+                )
+            self._g_by_shape[sid] = value
+        return value
+
+    def _compute_h(self, sid: int) -> UniPoly:
+        k, char_top, below = self._shapes[sid]
+        if k == 0:
+            return ONE
+        t_minus_one = UniPoly([-1, 1])
+        value = UniPoly.zero()
+        for char_x, sub in below:
+            ratio = char_top.exact_div(t_minus_one * char_x)
+            value = value + ratio * self._shape_g(sub)
         return value
 
     def h_face(self, f: int, e: int) -> UniPoly:

@@ -211,6 +211,20 @@ def test_build_model_rejections():
         (ModelConfig(builtin="cube", d=3, group=("(11)",)), "bad permutation '(11)'"),
         (ModelConfig(builtin="cube", d=3, group=("(12",)), "bad permutation '(12'"),
         (ModelConfig(builtin="fermat", d=4, group=("(12",)), "bad permutation '(12'"),
+        # an infinite-order shear: rejected before the closure reaches the cap
+        (ModelConfig(builtin="cube", d=3, group=(((1, 1, 0), (0, 1, 0), (0, 0, 1)),)),
+         "maps vertex [-1, -1, -1] to [-2, -1, -1]"),
+        (ModelConfig(builtin="cube", d=2, group=(((2, 0), (0, 1)),)),
+         "maps vertex [-1, -1] to [-2, -1]"),
+        (ModelConfig(vertices=((0, 0), (2, 0), (0, 1)), group=(((0, 1), (1, 0)),)),
+         "maps vertex [0, 1] to [1, 0]"),
+        # generator matrices of the wrong size
+        (ModelConfig(builtin="cube", d=3, group=(((1, 0), (0, 1)),)),
+         "bad generator matrix: 2x2 on a polytope in Z^3"),
+        (ModelConfig(builtin="cube", d=2, group=(((1, 0, 0), (0, 1, 0)),)),
+         "bad generator matrix: 2x3 on a polytope in Z^2"),
+        (ModelConfig(builtin="cube", d=3, group=((),)),
+         "bad generator matrix: 0x0 on a polytope in Z^3"),
     ]
     for cfg, needle in cases:
         with pytest.raises(ConfigError) as info:
@@ -258,6 +272,21 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert cli.main(["faces", "--config", cube3c, "--cap-group", "1"]) == 4
     capsys.readouterr()
+
+    # a generator that does not preserve the polytope is a config error, even
+    # when it has infinite order and its closure would hit the cap
+    shear = write_config(
+        tmp_path,
+        '{"builtin": "cube", "d": 3, "group": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]]}',
+        "shear.json",
+    )
+    assert cli.main(["faces", "--config", shear]) == 2
+    assert "not a vertex of the polytope" in capsys.readouterr().err
+    wrong_size = write_config(
+        tmp_path, '{"builtin": "cube", "d": 3, "group": [[[1, 0], [0, 1]]]}', "size.json"
+    )
+    assert cli.main(["faces", "--config", wrong_size]) == 2
+    assert "bad generator matrix" in capsys.readouterr().err
 
     assert cli.main(["phi", "--config", cube3c, "--gamma", "7"]) == 2
     assert "out of range" in capsys.readouterr().err

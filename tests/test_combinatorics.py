@@ -3,15 +3,31 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import random_unimodular
 
 from equimirror.algebra import UniPoly
-from equimirror.cli.models import build_cross, build_cube, build_fermat
-from equimirror.combinatorics import mobius_gamma, tables_for, verify_identities
+from equimirror.algebra.unipoly import truncate_tau
+from equimirror.cli.main import run
+from equimirror.cli.models import (
+    COMMANDS,
+    ModelConfig,
+    build_cross,
+    build_cube,
+    build_fermat,
+    build_simplex,
+    fermat_permutation,
+)
+from equimirror.combinatorics import (
+    HGTable,
+    mobius_gamma,
+    tables_for,
+    verify_identities,
+)
 from equimirror.errors import NotInvariant
-from equimirror.geometry.cones import ConeComplex
+from equimirror.geometry.cones import ConeComplex, abstract_dual_face, abstract_quotient
 from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, inverse_unimodular
@@ -135,6 +151,114 @@ def test_h_monic_palindromic_everywhere(cube3_central, sym3_cube3, cross3):
             assert value.is_palindromic(top_dim - 1)
             g_val = table.g_class_poly().value_at_class(k)
             assert 2 * g_val.degree <= top_dim - 1
+
+
+def _direct_hg(cone, e, memo):
+    """``(h, g)`` of ``cone`` at element ``e`` by the defining recursion,
+    memoised only per (cone, element)."""
+    key = cone.key + (e,)
+    if key in memo:
+        return memo[key]
+    k = cone.dim
+    if k == 0:
+        h = g = UniPoly.one()
+    else:
+        top = cone.top_element
+        char_top = cone.element_charpoly(top, e)
+        h = UniPoly.zero()
+        for x in cone.elements():
+            if x == top or not cone.element_invariant(x, e):
+                continue
+            ratio = char_top.exact_div(UniPoly((-1, 1)) * cone.element_charpoly(x, e))
+            h = h + ratio * _direct_hg(cone.subcone(x), e, memo)[1]
+        g = truncate_tau(UniPoly((1, -1)) * h, Fraction(k - 1, 2))
+    memo[key] = (h, g)
+    return h, g
+
+
+def _random_subgroup(rng, generators):
+    """The group generated by one or two random elements of the group
+    that ``generators`` generate."""
+    full = generate_group([IntMatrix(g) for g in generators])
+    return generate_group(rng.sample(full.elements, rng.randint(1, 2)))
+
+
+def test_shape_memo_equals_direct_recursion():
+    """Every ``h``/``g`` of an interval, quotient and dual reading, at every
+    element fixing it, equals the plain (cone, element) recursion."""
+    rng = random.Random(8117)
+    signed_perms2 = (((0, 1), (1, 0)), ((-1, 0), (0, 1)))
+    signed_perms3 = (
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+        ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+        ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    )
+    hexagon = LatticePolytope(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
+    prism = LatticePolytope(
+        [(x, y, z) for x, y in ((1, 0), (0, 1), (-1, -1)) for z in (-1, 1)]
+    )
+    models = [
+        (build_cube(2), signed_perms2),
+        (build_cube(3), signed_perms3),
+        (build_cross(3), signed_perms3),
+        (build_simplex(3), signed_perms3[:2]),
+        (build_fermat(3), [fermat_permutation(w, 3) for w in ("(12)", "(1234)")]),
+        (hexagon, (((0, -1), (1, 1)), ((0, 1), (1, 0)))),
+        (prism, (((0, -1, 0), (1, -1, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+                 ((1, 0, 0), (0, 1, 0), (0, 0, -1)))),
+    ]
+    complexes = [
+        ConeComplex(polytope, _random_subgroup(rng, gens))
+        for polytope, gens in models
+        for _ in range(2)
+    ]
+    # -I and the quarter turn fix the same faces, but their h differ
+    rotation = ConeComplex(build_cube(2), generate_group([IntMatrix(((0, -1), (1, 0)))]))
+    complexes.append(rotation)
+    compared = 0
+    for cx in complexes:
+        table = tables_for(cx).hg
+        memo = {}
+        for e in range(cx.group.order):
+            fixed = cx.invariant_faces(e)
+            for lo in fixed:
+                for hi in fixed:
+                    if not cx.leq(lo, hi):
+                        continue
+                    for cone in (abstract_quotient(cx, lo, hi),
+                                 abstract_dual_face(cx, lo, hi)):
+                        assert (table.h(cone, e), table.g(cone, e)) == _direct_hg(
+                            cone, e, memo
+                        ), (cx, cone.key, e)
+                        compared += 1
+    assert compared > 4000
+
+    top = rotation.top_index
+    minus = rotation.base_group.index_of[IntMatrix.identity(2).scale(-1)]
+    quarter = rotation.base_group.index_of[IntMatrix(((0, -1), (1, 0)))]
+    assert rotation.invariant_faces(minus) == rotation.invariant_faces(quarter)
+    assert rotation.invariant_faces(minus) == (rotation.apex_index, top)
+    table = tables_for(rotation).hg
+    assert table.h_face(top, minus) == UniPoly((1, 2, 1))
+    assert table.h_face(top, quarter) == UniPoly((1, 0, 1))
+
+
+def test_hg_computes_each_shape_once(monkeypatch):
+    """All ten commands on cube4 with ``central`` compute ``h`` once per
+    distinct shape: a few dozen polynomials, not one per (cone, element)."""
+    computed = []
+    compute_h = HGTable._compute_h
+
+    def counting(self, sid):
+        computed.append((self, sid))
+        return compute_h(self, sid)
+
+    monkeypatch.setattr(HGTable, "_compute_h", counting)
+    config = ModelConfig(builtin="cube", d=4, group=("central",), commands=COMMANDS)
+    _report, code = run(config)
+    assert code == 0
+    assert len(computed) == len(set(computed))
+    assert 0 < len(computed) < 50
 
 
 # -- stilde ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The benchmark's span tracer still finds every function it wraps."""
+"""The benchmark's span tracer still finds every function it wraps, and a
+traced run still produces the untraced report."""
 
 from __future__ import annotations
 
@@ -21,14 +22,47 @@ assert t.wrapped == expected, sorted(set(expected) - set(t.wrapped))
 print(len(t.wrapped))
 """
 
+# Runs all ten commands on the square under the quarter turn, untraced and
+# then traced.  The memo probes read the tables' private dicts, so a renamed
+# memo fails the traced run here rather than only in a benchmark run.
+_SMOKE = """
+import json
+import equimirror.cli.main as cli_main
+from equimirror.cli.models import COMMANDS, parse_config
+import tracer
 
-def test_every_tracer_target_wraps():
+config = parse_config(json.dumps(
+    {"builtin": "cube", "d": 2, "group": [[[0, -1], [1, 0]]], "commands": COMMANDS}
+))
+plain, plain_code = cli_main.run(config)
+t = tracer.install(tracer.Tracer())
+traced, traced_code = cli_main.run(config)
+assert plain_code == traced_code == 0, (plain_code, traced_code)
+assert traced.to_json() == plain.to_json()
+assert traced.render() == plain.render()
+counts = t.summary()["counts"]
+print(counts["combinatorics.hg.hits"], counts["combinatorics.hg.misses"])
+"""
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
     path = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys; sys.path[:0] = %r\n%s" % (path, _SCRIPT)],
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path[:0] = %r\n%s" % (path, script)],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_every_tracer_target_wraps():
+    result = _run(_SCRIPT)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) > 0
+
+
+def test_traced_run_matches_untraced():
+    result = _run(_SMOKE)
+    assert result.returncode == 0, result.stderr
+    hits, misses = map(int, result.stdout.split())
+    assert hits > 0 and misses > 0
