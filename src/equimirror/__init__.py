@@ -30,7 +30,7 @@ from .geometry import (
     abstract_primal,
     abstract_quotient,
 )
-from .groups import MatrixGroup, Subgroup, generate_group, orbits, stabilizer
+from .groups import MatrixGroup, generate_group, orbits, stabilizer
 from .invariants import (
     ClosedForms,
     Diamond,
@@ -71,7 +71,6 @@ __all__ = [
     "PhiTable",
     "Rational",
     "StildeTable",
-    "Subgroup",
     "Tables",
     "UniPoly",
     "abstract_dual_face",

@@ -126,11 +126,10 @@ class ClassFun:
 
     def restrict(self, subgroup) -> ClassFun:
         """Restrict to a subgroup (classes of the subgroup may merge or split)."""
-        inner = getattr(subgroup, "group", subgroup)
-        vals = []
-        for rep_idx in inner.class_reps:
-            vals.append(self.value_of(inner.elements[rep_idx]))
-        return ClassFun(inner, tuple(vals))
+        return ClassFun(
+            subgroup,
+            tuple(self.value_of(g) for g in subgroup.class_rep_elements()),
+        )
 
     def induce(self, parent) -> ClassFun:
         """Induce from this group up to ``parent``.

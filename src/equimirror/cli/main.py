@@ -602,6 +602,13 @@ _SELFTEST_CASES: Tuple[Tuple[str, Callable[[List[str]], None]], ...] = (
 )
 
 
+def _write_json(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def selftest(threads: int = 1, json_path: Optional[Path] = None, out=None) -> int:
     """Run the golden table and the controls in order; returns 0 when every
     case passes.  ``threads`` is accepted and ignored (the cases ran no
@@ -626,9 +633,7 @@ def selftest(threads: int = 1, json_path: Optional[Path] = None, out=None) -> in
     out.write(f"selftest: {'all passed' if all_ok else 'FAILURES'}\n")
     if json_path is not None:
         document = {"schema": SCHEMA_VERSION, "selftest": cases_json}
-        json_path.write_text(
-            json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(json_path, json.dumps(document, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if all_ok else EXIT_IDENTITY
 
 
@@ -692,7 +697,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, code = run(config, gamma=args.gamma, quotient=args.quotient or None)
         sys.stdout.write(report.render())
         if args.json_path is not None:
-            args.json_path.write_text(report.to_json(), encoding="utf-8")
+            _write_json(args.json_path, report.to_json())
         return code
     except _CAP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,7 +76,6 @@ class BuiltinModel:
     d: int
     polytope: LatticePolytope
     centrally_symmetric: bool
-    permutation_degree: int
 
 
 def build_cube(d: int) -> LatticePolytope:
@@ -198,7 +197,6 @@ def _builtin_model(name: str, d: int) -> BuiltinModel:
         d=d,
         polytope=polytope,
         centrally_symmetric=name in ("cube", "cross"),
-        permutation_degree=d + 1 if name == "fermat" else d,
     )
 
 
@@ -264,7 +262,6 @@ def build_model(config: ModelConfig) -> Tuple[LatticePolytope, MatrixGroup, str]
             polytope=polytope,
             centrally_symmetric=frozenset(polytope.vertices)
             == frozenset(tuple(-x for x in v) for v in polytope.vertices),
-            permutation_degree=polytope.dim,
         )
         name = "inline"
     generators = [_generator_matrix(entry, model) for entry in config.group]
@@ -409,4 +406,5 @@ def with_commands(config: ModelConfig, commands: Sequence[str]) -> ModelConfig:
 def with_cap(config: ModelConfig, cap: Optional[int]) -> ModelConfig:
     if cap is None:
         return config
+    _require(cap >= 1, f"the group cap must be a positive integer, got {cap}")
     return replace(config, cap_group=cap)

@@ -104,8 +104,9 @@ class HGTable:
 
     The recursion reads only the cone's *shape* at the element: its
     dimension, the characteristic polynomial of its top element, and the
-    multiset of pairs (characteristic polynomial of ``x``, shape of the
-    subcone below ``x``) over the fixed ``x`` other than the top.  By
+    multiset of shapes of the subcones below the fixed ``x`` other than the
+    top.  The polynomial of ``x`` that the recursion divides by is the top
+    polynomial of the subcone below ``x``, so the child shapes carry it.  By
     induction ``h`` and ``g`` are functions of the shape (Stanley's toric
     ``h``/``g`` depend only on the interval; Stapledon, arXiv:1003.1738,
     gives the equivariant form), so each cone is reduced to an interned
@@ -156,14 +157,12 @@ class HGTable:
         top = cone.top_element
         if not cone.element_invariant(top, e):
             raise NotInvariant(f"cone {cone.key} is not fixed by element {e}")
-        char_top = cone.element_charpoly(top, e)
-        below = [
-            (cone.element_charpoly(x, e), self._shape(cone.subcone(x), e))
+        below = sorted(
+            self._shape(cone.subcone(x), e)
             for x in cone.elements()
             if x != top and cone.element_invariant(x, e)
-        ]
-        below.sort(key=lambda pair: (pair[0].coeffs, pair[1]))
-        shape = (k, char_top, tuple(below))
+        )
+        shape = (k, cone.element_charpoly(top, e), tuple(below))
         sid = self._shape_ids.get(shape)
         if sid is None:
             sid = self._shape_ids[shape] = len(self._shapes)
@@ -197,8 +196,8 @@ class HGTable:
             return ONE
         t_minus_one = UniPoly([-1, 1])
         value = UniPoly.zero()
-        for char_x, sub in below:
-            ratio = char_top.exact_div(t_minus_one * char_x)
+        for sub in below:
+            ratio = char_top.exact_div(t_minus_one * self._shapes[sub][1])
             value = value + ratio * self._shape_g(sub)
         return value
 
@@ -274,14 +273,14 @@ class StildeTable:
             stab = cx.face_stabilizer(sub)
             sign = -1 if (top_dim - cx.faces[sub].dim) % 2 else 1
             values = []
-            for rep in stab.group.class_rep_elements():
+            for rep in stab.class_rep_elements():
                 e = cx.group.index_of[rep]
                 values.append(
                     self.phi.poly(sub, e)
                     * self.hg.g(abstract_dual_face(cx, sub, f), e)
                     * (sign * cx.detsign(sub, e))
                 )
-            total = total + ClassFun(stab.group, tuple(values)).induce(cx.group)
+            total = total + ClassFun(stab, tuple(values)).induce(cx.group)
         return total
 
 
@@ -314,9 +313,9 @@ def _stabilizer_class_poly(
         f = complex.top_index
     stab = complex.face_stabilizer(f)
     values = tuple(
-        fn(f, complex.group.index_of[rep]) for rep in stab.group.class_rep_elements()
+        fn(f, complex.group.index_of[rep]) for rep in stab.class_rep_elements()
     )
-    return ClassPoly(stab.group, values)
+    return ClassPoly(stab, values)
 
 
 def mobius_gamma(complex: ConeComplex, lower: int, upper: int, e: int) -> int:

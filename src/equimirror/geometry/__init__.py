@@ -8,7 +8,7 @@ from .cones import (
     abstract_primal,
     abstract_quotient,
 )
-from .intlinalg import IntMatrix, char_poly, char_series, det, integer_kernel
+from .intlinalg import IntMatrix, char_poly, det, integer_kernel
 from .polytope import LatticePolytope
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "abstract_primal",
     "abstract_quotient",
     "char_poly",
-    "char_series",
     "det",
     "integer_kernel",
 ]

@@ -4,9 +4,10 @@
 matrix group preserving it (:class:`NotInvariant` otherwise) and holds
 every face of the cone over the polytope (the polytope placed at height
 one), ordered lexicographically by vertex index set so that the apex comes
-first, with saturated span bases, the induced action of each group element
-on each invariant face, and exact characteristic data for those
-restrictions.
+first, with saturated span bases and the induced action of each group
+element on each invariant face.  The one fact kept per (face, element) is
+the characteristic polynomial of that restriction; its determinant is read
+off the constant term.
 
 Faces are found by intersecting facet vertex sets — the intersection of
 two faces is a face, and every proper face is an intersection of facets,
@@ -25,9 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..algebra.unipoly import UniPoly
 from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
-from ..groups import MatrixGroup, Subgroup, orbits, stabilizer
+from ..groups import MatrixGroup, orbits, stabilizer
 from . import counting
-from .intlinalg import IntMatrix, det, char_poly, saturate_rows, solve_in_row_basis
+from .intlinalg import IntMatrix, char_poly, saturate_rows, solve_in_row_basis
 from .polytope import LatticePolytope
 
 
@@ -82,9 +83,7 @@ class ConeComplex:
             for f in self.faces
         ]
         self._face_maps = self._build_face_maps()
-        self._rho: Dict[Tuple[int, int], IntMatrix] = {}
         self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
-        self._detsign: Dict[Tuple[int, int], int] = {}
         self._dual: Optional[ConeComplex] = None
         self._dual_faces: Optional[Tuple[int, ...]] = None
         self.tables = None  # the combinatorial tables, set by tables_for
@@ -147,7 +146,7 @@ class ConeComplex:
         act = lambda g, f: self._face_maps[self.group.index_of[g]][f]
         return orbits(self.group, range(self.face_count), act)
 
-    def face_stabilizer(self, f: int) -> Subgroup:
+    def face_stabilizer(self, f: int) -> MatrixGroup:
         act = lambda g, face: self._face_maps[self.group.index_of[g]][face]
         return stabilizer(self.group, f, act)
 
@@ -155,27 +154,23 @@ class ConeComplex:
 
     def rho(self, f: int, e: int) -> IntMatrix:
         """Matrix of element ``e`` on the span of face ``f``, in its basis."""
-        key = (f, e)
-        hit = self._rho.get(key)
-        if hit is not None:
-            return hit
         if not self.is_invariant(f, e):
             raise NotInvariant(f"face {f} is not invariant under element {e}")
         span = self.faces[f].span
         g = self.group.elements[e]
         cols = [solve_in_row_basis(span, g.apply(row)) for row in span.rows]
-        m = IntMatrix.from_columns(cols) if cols else IntMatrix(())
-        if cols and det(m) not in (1, -1):  # pragma: no cover - sanity
-            raise NonInvertible("face restriction is not unimodular")
-        self._rho[key] = m
-        return m
+        return IntMatrix.from_columns(cols) if cols else IntMatrix(())
 
     def charpoly(self, f: int, e: int) -> UniPoly:
-        """Monic characteristic polynomial of the face restriction."""
+        """Monic characteristic polynomial of the face restriction, the one
+        fact kept per (face, element)."""
         key = (f, e)
         hit = self._charpoly.get(key)
         if hit is None:
             hit = char_poly(self.rho(f, e))
+            # the constant term is (-1)^dim det(rho)
+            if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
+                raise NonInvertible("face restriction is not unimodular")
             self._charpoly[key] = hit
         return hit
 
@@ -184,12 +179,9 @@ class ConeComplex:
         return self.charpoly(f, e).reverse(self.faces[f].dim)
 
     def detsign(self, f: int, e: int) -> int:
-        key = (f, e)
-        hit = self._detsign.get(key)
-        if hit is None:
-            hit = det(self.rho(f, e))
-            self._detsign[key] = hit
-        return hit
+        """``det(rho)``, read off the characteristic polynomial."""
+        sign = -1 if self.faces[f].dim % 2 else 1
+        return sign * self.charpoly(f, e).coefficient(0)
 
     # -- counting ---------------------------------------------------------------
 

@@ -208,11 +208,6 @@ def char_poly(matrix: IntMatrix) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def char_series(matrix: IntMatrix) -> UniPoly:
-    """``det(I - A*t)``, the reversal of the characteristic polynomial."""
-    return char_poly(matrix).reverse(matrix.nrows)
-
-
 def _gcd_reduce_columns(a: List[List[int]], u: List[List[int]], row: int, start: int) -> bool:
     """Clear row ``row`` to a single nonzero entry at column ``start``.
 
@@ -392,20 +387,8 @@ def solve_in_row_basis(basis: IntMatrix, vector: Sequence[int]) -> Tuple[int, ..
     return out
 
 
-def annihilator_rows(matrix: IntMatrix, ncols: int) -> IntMatrix:
-    """Canonical rows ``y`` with ``y . x = 0`` for every row ``x`` of ``matrix``."""
-    if matrix.nrows == 0:
-        return hnf_rows(IntMatrix.identity(ncols))
-    k = integer_kernel(matrix)
-    return hnf_rows(k.transpose())
-
-
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_dot(a: Sequence[int], b: Sequence[int]) -> int:

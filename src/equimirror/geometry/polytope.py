@@ -90,9 +90,6 @@ class LatticePolytope:
     def contains(self, point: Sequence[int]) -> bool:
         return all(vec_dot(a, point) <= b for a, b in self.facets)
 
-    def strictly_contains(self, point: Sequence[int]) -> bool:
-        return all(vec_dot(a, point) < b for a, b in self.facets)
-
     def tight_facets(self, point: Sequence[int]) -> Tuple[int, ...]:
         """Indices of the facets the point lies on."""
         return tuple(

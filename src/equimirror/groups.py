@@ -6,14 +6,14 @@ lexicographically by their rows; every deterministic iteration order in
 the package (conjugacy classes, class representatives, report layouts)
 derives from that single convention.
 
-Only :func:`generate_group` and :class:`Subgroup` build a group from an
+Only :func:`generate_group` and :func:`stabilizer` build a group from an
 element set.  Derived groups (contragredient, homogenized) are images
 (:meth:`MatrixGroup.image`) that carry inverses and classes over.
 
-The module also provides subgroups tied to a parent group, generic orbit
-and stabilizer computations for group actions on finite sets, and the
-conjugation-transpose "dual" homomorphism that matches a group acting on
-a lattice with the induced group acting on the dual lattice.
+The module also provides generic orbit and stabilizer computations for
+group actions on finite sets, and the conjugation-transpose "dual"
+homomorphism that matches a group acting on a lattice with the induced
+group acting on the dual lattice.
 """
 
 from __future__ import annotations
@@ -206,40 +206,6 @@ class MatrixGroup:
         return self.image(self.dual_element)
 
 
-class Subgroup:
-    """A subgroup presented as a subset of a parent group's elements.
-
-    ``self.group`` is a full :class:`MatrixGroup` over the same matrices, so
-    class functions on the subgroup use the standard machinery; ``indices``
-    locates each subgroup element inside the parent.
-    """
-
-    def __init__(self, parent: MatrixGroup, elements: Iterable[IntMatrix], name: str = ""):
-        els = sorted(set(elements))
-        for g in els:
-            if not parent.contains(g):
-                raise SubgroupMismatch(f"{g!r} is not an element of the parent group")
-        self.parent = parent
-        self.group = MatrixGroup(els)
-        self.indices: Tuple[int, ...] = tuple(parent.index_of[g] for g in self.group.elements)
-        self.name = name
-
-    @classmethod
-    def generated(
-        cls, parent: MatrixGroup, generators: Sequence[IntMatrix], name: str = ""
-    ) -> "Subgroup":
-        sub = generate_group(generators, cap=parent.order)
-        return cls(parent, sub.elements, name=name)
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def __repr__(self) -> str:
-        label = self.name or f"order {self.order}"
-        return f"Subgroup({label} <= order {self.parent.order})"
-
-
 def orbits(
     group: MatrixGroup,
     items: Sequence,
@@ -281,10 +247,9 @@ def stabilizer(
     group: MatrixGroup,
     item,
     act: Callable[[IntMatrix, object], object],
-) -> Subgroup:
-    """Subgroup of elements fixing ``item`` under ``act``."""
-    fixing = [g for g in group.elements if act(g, item) == item]
-    return Subgroup(group, fixing)
+) -> MatrixGroup:
+    """The subgroup of elements fixing ``item`` under ``act``."""
+    return MatrixGroup(g for g in group.elements if act(g, item) == item)
 
 
 # -- permutation input ------------------------------------------------------------

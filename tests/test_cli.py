@@ -157,6 +157,8 @@ def test_with_commands_and_with_cap():
     assert with_commands(cfg, ["phi"]).commands == ("phi",)
     assert with_cap(cfg, None) is cfg
     assert with_cap(cfg, 7).cap_group == 7
+    with pytest.raises(ConfigError):
+        with_cap(cfg, 0)
     # originals are untouched (frozen dataclass)
     assert cfg.commands == () and cfg.cap_group != 7
 
@@ -245,7 +247,7 @@ def test_build_model_inline_central_detection():
 # exit codes through main()
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     cube3c = write_config(
         tmp_path, '{"builtin": "cube", "d": 3, "group": ["central"]}', "cube.json"
     )
@@ -272,6 +274,19 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert cli.main(["faces", "--config", cube3c, "--cap-group", "1"]) == 4
     capsys.readouterr()
+    # a cap below one is a bad option, as the config key is, not a cap hit
+    for cap in ("0", "-3"):
+        assert cli.main(["faces", "--config", cube3c, "--cap-group", cap]) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    # a --json path that cannot be written is reported, not a traceback
+    unwritable = str(tmp_path / "missing" / "r.json")
+    assert cli.main(["faces", "--config", cube3c, "--json", unwritable]) == 2
+    assert f"error: cannot write {unwritable}" in capsys.readouterr().err
+    subset = tuple(item for item in cli._SELFTEST_CASES if item[0] == "simplex-hg")
+    monkeypatch.setattr(cli, "_SELFTEST_CASES", subset)
+    assert cli.main(["selftest", "--json", unwritable]) == 2
+    assert f"error: cannot write {unwritable}" in capsys.readouterr().err
 
     # a generator that does not preserve the polytope is a config error, even
     # when it has infinite order and its closure would hit the cap

@@ -27,7 +27,12 @@ from equimirror.combinatorics import (
     verify_identities,
 )
 from equimirror.errors import NotInvariant
-from equimirror.geometry.cones import ConeComplex, abstract_dual_face, abstract_quotient
+from equimirror.geometry.cones import (
+    AbstractCone,
+    ConeComplex,
+    abstract_dual_face,
+    abstract_quotient,
+)
 from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, inverse_unimodular
@@ -259,6 +264,24 @@ def test_hg_computes_each_shape_once(monkeypatch):
     assert code == 0
     assert len(computed) == len(set(computed))
     assert 0 < len(computed) < 50
+
+
+def test_shapes_read_one_charpoly_per_cone(monkeypatch):
+    """Building a shape reads only its top's polynomial: a child's label is
+    the top polynomial of its own shape.  All ten commands on cube4 with
+    ``central`` call ``element_charpoly`` about 2,000 times, not ~10,000."""
+    calls = []
+    element_charpoly = AbstractCone.element_charpoly
+
+    def counting(self, f, e):
+        calls.append((self.key, f, e))
+        return element_charpoly(self, f, e)
+
+    monkeypatch.setattr(AbstractCone, "element_charpoly", counting)
+    config = ModelConfig(builtin="cube", d=4, group=("central",), commands=COMMANDS)
+    _report, code = run(config)
+    assert code == 0
+    assert 0 < len(calls) < 2500
 
 
 # -- stilde ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from equimirror.errors import CapExceeded, NonInvertible, NotAnAction, SubgroupM
 from equimirror.geometry.intlinalg import IntMatrix, det
 from equimirror.groups import (
     MatrixGroup,
-    Subgroup,
     generate_group,
     inverse_unimodular,
     orbits,
@@ -126,16 +125,6 @@ def test_elements_sorted_and_inverse_table():
     assert list(g.elements) == sorted(g.elements)
     for a in g.elements:
         assert a @ g.inv(a) == IntMatrix.identity(3)
-
-
-def test_subgroup():
-    sym3 = perm_group(["(12)", "(123)"], 3)
-    sub = Subgroup.generated(sym3, [permutation_matrix(parse_cycles("(123)"), 3)])
-    assert sub.order == 3
-    assert sub.parent is sym3
-    assert all(sym3.elements[i] == g for i, g in zip(sub.indices, sub.group.elements))
-    with pytest.raises(SubgroupMismatch):
-        Subgroup(sym3, [IntMatrix.identity(3).scale(-1)])
 
 
 def test_orbits_and_stabilizer():

@@ -9,16 +9,13 @@ import pytest
 from equimirror.algebra import UniPoly
 from equimirror.geometry.intlinalg import (
     IntMatrix,
-    annihilator_rows,
     char_poly,
-    char_series,
     det,
     hnf_rows,
     integer_kernel,
     primitive,
     saturate_rows,
     solve_in_row_basis,
-    vec_dot,
 )
 from equimirror.groups import inverse_unimodular
 
@@ -81,7 +78,6 @@ def test_char_poly_oracles():
     swap4 = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     # two 2-cycles: (t^2 - 1)^2
     assert char_poly(swap4) == UniPoly((1, 0, -2, 0, 1))
-    assert char_series(IntMatrix.identity(3)) == UniPoly((1, -3, 3, -1))
 
 
 def test_char_poly_conjugation_invariant():
@@ -151,14 +147,6 @@ def test_saturate_rows():
     line = IntMatrix([[2, 4, 6]])
     assert saturate_rows(line) == IntMatrix([[1, 2, 3]])
     assert saturate_rows(IntMatrix(())) == IntMatrix(())
-
-
-def test_annihilator_rows():
-    ann = annihilator_rows(IntMatrix([[1, 2, 3]]), 3)
-    assert ann.nrows == 2
-    for row in ann.rows:
-        assert vec_dot(row, (1, 2, 3)) == 0
-    assert annihilator_rows(IntMatrix(()), 2) == IntMatrix.identity(2)
 
 
 def test_solve_in_row_basis_errors():

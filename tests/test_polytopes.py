@@ -6,11 +6,12 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import quintic_complex
 
 from equimirror.cli.models import build_cross, build_cube, build_fermat, build_simplex
 from equimirror.errors import NotInvariant, NotReflexive, SubgroupMismatch
 from equimirror.geometry.cones import ConeComplex
-from equimirror.geometry.intlinalg import IntMatrix
+from equimirror.geometry.intlinalg import IntMatrix, det
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
 
@@ -205,6 +206,17 @@ def test_rho_and_charpoly(sym3_cube3):
     )
     with pytest.raises(NotInvariant):
         cx.rho(moved, e)
+
+
+def test_detsign_is_det_of_rho(sym3_cube3, cube3_central):
+    """``detsign`` is read off the characteristic polynomial's constant
+    term; it must equal the determinant of the restriction on every fixed
+    face, odd-dimensional ones included."""
+    square = ConeComplex(build_cube(2), generate_group([IntMatrix(((0, -1), (1, 0)))]))
+    for cx in (sym3_cube3, cube3_central, square, quintic_complex("(12345)")):
+        for e in range(cx.group.order):
+            for f in cx.invariant_faces(e):
+                assert cx.detsign(f, e) == det(cx.rho(f, e)), (cx, f, e)
 
 
 def test_count_fixed_matches_polytope_counts(cube3_central):
