@@ -361,6 +361,10 @@ def parse_config(text: str) -> ModelConfig:
         if isinstance(entry, str):
             group_entries.append(entry)
         elif isinstance(entry, list):
+            _require(
+                all(isinstance(r, list) and all(_is_int(x) for x in r) for r in entry),
+                "bad generator matrix: rows must be lists of integers",
+            )
             try:
                 group_entries.append(IntMatrix(entry))
             except (TypeError, ValueError) as exc:

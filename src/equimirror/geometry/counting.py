@@ -5,9 +5,11 @@ of one kind of system.  The cone over a polytope sits in ``Z^(d+1)`` with
 the last coordinate as the height; a face is selected by turning the
 facet inequalities containing it into equalities, and fixing by a group
 element adds the equalities ``(g - I) y = 0``.  These equalities are
-eliminated once per (face, element): a saturated integer basis of their
-kernel is rotated so that its first column has height ``g >= 0`` and every
-other column height 0, and the remaining facet rows are written in it.
+eliminated once per (face, element) by a saturated integer basis of their
+kernel, taken with the height as the first coordinate.  That basis is in
+Hermite form, so its first column has height ``g >= 0`` and every other
+column height 0 with no further reduction; the remaining facet rows are
+written in it.
 
 A height ``m`` slice is then a substitution, not a constraint: it is empty
 unless ``g`` divides ``m`` (for ``g = 0`` unless ``m = 0``), and otherwise
@@ -24,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import scan
-from .intlinalg import IntMatrix, _gcd_reduce_columns, integer_kernel, vec_dot
+from .intlinalg import IntMatrix, integer_kernel, vec_dot
 
 Row = Tuple[int, ...]
 FaceBasis = Tuple[IntMatrix, int, Tuple[Row, ...]]
@@ -66,19 +68,17 @@ def _face_basis(
     eq_rows = [cone_rows[i] for i in tight]
     delta = matrix - IntMatrix.identity(n)
     eq_rows.extend(r for r in delta.rows if any(r))
-    kernel = integer_kernel(IntMatrix(eq_rows)) if eq_rows else IntMatrix.identity(n)
-    # one row per cone coordinate, even when the kernel is trivial
-    columns = kernel.columns()
-    cols: List[List[int]] = [[c[i] for c in columns] for i in range(n)]
-    height = [list(cols[n - 1])]
-    g = 0
-    if _gcd_reduce_columns(height, cols, 0, 0):
-        g = height[0][0]
-        if g < 0:
-            g = -g
-            for row in cols:
-                row[0] = -row[0]
-    basis = IntMatrix(cols)
+    # with the height as coordinate 0 the Hermite kernel basis has height
+    # g >= 0 in its first vector and 0 in every other one
+    if eq_rows:
+        kernel = integer_kernel(IntMatrix([r[-1:] + r[:-1] for r in eq_rows]))
+    else:
+        kernel = IntMatrix.identity(n)
+    vectors = kernel.columns()
+    g = vectors[0][0] if vectors else 0
+    # back to the cone's coordinate order, one row per coordinate even when
+    # the kernel is trivial
+    basis = IntMatrix([[v[i] for v in vectors] for i in (*range(1, n), 0)])
     columns = basis.columns()
     skip = set(tight)
     rows = tuple(

@@ -3,9 +3,16 @@
 Small dense matrices over the integers, with the handful of fraction-free
 algorithms the rest of the package relies on: Bareiss determinants,
 Faddeev-LeVerrier characteristic polynomials, integer kernels via tracked
-unimodular column operations, row Hermite normal forms for canonical
-lattice bases, and saturation of row spans.  Everything returns plain
-``int`` entries; nothing here ever touches floating point.
+unimodular column operations, row Hermite normal forms and saturation of
+row spans.  Everything returns plain ``int`` entries; nothing here ever
+touches floating point.
+
+Every lattice basis this module returns is a Hermite normal form: rows
+(kernel vectors, for ``integer_kernel``) in echelon order, positive
+pivots, entries above each pivot reduced.  Callers read that form
+directly: ranks are Hermite lengths, the first kernel vector is the only
+one nonzero at the first coordinate, and coordinates in a basis are read
+by substitution (``solve_in_row_basis``) rather than by a solve.
 """
 
 from __future__ import annotations
@@ -248,8 +255,9 @@ def integer_kernel(matrix: IntMatrix) -> IntMatrix:
     """Basis of ``{x : M x = 0}`` over the integers, as matrix columns.
 
     The basis spans the kernel saturatedly (any integer solution is an
-    integer combination of the columns).  Returns an ``ncols x k`` matrix;
-    ``k`` may be zero.
+    integer combination of the columns), and its transpose is a row
+    Hermite normal form.  Returns an ``ncols x k`` matrix; ``k`` may be
+    zero.
     """
     n = matrix.ncols
     a = [list(r) for r in matrix.rows]
@@ -260,16 +268,8 @@ def integer_kernel(matrix: IntMatrix) -> IntMatrix:
             break
         if _gcd_reduce_columns(a, u, row, start):
             start += 1
-    kernel_cols = [tuple(u[i][j] for i in range(n)) for j in range(start, n)]
-    return IntMatrix.from_columns(_canonical_columns(kernel_cols, n))
-
-
-def _canonical_columns(cols: List[Tuple[int, ...]], height: int) -> List[Tuple[int, ...]]:
-    """Canonicalise a column set via HNF of the transposed span."""
-    if not cols:
-        return []
-    rows = hnf_rows(IntMatrix(cols))
-    return [tuple(r) for r in rows.rows]
+    kernel_rows = IntMatrix([[u[i][j] for i in range(n)] for j in range(start, n)])
+    return IntMatrix.from_columns(hnf_rows(kernel_rows).rows)
 
 
 def hnf_rows(matrix: IntMatrix) -> IntMatrix:
@@ -323,63 +323,52 @@ def hnf_rows(matrix: IntMatrix) -> IntMatrix:
 
 
 def saturate_rows(matrix: IntMatrix) -> IntMatrix:
-    """Canonical basis of the saturation of the row span.
+    """Hermite basis of the saturation of the row span.
 
     The saturation is the set of integer vectors some multiple of which
     lies in the row span; it equals the annihilator of the annihilator,
-    so two kernel computations produce it exactly.
+    so two kernel computations produce it exactly, already in Hermite form.
     """
     if matrix.nrows == 0:
         return matrix
     k = integer_kernel(matrix)
     if k.ncols == 0:
-        return hnf_rows(IntMatrix.identity(matrix.ncols))
-    k2 = integer_kernel(k.transpose())
-    return hnf_rows(k2.transpose())
+        return IntMatrix.identity(matrix.ncols)
+    return integer_kernel(k.transpose()).transpose()
 
 
 def solve_in_row_basis(basis: IntMatrix, vector: Sequence[int]) -> Tuple[int, ...]:
-    """Integer coordinates of ``vector`` in the row span of ``basis``.
+    """Integer coordinates of ``vector`` in the row span of an echelon basis.
 
-    ``basis`` must have independent rows spanning a saturated lattice
-    containing ``vector``; under those assumptions the coordinates exist,
-    are unique and integral.  Solved through the Gram matrix by
-    fraction-free Bareiss elimination and integer back-substitution, so
-    every intermediate value is an ``int``.  Raises ValueError if the rows
-    are dependent, if the vector falls outside the span, or if the
-    coordinates come out fractional (which means the basis was not
-    saturated).
+    ``basis`` must be in row echelon form (no zero row, pivot columns
+    strictly increasing), as every Hermite basis from this module is.  The
+    coordinates are then read off by forward substitution at the pivots
+    ``p_i``: ``c_i = (v[p_i] - sum_{j<i} c_j b_j[p_i]) / b_i[p_i]``.
+    Raises ValueError for a non-echelon basis, a vector of the wrong
+    length, a fractional coordinate (the vector is only in the rational
+    span, so the basis was not saturated) or a vector outside the span.
     """
-    k = basis.nrows
-    if k == 0:
+    if basis.nrows == 0:
         if any(vector):
             raise ValueError("vector outside the span of an empty basis")
         return ()
-    gram = basis @ basis.transpose()
-    a = [list(row) + [vec_dot(brow, vector)] for row, brow in zip(gram.rows, basis.rows)]
-    prev = 1
-    for col in range(k):
-        piv = next((i for i in range(col, k) if a[i][col]), None)
-        if piv is None:
-            raise ValueError("dependent rows in basis")
-        a[col], a[piv] = a[piv], a[col]
-        top = a[col]
-        p = top[col]
-        for i in range(col + 1, k):
-            row = a[i]
-            f = row[col]
-            for j in range(col + 1, k + 1):
-                row[j] = (p * row[j] - f * top[j]) // prev
-            row[col] = 0
-        prev = p
-    coords = [0] * k
-    for i in range(k - 1, -1, -1):
-        row = a[i]
-        s = row[k] - sum(row[j] * coords[j] for j in range(i + 1, k))
-        q, r = divmod(s, row[i])
+    pivots: List[int] = []
+    for row in basis.rows:
+        p = next((j for j, x in enumerate(row) if x), -1)
+        if p < 0 or (pivots and p <= pivots[-1]):
+            raise ValueError("basis is not in row echelon form")
+        pivots.append(p)
+    if len(vector) != basis.ncols:
+        raise ValueError(
+            f"vector of length {len(vector)} for a basis of width {basis.ncols}"
+        )
+    coords: List[int] = []
+    for row, p in zip(basis.rows, pivots):
+        s = vector[p] - sum(c * b[p] for c, b in zip(coords, basis.rows))
+        q, r = divmod(s, row[p])
         if r:
             raise ValueError("vector not in the integer row span")
-        coords[i] = q
+        coords.append(q)
     out = tuple(coords)
     check = [sum(cc * row[j] for cc, row in zip(out, basis.rows)) for j in range(basis.ncols)]
     if tuple(check) != tuple(vector):

@@ -19,6 +19,7 @@ from . import counting, scan
 from .intlinalg import (
     IntMatrix,
     _as_int,
+    hnf_rows,
     integer_kernel,
     primitive,
     vec_dot,
@@ -55,7 +56,7 @@ class LatticePolytope:
         if len(verts) > MAX_VERTICES:
             raise DimensionCap(f"{len(verts)} vertices exceed the cap {MAX_VERTICES}")
         diffs = IntMatrix([vec_sub(v, verts[0]) for v in verts[1:]])
-        if diffs.nrows == 0 or integer_kernel(diffs).ncols:
+        if hnf_rows(diffs).nrows != d:
             raise ValueError("vertices do not span the ambient space")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "dim", d)
@@ -175,7 +176,7 @@ def _affine_rank(points: Sequence[Vector]) -> int:
     if len(points) <= 1:
         return len(points) - 1
     m = IntMatrix([vec_sub(p, points[0]) for p in points[1:]])
-    return m.ncols - integer_kernel(m).ncols if m.nrows else 0
+    return hnf_rows(m).nrows
 
 
 def _search_facets(verts: Tuple[Vector, ...], d: int) -> Tuple[Facet, ...]:

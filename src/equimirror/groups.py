@@ -225,19 +225,14 @@ def orbits(
     for start, item in enumerate(items):
         if start in seen:
             continue
+        # the images of one item under every element are its whole orbit
         orbit = set()
-        frontier = [item]
-        orbit.add(start)
-        while frontier:
-            cur = frontier.pop()
-            for g in group.elements:
-                img = act(g, cur)
-                j = index.get(img)
-                if j is None:
-                    raise NotAnAction(f"action image {img!r} left the item set")
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(items[j])
+        for g in group.elements:
+            img = act(g, item)
+            j = index.get(img)
+            if j is None:
+                raise NotAnAction(f"action image {img!r} left the item set")
+            orbit.add(j)
         seen |= orbit
         out.append(tuple(items[j] for j in sorted(orbit)))
     return out

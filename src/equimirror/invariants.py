@@ -101,23 +101,13 @@ def _bounded(value: BiLaurent, cap: int, what: str) -> BiLaurent:
 # tori
 
 
-def e_torus(group: MatrixGroup, matrices: Optional[Sequence[IntMatrix]] = None) -> EPoly:
-    """``det(uvI - M)`` per class: the equivariant E-polynomial of a torus.
-
-    ``matrices`` assigns one integer matrix to each group element (aligned
-    with ``group.elements``); by default the group acts by its own matrices.
-    """
-    if matrices is None:
-        matrices = group.elements
-    if len(matrices) != len(group.elements):
-        raise SubgroupMismatch(
-            f"{len(matrices)} matrices for a group of order {group.order}"
-        )
+def e_torus(group: MatrixGroup) -> EPoly:
+    """``det(uvI - M)`` per class: the equivariant E-polynomial of a torus
+    on which the group acts by its own matrices."""
     values = []
     for rep in group.class_reps:
-        values.append(BiLaurent.from_unipoly(char_poly(matrices[rep]), 1, 1))
-    rank = matrices[0].nrows
-    return EPoly(group=group, values=tuple(values), dim=rank, kind="torus")
+        values.append(BiLaurent.from_unipoly(char_poly(group.elements[rep]), 1, 1))
+    return EPoly(group=group, values=tuple(values), dim=group.dim, kind="torus")
 
 
 def face_torus_value(complex: ConeComplex, f: int, e: int) -> BiLaurent:
@@ -417,17 +407,15 @@ class Diamond:
         return self.invariant
 
 
-def hodge_diamond(epoly: EPoly, d: Optional[int] = None) -> Diamond:
+def hodge_diamond(epoly: EPoly) -> Diamond:
     """Read Hodge numbers off an E-polynomial: ``h^{p,q} = (-1)^{p+q} e^{p,q}``.
 
-    ``d`` is the ambient dimension (hypersurface dimension ``d - 1``); it
-    defaults to the one recorded on the polynomial.  Exponents outside
-    ``[0, d-1]`` raise :class:`NegativeExponent`.  For stringy inputs the
-    invariant part of ``h^{0,0}`` must be 1 (the quotient is connected).
+    The ambient dimension ``d`` is the one recorded on the polynomial
+    (hypersurface dimension ``d - 1``).  Exponents outside ``[0, d-1]``
+    raise :class:`NegativeExponent`.  For stringy inputs the invariant
+    part of ``h^{0,0}`` must be 1 (the quotient is connected).
     """
-    if d is None:
-        d = epoly.dim
-    n = d - 1
+    n = epoly.dim - 1
     for value in epoly.values:
         for p, q in value.terms:
             if p < 0 or q < 0 or p > n or q > n:

@@ -103,6 +103,15 @@ def test_parse_config_rejections():
          "group entries must be strings or matrices, got int"),
         ('{"builtin": "cube", "d": 2, "group": [[[1, "x"], [0, 1]]]}',
          "bad generator matrix"),
+        # JSON true and 1.0 are not integers, as for vertices and facets
+        ('{"builtin": "cube", "d": 2, "group": [[[true, 0], [0, true]]]}',
+         "bad generator matrix: rows must be lists of integers"),
+        ('{"builtin": "cube", "d": 2, "group": [[[1.0, 0], [0, 1]]]}',
+         "bad generator matrix: rows must be lists of integers"),
+        ('{"builtin": "cube", "d": 2, "group": [[[-1.0, 0], [0, -1.0]]]}',
+         "bad generator matrix: rows must be lists of integers"),
+        ('{"builtin": "cube", "d": 2, "group": [[1, 2]]}',
+         "bad generator matrix: rows must be lists of integers"),
         ('{"builtin": "cube", "d": 2, "commands": ["fly"]}', "unknown command 'fly'"),
         ('{"builtin": "cube", "d": 2, "cap_group": 0}',
          "'cap_group' must be a positive integer"),
@@ -271,6 +280,15 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["stringy", "--config", simplex3]) == 2
     assert cli.main(["mirror-check", "--config", simplex3]) == 2
     capsys.readouterr()
+
+    # generator entries that JSON reads as bools or floats are config errors,
+    # not the identity or -I
+    for entries in ("[[true, 0], [0, true]]", "[[1.0, 0], [0, 1]]",
+                    "[[-1.0, 0], [0, -1.0]]"):
+        text = '{"builtin": "cube", "d": 2, "group": [%s]}' % entries
+        path = write_config(tmp_path, text, "float.json")
+        assert cli.main(["faces", "--config", path]) == 2
+        assert "rows must be lists of integers" in capsys.readouterr().err
 
     assert cli.main(["faces", "--config", cube3c, "--cap-group", "1"]) == 4
     capsys.readouterr()

@@ -116,6 +116,9 @@ def test_integer_kernel_random():
             assert a @ ker == IntMatrix.zero(n, ker.ncols)
         rank = hnf_rows(a).nrows
         assert rank + ker.ncols == m
+        # the kernel basis is already a row Hermite form, which the face
+        # bases in ``counting`` and ``saturate_rows`` read directly
+        assert hnf_rows(ker.transpose()) == ker.transpose()
         # saturation: a primitive multiple of any kernel vector stays inside
         if ker.ncols:
             combo = [rng.randint(-3, 3) for _ in range(ker.ncols)]
@@ -159,19 +162,18 @@ def test_solve_in_row_basis_errors():
     with pytest.raises(ValueError):
         solve_in_row_basis(IntMatrix(()), (1, 0))
     dependent = IntMatrix([[1, 2, 0], [2, 4, 0]])
-    with pytest.raises(ValueError, match="dependent rows in basis"):
+    with pytest.raises(ValueError, match="not in row echelon form"):
         solve_in_row_basis(dependent, (1, 2, 0))
-    # a basis that is not in echelon form: the first pivot is not the
-    # only entry of its column, so elimination has real work to do
+    # an echelon basis that is not reduced: the first row is nonzero at the
+    # second pivot, so substitution has real work to do
     skew = IntMatrix([[1, 1, 0], [0, 1, 1]])
     assert solve_in_row_basis(skew, (2, -1, -3)) == (2, -3)
     assert solve_in_row_basis(skew, (0, 0, 0)) == (0, 0)
-    # the normal (1, -1, 1) has Gram coordinates (0, 0): caught by the final
-    # reconstruction check
+    # the normal (1, -1, 1) and (1, 0, 0) lie outside the rational span;
+    # the final reconstruction check catches both
     with pytest.raises(ValueError, match="outside the span"):
         solve_in_row_basis(skew, (1, -1, 1))
-    # (1, 0, 0) has least-squares coordinates (2/3, -1/3)
-    with pytest.raises(ValueError, match="not in the integer row span"):
+    with pytest.raises(ValueError, match="outside the span"):
         solve_in_row_basis(skew, (1, 0, 0))
     # the lattice spanned by (1, 1, 0) and (0, 2, 2) is not saturated:
     # (0, 1, 1) lies in its rational span with coordinates (0, 1/2)
@@ -179,18 +181,44 @@ def test_solve_in_row_basis_errors():
         solve_in_row_basis(IntMatrix([[1, 1, 0], [0, 2, 2]]), (0, 1, 1))
 
 
+def test_solve_in_row_basis_rejects_bad_input():
+    """A basis that is not in echelon form fails closed, even when the
+    vector lies in its span; so does a vector of the wrong length."""
+    with pytest.raises(ValueError, match="not in row echelon form"):
+        solve_in_row_basis(IntMatrix([[0, 1], [1, 0]]), (1, 1))
+    with pytest.raises(ValueError, match="not in row echelon form"):
+        solve_in_row_basis(IntMatrix([[1, 0], [0, 0]]), (1, 0))
+    with pytest.raises(ValueError, match="length 2 for a basis of width 3"):
+        solve_in_row_basis(IntMatrix([[1, 0, 0]]), (1, 0))
+    with pytest.raises(ValueError, match="length 4 for a basis of width 3"):
+        solve_in_row_basis(IntMatrix([[1, 0, 0]]), (1, 0, 0, 0))
+
+
+def rand_echelon(rng: random.Random, k: int, n: int) -> IntMatrix:
+    """Random echelon basis: ``k`` rows with increasing pivot columns,
+    nonzero pivots of either sign and arbitrary entries elsewhere right of
+    the pivot, so usually not reduced."""
+    pivots = sorted(rng.sample(range(n), k))
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = rng.choice((-3, -2, -1, 1, 2, 3))
+        for j in range(p + 1, n):
+            row[j] = rng.randint(-6, 6)
+        rows.append(row)
+    return IntMatrix(rows)
+
+
 def test_solve_in_row_basis_recovers_coordinates():
-    """Random independent bases in general position, random integer
+    """Random echelon bases, reduced or not, and random integer
     coordinates: the solve returns exactly the coordinates used."""
     rng = random.Random(7331)
-    trials = 0
-    while trials < 60:
+    for _ in range(60):
         k = rng.randint(1, 4)
         n = rng.randint(k, 5)
-        basis = rand_matrix(rng, k, n, -6, 6)
-        if hnf_rows(basis).nrows < k:
-            continue
-        trials += 1
+        basis = rand_echelon(rng, k, n)
+        if rng.random() < 0.5:
+            basis = hnf_rows(basis)  # the reduced form of the same lattice
         coords = tuple(rng.randint(-9, 9) for _ in range(k))
         vector = tuple(
             sum(c * row[j] for c, row in zip(coords, basis.rows)) for j in range(n)

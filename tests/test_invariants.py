@@ -81,12 +81,6 @@ def test_e_torus_quintic_classes(quintic_a5):
     assert torus.value_at_class(double) == (UV * UV - ONE) ** 2
 
 
-def test_e_torus_matrix_count_guard():
-    group = generate_group([IntMatrix.identity(2).scale(-1)])
-    with pytest.raises(SubgroupMismatch):
-        e_torus(group, matrices=[IntMatrix.identity(2)])
-
-
 def test_epoly_plumbing(quintic_a5):
     torus = e_torus(quintic_a5.base_group)
     ident = quintic_a5.base_group.index_of[IntMatrix.identity(4)]

@@ -219,6 +219,28 @@ def test_detsign_is_det_of_rho(sym3_cube3, cube3_central):
                 assert cx.detsign(f, e) == det(cx.rho(f, e)), (cx, f, e)
 
 
+def test_rho_is_the_action_in_the_span_basis(sym3_cube3):
+    """Column ``i`` of ``rho(f, e)`` holds the coordinates of ``g . b_i``
+    in the face's span basis: ``g . b_i == sum_j rho[j][i] b_j``.  A
+    transposed ``rho`` has the same characteristic polynomial, so only an
+    identity like this one tells the two apart."""
+    square = ConeComplex(build_cube(2), generate_group([IntMatrix(((0, -1), (1, 0)))]))
+    checked = 0
+    for cx in (sym3_cube3, square, quintic_complex("(12345)")):
+        for e, g in enumerate(cx.group.elements):
+            for f in cx.invariant_faces(e):
+                span = cx.faces[f].span
+                rho = cx.rho(f, e)
+                for i, b in enumerate(span.rows):
+                    image = tuple(
+                        sum(rho[j][i] * bj[k] for j, bj in enumerate(span.rows))
+                        for k in range(span.ncols)
+                    )
+                    assert g.apply(b) == image, (cx, f, e, i)
+                    checked += 1
+    assert checked > 100
+
+
 def test_count_fixed_matches_polytope_counts(cube3_central):
     cx = cube3_central
     top = cx.top_index
