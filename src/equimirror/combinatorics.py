@@ -9,13 +9,16 @@ same recursion serves faces, quotients and dual faces), and the
 ``stilde`` polynomial mixing ``phi`` with ``g`` of relative dual faces.
 
 Everything is evaluated one group element at a time with exact integer
-or rational arithmetic.  ``phi`` and ``stilde`` are memoised per (face,
-element); ``h`` and ``g`` are computed once per interval shape (the
-dimension and the characteristic polynomials on the interval, see
-:class:`HGTable`), however many (cone, element) pairs share it.  A
-complex has one set of the three tables, :class:`Tables`, and
+or rational arithmetic.  ``phi`` and ``stilde`` are class functions of
+(face, element), so they are memoised per orbit of (face, element) under
+simultaneous conjugation and computed only at the orbit's canonical pair
+(:meth:`ConeComplex.canonical`); ``h`` and ``g`` are computed once per
+interval shape (the dimension and the characteristic polynomials on the
+interval, see :class:`HGTable`), however many (cone, element) pairs share
+it.  A complex has one set of the three tables, :class:`Tables`, and
 :func:`tables_for` is the only way to get it: the set is kept on the
-complex, so every invariant, command and check shares its entries.
+complex, so every invariant, command and check shares its entries.  A
+table refers to its complex weakly, so the two form no reference cycle.
 Class-function views over a face's stabilizer are provided on each
 table, together with an independent induction-based assembly of the top
 polynomial used to cross-check the per-element sums.
@@ -29,6 +32,7 @@ reconstruction of ``phi`` from lower faces — and reports any offending
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -50,21 +54,35 @@ ONE = UniPoly.one()
 _ZERO_SHAPE = (0, ONE, ())
 
 
-class PhiTable:
-    """Ehrhart numerators of faces at the elements fixing them."""
+class _Table:
+    """A table of one complex, which it refers to weakly: the complex keeps
+    its tables, and a strong link back would make a reference cycle."""
 
     def __init__(self, complex: ConeComplex):
-        self.complex = complex
+        self._complex = weakref.ref(complex)
+
+    @property
+    def complex(self) -> ConeComplex:
+        return self._complex()
+
+
+class PhiTable(_Table):
+    """Ehrhart numerators of faces at the elements fixing them, one per
+    orbit of (face, element), keyed by the canonical pair."""
+
+    def __init__(self, complex: ConeComplex):
+        super().__init__(complex)
         self._polys: Dict[Tuple[int, int], UniPoly] = {}
 
     def poly(self, f: int, e: int) -> UniPoly:
-        key = (f, e)
-        hit = self._polys.get(key)
-        if hit is not None:
-            return hit
         cx = self.complex
         if not cx.is_invariant(f, e):
             raise NotInvariant(f"face {f} is not fixed by element {e}")
+        key = cx.canonical(f, e)
+        hit = self._polys.get(key)
+        if hit is not None:
+            return hit
+        f, e = key
         k = cx.faces[f].dim
         if k == 0:
             value = ONE
@@ -87,14 +105,16 @@ class PhiTable:
 
     def override(self, f: int, e: int, poly: UniPoly) -> "PhiTable":
         """A copy with one entry replaced — the fault-injection hook used
-        by the self-test's negative control."""
+        by the self-test's negative control.  Entries are kept per orbit,
+        so this replaces the value at every pair ``(h f, h e h^-1)`` of
+        the orbit of ``(f, e)``."""
         table = PhiTable(self.complex)
         table._polys = dict(self._polys)
-        table._polys[(f, e)] = poly
+        table._polys[self.complex.canonical(f, e)] = poly
         return table
 
 
-class HGTable:
+class HGTable(_Table):
     """The local ``h``/``g`` polynomials of abstract cones.
 
     ``h`` of a k-dimensional cone at a fixing element is monic of degree
@@ -117,7 +137,7 @@ class HGTable:
     """
 
     def __init__(self, complex: ConeComplex):
-        self.complex = complex
+        super().__init__(complex)
         self._h: Dict[tuple, UniPoly] = {}
         self._g: Dict[tuple, UniPoly] = {}
         # cone.key + (e,) -> shape id; shape -> shape id; shape id -> shape
@@ -214,23 +234,25 @@ class HGTable:
         return _stabilizer_class_poly(self.complex, f, self.g_face)
 
 
-class StildeTable:
-    """The mixed polynomials combining ``phi`` with dual-face ``g``."""
+class StildeTable(_Table):
+    """The mixed polynomials combining ``phi`` with dual-face ``g``, one
+    per orbit of (face, element), keyed by the canonical pair."""
 
     def __init__(self, complex: ConeComplex, phi_table: PhiTable, hg_table: HGTable):
-        self.complex = complex
+        super().__init__(complex)
         self.phi = phi_table
         self.hg = hg_table
         self._polys: Dict[Tuple[int, int], UniPoly] = {}
 
     def poly(self, f: int, e: int) -> UniPoly:
-        key = (f, e)
-        hit = self._polys.get(key)
-        if hit is not None:
-            return hit
         cx = self.complex
         if not cx.is_invariant(f, e):
             raise NotInvariant(f"face {f} is not fixed by element {e}")
+        key = cx.canonical(f, e)
+        hit = self._polys.get(key)
+        if hit is not None:
+            return hit
+        f, e = key
         top_dim = cx.faces[f].dim
         value = UniPoly.zero()
         for sub in cx.faces_below(f):

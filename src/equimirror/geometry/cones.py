@@ -5,8 +5,10 @@ matrix group preserving it (:class:`NotInvariant` otherwise) and holds
 every face of the cone over the polytope (the polytope placed at height
 one), ordered lexicographically by vertex index set so that the apex comes
 first, with saturated span bases and the induced action of each group
-element on each invariant face.  The one fact kept per (face, element) is
-the characteristic polynomial of that restriction; its determinant is read
+element on each invariant face.  The one fact kept about a restriction is
+its characteristic polynomial, one per orbit of (face, element) under
+``h . (f, e) = (h f, h e h^-1)`` (conjugate restrictions share it), keyed
+by the orbit's :meth:`ConeComplex.canonical` pair; its determinant is read
 off the constant term.
 
 Faces are found by intersecting facet vertex sets — the intersection of
@@ -21,6 +23,7 @@ characteristic polynomials.  A primal cone is the quotient by the apex.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -83,8 +86,10 @@ class ConeComplex:
             for f in self.faces
         ]
         self._face_maps = self._build_face_maps()
+        self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
-        self._dual: Optional[ConeComplex] = None
+        # the dual itself if this complex built it, else a weak back-link
+        self._dual = None
         self._dual_faces: Optional[Tuple[int, ...]] = None
         self.tables = None  # the combinatorial tables, set by tables_for
         self.stringy = None  # the stringy E-polynomial, set by e_stringy_reflexive
@@ -150,6 +155,22 @@ class ConeComplex:
         act = lambda g, face: self._face_maps[self.group.index_of[g]][face]
         return stabilizer(self.group, f, act)
 
+    def canonical(self, f: int, e: int) -> Tuple[int, int]:
+        """The representative ``(f', r)`` of the orbit of ``(f, e)`` under
+        ``h . (f, e) = (h f, h e h^-1)``: ``x`` conjugates ``e`` to its
+        class's target ``r``, and ``f'`` is the least face of ``x f``'s
+        orbit under the centralizer of ``r``.  Every restriction fact is a
+        class function, so it is the same at both pairs."""
+        x, r = self.group.conjugator(e)
+        least = self._canonical_faces.get(r)
+        if least is None:
+            maps = [self._face_maps[c] for c in self.group.centralizer(r)]
+            least = tuple(
+                min(row[f] for row in maps) for f in range(self.face_count)
+            )
+            self._canonical_faces[r] = least
+        return least[self._face_maps[x][f]], r
+
     # -- restriction data ------------------------------------------------------
 
     def rho(self, f: int, e: int) -> IntMatrix:
@@ -163,11 +184,12 @@ class ConeComplex:
 
     def charpoly(self, f: int, e: int) -> UniPoly:
         """Monic characteristic polynomial of the face restriction, the one
-        fact kept per (face, element)."""
-        key = (f, e)
+        fact kept per orbit of (face, element), computed at the orbit's
+        canonical pair."""
+        key = self.canonical(f, e)
         hit = self._charpoly.get(key)
         if hit is None:
-            hit = char_poly(self.rho(f, e))
+            hit = char_poly(self.rho(*key))
             # the constant term is (-1)^dim det(rho)
             if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
                 raise NonInvertible("face restriction is not unimodular")
@@ -202,13 +224,19 @@ class ConeComplex:
         """The complex of the dual cone (polar dual polytope, dual action).
 
         Polar duality and the contragredient are involutions, so the dual's
-        dual is ``self``."""
-        if self._dual is None:
-            self._dual = ConeComplex(
+        dual is ``self`` while ``self`` is alive.  The complex that builds
+        the dual holds it; the dual links back weakly, so dropping the last
+        reference to a model frees it without the cycle collector."""
+        dual = self._dual
+        if isinstance(dual, weakref.ref):
+            dual = dual()
+        if dual is None:
+            dual = ConeComplex(
                 self.polytope.dual_reflexive(), self.base_group.dual_group()
             )
-            self._dual._dual = self
-        return self._dual
+            dual._dual = weakref.ref(self)
+            self._dual = dual
+        return dual
 
     def dual_face_index(self, f: int) -> int:
         """Index in ``dual()`` of the face dual to face ``f``.

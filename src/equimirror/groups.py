@@ -120,16 +120,31 @@ class MatrixGroup:
     # -- structure ----------------------------------------------------------
 
     def _build_classes(self) -> None:
-        found: set = set()
+        """Conjugacy classes, plus what :meth:`conjugator` and
+        :meth:`centralizer` read: for every member ``m = x^-1 r x`` of the
+        class of ``r``, one transporter ``x`` (so ``x m x^-1 = r``), and
+        the ``x`` with ``x^-1 r x = r``."""
+        elements, index_of = self.elements, self.index_of
+        inverses = [elements[j] for j in self._inverse]
+        target = [-1] * len(elements)
+        transporter = [-1] * len(elements)
+        self._target, self._transporter = target, transporter
+        self._centralizers: Dict[int, Tuple[int, ...]] = {}
         classes = []
-        for i, g in enumerate(self.elements):
-            if i in found:
+        for i, g in enumerate(elements):
+            if target[i] >= 0:
                 continue
-            members = {
-                self.index_of[self.elements[self._inverse[x_idx]] @ g @ x]
-                for x_idx, x in enumerate(self.elements)
-            }
-            found |= members
+            members = []
+            fixing = []
+            for x_idx, x in enumerate(elements):
+                m = index_of[inverses[x_idx] @ g @ x]
+                if target[m] < 0:
+                    target[m] = i
+                    transporter[m] = x_idx
+                    members.append(m)
+                if m == i:
+                    fixing.append(x_idx)
+            self._centralizers[i] = tuple(fixing)
             classes.append(members)
         self._set_classes(classes)
 
@@ -161,6 +176,12 @@ class MatrixGroup:
         if len(out.index_of) != len(order):
             raise ValueError("homomorphism is not injective on the group")
         out._inverse = [position[self._inverse[old]] for old in order]
+        out._target = [position[self._target[old]] for old in order]
+        out._transporter = [position[self._transporter[old]] for old in order]
+        out._centralizers = {
+            position[r]: tuple(position[x] for x in c)
+            for r, c in self._centralizers.items()
+        }
         out._set_classes([position[m] for m in c] for c in self.classes)
         return out
 
@@ -173,6 +194,15 @@ class MatrixGroup:
 
     def inv(self, a: IntMatrix) -> IntMatrix:
         return self.elements[self._inverse[self.index_of[a]]]
+
+    def conjugator(self, e: int) -> Tuple[int, int]:
+        """``(x, r)`` with ``x e x^-1 = r``, where ``r`` is the one element
+        of ``e``'s class that every member is conjugated to (indices)."""
+        return self._transporter[e], self._target[e]
+
+    def centralizer(self, r: int) -> Tuple[int, ...]:
+        """Indices of the centralizer of ``r``, a target of :meth:`conjugator`."""
+        return self._centralizers[r]
 
     def class_index_of_element(self, element: IntMatrix) -> int:
         idx = self.index_of.get(element)

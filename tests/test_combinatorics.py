@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_unimodular
+from conftest import quintic_complex, random_unimodular
 
 from equimirror.algebra import UniPoly
 from equimirror.algebra.unipoly import truncate_tau
@@ -33,9 +33,10 @@ from equimirror.geometry.cones import (
     abstract_dual_face,
     abstract_quotient,
 )
-from equimirror.geometry.intlinalg import IntMatrix
+from equimirror.geometry.intlinalg import IntMatrix, char_poly, det
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, inverse_unimodular
+from equimirror.invariants import mirror_check
 
 
 def trivial(polytope):
@@ -181,6 +182,14 @@ def _direct_hg(cone, e, memo):
     return h, g
 
 
+# generators of the 3-cube's symmetry group (order 48)
+_SIGNED_PERMS3 = (
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+)
+
+
 def _random_subgroup(rng, generators):
     """The group generated by one or two random elements of the group
     that ``generators`` generate."""
@@ -193,20 +202,15 @@ def test_shape_memo_equals_direct_recursion():
     element fixing it, equals the plain (cone, element) recursion."""
     rng = random.Random(8117)
     signed_perms2 = (((0, 1), (1, 0)), ((-1, 0), (0, 1)))
-    signed_perms3 = (
-        ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
-        ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-        ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    )
     hexagon = LatticePolytope(((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
     prism = LatticePolytope(
         [(x, y, z) for x, y in ((1, 0), (0, 1), (-1, -1)) for z in (-1, 1)]
     )
     models = [
         (build_cube(2), signed_perms2),
-        (build_cube(3), signed_perms3),
-        (build_cross(3), signed_perms3),
-        (build_simplex(3), signed_perms3[:2]),
+        (build_cube(3), _SIGNED_PERMS3),
+        (build_cross(3), _SIGNED_PERMS3),
+        (build_simplex(3), _SIGNED_PERMS3[:2]),
         (build_fermat(3), [fermat_permutation(w, 3) for w in ("(12)", "(1234)")]),
         (hexagon, (((0, -1), (1, 1)), ((0, 1), (1, 0)))),
         (prism, (((0, -1, 0), (1, -1, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
@@ -360,6 +364,100 @@ def test_tables_invariant_under_unimodular_map(sym3_cube3):
     for ours, theirs in pairs:
         for k, k_moved in enumerate(match):
             assert ours.value_at_class(k) == theirs.value_at_class(k_moved)
+
+
+# -- one entry per orbit of (face, element) ------------------------------------------
+
+
+def _is_abelian(group):
+    return all(a @ b == b @ a for a in group.elements for b in group.elements)
+
+
+def test_orbit_keyed_tables_match_raw_values(sym3_cube3):
+    """Tables keep one entry per orbit of (face, element), so every fixed
+    pair is checked against values computed here at that very pair: the
+    characteristic polynomial and determinant of ``rho(f, e)``, and
+    ``phi`` as fixed-point counts times ``det(I - rho t)``."""
+    models = [sym3_cube3, quintic_complex("(12)(34)", "(123)")]
+    rng = random.Random(13)
+    models += [
+        ConeComplex(build_cube(3), _random_subgroup(rng, _SIGNED_PERMS3))
+        for _ in range(4)
+    ]
+    assert sum(not _is_abelian(cx.group) for cx in models) >= 3
+    for cx in models:
+        phi = tables_for(cx).phi
+        for e in range(cx.group.order):
+            for f in cx.invariant_faces(e):
+                rho = cx.rho(f, e)
+                raw = char_poly(rho)
+                assert cx.charpoly(f, e) == raw, (f, e)
+                assert cx.detsign(f, e) == det(rho), (f, e)
+                k = cx.faces[f].dim
+                if k == 0:
+                    assert phi.poly(f, e) == UniPoly.one()
+                    continue
+                counts = UniPoly([cx.count_fixed(f, e, m) for m in range(k + 1)])
+                raw_phi = (counts * raw.reverse(k)).truncate(k - 1)
+                assert phi.poly(f, e) == raw_phi, (f, e)
+
+
+def _fixed_pair_orbits(cx) -> int:
+    """Orbits of the fixed (face, element) pairs under
+    ``h . (f, e) = (h f, h e h^-1)``, by brute force over the group."""
+    group = cx.group
+    fixed = {(f, e) for e in range(group.order) for f in cx.invariant_faces(e)}
+    seen = set()
+    count = 0
+    for f, e in sorted(fixed):
+        if (f, e) in seen:
+            continue
+        count += 1
+        for h, x in enumerate(group.elements):
+            conjugate = group.index_of[x @ group.elements[e] @ group.inv(x)]
+            seen.add((cx.face_image(h, f), conjugate))
+    assert seen == fixed
+    return count
+
+
+def test_mirror_check_keeps_one_entry_per_orbit():
+    cx = quintic_complex("(12)", "(12345)")
+    assert mirror_check(cx).verdict
+    for side in (cx, cx.dual()):
+        orbits = _fixed_pair_orbits(side)
+        assert len(side._charpoly) == orbits
+        assert len(tables_for(side).phi._polys) == orbits
+
+
+def test_phi_is_effective_on_cyclic_subgroups():
+    """Stapledon's effectiveness (arXiv:1003.1738): with an invariant
+    non-degenerate hypersurface, ``phi_i`` of the top face restricted to any
+    cyclic ``H = <e>`` is a character, so ``<Res_H phi_i, 1>`` is a
+    non-negative integer."""
+    central = [
+        ConeComplex(build_cube(n), generate_group([IntMatrix.identity(n).scale(-1)]))
+        for n in (3, 4)
+    ]
+    fermat3 = ConeComplex(
+        build_fermat(3),
+        generate_group([fermat_permutation("(12)(34)", 3)], rank=3),
+    )
+    checked = 0
+    for model in [quintic_complex("(12)", "(12345)"), fermat3, *central]:
+        for cx in (model, model.dual()):
+            phi, top, group = tables_for(cx).phi, cx.top_index, cx.group
+            one = IntMatrix.identity(cx.cdim)
+            for g in group.elements:
+                cyclic, power = [one], g
+                while power != one:
+                    cyclic.append(power)
+                    power = power @ g
+                values = [phi.poly(top, group.index_of[p]) for p in cyclic]
+                for i in range(cx.dim + 1):
+                    mean = Fraction(sum(v.coefficient(i) for v in values), len(cyclic))
+                    assert mean.denominator == 1 and mean >= 0, (g, i)
+                    checked += 1
+    assert checked == 1252
 
 
 # -- Moebius function --------------------------------------------------------------

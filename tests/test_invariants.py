@@ -345,6 +345,21 @@ def test_tables_are_freed_with_the_complex():
     assert ref() is None
 
 
+def test_models_are_freed_without_the_cycle_collector():
+    """Neither the dual back-link nor the tables' link to their complex is
+    a reference cycle: dropping the model frees it and its dual at once."""
+    gc.disable()
+    try:
+        cx = quintic("(12)(34)", "(123)")
+        assert mirror_check(cx).verdict
+        assert cx.dual().dual() is cx
+        refs = (weakref.ref(cx), weakref.ref(cx.dual()))
+        del cx
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_stringy_is_kept_on_the_complex():
     cx = ConeComplex(build_cube(3), generate_group([IntMatrix.identity(3).scale(-1)]))
     st = e_stringy_reflexive(cx)
