@@ -8,9 +8,9 @@ class — which is how every equivariant invariant in this package is
 returned.  :class:`ClassPoly` is a thin alias kept for readability.
 
 The group object only needs the interface provided by
-:class:`equimirror.groups.MatrixGroup`: ``elements``, ``classes``,
-``class_reps``, ``class_sizes``, ``class_index_of_element``, ``inv``
-and ``index_of``.
+:class:`equimirror.groups.MatrixGroup`: ``elements``, ``order``,
+``classes``, ``class_sizes``, ``class_rep_elements``,
+``class_index_of_element`` and ``index_of``.
 """
 
 from __future__ import annotations
@@ -134,26 +134,19 @@ class ClassFun:
     def induce(self, parent) -> ClassFun:
         """Induce from this group up to ``parent``.
 
-        Uses the standard formula: the induced value at ``g`` is
-        ``(1/|H|) * sum over x in G with x^-1 g x in H`` of the value at
-        ``x^-1 g x``.
+        The standard formula sums the value at ``x^-1 g x`` over the ``x``
+        in ``G`` that conjugate ``g`` into ``H`` and divides by ``|H|``.
+        Each member of ``g``'s class is hit ``|G| / |class|`` times, so the
+        induced value is ``|G| / (|class| |H|)`` times the sum of the
+        values at the class members in ``H``.
         """
         sub = self.group
-        sub_index = {el: k for k, el in enumerate(sub.elements)}
         vals = []
-        for rep_idx in parent.class_reps:
-            g = parent.elements[rep_idx]
-            total = None
-            for x in parent.elements:
-                y = parent.inv(x) @ g @ x
-                k = sub_index.get(y)
-                if k is None:
-                    continue
-                term = self.values[sub.class_index_of_element(y)]
-                total = term if total is None else total + term
-            if total is None:
-                total = self.values[0] * 0
-            vals.append(_scale(total, Fraction(1, sub.order)))
+        for members, size in zip(parent.classes, parent.class_sizes):
+            inside = (parent.elements[m] for m in members)
+            terms = [self.value_of(y) for y in inside if y in sub.index_of]
+            total = sum(terms[1:], terms[0]) if terms else self.values[0] * 0
+            vals.append(_scale(total, Fraction(parent.order, size * sub.order)))
         return ClassFun(parent, tuple(vals))
 
 

@@ -4,9 +4,10 @@
 matrix group preserving it (:class:`NotInvariant` otherwise) and holds
 every face of the cone over the polytope (the polytope placed at height
 one), ordered lexicographically by vertex index set so that the apex comes
-first, with saturated span bases and the induced action of each group
-element on each invariant face.  The one fact kept about a restriction is
-its characteristic polynomial, one per orbit of (face, element) under
+first, with the Hermite basis of each face's span (the integer kernel of
+its tight facet rows) and the induced action of each group element on
+each invariant face.  The one fact kept about a restriction is its
+characteristic polynomial, one per orbit of (face, element) under
 ``h . (f, e) = (h f, h e h^-1)`` (conjugate restrictions share it), keyed
 by the orbit's :meth:`ConeComplex.canonical` pair; its determinant is read
 off the constant term.
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..algebra.unipoly import UniPoly
 from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
 from ..groups import MatrixGroup, orbits, stabilizer
 from . import counting
-from .intlinalg import IntMatrix, char_poly, saturate_rows, solve_in_row_basis
+from .intlinalg import IntMatrix, char_poly, integer_kernel, solve_in_row_basis
 from .polytope import LatticePolytope
 
 
@@ -45,7 +47,7 @@ class Face:
     dim: int
     span: IntMatrix
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertex_ids)
 
@@ -319,8 +321,10 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
         tight = tuple(
             i for i, ts in enumerate(facet_sets) if vs <= ts
         )
-        gens = IntMatrix([polytope.vertices[i] + (1,) for i in ids]) if ids else IntMatrix(())
-        span = saturate_rows(gens) if ids else IntMatrix(())
+        # the top face lies on no facet and spans the whole lattice
+        span = IntMatrix.identity(polytope.dim + 1)
+        if tight:
+            span = integer_kernel(IntMatrix([polytope.cone_rows[i] for i in tight])).transpose()
         faces.append(Face(idx, ids, tight, span.nrows, span))
     return tuple(faces)
 

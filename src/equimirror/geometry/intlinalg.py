@@ -3,9 +3,8 @@
 Small dense matrices over the integers, with the handful of fraction-free
 algorithms the rest of the package relies on: Bareiss determinants,
 Faddeev-LeVerrier characteristic polynomials, integer kernels via tracked
-unimodular column operations, row Hermite normal forms and saturation of
-row spans.  Everything returns plain ``int`` entries; nothing here ever
-touches floating point.
+unimodular column operations and row Hermite normal forms.  Everything
+returns plain ``int`` entries; nothing here ever touches floating point.
 
 Every lattice basis this module returns is a Hermite normal form: rows
 (kernel vectors, for ``integer_kernel``) in echelon order, positive
@@ -320,21 +319,6 @@ def hnf_rows(matrix: IntMatrix) -> IntMatrix:
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
     return IntMatrix([row for row in a[:pivot_row]])
-
-
-def saturate_rows(matrix: IntMatrix) -> IntMatrix:
-    """Hermite basis of the saturation of the row span.
-
-    The saturation is the set of integer vectors some multiple of which
-    lies in the row span; it equals the annihilator of the annihilator,
-    so two kernel computations produce it exactly, already in Hermite form.
-    """
-    if matrix.nrows == 0:
-        return matrix
-    k = integer_kernel(matrix)
-    if k.ncols == 0:
-        return IntMatrix.identity(matrix.ncols)
-    return integer_kernel(k.transpose()).transpose()
 
 
 def solve_in_row_basis(basis: IntMatrix, vector: Sequence[int]) -> Tuple[int, ...]:

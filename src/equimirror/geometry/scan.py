@@ -13,7 +13,7 @@ at level ``j`` bound ``x_j`` exactly once ``x_0 .. x_{j-1}`` are fixed.
 ``count_levels`` walks the levels innermost-last and counts the last one
 in closed form; ``prepare_levels -> count_levels`` is the one route from
 rows to a count.  The scan is pure Python with exact integers, so no
-input is too large for it.
+entry is too large for it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,14 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+from ..errors import DimensionCap
+
 Row = Tuple[int, ...]
 Levels = List[Tuple[Row, ...]]
+
+# Slice counts on the 5-cross-polytope combine at most 2,209 row pairs in one
+# elimination step; on the 6-cross-polytope one step needs 667,489.
+FM_PAIR_CAP = 100_000
 
 
 def compiled_available() -> bool:
@@ -44,6 +50,8 @@ def prepare_levels(
     bounding ``x_j`` given ``x_0 .. x_{j-1}`` (each row is the tuple
     ``(c_0, ..., c_j, rhs)``).  ``feasible`` is False when the constant
     rows are already contradictory; the levels are then meaningless.
+    A step that would combine over ``FM_PAIR_CAP`` row pairs raises
+    :class:`DimensionCap` instead of running for minutes.
     """
     feasible = True
     pool: dict = {}
@@ -75,6 +83,12 @@ def prepare_levels(
         here = [(c, r) for c, r in pool.items() if c[j] != 0]
         pool = {c: r for c, r in pool.items() if c[j] == 0}
         levels[j] = tuple(sorted(c[: j + 1] + (r,) for c, r in here))
+        positive = sum(1 for c, _ in here if c[j] > 0)
+        pairs = positive * (len(here) - positive)
+        if pairs > FM_PAIR_CAP:
+            raise DimensionCap(
+                f"elimination would combine {pairs} row pairs (cap {FM_PAIR_CAP})"
+            )
         for cp, rp in here:
             if cp[j] <= 0:
                 continue

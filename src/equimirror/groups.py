@@ -137,7 +137,9 @@ class MatrixGroup:
             members = []
             fixing = []
             for x_idx, x in enumerate(elements):
-                m = index_of[inverses[x_idx] @ g @ x]
+                m = index_of.get(inverses[x_idx] @ g @ x)
+                if m is None:
+                    raise ValueError("element set is not closed under multiplication")
                 if target[m] < 0:
                     target[m] = i
                     transporter[m] = x_idx

@@ -369,6 +369,34 @@ def test_classfun_induce_matches_orbit_counts():
     assert induced.invariant_dim() == 1
 
 
+def test_classfun_induce_matches_textbook_formula():
+    """Induction from non-abelian subgroups of Sym4 with polynomial values
+    agrees with ``(1/|H|) * sum over x in G with x^-1 g x in H`` of the
+    value at ``x^-1 g x``, evaluated here by conjugating with every ``x``."""
+    from equimirror.groups import inverse_unimodular
+
+    def perms(*words):
+        return generate_group([permutation_matrix(parse_cycles(w), 4) for w in words])
+
+    rng = random.Random(1011)
+    parent = perms("(12)", "(1234)")
+    for sub in (perms("(12)", "(123)"), perms("(13)", "(1234)"),
+                perms("(123)", "(12)(34)"), parent):
+        chi = ClassFun(
+            sub,
+            tuple(UniPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in sub.classes),
+        )
+        expected = []
+        for g in parent.class_rep_elements():
+            total = UniPoly.zero()
+            for x in parent.elements:
+                y = inverse_unimodular(x) @ g @ x
+                if sub.contains(y):
+                    total = total + chi.value_of(y)
+            expected.append(total * Fraction(1, sub.order))
+        assert chi.induce(parent).values == tuple(expected)
+
+
 def test_classfun_restrict_roundtrip():
     group = _sym3()
     sub = generate_group([permutation_matrix(parse_cycles("(123)"), 3)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import types
@@ -323,6 +324,23 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 
     assert cli.main(["phi", "--config", cube3c, "--gamma", "7"]) == 2
     assert "out of range" in capsys.readouterr().err
+
+    # the 6-cross-polytope is within the dimension and vertex caps, but its
+    # Fourier-Motzkin elimination hits the pair cap instead of running for
+    # minutes: in the slice counts of phi, and with facets given already in
+    # the boundedness check
+    cross6 = [[s if j == i else 0 for j in range(6)] for i in range(6) for s in (1, -1)]
+    signs = [list(s) for s in itertools.product((-1, 1), repeat=6)]
+    inline = write_config(tmp_path, json.dumps({"vertices": cross6}), "cross6.json")
+    assert cli.main(["phi", "--config", inline]) == 4
+    assert "row pairs" in capsys.readouterr().err
+    with_facets = write_config(
+        tmp_path,
+        json.dumps({"vertices": cross6, "facets": [[a, 1] for a in signs]}),
+        "cross6f.json",
+    )
+    assert cli.main(["faces", "--config", with_facets]) == 4
+    assert "row pairs" in capsys.readouterr().err
 
     # the affine invariants are fine without reflexivity
     assert cli.main(["euler", "--config", simplex3]) == 0

@@ -83,6 +83,18 @@ def test_generate_group_guards():
     assert generate_group([], rank=3).order == 1
 
 
+def test_matrix_group_rejects_non_group_element_sets():
+    identity = IntMatrix.identity(2)
+    with pytest.raises(ValueError, match="does not contain the identity"):
+        MatrixGroup([IntMatrix([[0, 1], [1, 0]])])
+    with pytest.raises(ValueError, match="not closed under inversion"):
+        MatrixGroup([identity, IntMatrix([[1, 1], [0, 1]])])
+    # every element is an involution, but the reflection conjugates the
+    # swap to the anti-swap, which is missing
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        MatrixGroup([identity, IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])])
+
+
 def test_class_structure_sym3():
     g = perm_group(["(12)", "(123)"], 3)
     assert sorted(g.class_sizes) == [1, 2, 3]

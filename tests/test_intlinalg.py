@@ -14,7 +14,6 @@ from equimirror.geometry.intlinalg import (
     hnf_rows,
     integer_kernel,
     primitive,
-    saturate_rows,
     solve_in_row_basis,
 )
 from equimirror.groups import inverse_unimodular
@@ -117,7 +116,7 @@ def test_integer_kernel_random():
         rank = hnf_rows(a).nrows
         assert rank + ker.ncols == m
         # the kernel basis is already a row Hermite form, which the face
-        # bases in ``counting`` and ``saturate_rows`` read directly
+        # bases in ``counting`` and the face spans in ``cones`` read directly
         assert hnf_rows(ker.transpose()) == ker.transpose()
         # saturation: a primitive multiple of any kernel vector stays inside
         if ker.ncols:
@@ -142,14 +141,6 @@ def test_hnf_rows_canonical():
             assert hrow[lead] > 0
             for above in range(i):
                 assert 0 <= h.rows[above][lead] < hrow[lead]
-
-
-def test_saturate_rows():
-    doubled = IntMatrix([[2, 0], [0, 2]])
-    assert saturate_rows(doubled) == IntMatrix.identity(2)
-    line = IntMatrix([[2, 4, 6]])
-    assert saturate_rows(line) == IntMatrix([[1, 2, 3]])
-    assert saturate_rows(IntMatrix(())) == IntMatrix(())
 
 
 def test_solve_in_row_basis_errors():

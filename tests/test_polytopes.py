@@ -11,7 +11,8 @@ from conftest import quintic_complex
 from equimirror.cli.models import build_cross, build_cube, build_fermat, build_simplex
 from equimirror.errors import NotInvariant, NotReflexive, SubgroupMismatch
 from equimirror.geometry.cones import ConeComplex
-from equimirror.geometry.intlinalg import IntMatrix, det
+from equimirror.geometry import cones, intlinalg
+from equimirror.geometry.intlinalg import IntMatrix, det, integer_kernel
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
 
@@ -139,6 +140,63 @@ def test_face_span_dimensions(cube4):
             for vid in face.vertex_ids:
                 point = cube4.polytope.vertices[vid] + (1,)
                 solve_in_row_basis(face.span, point)
+
+
+def saturated_vertex_span(polytope, face) -> IntMatrix:
+    """Reference span of a face: the saturation of its homogenized
+    vertices, i.e. the annihilator of their annihilator, in Hermite form."""
+    if not face.vertex_ids:
+        return IntMatrix(())
+    gens = IntMatrix([polytope.vertices[i] + (1,) for i in face.vertex_ids])
+    annihilator = integer_kernel(gens)
+    if annihilator.ncols == 0:
+        return IntMatrix.identity(polytope.dim + 1)
+    return integer_kernel(annihilator.transpose()).transpose()
+
+
+def test_face_spans_are_saturated_vertex_spans():
+    """The span cut out by the tight facet rows is the saturation of the
+    vertex span, entry for entry, on both sides of the builtins and on
+    inline polytopes with non-simple vertices and non-unimodular cones."""
+    polytopes = [build_cube(d) for d in (1, 2, 3, 4)]
+    polytopes += [build_cross(d) for d in (2, 3, 4)]
+    polytopes += [build_simplex(d) for d in (1, 2, 3)]
+    polytopes += [build_fermat(d) for d in (2, 3, 4)]
+    polytopes += [p.dual_reflexive() for p in polytopes if p.is_reflexive()]
+    polytopes += [
+        # square pyramids: four facets meet at the apex, and with the apex
+        # at height 3 the cones over the side facets are not unimodular
+        LatticePolytope(((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1))),
+        LatticePolytope(((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3))),
+        LatticePolytope(((0, 0), (3, 0), (0, 1))),
+    ]
+    checked = 0
+    for polytope in polytopes:
+        for face in trivial(polytope).faces:
+            assert face.span == saturated_vertex_span(polytope, face), (polytope, face)
+            checked += 1
+    assert checked == 676
+
+
+def test_vertex_set_is_built_once(cube3):
+    for face in cube3.faces:
+        assert face.vertex_set is face.vertex_set
+        assert face.vertex_set == frozenset(face.vertex_ids)
+
+
+def test_one_kernel_per_face_but_the_top(monkeypatch):
+    calls = []
+    original = intlinalg.integer_kernel
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(intlinalg, "integer_kernel", counted)
+    monkeypatch.setattr(cones, "integer_kernel", counted, raising=False)
+    cx = trivial(build_cube(4))
+    assert cx.face_count == 82
+    assert len(calls) == 81
 
 
 def test_group_must_preserve_polytope():

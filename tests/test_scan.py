@@ -5,6 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
+from equimirror.errors import DimensionCap
 from equimirror.geometry import scan
 
 
@@ -123,3 +126,26 @@ def test_int64_guard_bounds_the_running_sum():
     assert all(abs(v) <= big for lev in levels for row in lev for v in row)
     assert scan.count_levels(levels) == 4
     assert scan.count_system(rows, 3) == 4
+
+
+def fan_rows(positive, negative):
+    """Rows ``i x0 + x1 <= 1000`` and ``i x0 - x1 <= 1000``: eliminating
+    ``x1`` combines ``positive * negative`` distinct pairs."""
+    return [((i, 1), 1000) for i in range(positive)] + [
+        ((i, -1), 1000) for i in range(negative)
+    ]
+
+
+def test_fm_pair_cap_fails_closed(monkeypatch):
+    # over the real cap: refused before any pair is combined
+    over = int(scan.FM_PAIR_CAP**0.5) + 1
+    with pytest.raises(DimensionCap, match="row pairs"):
+        scan.prepare_levels(fan_rows(over, over), 2)
+    with pytest.raises(DimensionCap):
+        scan.count_system(fan_rows(over, over), 2)
+    # the cap is inclusive: a step of exactly the cap still runs
+    monkeypatch.setattr(scan, "FM_PAIR_CAP", 6)
+    feasible, levels = scan.prepare_levels(fan_rows(2, 3), 2)
+    assert feasible and len(levels[1]) == 5
+    with pytest.raises(DimensionCap, match="9 row pairs"):
+        scan.prepare_levels(fan_rows(3, 3), 2)
