@@ -10,8 +10,14 @@ Every lattice basis this module returns is a Hermite normal form: rows
 (kernel vectors, for ``integer_kernel``) in echelon order, positive
 pivots, entries above each pivot reduced.  Callers read that form
 directly: ranks are Hermite lengths, the first kernel vector is the only
-one nonzero at the first coordinate, and coordinates in a basis are read
-by substitution (``solve_in_row_basis``) rather than by a solve.
+one nonzero at the first coordinate, coordinates in a basis are read by
+substitution (``solve_in_row_basis``) rather than by a solve, and the
+inverse of a unimodular ``M`` is the right block of the Hermite form of
+``[M | I]`` (``groups.inverse_unimodular``).
+
+Entries are checked to be exactly integral once per row
+(``_as_int_row``), the one check every ``IntMatrix`` and every polytope
+input goes through.
 """
 
 from __future__ import annotations
@@ -34,6 +40,23 @@ def _as_int(x) -> int:
     return n
 
 
+def _as_int_row(row: Iterable) -> Tuple[int, ...]:
+    """A row as a tuple of ints, by the same test as ``_as_int`` per entry.
+
+    ``int(x) == x`` for every entry is exactly what ``_as_int`` checks, so
+    the whole row is converted and compared at once; only a row that fails
+    is walked entry by entry, which raises at its first bad entry.
+    """
+    row = tuple(row)
+    try:
+        ints = tuple(map(int, row))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints == row:
+        return ints
+    return tuple(_as_int(x) for x in row)
+
+
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.
 
@@ -45,7 +68,7 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rs = tuple(tuple(_as_int(x) for x in row) for row in rows)
+        rs = tuple(map(_as_int_row, rows))
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):

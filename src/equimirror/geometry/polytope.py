@@ -19,6 +19,7 @@ from . import counting, scan
 from .intlinalg import (
     IntMatrix,
     _as_int,
+    _as_int_row,
     hnf_rows,
     integer_kernel,
     primitive,
@@ -45,7 +46,7 @@ class LatticePolytope:
         vertices: Iterable[Sequence[int]],
         facets: Optional[Iterable[Tuple[Sequence[int], int]]] = None,
     ):
-        verts = tuple(sorted({tuple(_as_int(x) for x in v) for v in vertices}))
+        verts = tuple(sorted(set(map(_as_int_row, vertices))))
         if not verts:
             raise ValueError("a polytope needs at least one vertex")
         d = len(verts[0])
@@ -55,8 +56,7 @@ class LatticePolytope:
             raise DimensionCap(f"ambient dimension {d} outside 1..{MAX_DIM}")
         if len(verts) > MAX_VERTICES:
             raise DimensionCap(f"{len(verts)} vertices exceed the cap {MAX_VERTICES}")
-        diffs = IntMatrix([vec_sub(v, verts[0]) for v in verts[1:]])
-        if hnf_rows(diffs).nrows != d:
+        if _affine_rank(verts) != d:
             raise ValueError("vertices do not span the ambient space")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "dim", d)
@@ -104,7 +104,7 @@ class LatticePolytope:
             raise ValueError(f"{tuple(point)} is not a vertex") from None
 
     def translate(self, shift: Sequence[int]) -> LatticePolytope:
-        s = tuple(_as_int(x) for x in shift)
+        s = _as_int_row(shift)
         verts = [tuple(x + y for x, y in zip(v, s)) for v in self.vertices]
         facets = [(a, b + vec_dot(a, s)) for a, b in self.facets]
         return LatticePolytope(verts, facets)
@@ -134,7 +134,7 @@ def _validate_facets(
 ) -> Tuple[Facet, ...]:
     out: List[Facet] = []
     for a, b in facets:
-        av = tuple(_as_int(x) for x in a)
+        av = _as_int_row(a)
         bv = _as_int(b)
         if len(av) != d:
             raise ValueError("facet normal of wrong dimension")

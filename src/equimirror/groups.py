@@ -22,31 +22,26 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .algebra.classfun import ClassFun
 from .errors import CapExceeded, NonInvertible, NotAnAction, SubgroupMismatch
-from .geometry.intlinalg import IntMatrix, det
+from .geometry.intlinalg import IntMatrix, det, hnf_rows
 
 GROUP_CAP_DEFAULT = 10080
 
 
 def inverse_unimodular(matrix: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +1 or -1."""
+    """Exact inverse of a matrix with determinant +1 or -1.
+
+    Row operations turn ``[M | I]`` into ``[U M | U]``.  For a unimodular
+    ``M`` the row Hermite form of ``M`` is the identity, so the Hermite
+    form of ``[M | I]`` is ``[I | M^-1]`` and the inverse is its right
+    block.
+    """
     d = det(matrix)
     if d not in (1, -1):
         raise NonInvertible(f"matrix has determinant {d}, not +-1")
     n = matrix.nrows
-    if n == 0:
-        return matrix
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = IntMatrix(
-                tuple(
-                    tuple(matrix.rows[r][c] for c in range(n) if c != j)
-                    for r in range(n)
-                    if r != i
-                )
-            )
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return IntMatrix(adj).scale(d)
+    identity = IntMatrix.identity(n)
+    hermite = hnf_rows(IntMatrix([r + e for r, e in zip(matrix.rows, identity.rows)]))
+    return IntMatrix([r[n:] for r in hermite.rows])
 
 
 def generate_group(
@@ -93,7 +88,15 @@ def generate_group(
 
 
 class MatrixGroup:
-    """A finite group of unimodular integer matrices, given by its full element set."""
+    """A finite group of unimodular integer matrices, given by its full element set.
+
+    The element set must contain the identity and be closed under
+    inversion and multiplication.  Closure under multiplication is checked
+    only partly, on the products ``x^-1 r`` and ``x^-1 r x`` that building
+    the conjugacy classes forms for each class representative ``r``: that
+    rejects every abelian non-group (there every element is a
+    representative), but it is not a full ``|G|^2`` product check.
+    """
 
     def __init__(self, elements: Iterable[IntMatrix]):
         els = sorted(set(elements))
@@ -137,7 +140,8 @@ class MatrixGroup:
             members = []
             fixing = []
             for x_idx, x in enumerate(elements):
-                m = index_of.get(inverses[x_idx] @ g @ x)
+                xg = inverses[x_idx] @ g
+                m = index_of.get(xg @ x) if xg in index_of else None
                 if m is None:
                     raise ValueError("element set is not closed under multiplication")
                 if target[m] < 0:

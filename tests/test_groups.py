@@ -45,11 +45,35 @@ def test_permutation_matrix():
     assert m @ m == IntMatrix.identity(3)
 
 
+def _adjugate_inverse(m: IntMatrix) -> IntMatrix:
+    """``det(M) * adj(M)``: the inverse of a unimodular ``M`` by cofactors."""
+    n = m.nrows
+    cofactor = [
+        [
+            (-1) ** (i + j)
+            * det(IntMatrix([r[:j] + r[j + 1:] for k, r in enumerate(m.rows) if k != i]))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return IntMatrix(cofactor).transpose().scale(det(m))
+
+
 def test_inverse_unimodular():
     u = IntMatrix([[2, 1], [1, 1]])
-    assert u @ inverse_unimodular(u) == IntMatrix.identity(2)
-    with pytest.raises(NonInvertible):
-        inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
+    assert inverse_unimodular(u) == IntMatrix([[1, -1], [-1, 2]])
+    rng = random.Random(1515)
+    for n in range(7):
+        identity = IntMatrix.identity(n)
+        for _ in range(12):
+            u = random_unimodular(rng, n) if n else identity
+            inv = inverse_unimodular(u)
+            assert u @ inv == inv @ u == identity
+            assert inv == _adjugate_inverse(u)
+    for singular in ([[1, 2], [2, 4]], [[2, 0], [0, 1]], [[0, 1, 0], [2, 0, 0], [0, 0, 1]]):
+        m = IntMatrix(singular)
+        with pytest.raises(NonInvertible, match=f"determinant {det(m)},"):
+            inverse_unimodular(m)
 
 
 def test_generate_group_orders():
@@ -93,6 +117,10 @@ def test_matrix_group_rejects_non_group_element_sets():
     # swap to the anti-swap, which is missing
     with pytest.raises(ValueError, match="not closed under multiplication"):
         MatrixGroup([identity, IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])])
+    # closed under inversion and under conjugation (the elements commute),
+    # but -I * diag(1, -1) = diag(-1, 1) is missing
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        MatrixGroup([identity, identity.scale(-1), IntMatrix([[1, 0], [0, -1]])])
 
 
 def test_class_structure_sym3():

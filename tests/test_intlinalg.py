@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from conftest import random_unimodular
 
 from equimirror.algebra import UniPoly
 from equimirror.geometry.intlinalg import (
     IntMatrix,
+    _as_int,
     char_poly,
     det,
     hnf_rows,
@@ -21,19 +25,6 @@ from equimirror.groups import inverse_unimodular
 
 def rand_matrix(rng: random.Random, n: int, m: int, lo: int = -5, hi: int = 5) -> IntMatrix:
     return IntMatrix([[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)])
-
-
-def rand_unimodular(rng: random.Random, n: int, steps: int = 8) -> IntMatrix:
-    """Random determinant +-1 matrix from elementary row operations."""
-    rows = [list(r) for r in IntMatrix.identity(n).rows]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            rows[i] = [-x for x in rows[i]]
-        else:
-            c = rng.randint(-2, 2)
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return IntMatrix(rows)
 
 
 def test_matrix_basics():
@@ -50,6 +41,38 @@ def test_matrix_basics():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(AttributeError):
         m.rows = ()
+
+
+def _outcome(convert, value):
+    """What ``convert(value)`` returns or raises, comparably."""
+    try:
+        return ("ok", convert(value))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def test_int_matrix_row_check_matches_the_per_entry_check():
+    values = [0, -7, 2**70, True, False, 2.0, -0.0, Fraction(4, 2), 1.5,
+              Fraction(1, 2), "3", None, math.nan, math.inf, -math.inf, [1]]
+    accepted = [v for v in values if _outcome(_as_int, v)[0] == "ok"]
+    assert accepted == values[:8]
+    for value in values:
+        expected = _outcome(_as_int, value)
+        for row in ([value], [1, value, 2], (x for x in [3, value])):
+            got = _outcome(lambda r: IntMatrix([r]).rows[0], row)
+            if expected[0] == "ok":
+                assert got[0] == "ok", (value, got)
+                assert all(type(x) is int for x in got[1])
+                assert expected[1] in got[1]
+            else:
+                assert got == expected, (value, got)
+    # the first bad entry is named, even when a later one fails differently
+    with pytest.raises(ValueError, match=r"got 1\.5"):
+        IntMatrix([[1, 1.5, None]])
+    with pytest.raises(TypeError):
+        IntMatrix([[1, None, 1.5]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix([[1, 2], [3.0]])
 
 
 def test_det_oracles():
@@ -84,7 +107,7 @@ def test_char_poly_conjugation_invariant():
     for _ in range(60):
         n = rng.randint(1, 4)
         a = rand_matrix(rng, n, n, -3, 3)
-        u = rand_unimodular(rng, n)
+        u = random_unimodular(rng, n)
         conj = u @ a @ inverse_unimodular(u)
         assert char_poly(conj) == char_poly(a)
         # constant coefficient is (-1)^n det
