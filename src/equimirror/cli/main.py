@@ -142,7 +142,7 @@ def _top_command(ctx: RunContext, primal: Sequence[_Column], dual: Sequence[_Col
     reps = [cx.group.class_reps[k] for k in ks]
     sides = [(cx, reps, primal)]
     if cx.polytope.is_reflexive():
-        sides.append((cx.dual(), [cx.dual_element_index(e) for e in reps], dual))
+        sides.append((cx.dual(), reps, dual))
     payload, lines = {}, []
     for side, elements, columns in sides:
         tables = tables_for(side)
@@ -546,7 +546,6 @@ def _golden_case(name: str) -> Callable[[List[str]], None]:
                 e = cx.base_group.index_of[scalar]
             evaluate = _QUANTITIES[quantity.rstrip("*")]
             if quantity.endswith("*"):
-                e = None if e is None else cx.dual_element_index(e)
                 cx = cx.dual()
             got = evaluate(cx, e)
             if got != expected:

@@ -24,8 +24,7 @@ SCHEMA_VERSION = 1
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def _format_coeff(c: Fraction, monomial: str, first: bool) -> str:
@@ -49,13 +48,7 @@ def _power(var: str, e: int) -> str:
 
 
 def format_unipoly(p: UniPoly) -> str:
-    terms = [(i, c) for i, c in enumerate(p.coeffs) if c != 0]
-    if not terms:
-        return "0"
-    out = []
-    for k, (i, c) in enumerate(terms):
-        out.append(_format_coeff(c, _power("t", i), first=k == 0))
-    return "".join(out)
+    return str(p)
 
 
 def format_bilaurent(b: BiLaurent) -> str:

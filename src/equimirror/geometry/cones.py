@@ -69,8 +69,6 @@ class ConeComplex:
         vertex_of = {v: i for i, v in enumerate(polytope.vertices)}
         self._vertex_images = _vertex_action(polytope, group, vertex_of)
 
-        # homogenizing keeps the lexicographic order, so element and class
-        # indices of ``group`` and ``self.group`` agree
         self.group = group.image(_homogenize)
         self.faces = _enumerate_faces(polytope)
         self._index_of_vertexset = {f.vertex_set: f.index for f in self.faces}
@@ -225,6 +223,8 @@ class ConeComplex:
     def dual(self) -> ConeComplex:
         """The complex of the dual cone (polar dual polytope, dual action).
 
+        Element ``e`` of its group is the contragredient of element ``e``
+        here, so element and class indices carry over unchanged.
         Polar duality and the contragredient are involutions, so the dual's
         dual is ``self`` while ``self`` is alive.  The complex that builds
         the dual holds it; the dual links back weakly, so dropping the last
@@ -263,12 +263,6 @@ class ConeComplex:
                 pairs.append(j)
             self._dual_faces = tuple(pairs)
         return self._dual_faces[f]
-
-    def dual_element_index(self, e: int) -> int:
-        """Index in ``dual()`` of the contragredient of element ``e``."""
-        dual = self.dual()
-        g = self.base_group.elements[e]
-        return dual.base_group.index_of[self.base_group.dual_element(g)]
 
 
 def _vertex_action(polytope, group, vertex_of) -> Tuple[Tuple[int, ...], ...]:

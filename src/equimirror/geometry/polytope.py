@@ -52,8 +52,10 @@ class LatticePolytope:
         d = len(verts[0])
         if any(len(v) != d for v in verts):
             raise ValueError("vertices of mixed dimension")
-        if d < 1 or d > MAX_DIM:
-            raise DimensionCap(f"ambient dimension {d} outside 1..{MAX_DIM}")
+        if d < 1:
+            raise ValueError("vertices need at least one coordinate")
+        if d > MAX_DIM:
+            raise DimensionCap(f"ambient dimension {d} exceeds the cap {MAX_DIM}")
         if len(verts) > MAX_VERTICES:
             raise DimensionCap(f"{len(verts)} vertices exceed the cap {MAX_VERTICES}")
         if _affine_rank(verts) != d:

@@ -1,14 +1,17 @@
 """Finite groups of unimodular integer matrices.
 
 A :class:`MatrixGroup` is the closure of a generating set of integer
-matrices with determinant +1 or -1.  Elements are kept sorted
-lexicographically by their rows; every deterministic iteration order in
-the package (conjugacy classes, class representatives, report layouts)
-derives from that single convention.
+matrices with determinant +1 or -1.  A group built from an element set
+(:func:`generate_group`, :func:`stabilizer`, ``MatrixGroup(...)``) keeps
+its elements sorted lexicographically by their rows; every deterministic
+iteration order in the package (conjugacy classes, class
+representatives, report layouts) derives from that single convention.
 
-Only :func:`generate_group` and :func:`stabilizer` build a group from an
-element set.  Derived groups (contragredient, homogenized) are images
-(:meth:`MatrixGroup.image`) that carry inverses and classes over.
+Derived groups (contragredient, homogenized) are images
+(:meth:`MatrixGroup.image`): element ``i`` of an image is the image of
+element ``i``, so an image keeps its source's order and shares its
+inverses and classes, and an element and its contragredient have one
+index.
 
 The module also provides generic orbit and stabilizer computations for
 group actions on finite sets, and the conjugation-transpose "dual"
@@ -18,6 +21,7 @@ group acting on the dual lattice.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .algebra.classfun import ClassFun
@@ -151,44 +155,25 @@ class MatrixGroup:
                 if m == i:
                     fixing.append(x_idx)
             self._centralizers[i] = tuple(fixing)
-            classes.append(members)
-        self._set_classes(classes)
-
-    def _set_classes(self, classes: Iterable[Iterable[int]]) -> None:
-        """Store conjugacy classes of element indices, ordered by smallest
-        member, which is also the class representative."""
-        self.classes: Tuple[Tuple[int, ...], ...] = tuple(
-            sorted(tuple(sorted(c)) for c in classes)
-        )
-        self.class_reps: Tuple[int, ...] = tuple(c[0] for c in self.classes)
-        self.class_sizes: Tuple[int, ...] = tuple(len(c) for c in self.classes)
-        class_of = [0] * len(self.elements)
-        for k, members in enumerate(self.classes):
-            for m in members:
-                class_of[m] = k
-        self._class_of_index: Tuple[int, ...] = tuple(class_of)
+            classes.append(tuple(sorted(members)))
+        # classes are found in order of their smallest member, which is
+        # also the representative and every member's target
+        self.classes: Tuple[Tuple[int, ...], ...] = tuple(classes)
+        self.class_reps: Tuple[int, ...] = tuple(c[0] for c in classes)
+        self.class_sizes: Tuple[int, ...] = tuple(len(c) for c in classes)
+        class_of = {r: k for k, r in enumerate(self.class_reps)}
+        self._class_of_index: Tuple[int, ...] = tuple(class_of[r] for r in target)
 
     def image(self, hom: Callable[[IntMatrix], IntMatrix]) -> "MatrixGroup":
-        """The image under an injective homomorphism ``hom``: the images are
-        sorted as usual, and inverses and classes are carried over through
-        the index permutation instead of recomputed."""
-        images = [hom(g) for g in self.elements]
-        order = sorted(range(len(images)), key=images.__getitem__)
-        position = {old: new for new, old in enumerate(order)}
-        out = MatrixGroup.__new__(MatrixGroup)
-        out.elements = tuple(images[old] for old in order)
+        """The image under an injective homomorphism ``hom``, element ``i``
+        going to element ``i``: the image shares this group's inverses,
+        classes, conjugating elements and centralizers as they are."""
+        out = copy.copy(self)
+        out.elements = tuple(hom(g) for g in self.elements)
         out.dim = out.elements[0].nrows
         out.index_of = {g: i for i, g in enumerate(out.elements)}
-        if len(out.index_of) != len(order):
+        if len(out.index_of) != len(out.elements):
             raise ValueError("homomorphism is not injective on the group")
-        out._inverse = [position[self._inverse[old]] for old in order]
-        out._target = [position[self._target[old]] for old in order]
-        out._transporter = [position[self._transporter[old]] for old in order]
-        out._centralizers = {
-            position[r]: tuple(position[x] for x in c)
-            for r, c in self._centralizers.items()
-        }
-        out._set_classes([position[m] for m in c] for c in self.classes)
         return out
 
     @property

@@ -200,13 +200,12 @@ def e_stringy_reflexive(complex: ConeComplex) -> EPoly:
     dual_tables = tables_for(complex.dual())
     values = []
     for e in complex.group.class_reps:
-        e_hat = complex.dual_element_index(e)
         total = BiLaurent.zero()
         for face in complex.invariant_faces(e):
             face_dim = complex.faces[face].dim
             primal = BiLaurent.from_unipoly(tables.stilde.poly(face, e), -1, 1)
             partner = BiLaurent.from_unipoly(
-                dual_tables.stilde.poly(complex.dual_face_index(face), e_hat), 1, 1
+                dual_tables.stilde.poly(complex.dual_face_index(face), e), 1, 1
             )
             sign = complex.detsign(face, e) * (-1 if face_dim % 2 else 1)
             total = total + BiLaurent.monomial(face_dim, 0, sign) * primal * partner
@@ -237,14 +236,13 @@ def e_stringy_strata(complex: ConeComplex) -> EPoly:
     dual_tables = tables_for(complex.dual())
     values = []
     for e in complex.group.class_reps:
-        e_hat = complex.dual_element_index(e)
         total = BiLaurent.zero()
         for face in complex.invariant_faces(e):
             if complex.faces[face].dim == 0:
                 continue
             slice_part = e_affine_face(complex, face, e)
             weight = BiLaurent.from_unipoly(
-                dual_tables.phi.poly(complex.dual_face_index(face), e_hat), 1, 1
+                dual_tables.phi.poly(complex.dual_face_index(face), e), 1, 1
             )
             total = total + slice_part * weight
         values.append(_bounded(total, complex.dim - 1, "stringy E-polynomial"))
@@ -362,11 +360,10 @@ def mirror_check(complex: ConeComplex) -> MirrorReport:
     sign = -1 if (d - 1) % 2 else 1
     lefts, rights, residuals = [], [], []
     for e in complex.group.class_reps:
-        e_hat = complex.dual_element_index(e)
         factor = BiLaurent.monomial(
             d - 1, 0, sign * complex.detsign(complex.top_index, e)
         )
-        right = factor * right_side.value_of_element(e_hat).invert_u()
+        right = factor * right_side.value_of_element(e).invert_u()
         value = left.value_of_element(e)
         lefts.append(value)
         rights.append(right)

@@ -325,6 +325,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["phi", "--config", cube3c, "--gamma", "7"]) == 2
     assert "out of range" in capsys.readouterr().err
 
+    # a zero-dimensional ambient space is a bad config, not a cap hit
+    point = write_config(tmp_path, '{"vertices": [[]]}', "point.json")
+    assert cli.main(["faces", "--config", point]) == 2
+    assert "at least one coordinate" in capsys.readouterr().err
+
     # the 6-cross-polytope is within the dimension and vertex caps, but its
     # Fourier-Motzkin elimination hits the pair cap instead of running for
     # minutes: in the slice counts of phi, and with facets given already in

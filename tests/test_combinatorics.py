@@ -35,7 +35,7 @@ from equimirror.geometry.cones import (
 )
 from equimirror.geometry.intlinalg import IntMatrix, char_poly, det
 from equimirror.geometry.polytope import LatticePolytope
-from equimirror.groups import generate_group, inverse_unimodular
+from equimirror.groups import MatrixGroup, generate_group, inverse_unimodular
 from equimirror.invariants import mirror_check
 
 
@@ -330,24 +330,29 @@ def test_stilde_induction_crosscheck(sym3_cube3, cube4_central, quintic_a5):
 # -- unimodular change of coordinates ---------------------------------------------
 
 
-def test_tables_invariant_under_unimodular_map(sym3_cube3):
-    """``P -> U P`` with ``G -> U G U^-1`` leaves every top-face table
-    unchanged class by class; element order is lexicographic, so the class
-    of ``g`` is matched to the class of ``U g U^-1``, not by index."""
-    cx = sym3_cube3
-    n = cx.dim
-    u = random_unimodular(random.Random(2), n)
+def _moved(cx, u):
+    """``cx`` under ``P -> U P`` and ``G -> U G U^-1``."""
     u_inv = inverse_unimodular(u)
-    assert not u.is_identity()
     # facet a . x <= b of P becomes (a U^-1) . y <= b of U P
     image = LatticePolytope(
         [u.apply(v) for v in cx.polytope.vertices],
         [(u_inv.transpose().apply(a), b) for a, b in cx.polytope.facets],
     )
-    group = cx.base_group
-    moved = ConeComplex(
-        image, generate_group([u @ g @ u_inv for g in group.elements])
+    return ConeComplex(
+        image, generate_group([u @ g @ u_inv for g in cx.base_group.elements])
     )
+
+
+def test_tables_invariant_under_unimodular_map(sym3_cube3):
+    """``P -> U P`` with ``G -> U G U^-1`` leaves every top-face table
+    unchanged class by class; element order is lexicographic, so the class
+    of ``g`` is matched to the class of ``U g U^-1``, not by index."""
+    cx = sym3_cube3
+    u = random_unimodular(random.Random(2), cx.dim)
+    u_inv = inverse_unimodular(u)
+    assert not u.is_identity()
+    group = cx.base_group
+    moved = _moved(cx, u)
     assert moved.base_group.order == group.order
     match = [
         moved.base_group.class_index_of_element(u @ g @ u_inv)
@@ -364,6 +369,49 @@ def test_tables_invariant_under_unimodular_map(sym3_cube3):
     for ours, theirs in pairs:
         for k, k_moved in enumerate(match):
             assert ours.value_at_class(k) == theirs.value_at_class(k_moved)
+
+
+# -- polar duality ---------------------------------------------------------------------
+
+
+def _top_tables(cx, e):
+    tables, top = tables_for(cx), cx.top_index
+    return (
+        tables.phi.poly(top, e),
+        tables.hg.h_face(top, e),
+        tables.hg.g_face(top, e),
+        tables.stilde.poly(top, e),
+    )
+
+
+def test_dual_tables_match_an_independent_dual(sym3_cube3, cube4_central, quintic_a5):
+    """``cx.dual()``, whose group keeps the primal's element indices, has
+    the top-face ``phi``, ``h``, ``g`` and ``Stilde`` of a dual built from
+    scratch on the sorted contragredient group, at elements matched by
+    matrix."""
+    rng = random.Random(52113)
+    # signed permutations (the first three groups) are their own
+    # contragredients; A5 in Fermat coordinates and subgroups moved by a
+    # unimodular map mostly are not, so the sorted rebuild numbers their
+    # elements differently
+    models = [cube4_central, quintic_complex("(12)(34)", "(123)"), sym3_cube3]
+    models += [quintic_a5] + [
+        _moved(
+            ConeComplex(build_cube(3), _random_subgroup(rng, _SIGNED_PERMS3)),
+            random_unimodular(rng, 3),
+        )
+        for _ in range(2)
+    ]
+    reordered = 0
+    for cx in models:
+        dual, group = cx.dual(), cx.base_group
+        contragredients = MatrixGroup(map(group.dual_element, group.elements))
+        rebuilt = ConeComplex(cx.polytope.dual_reflexive(), contragredients)
+        reordered += rebuilt.base_group.elements != dual.base_group.elements
+        for e, g in enumerate(dual.base_group.elements):
+            matched = rebuilt.base_group.index_of[g]
+            assert _top_tables(dual, e) == _top_tables(rebuilt, matched), (cx, e)
+    assert reordered >= 2  # the sorted rebuild really numbers elements differently
 
 
 # -- one entry per orbit of (face, element) ------------------------------------------

@@ -73,7 +73,7 @@ def test_iter_system_matches_count():
     assert points == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (3, 0)]
 
 
-def test_backends_agree_random():
+def test_counts_match_box_enumeration_random():
     """Counts and point lists agree with box enumeration on random systems."""
     rng = random.Random(60646)
     for trial in range(90):
@@ -93,7 +93,7 @@ def test_backends_agree_random():
             assert len(set(pts)) == expected
 
 
-def test_big_coefficients_fall_back():
+def test_big_coefficients_count_exactly():
     # far beyond the 64-bit comfort zone: exact arithmetic must still win
     big = 10**12
     rows = [((1,), big), ((-1,), 0)]
@@ -107,7 +107,7 @@ def test_backend_name():
     assert scan.compiled_available() is False
 
 
-def test_int64_guard_bounds_the_running_sum():
+def test_running_sum_past_int64_counts_exactly():
     """Every entry is within 2**31, yet ``-2**31*x0 - 2**31*x1`` reaches
     2**63 on the box ``x0, x1 in [2**31 - 1, 2**31]``: a 64-bit running sum
     would overflow, exact integers count all 4 points."""
