@@ -97,8 +97,7 @@ def _class_indices(ctx: RunContext) -> List[int]:
 
 
 def _identity_class(cx: ConeComplex) -> int:
-    identity = IntMatrix.identity(cx.group.dim)
-    return cx.group.class_index_of_element(identity)
+    return cx.group.class_of(cx.group.identity_index)
 
 
 # ---------------------------------------------------------------------------

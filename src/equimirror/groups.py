@@ -7,6 +7,14 @@ its elements sorted lexicographically by their rows; every deterministic
 iteration order in the package (conjugacy classes, class
 representatives, report layouts) derives from that single convention.
 
+Groups are built on permutations, with no matrix products.  The orbit of
+the basis vectors ``e_1..e_n`` is the set of all columns of all elements;
+every element permutes it, and an element is determined by its *base
+image*, the positions of ``g e_1..g e_n`` in the orbit, which are its
+columns (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 4).  The closure, the inverses and the conjugacy
+classes compose these permutations and key elements by base image.
+
 Derived groups (contragredient, homogenized) are images
 (:meth:`MatrixGroup.image`): element ``i`` of an image is the image of
 element ``i``, so an image keeps its source's order and shares its
@@ -30,6 +38,8 @@ from .geometry.intlinalg import IntMatrix, det, hnf_rows
 
 GROUP_CAP_DEFAULT = 10080
 
+Base = Tuple[int, ...]
+
 
 def inverse_unimodular(matrix: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +1 or -1.
@@ -48,6 +58,45 @@ def inverse_unimodular(matrix: IntMatrix) -> IntMatrix:
     return IntMatrix([r[n:] for r in hermite.rows])
 
 
+class _Orbit:
+    """A finite set of points holding the basis vectors, sorted, and the
+    action on it of a matrix given by its base image.
+
+    The image of a point ``p`` under ``g`` is ``sum_k p_k g e_k``, so it
+    depends only on the nonzero coefficients of ``p`` and the base image
+    at their positions; it is memoised on those.
+    """
+
+    def __init__(self, points: Iterable[Tuple[int, ...]], n: int):
+        self.points = sorted(points)
+        self.position = {p: i for i, p in enumerate(self.points)}
+        self.basis: Base = tuple(self.position[e] for e in IntMatrix.identity(n).rows)
+        self._terms: List[Tuple[Base, Base]] = []
+        for p in self.points:
+            support = tuple(k for k, c in enumerate(p) if c)
+            self._terms.append((support, tuple(p[k] for k in support)))
+        self._memo: Dict[tuple, int] = {}
+
+    def base_of(self, columns: Sequence[Tuple[int, ...]]) -> Base:
+        return tuple(map(self.position.__getitem__, columns))
+
+    def images(self, base: Base) -> Base:
+        """Position of ``g p`` for every point ``p``, where ``g`` has base
+        image ``base``; -1 where ``g p`` is not a point of the set."""
+        memo, points, out = self._memo, self.points, []
+        for support, coeffs in self._terms:
+            key = (coeffs, *map(base.__getitem__, support))
+            j = memo.get(key)
+            if j is None:
+                cols = [points[q] for q in key[1:]]
+                image = tuple(
+                    sum(c * x for c, x in zip(coeffs, row)) for row in zip(*cols)
+                )
+                j = memo[key] = self.position.get(image, -1)
+            out.append(j)
+        return tuple(out)
+
+
 def generate_group(
     generators: Sequence[IntMatrix],
     cap: int = GROUP_CAP_DEFAULT,
@@ -55,11 +104,17 @@ def generate_group(
 ) -> "MatrixGroup":
     """Close a generating set under multiplication.
 
+    The orbit of the basis vectors under the generators is found first;
+    the closure then runs on base images, each new one the image of a
+    known one under a generator's permutation of that orbit, and each
+    element's matrix is read off its base image.
+
     An empty generating set yields the trivial group (of the given
     ``rank``, defaulting to 1, since nothing else pins the rank down).
     Raises :class:`NonInvertible` for a generator whose determinant is not
     +-1, and :class:`CapExceeded` as soon as the closure grows past ``cap``
-    elements.
+    elements, or the orbit past ``cap * n`` points (which a group within
+    the cap cannot reach, and an infinite group always passes).
     """
     gens = [g if isinstance(g, IntMatrix) else IntMatrix(g) for g in generators]
     if not gens:
@@ -72,14 +127,32 @@ def generate_group(
             raise ValueError("generators must be square matrices of equal size")
         if det(g) not in (1, -1):
             raise NonInvertible(f"generator {g!r} has determinant {det(g)}")
-    identity = IntMatrix.identity(n)
-    seen = {identity}
-    frontier = [identity]
+    limit = cap * n
+    points = set(IntMatrix.identity(n).rows)
+    frontier = list(points)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = g.apply(p)
+                if q not in points:
+                    if len(points) >= limit:
+                        raise CapExceeded(
+                            f"the orbit of the basis vectors exceeded {limit} points,"
+                            f" so the group exceeds the cap of {cap} elements"
+                        )
+                    points.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    orbit = _Orbit(points, n)
+    moves = [orbit.images(orbit.base_of(g.columns())).__getitem__ for g in gens]
+    seen = {orbit.basis}
+    frontier = [orbit.basis]
     while frontier:
         nxt = []
         for a in frontier:
-            for g in gens:
-                b = a @ g
+            for move in moves:
+                b = tuple(map(move, a))  # the base image of g a
                 if b not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(
@@ -88,18 +161,25 @@ def generate_group(
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
-    return MatrixGroup(seen)
+    column = orbit.points.__getitem__
+    return MatrixGroup(IntMatrix(zip(*map(column, b))) for b in seen)
 
 
 class MatrixGroup:
     """A finite group of unimodular integer matrices, given by its full element set.
 
     The element set must contain the identity and be closed under
-    inversion and multiplication.  Closure under multiplication is checked
-    only partly, on the products ``x^-1 r`` and ``x^-1 r x`` that building
-    the conjugacy classes forms for each class representative ``r``: that
-    rejects every abelian non-group (there every element is a
-    representative), but it is not a full ``|G|^2`` product check.
+    inversion and multiplication.  Every element permutes the orbit of
+    the basis vectors (the set of all columns of all elements) and is
+    keyed by its base image, the positions of its columns in that orbit.
+    The inverse of ``g`` is read off the inverted permutation: its column
+    ``j`` is the point that ``g`` sends to ``e_j``.  Closure under
+    multiplication is checked only partly: every element must map the
+    orbit into itself, and the products ``x^-1 r`` and ``x^-1 r x`` that
+    building the conjugacy classes forms for each class representative
+    ``r`` must be elements.  That rejects every abelian non-group (there
+    every element is a representative), but it is not a full ``|G|^2``
+    product check.
     """
 
     def __init__(self, elements: Iterable[IntMatrix]):
@@ -107,45 +187,69 @@ class MatrixGroup:
         if not els:
             raise ValueError("a group needs at least the identity")
         self.elements: Tuple[IntMatrix, ...] = tuple(els)
-        self.dim = els[0].nrows
+        self.dim = n = els[0].nrows
         self.index_of: Dict[IntMatrix, int] = {g: i for i, g in enumerate(els)}
-        identity = IntMatrix.identity(self.dim)
-        if identity not in self.index_of:
+        identity = self.index_of.get(IntMatrix.identity(n))
+        if identity is None:
             raise ValueError("element set does not contain the identity")
+        self.identity_index: int = identity
+        if any(g.shape != (n, n) for g in els):
+            raise ValueError("elements must be square matrices of equal size")
+        columns = [tuple(zip(*g.rows)) for g in els]
+        orbit = _Orbit(set().union(*columns), n)
+        bases = [orbit.base_of(c) for c in columns]
+        by_base = dict(zip(bases, range(len(els))))
+        perms: List[Base] = [()] * len(els)
         self._inverse: List[int] = [-1] * len(els)
+        into_orbit = True
         for i, g in enumerate(els):
             if self._inverse[i] >= 0:
                 continue
-            gi = inverse_unimodular(g)
-            j = self.index_of.get(gi)
+            d = det(g)
+            if d not in (1, -1):
+                raise NonInvertible(f"matrix has determinant {d}, not +-1")
+            perm = perms[i] = orbit.images(bases[i])
+            try:
+                j = by_base.get(tuple(map(perm.index, orbit.basis)))
+            except ValueError:  # some e_j is not the image of a point
+                j = None
             if j is None:
                 raise ValueError("element set is not closed under inversion")
             self._inverse[i] = j
             self._inverse[j] = i
-        self._build_classes()
+            if -1 in perm:
+                into_orbit = False
+            elif j != i:
+                perms[j] = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        if not into_orbit:
+            raise ValueError("element set is not closed under multiplication")
+        self._build_classes(bases, by_base, perms)
 
     # -- structure ----------------------------------------------------------
 
-    def _build_classes(self) -> None:
+    def _build_classes(
+        self, bases: List[Base], by_base: Dict[Base, int], perms: List[Base]
+    ) -> None:
         """Conjugacy classes, plus what :meth:`conjugator` and
         :meth:`centralizer` read: for every member ``m = x^-1 r x`` of the
         class of ``r``, one transporter ``x`` (so ``x m x^-1 = r``), and
-        the ``x`` with ``x^-1 r x = r``."""
-        elements, index_of = self.elements, self.index_of
-        inverses = [elements[j] for j in self._inverse]
-        target = [-1] * len(elements)
-        transporter = [-1] * len(elements)
+        the ``x`` with ``x^-1 r x = r``.  Products are formed on base
+        images: ``h g`` has base image ``perm(h)`` applied to that of ``g``."""
+        after = [p.__getitem__ for p in perms]
+        before = [after[j] for j in self._inverse]
+        target = [-1] * len(bases)
+        transporter = [-1] * len(bases)
         self._target, self._transporter = target, transporter
         self._centralizers: Dict[int, Tuple[int, ...]] = {}
         classes = []
-        for i, g in enumerate(elements):
+        for i, base in enumerate(bases):
             if target[i] >= 0:
                 continue
             members = []
             fixing = []
-            for x_idx, x in enumerate(elements):
-                xg = inverses[x_idx] @ g
-                m = index_of.get(xg @ x) if xg in index_of else None
+            for x_idx, (x_inv, x_base) in enumerate(zip(before, bases)):
+                xg = by_base.get(tuple(map(x_inv, base)))  # x^-1 r, then times x
+                m = None if xg is None else by_base.get(tuple(map(after[xg], x_base)))
                 if m is None:
                     raise ValueError("element set is not closed under multiplication")
                 if target[m] < 0:
@@ -194,6 +298,10 @@ class MatrixGroup:
     def centralizer(self, r: int) -> Tuple[int, ...]:
         """Indices of the centralizer of ``r``, a target of :meth:`conjugator`."""
         return self._centralizers[r]
+
+    def class_of(self, e: int) -> int:
+        """The index of the conjugacy class of the element with index ``e``."""
+        return self._class_of_index[e]
 
     def class_index_of_element(self, element: IntMatrix) -> int:
         idx = self.index_of.get(element)

@@ -32,7 +32,7 @@ from .errors import (
     SubgroupMismatch,
 )
 from .geometry.cones import ConeComplex, abstract_quotient
-from .geometry.intlinalg import IntMatrix, char_poly
+from .geometry.intlinalg import char_poly
 from .groups import MatrixGroup
 
 _T_MINUS_ONE = UniPoly((-1, 1))
@@ -69,12 +69,10 @@ class EPoly:
 
     def value_of_element(self, e: int) -> BiLaurent:
         """Value at the class of the element with index ``e``."""
-        return self.values[self.group.class_index_of_element(self.group.elements[e])]
+        return self.values[self.group.class_of(e)]
 
     def at_identity(self) -> BiLaurent:
-        return self.value_of_element(
-            self.group.index_of[IntMatrix.identity(self.group.dim)]
-        )
+        return self.value_of_element(self.group.identity_index)
 
     def classfun(self) -> ClassPoly:
         return ClassPoly(self.group, self.values)

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 from conftest import random_unimodular
 
+import equimirror.groups as groups_module
+from equimirror.cli.main import _QUINTIC_GROUPS
+from equimirror.cli.models import fermat_permutation
 from equimirror.errors import CapExceeded, NonInvertible, NotAnAction, SubgroupMismatch
 from equimirror.geometry.intlinalg import IntMatrix, det
 from equimirror.groups import (
@@ -105,6 +108,11 @@ def test_generate_group_guards():
     with pytest.raises(ValueError):
         generate_group([IntMatrix.identity(2)], rank=3)
     assert generate_group([], rank=3).order == 1
+    # an infinite group fails closed: the shear's orbit of e_2 never ends
+    with pytest.raises(CapExceeded):
+        generate_group([[[1, 1], [0, 1]]], cap=50)
+    with pytest.raises(NonInvertible, match="determinant 2"):
+        MatrixGroup([IntMatrix.identity(2), IntMatrix([[2, 0], [0, 1]])])
 
 
 def test_matrix_group_rejects_non_group_element_sets():
@@ -121,6 +129,131 @@ def test_matrix_group_rejects_non_group_element_sets():
     # but -I * diag(1, -1) = diag(-1, 1) is missing
     with pytest.raises(ValueError, match="not closed under multiplication"):
         MatrixGroup([identity, identity.scale(-1), IntMatrix([[1, 0], [0, -1]])])
+
+
+def hyperoctahedral_generators(n):
+    """Generators of ``B_n``, the signed permutation matrices of order
+    ``2^n n!``: a transposition, an ``n``-cycle and one sign change."""
+    flip = [list(r) for r in IntMatrix.identity(n).rows]
+    flip[0][0] = -1
+    cycle = "(" + "".join(str(k) for k in range(1, n + 1)) + ")"
+    return [
+        permutation_matrix(parse_cycles("(12)"), n),
+        permutation_matrix(parse_cycles(cycle), n),
+        IntMatrix(flip),
+    ]
+
+
+def reference_generate(gens):
+    """The closure by matrix products, right-multiplying by generators."""
+    identity = IntMatrix.identity(gens[0].nrows)
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = {a @ g for a in frontier for g in gens} - seen
+        seen |= frontier
+    return seen
+
+
+def reference_build(elements):
+    """The matrix-product build of a group's structure: sorted elements,
+    inverses by Hermite form, and classes found by conjugating each
+    representative ``r`` by every ``x`` in element order, the first ``x``
+    reaching a member being its transporter."""
+    els = sorted(set(elements))
+    index_of = {g: i for i, g in enumerate(els)}
+    inverse = [index_of[inverse_unimodular(g)] for g in els]
+    target, transporter = [-1] * len(els), [-1] * len(els)
+    classes, centralizers = [], {}
+    for i, g in enumerate(els):
+        if target[i] >= 0:
+            continue
+        members, fixing = [], []
+        for x_idx, x in enumerate(els):
+            m = index_of[els[inverse[x_idx]] @ g @ x]
+            if target[m] < 0:
+                target[m], transporter[m] = i, x_idx
+                members.append(m)
+            if m == i:
+                fixing.append(x_idx)
+        centralizers[i] = tuple(fixing)
+        classes.append(tuple(sorted(members)))
+    return {
+        "elements": tuple(els),
+        "inverse": inverse,
+        "classes": tuple(classes),
+        "reps": tuple(c[0] for c in classes),
+        "sizes": tuple(len(c) for c in classes),
+        "centralizers": centralizers,
+        "conjugators": [(transporter[m], target[m]) for m in range(len(els))],
+    }
+
+
+def test_permutation_build_matches_matrix_reference():
+    """The permutation build gives exactly the matrix-product build's
+    elements, inverses, classes, centralizers and transporters, on
+    signed permutation groups, on their conjugates by unimodular
+    matrices (which are not signed permutations) and on stabilizers."""
+    rng = random.Random(1717)
+    cases = [[fermat_permutation(w, 4) for w in ws] for ws in _QUINTIC_GROUPS.values()]
+    cases += [hyperoctahedral_generators(3), hyperoctahedral_generators(4)]
+    for gens in cases[:2] + cases[-2:]:
+        u = random_unimodular(rng, gens[0].nrows)
+        u_inv = inverse_unimodular(u)
+        cases.append([u @ g @ u_inv for g in gens])
+    checked = []
+    for gens in cases:
+        group = generate_group(gens)
+        checked.append((group, reference_build(reference_generate(gens))))
+        pair = (1, 1) + (0,) * (group.dim - 2)
+        for point in (group.elements[-1].col(0), pair):
+            subgroup = stabilizer(group, point, lambda g, v: g.apply(v))
+            checked.append((subgroup, reference_build(subgroup.elements)))
+    assert [g.order for g, _ in checked[::3]] == [
+        60, 120, 2, 4, 3, 5, 12, 6, 10, 48, 384, 60, 120, 48, 384
+    ]
+    for group, ref in checked:
+        assert group.elements == ref["elements"]
+        assert group._inverse == ref["inverse"]
+        assert group.classes == ref["classes"]
+        assert group.class_reps == ref["reps"]
+        assert group.class_sizes == ref["sizes"]
+        assert {r: group.centralizer(r) for r in group.class_reps} == ref["centralizers"]
+        assert [group.conjugator(m) for m in range(group.order)] == ref["conjugators"]
+        assert group.identity_index == group.index_of[IntMatrix.identity(group.dim)]
+        for m, g in enumerate(group.elements):
+            assert group.class_of(m) == group.class_index_of_element(g)
+            # the transporters of m are C(r) x; x is the first of them
+            x, r = group.conjugator(m)
+            xm = group.elements[x]
+            xs = [group.index_of[group.elements[c] @ xm] for c in group.centralizer(r)]
+            assert x == min(xs)
+
+
+def test_group_build_forms_no_matrix_products(monkeypatch):
+    """Closure, inverses and classes run on permutations: no matrix
+    product, where a matrix build makes thousands.  The determinant guard
+    still runs, even on the trivial group."""
+    products, dets = [], []
+
+    def counting_matmul(a, b, matmul=IntMatrix.__matmul__):
+        products.append((a, b))
+        return matmul(a, b)
+
+    def recording_det(m):
+        dets.append(m)
+        return det(m)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+    # groups calls intlinalg.det through its own module binding
+    monkeypatch.setattr(groups_module, "det", recording_det)
+    sym5 = generate_group([fermat_permutation(w, 4) for w in _QUINTIC_GROUPS["Sym5"]])
+    b4 = generate_group(hyperoctahedral_generators(4))
+    assert (sym5.order, b4.order) == (120, 384)
+    assert products == []
+    dets.clear()
+    trivial = generate_group([], rank=5)
+    assert trivial.order == 1
+    assert dets == [IntMatrix.identity(5)]
 
 
 def test_class_structure_sym3():
