@@ -83,13 +83,8 @@ def matrix_json(m: IntMatrix) -> List[List[int]]:
 
 
 def element_order(group: MatrixGroup, g: IntMatrix) -> int:
-    identity = IntMatrix.identity(group.dim)
-    power = g
-    n = 1
-    while power != identity:
-        power = power @ g
-        n += 1
-    return n
+    """The order of the element ``g``, which the group records per class."""
+    return group.class_orders[group.class_index_of_element(g)]
 
 
 def group_json(group: MatrixGroup) -> Dict[str, object]:

@@ -15,10 +15,15 @@ A height ``m`` slice is then a substitution, not a constraint: it is empty
 unless ``g`` divides ``m`` (for ``g = 0`` unless ``m = 0``), and otherwise
 fixing the first coordinate to ``m / g`` leaves a finite inequality system
 in the other coordinates, which ``scan.count_system`` counts with exact
-integers.
+integers.  Only the right-hand sides depend on ``m``, so every slice of a
+(face, element) pair has the same coefficient rows: ``scan`` eliminates
+them once and replays the elimination for each height, and a box-like
+slice is counted as a product of ranges.
 
-Bases and counts are memoised process-wide; the same query is asked over
-and over while the recursions assemble their tables.
+Bases and counts are memoised process-wide, and ``scan`` keeps its
+elimination plans beside them; the same query is asked over and over
+while the recursions assemble their tables.  :func:`clear_cache` drops
+all three.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ def cache_size() -> int:
 
 
 def clear_cache() -> None:
+    """Forget every count, face basis and elimination plan."""
     _cache.clear()
     _bases.clear()
+    scan.clear_plans()
 
 
 def homogenize(facets: Iterable[Tuple[Sequence[int], int]]) -> Tuple[Row, ...]:

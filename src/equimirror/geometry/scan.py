@@ -7,28 +7,46 @@ Rows are gcd-normalised with floored right-hand sides — valid because we
 only ever care about integer points — and deduplicated keeping the
 tightest bound.
 
+Which rows survive, which pairs combine and how the levels sort depend on
+the coefficients alone, and the slices of one face at different heights
+share their coefficients.  So the elimination runs once per coefficient
+system (:func:`eliminate`, memoised here for the life of the process and
+dropped by :func:`clear_plans`), and each call replays it on its own
+right-hand sides: floor-divide, combine, keep the least per row.  The
+replay returns exactly what a full elimination would.
+
 ``levels[j]`` then holds rows ``(c_0, ..., c_j, rhs)`` with ``c_j != 0``,
 meaning ``sum c_i x_i <= rhs``, and by the projection property the rows
 at level ``j`` bound ``x_j`` exactly once ``x_0 .. x_{j-1}`` are fixed.
-``count_levels`` walks the levels innermost-last and counts the last one
-in closed form; ``prepare_levels -> count_levels`` is the one route from
-rows to a count.  The scan is pure Python with exact integers, so no
-entry is too large for it.
+``count_levels`` counts the trailing levels that read no earlier variable
+(all of them in a box) once, as a product of their ranges, and walks the
+levels above them point by point; ``prepare_levels -> count_levels`` is
+the one route from rows to a count.  The scan is pure Python with exact
+integers, so no entry is too large for it.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..errors import DimensionCap
 
 Row = Tuple[int, ...]
 Levels = List[Tuple[Row, ...]]
+Plan = tuple
 
 # Slice counts on the 5-cross-polytope combine at most 2,209 row pairs in one
 # elimination step; on the 6-cross-polytope one step needs 667,489.
 FM_PAIR_CAP = 100_000
+
+# elimination plans by (k, coefficient rows), for the life of the process
+_plans: Dict[tuple, Plan] = {}
+
+
+def clear_plans() -> None:
+    """Forget every elimination plan."""
+    _plans.clear()
 
 
 def compiled_available() -> bool:
@@ -39,6 +57,115 @@ def compiled_available() -> bool:
 def backend_name(levels: Levels | None = None) -> str:
     """The scan backend that counts ``levels``: always ``"python"``."""
     return "python"
+
+
+def eliminate(k: int, coeffs: Tuple[Row, ...]) -> Plan:
+    """Fourier-Motzkin elimination of the coefficient rows alone.
+
+    Which rows a step keeps, which pairs it combines and how the levels
+    sort depend only on the coefficients, so the elimination is planned
+    once per coefficient system and :func:`_replay` carries any
+    right-hand sides through it.  The plan is flat:
+
+    - per input row, its pool slot (-1 for an all-zero row) and the gcd
+      that divides it;
+    - per level, in elimination order, the positive and the negative
+      slots with their ``|c_j|``, and the level's rows as sorted
+      ``(prefix, slot)`` lists;
+    - per combined pair, in elimination order, its target slot (-1 for
+      an all-zero combination) and the gcd that divides it.
+
+    Raises :class:`DimensionCap` for a step over ``FM_PAIR_CAP`` pairs.
+    """
+    slot_of: Dict[Row, int] = {}
+    key_of: List[Row] = []
+    live: List[int] = []
+
+    def normalise(cs: Row) -> Tuple[int, int]:
+        g = 0
+        for c in cs:
+            g = gcd(g, c)
+        if g == 0:
+            return -1, 0
+        if g > 1:
+            cs = tuple(c // g for c in cs)
+        s = slot_of.get(cs)
+        if s is None:
+            s = slot_of[cs] = len(key_of)
+            key_of.append(cs)
+            live.append(s)
+        return s, g
+
+    row_slot: List[int] = []
+    row_div: List[int] = []
+    for cs in coeffs:
+        s, g = normalise(cs)
+        row_slot.append(s)
+        row_div.append(g)
+
+    steps = []
+    target: List[int] = []
+    divisor: List[int] = []
+    for j in range(k - 1, -1, -1):
+        here = [s for s in live if key_of[s][j] != 0]
+        live[:] = [s for s in live if key_of[s][j] == 0]
+        pos = [s for s in here if key_of[s][j] > 0]
+        neg = [s for s in here if key_of[s][j] < 0]
+        pairs = len(pos) * len(neg)
+        if pairs > FM_PAIR_CAP:
+            raise DimensionCap(
+                f"elimination would combine {pairs} row pairs (cap {FM_PAIR_CAP})"
+            )
+        level = sorted((key_of[s][: j + 1], s) for s in here)
+        alphas = [key_of[s][j] for s in pos]
+        betas = [-key_of[s][j] for s in neg]
+        steps.append((j, pos, alphas, neg, betas, level))
+        for sp, alpha in zip(pos, alphas):
+            cp = key_of[sp]
+            for sn, beta in zip(neg, betas):
+                cn = key_of[sn]
+                s, g = normalise(tuple(beta * a + alpha * b for a, b in zip(cp, cn)))
+                target.append(s)
+                divisor.append(g)
+    return row_slot, row_div, len(key_of), steps, target, divisor
+
+
+def _replay(plan: Plan, rhs: List[int]) -> Tuple[bool, Levels]:
+    """``(feasible, levels)`` for right-hand sides ``rhs`` of the planned
+    rows: floor-divide by each row's gcd, combine ``beta*rp + alpha*rn``,
+    keep the least per slot, and fail on a negative all-zero row."""
+    row_slot, row_div, nslots, steps, target, divisor = plan
+    feasible = True
+    bound: List[int | None] = [None] * nslots
+    for s, g, r in zip(row_slot, row_div, rhs):
+        if s < 0:
+            if r < 0:
+                feasible = False
+            continue
+        r //= g
+        old = bound[s]
+        if old is None or r < old:
+            bound[s] = r
+    levels: Levels = [()] * len(steps)
+    targets, divisors = iter(target), iter(divisor)
+    for j, pos, alphas, neg, betas, level in steps:
+        levels[j] = tuple(p + (bound[s],) for p, s in level)
+        negative = [bound[s] for s in neg]
+        for sp, alpha in zip(pos, alphas):
+            rp = bound[sp]
+            # zip draws from betas first, so the shared iterators advance
+            # exactly once per pair
+            for beta, rn, t, g in zip(betas, negative, targets, divisors):
+                r = beta * rp + alpha * rn
+                if t < 0:
+                    if r < 0:
+                        feasible = False
+                    continue
+                r //= g
+                old = bound[t]
+                if old is None or r < old:
+                    bound[t] = r
+    return feasible, levels
 
 
 def prepare_levels(
@@ -52,55 +179,23 @@ def prepare_levels(
     rows are already contradictory; the levels are then meaningless.
     A step that would combine over ``FM_PAIR_CAP`` row pairs raises
     :class:`DimensionCap` instead of running for minutes.
+
+    The elimination is planned once per coefficient system (see
+    :func:`eliminate`) and replayed for each call's right-hand sides.
     """
-    feasible = True
-    pool: dict = {}
-
-    def add(coeffs: Tuple[int, ...], rhs: int) -> None:
-        nonlocal feasible
-        g = 0
-        for c in coeffs:
-            g = gcd(g, c)
-        if g == 0:
-            if rhs < 0:
-                feasible = False
-            return
-        if g > 1:
-            coeffs = tuple(c // g for c in coeffs)
-            rhs //= g
-        prev = pool.get(coeffs)
-        if prev is None or rhs < prev:
-            pool[coeffs] = rhs
-
-    for coeffs, rhs in rows:
-        cs = tuple(int(c) for c in coeffs)
+    coeffs: List[Row] = []
+    rhs: List[int] = []
+    for cs, r in rows:
+        cs = tuple(int(c) for c in cs)
         if len(cs) != k:
             raise ValueError(f"row of width {len(cs)} in a {k}-variable system")
-        add(cs, int(rhs))
-
-    levels: Levels = [()] * k
-    for j in range(k - 1, -1, -1):
-        here = [(c, r) for c, r in pool.items() if c[j] != 0]
-        pool = {c: r for c, r in pool.items() if c[j] == 0}
-        levels[j] = tuple(sorted(c[: j + 1] + (r,) for c, r in here))
-        positive = sum(1 for c, _ in here if c[j] > 0)
-        pairs = positive * (len(here) - positive)
-        if pairs > FM_PAIR_CAP:
-            raise DimensionCap(
-                f"elimination would combine {pairs} row pairs (cap {FM_PAIR_CAP})"
-            )
-        for cp, rp in here:
-            if cp[j] <= 0:
-                continue
-            for cn, rn in here:
-                if cn[j] >= 0:
-                    continue
-                alpha, beta = cp[j], -cn[j]
-                add(
-                    tuple(beta * a + alpha * b for a, b in zip(cp, cn)),
-                    beta * rp + alpha * rn,
-                )
-    return feasible, levels
+        coeffs.append(cs)
+        rhs.append(int(r))
+    key = (k, tuple(coeffs))
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _plans[key] = eliminate(k, key[1])
+    return _replay(plan, rhs)
 
 
 def _bounds(rows: Sequence[Row], x: List[int], j: int) -> Tuple[int, int]:
@@ -125,19 +220,42 @@ def _bounds(rows: Sequence[Row], x: List[int], j: int) -> Tuple[int, int]:
     return lo, hi
 
 
+def _free_tail(levels: Levels) -> Tuple[int, List[Tuple[int, int]]]:
+    """``(t, ranges)``: levels ``t..k-1`` read no earlier variable (every
+    ``row[:j]`` is zero, as in a box), and ``ranges`` are their fixed
+    integer ranges ``[lo, hi]``.  Level 0 reads none, so ``t = 0`` exactly
+    when every level is free."""
+    t = len(levels)
+    while t > 0 and not any(any(row[: t - 1]) for row in levels[t - 1]):
+        t -= 1
+    x = [0] * len(levels)
+    return t, [_bounds(levels[j], x, j) for j in range(t, len(levels))]
+
+
 def count_levels(levels: Levels) -> int:
-    """Count the integer solutions of a prepared (feasible) system."""
-    k = len(levels)
-    if k == 0:
-        return 1  # zero variables: the empty point, feasibility already checked
-    x = [0] * k
+    """Count the integer solutions of a prepared (feasible) system.
+
+    The free trailing levels (see :func:`_free_tail`) are counted once,
+    as the product of their range sizes; the levels above them are
+    walked point by point.
+    """
+    t, ranges = _free_tail(levels)
+    tail = 1
+    for lo, hi in ranges:
+        if hi < lo:
+            return 0
+        tail *= hi - lo + 1
+    if t == 0:
+        return tail  # also zero variables: the empty point
+    x = [0] * t
+    last = t - 1
 
     def rec(j: int) -> int:
         lo, hi = _bounds(levels[j], x, j)
         if hi < lo:
             return 0
-        if j == k - 1:
-            return hi - lo + 1
+        if j == last:
+            return (hi - lo + 1) * tail
         total = 0
         for val in range(lo, hi + 1):
             x[j] = val

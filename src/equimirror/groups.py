@@ -30,6 +30,7 @@ group acting on the dual lattice.
 from __future__ import annotations
 
 import copy
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .algebra.classfun import ClassFun
@@ -56,6 +57,22 @@ def inverse_unimodular(matrix: IntMatrix) -> IntMatrix:
     identity = IntMatrix.identity(n)
     hermite = hnf_rows(IntMatrix([r + e for r, e in zip(matrix.rows, identity.rows)]))
     return IntMatrix([r[n:] for r in hermite.rows])
+
+
+def _perm_order(perm: Base) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = perm[p]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
 
 
 class _Orbit:
@@ -234,14 +251,16 @@ class MatrixGroup:
         :meth:`centralizer` read: for every member ``m = x^-1 r x`` of the
         class of ``r``, one transporter ``x`` (so ``x m x^-1 = r``), and
         the ``x`` with ``x^-1 r x = r``.  Products are formed on base
-        images: ``h g`` has base image ``perm(h)`` applied to that of ``g``."""
+        images: ``h g`` has base image ``perm(h)`` applied to that of ``g``.
+        A representative's order is that of its permutation of the orbit,
+        which spans the lattice: the lcm of its cycle lengths."""
         after = [p.__getitem__ for p in perms]
         before = [after[j] for j in self._inverse]
         target = [-1] * len(bases)
         transporter = [-1] * len(bases)
         self._target, self._transporter = target, transporter
         self._centralizers: Dict[int, Tuple[int, ...]] = {}
-        classes = []
+        classes, orders = [], []
         for i, base in enumerate(bases):
             if target[i] >= 0:
                 continue
@@ -260,11 +279,13 @@ class MatrixGroup:
                     fixing.append(x_idx)
             self._centralizers[i] = tuple(fixing)
             classes.append(tuple(sorted(members)))
+            orders.append(_perm_order(perms[i]))
         # classes are found in order of their smallest member, which is
         # also the representative and every member's target
         self.classes: Tuple[Tuple[int, ...], ...] = tuple(classes)
         self.class_reps: Tuple[int, ...] = tuple(c[0] for c in classes)
         self.class_sizes: Tuple[int, ...] = tuple(len(c) for c in classes)
+        self.class_orders: Tuple[int, ...] = tuple(orders)
         class_of = {r: k for k, r in enumerate(self.class_reps)}
         self._class_of_index: Tuple[int, ...] = tuple(class_of[r] for r in target)
 

@@ -10,6 +10,7 @@ import pytest
 
 from equimirror.cli.models import build_cube, build_cross, build_fermat, build_simplex
 from equimirror.cli.models import fermat_permutation
+from equimirror.geometry import scan
 from equimirror.geometry.counting import (
     cache_size,
     fixed_slice_count,
@@ -142,17 +143,22 @@ def test_cache_grows_and_clears():
     counting.clear_cache()
     assert cache_size() == 0
     assert not counting._bases
+    assert not scan._plans
     cube = build_cube(2)
     count_polytope(cube, 1)
     assert cache_size() == 1
     assert len(counting._bases) == 1
+    assert len(scan._plans) == 1
     count_polytope(cube, 1)
     count_polytope(cube, 2)
     assert cache_size() == 2
     assert len(counting._bases) == 1
+    # the two heights share one coefficient system, so one plan
+    assert len(scan._plans) == 1
     counting.clear_cache()
     assert cache_size() == 0
     assert not counting._bases
+    assert not scan._plans
 
 
 def test_height_step_above_one():

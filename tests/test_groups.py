@@ -10,8 +10,10 @@ from conftest import random_unimodular
 
 import equimirror.groups as groups_module
 from equimirror.cli.main import _QUINTIC_GROUPS
-from equimirror.cli.models import fermat_permutation
+from equimirror.cli.models import ModelConfig, build_model, fermat_permutation
+from equimirror.cli.report import element_order
 from equimirror.errors import CapExceeded, NonInvertible, NotAnAction, SubgroupMismatch
+from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix, det
 from equimirror.groups import (
     MatrixGroup,
@@ -254,6 +256,36 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
     trivial = generate_group([], rank=5)
     assert trivial.order == 1
     assert dets == [IntMatrix.identity(5)]
+
+
+def power_order(g: IntMatrix) -> int:
+    """The order of ``g`` by repeated matrix products."""
+    identity = IntMatrix.identity(g.nrows)
+    power, n = g, 1
+    while power != identity:
+        power = power @ g
+        n += 1
+    return n
+
+
+def test_element_orders_match_matrix_powers():
+    """Orders read off the basis-vector-orbit permutations, per class, are
+    those of repeated products, on every element of the nine quintic
+    groups, ``B4`` and cube4's ``central`` (and its cone and dual images)."""
+    groups = [
+        generate_group([fermat_permutation(w, 4) for w in ws])
+        for ws in _QUINTIC_GROUPS.values()
+    ]
+    groups.append(generate_group(hyperoctahedral_generators(4)))
+    polytope, central, _ = build_model(ModelConfig(builtin="cube", d=4, group=("central",)))
+    cx = ConeComplex(polytope, central)
+    groups += [central, cx.group, cx.dual().group]
+    for group in groups:
+        for k, members in enumerate(group.classes):
+            for e in members:
+                g = group.elements[e]
+                assert element_order(group, g) == group.class_orders[k] == power_order(g)
+    assert sorted(set(groups[-4].class_orders)) == [1, 2, 3, 4, 6, 8]
 
 
 def test_class_structure_sym3():

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from math import gcd
 
 import pytest
 
+from equimirror.cli.main import run
+from equimirror.cli.models import build_cross, build_cube, parse_config
 from equimirror.errors import DimensionCap
-from equimirror.geometry import scan
+from equimirror.geometry import counting, scan
+from equimirror.geometry.counting import homogenize, slice_system
+from equimirror.geometry.intlinalg import IntMatrix
 
 
 def brute_count(rows, k, box=12):
@@ -141,6 +147,9 @@ def test_fm_pair_cap_fails_closed(monkeypatch):
     over = int(scan.FM_PAIR_CAP**0.5) + 1
     with pytest.raises(DimensionCap, match="row pairs"):
         scan.prepare_levels(fan_rows(over, over), 2)
+    # a refused system leaves no elimination plan behind: it fails again
+    with pytest.raises(DimensionCap, match="row pairs"):
+        scan.prepare_levels(fan_rows(over, over), 2)
     with pytest.raises(DimensionCap):
         scan.count_system(fan_rows(over, over), 2)
     # the cap is inclusive: a step of exactly the cap still runs
@@ -149,3 +158,179 @@ def test_fm_pair_cap_fails_closed(monkeypatch):
     assert feasible and len(levels[1]) == 5
     with pytest.raises(DimensionCap, match="9 row pairs"):
         scan.prepare_levels(fan_rows(3, 3), 2)
+
+
+# ---------------------------------------------------------------------------
+# the planned elimination against a straight one
+
+
+def reference_prepare_levels(rows, k):
+    """Fourier-Motzkin elimination with the right-hand sides carried
+    along, one full elimination per call: the reference for the plan and
+    replay of :func:`scan.prepare_levels`."""
+    feasible = True
+    pool = {}
+
+    def add(coeffs, rhs):
+        nonlocal feasible
+        g = 0
+        for c in coeffs:
+            g = gcd(g, c)
+        if g == 0:
+            if rhs < 0:
+                feasible = False
+            return
+        if g > 1:
+            coeffs = tuple(c // g for c in coeffs)
+            rhs //= g
+        prev = pool.get(coeffs)
+        if prev is None or rhs < prev:
+            pool[coeffs] = rhs
+
+    for coeffs, rhs in rows:
+        cs = tuple(int(c) for c in coeffs)
+        if len(cs) != k:
+            raise ValueError(f"row of width {len(cs)} in a {k}-variable system")
+        add(cs, int(rhs))
+
+    levels = [()] * k
+    for j in range(k - 1, -1, -1):
+        here = [(c, r) for c, r in pool.items() if c[j] != 0]
+        pool = {c: r for c, r in pool.items() if c[j] == 0}
+        levels[j] = tuple(sorted(c[: j + 1] + (r,) for c, r in here))
+        positive = sum(1 for c, _ in here if c[j] > 0)
+        pairs = positive * (len(here) - positive)
+        if pairs > scan.FM_PAIR_CAP:
+            raise DimensionCap(
+                f"elimination would combine {pairs} row pairs (cap {scan.FM_PAIR_CAP})"
+            )
+        for cp, rp in here:
+            if cp[j] <= 0:
+                continue
+            for cn, rn in here:
+                if cn[j] >= 0:
+                    continue
+                alpha, beta = cp[j], -cn[j]
+                add(
+                    tuple(beta * a + alpha * b for a, b in zip(cp, cn)),
+                    beta * rp + alpha * rn,
+                )
+    return feasible, levels
+
+
+def random_coefficient_rows(rng, k):
+    """A bounded system's coefficient rows: a box, random cuts with
+    non-unit gcds, a repeated row and an all-zero row."""
+    rows = [r for r, _ in unit_box_rows(k, 0, 0)]
+    for _ in range(rng.randint(1, 5)):
+        scale = rng.choice((1, 2, 3, 6))
+        rows.append(tuple(scale * rng.randint(-3, 3) for _ in range(k)))
+    rows.append(rng.choice(rows))
+    rows.append((0,) * k)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_replay_matches_reference_random():
+    rng = random.Random(31337)
+    scan.clear_plans()
+    outcomes = set()
+    for trial in range(150):
+        k = rng.randint(1, 4)
+        coeffs = random_coefficient_rows(rng, k)
+        # several right-hand sides in a row on one coefficient system: the
+        # first call plans the elimination, the others replay it
+        for _ in range(4):
+            rows = [(c, rng.randint(-2, 9)) for c in coeffs]
+            expected = reference_prepare_levels(rows, k)
+            assert scan.prepare_levels(rows, k) == expected, (trial, rows)
+            outcomes.add(expected[0])
+    assert outcomes == {True, False}
+    # a negative all-zero row makes the system infeasible at any other rhs
+    coeffs = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)]
+    for zero_rhs, feasible in ((0, True), (-1, False), (3, True)):
+        rows = list(zip(coeffs, (2, 2, 2, 2, zero_rhs)))
+        assert scan.prepare_levels(rows, 2)[0] is feasible
+        assert scan.prepare_levels(rows, 2) == reference_prepare_levels(rows, 2)
+
+
+@pytest.mark.parametrize("polytope", [build_cube(5), build_cross(5)], ids=["cube5", "cross5"])
+def test_replay_matches_reference_on_top_face_slices(polytope):
+    cone_rows = homogenize(polytope.facets)
+    identity = IntMatrix.identity(polytope.dim + 1)
+    for m in range(7):
+        for interior in (False, True):
+            rows, k = slice_system(cone_rows, (), identity, m, interior)
+            assert scan.prepare_levels(rows, k) == reference_prepare_levels(rows, k)
+
+
+def test_phi_eliminates_once_per_coefficient_system(monkeypatch):
+    """A ``phi`` run asks for many heights of few coefficient systems; each
+    system is eliminated once and every other call replays its plan."""
+    eliminations, systems = [], []
+    eliminate, prepare = scan.eliminate, scan.prepare_levels
+
+    def counted_eliminate(k, coeffs):
+        eliminations.append((k, coeffs))
+        return eliminate(k, coeffs)
+
+    def recorded_prepare(rows, k):
+        rows = list(rows)
+        systems.append((k, tuple(tuple(c) for c, _ in rows)))
+        return prepare(rows, k)
+
+    monkeypatch.setattr(scan, "eliminate", counted_eliminate)
+    monkeypatch.setattr(scan, "prepare_levels", recorded_prepare)
+    counting.clear_cache()
+    config = {"builtin": "cube", "d": 3, "group": ["central"], "commands": ["phi"]}
+    run(parse_config(json.dumps(config)))
+    counting.clear_cache()
+    assert len(eliminations) == len(set(systems)) == len(set(eliminations))
+    assert len(eliminations) < len(systems) // 3
+
+
+# ---------------------------------------------------------------------------
+# free trailing levels counted as a product
+
+
+def assert_counts_match(rows, k, box=8):
+    expected = brute_count(rows, k, box)
+    feasible, levels = scan.prepare_levels(rows, k)
+    assert (scan.count_levels(levels) if feasible else 0) == expected
+    points = list(scan.iter_system(rows, k))
+    assert len(points) == len(set(points)) == expected
+    assert points == sorted(points)
+    return levels
+
+
+def test_all_levels_free_is_a_product():
+    rows = unit_box_rows(3, -2, 1) + [((0, 2, 0), 3)]  # x1 <= 1, after gcd
+    levels = assert_counts_match(rows, 3)
+    assert scan._free_tail(levels) == (0, [(-2, 1), (-2, 1), (-2, 1)])
+    assert scan.count_levels(levels) == 64
+
+
+def test_free_tail_under_a_dependent_level():
+    # x0 in [0, 3], -x0 <= x1 <= x0, then x2 and x3 free of both
+    rows = unit_box_rows(4, -1, 2) + [((-1, 1, 0, 0), 0), ((-1, -1, 0, 0), 0)]
+    levels = assert_counts_match(rows, 4)
+    assert scan._free_tail(levels)[0] == 2
+
+
+def test_free_level_above_a_dependent_one_is_walked():
+    # x1 reads no earlier variable, but x2 <= x1 reads it: no level is in
+    # the free tail, and x1 must stay in the walk
+    rows = unit_box_rows(3, 0, 3) + [((0, -1, 1), 0)]
+    levels = assert_counts_match(rows, 3)
+    assert not any(row[0] for row in levels[1])
+    assert any(row[1] for row in levels[2])
+    assert scan._free_tail(levels)[0] == 3
+
+
+def test_empty_free_level_counts_zero():
+    # hand-built levels: x1 <= 2 and x1 >= 5 never both hold, whatever x0 is
+    levels = [((1, 3), (-1, 0)), ((0, 1, 2), (0, -1, -5))]
+    assert scan.count_levels(levels) == 0
+    rows = [((1, 0), 3), ((-1, 0), 0), ((0, 1), 2), ((0, -1), -5)]
+    assert brute_count(rows, 2) == 0
+    assert list(scan.iter_system(rows, 2)) == []
