@@ -225,25 +225,19 @@ class BiLaurent:
         return f"BiLaurent({self!s})"
 
     def __str__(self) -> str:
+        """Terms by total degree, then by ``u`` exponent: ``1 - v - u + uv``,
+        ``3*u^(-1)v^2``; the text reports print."""
         if not self.terms:
             return "0"
         parts = []
         for (p, q) in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0])):
             c = self.terms[(p, q)]
-            factors = []
-            if p:
-                factors.append("u" if p == 1 else f"u^{p}")
-            if q:
-                factors.append("v" if q == 1 else f"v^{q}")
-            body = "*".join(factors)
+            body = _power("u", p) + _power("v", q)
             if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
+                body = str(abs(c))
+            elif abs(c) != 1:
+                body = f"{abs(c)}*{body}"
+            parts.append(f"-{body}" if c < 0 else body)
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
@@ -252,6 +246,14 @@ class BiLaurent:
             f"{p},{q}": [c.numerator, c.denominator]
             for (p, q), c in sorted(self.terms.items())
         }
+
+
+def _power(var: str, e: int) -> str:
+    if e == 0:
+        return ""
+    if e == 1:
+        return var
+    return f"{var}^{e}" if e > 0 else f"{var}^({e})"
 
 
 def _as_bilaurent(value):

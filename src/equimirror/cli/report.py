@@ -27,39 +27,12 @@ def format_fraction(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _format_coeff(c: Fraction, monomial: str, first: bool) -> str:
-    """One signed term, omitting unit coefficients next to a monomial."""
-    sign = "-" if c < 0 else "+"
-    mag = abs(c)
-    body = monomial if mag == 1 and monomial else (
-        format_fraction(mag) if not monomial else f"{format_fraction(mag)}*{monomial}"
-    )
-    if first:
-        return body if c > 0 else f"-{body}"
-    return f" {sign} {body}"
-
-
-def _power(var: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return var
-    return f"{var}^{e}" if e > 0 else f"{var}^({e})"
-
-
 def format_unipoly(p: UniPoly) -> str:
     return str(p)
 
 
 def format_bilaurent(b: BiLaurent) -> str:
-    terms = sorted(b.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
-    if not terms:
-        return "0"
-    out = []
-    for k, ((p, q), c) in enumerate(terms):
-        mono = "".join(filter(None, (_power("u", p), _power("v", q))))
-        out.append(_format_coeff(c, mono, first=k == 0))
-    return "".join(out)
+    return str(b)
 
 
 def fraction_json(x: Fraction) -> List[int]:

@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..algebra.unipoly import UniPoly
-from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
+from ..errors import IdentityFailure, NonInvertible, NotInvariant, SubgroupMismatch
 from ..groups import MatrixGroup, orbits, stabilizer
 from . import counting
 from .intlinalg import IntMatrix, char_poly, integer_kernel, solve_in_row_basis
@@ -180,7 +180,7 @@ class ConeComplex:
         span = self.faces[f].span
         g = self.group.elements[e]
         cols = [solve_in_row_basis(span, g.apply(row)) for row in span.rows]
-        return IntMatrix.from_columns(cols) if cols else IntMatrix(())
+        return IntMatrix.from_columns(cols)
 
     def charpoly(self, f: int, e: int) -> UniPoly:
         """Monic characteristic polynomial of the face restriction, the one
@@ -243,21 +243,19 @@ class ConeComplex:
     def dual_face_index(self, f: int) -> int:
         """Index in ``dual()`` of the face dual to face ``f``.
 
-        The dual face is spanned by the dual vertices matching the primal
-        facets containing ``f``; its dimension complements ``f``'s.
+        Dual vertex ``i`` is primal facet ``i``: the dual's vertices are the
+        facet normals, and both lists are sorted by normal (every offset of
+        a reflexive polytope is 1).  So the dual face is spanned by the dual
+        vertices numbered ``f.tight``; its dimension complements ``f``'s.
         """
         if self._dual_faces is None:
             dual = self.dual()
-            normal_to_dual_vertex = {
-                a: dual.polytope.vertex_index(a) for a, _ in self.polytope.facets
-            }
+            normals = tuple(a for a, _ in self.polytope.facets)
+            if dual.polytope.vertices != normals:  # pragma: no cover - sanity
+                raise IdentityFailure("dual vertices are not the facet normals in order")
             pairs = []
             for face in self.faces:
-                image = frozenset(
-                    normal_to_dual_vertex[self.polytope.facets[i][0]]
-                    for i in face.tight
-                )
-                j = dual._index_of_vertexset[image]
+                j = dual._index_of_vertexset[frozenset(face.tight)]
                 if dual.faces[j].dim != self.cdim - face.dim:  # pragma: no cover
                     raise NotInvariant("dual pairing does not complement dimensions")
                 pairs.append(j)

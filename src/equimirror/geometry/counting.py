@@ -20,10 +20,12 @@ integers.  Only the right-hand sides depend on ``m``, so every slice of a
 them once and replays the elimination for each height, and a box-like
 slice is counted as a product of ranges.
 
-Bases and counts are memoised process-wide, and ``scan`` keeps its
-elimination plans beside them; the same query is asked over and over
-while the recursions assemble their tables.  :func:`clear_cache` drops
-all three.
+Each slice family, one ``(cone rows, tight facets, element)``, has one
+process-wide memo entry: its basis, ``g``, its rows and the counts found
+so far, keyed by ``(m, interior)``.  A count is asked for over and over
+while the recursions assemble their tables, and across models that share
+a face and an element.  ``scan`` keeps its elimination plans beside these
+entries; :func:`clear_cache` drops both.
 """
 
 from __future__ import annotations
@@ -34,19 +36,19 @@ from . import scan
 from .intlinalg import IntMatrix, integer_kernel, vec_dot
 
 Row = Tuple[int, ...]
-FaceBasis = Tuple[IntMatrix, int, Tuple[Row, ...]]
+# (basis, g, rows, counts by (m, interior)), one per slice family
+Family = Tuple[IntMatrix, int, Tuple[Row, ...], Dict[Tuple[int, bool], int]]
 
-_cache: Dict[tuple, int] = {}
-_bases: Dict[tuple, FaceBasis] = {}
+_bases: Dict[tuple, Family] = {}
 
 
 def cache_size() -> int:
-    return len(_cache)
+    """The number of counts held."""
+    return sum(len(family[3]) for family in _bases.values())
 
 
 def clear_cache() -> None:
     """Forget every count, face basis and elimination plan."""
-    _cache.clear()
     _bases.clear()
     scan.clear_plans()
 
@@ -59,13 +61,14 @@ def homogenize(facets: Iterable[Tuple[Sequence[int], int]]) -> Tuple[Row, ...]:
 
 def _face_basis(
     cone_rows: Tuple[Row, ...], tight: Tuple[int, ...], matrix: IntMatrix
-) -> FaceBasis:
-    """The fixed lattice of a face, height first: ``(basis, g, rows)``.
+) -> Family:
+    """The fixed lattice of a face, height first: ``(basis, g, rows,
+    counts)``.
 
     ``basis`` has one column per kernel coordinate; column 0 has height
     ``g >= 0`` and the others height 0 (``g = 0`` when the whole kernel
     lies at height 0).  ``rows`` are the non-tight cone rows written in
-    the basis.
+    the basis; ``counts`` is the family's count memo.
     """
     key = (cone_rows, tight, matrix.rows)
     hit = _bases.get(key)
@@ -73,8 +76,11 @@ def _face_basis(
         return hit
     n = matrix.nrows
     eq_rows = [cone_rows[i] for i in tight]
-    delta = matrix - IntMatrix.identity(n)
-    eq_rows.extend(r for r in delta.rows if any(r))
+    # the nonzero rows of g - I
+    for i, row in enumerate(matrix.rows):
+        delta = row[:i] + (row[i] - 1,) + row[i + 1:]
+        if any(delta):
+            eq_rows.append(delta)
     # with the height as coordinate 0 the Hermite kernel basis has height
     # g >= 0 in its first vector and 0 in every other one
     if eq_rows:
@@ -93,8 +99,23 @@ def _face_basis(
         for i, row in enumerate(cone_rows)
         if i not in skip
     )
-    entry = _bases[key] = (basis, g, rows)
+    entry = _bases[key] = (basis, g, rows, {})
     return entry
+
+
+def _slice(
+    family: Family, m: int, interior: bool
+) -> Optional[Tuple[List[Tuple[Row, int]], int]]:
+    basis, g, rows, _ = family
+    rhs = -1 if interior else 0
+    if g == 0:
+        if m != 0:
+            return None
+        return [(row, rhs) for row in rows], basis.ncols
+    if m < 0 or m % g:
+        return None
+    t = m // g
+    return [(row[1:], rhs - row[0] * t) for row in rows], basis.ncols - 1
 
 
 def slice_system(
@@ -111,16 +132,7 @@ def slice_system(
     height coordinate (all of them when ``g = 0``).  ``None`` when the
     slice has no lattice point because ``g`` does not divide ``m``.
     """
-    basis, g, rows = _face_basis(cone_rows, tight, matrix)
-    rhs = -1 if interior else 0
-    if g == 0:
-        if m != 0:
-            return None
-        return [(row, rhs) for row in rows], basis.ncols
-    if m < 0 or m % g:
-        return None
-    t = m // g
-    return [(row[1:], rhs - row[0] * t) for row in rows], basis.ncols - 1
+    return _slice(_face_basis(cone_rows, tight, matrix), m, interior)
 
 
 def fixed_slice_count(
@@ -138,14 +150,13 @@ def fixed_slice_count(
     """
     if m < 0:
         return 0
-    key = (cone_rows, tight, matrix.rows, m, interior)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    system = slice_system(cone_rows, tight, matrix, m, interior)
-    value = 0 if system is None else scan.count_system(*system)
-    _cache[key] = value
-    return value
+    family = _face_basis(cone_rows, tight, matrix)
+    counts, key = family[3], (m, interior)
+    hit = counts.get(key)
+    if hit is None:
+        system = _slice(family, m, interior)
+        hit = counts[key] = 0 if system is None else scan.count_system(*system)
+    return hit
 
 
 def fixed_slice_points(
@@ -156,9 +167,10 @@ def fixed_slice_points(
     interior: bool = False,
 ) -> Tuple[Tuple[int, ...], ...]:
     """The points themselves (sorted), for tests and small searches."""
-    system = slice_system(cone_rows, tight, matrix, m, interior)
+    family = _face_basis(cone_rows, tight, matrix)
+    system = _slice(family, m, interior)
     if system is None:
         return ()
-    basis, g, _ = _face_basis(cone_rows, tight, matrix)
+    basis, g = family[:2]
     prefix = (m // g,) if g else ()
     return tuple(sorted(basis.apply(prefix + z) for z in scan.iter_system(*system)))

@@ -6,6 +6,14 @@ Faddeev-LeVerrier characteristic polynomials, integer kernels via tracked
 unimodular column operations and row Hermite normal forms.  Everything
 returns plain ``int`` entries; nothing here ever touches floating point.
 
+Every algorithm works on one arithmetic, lists of integer rows read from
+``matrix.rows``; none builds a matrix sum or product.  ``IntMatrix`` is
+the validated, hashable container those rows come in.  Besides shape,
+access and ``transpose``, it keeps ``apply`` (matrix times vector, the
+group action), ``scale`` (scalar elements such as ``-I``), ``trace``
+(reported per class), and ``@``, ``zero`` and ``is_identity``, which tests
+use to build reference results and to count products.
+
 Every lattice basis this module returns is a Hermite normal form: rows
 (kernel vectors, for ``integer_kernel``) in echelon order, positive
 pivots, entries above each pivot reduced.  Callers read that form
@@ -139,25 +147,6 @@ class IntMatrix:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return IntMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
-
     def scale(self, c: int) -> IntMatrix:
         return IntMatrix(tuple(tuple(c * a for a in r) for r in self.rows))
 
@@ -181,12 +170,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.nrows))
-
-    def stack(self, other: IntMatrix) -> IntMatrix:
-        """Rows of ``self`` followed by rows of ``other``."""
-        if self.nrows and other.nrows and self.ncols != other.ncols:
-            raise ValueError("column count mismatch in stack")
-        return IntMatrix(self.rows + other.rows)
 
 
 def det(matrix: IntMatrix) -> int:
@@ -219,21 +202,26 @@ def det(matrix: IntMatrix) -> int:
 def char_poly(matrix: IntMatrix) -> UniPoly:
     """``det(t*I - A)`` with integer coefficients, by Faddeev-LeVerrier.
 
-    All intermediate divisions are exact over the integers.
+    Runs on the rows: ``M_1 = I``, ``c_{n-k} = -tr(A M_k) / k`` and
+    ``M_{k+1} = A M_k + c_{n-k} I``.  Every division is exact over the
+    integers, and a remainder raises.
     """
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = matrix.nrows
+    a = matrix.rows
+    n = len(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    m = IntMatrix.identity(n)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        m = matrix @ m
-        c = -m.trace() // k
-        if (-m.trace()) % k:  # pragma: no cover - impossible for integer input
+        cols = tuple(zip(*m))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        if r:  # pragma: no cover - impossible for integer input
             raise ArithmeticError("inexact division in characteristic polynomial")
         coeffs[n - k] = c
-        m = m + IntMatrix.identity(n).scale(c)
+        for i in range(n):
+            m[i][i] += c
     return UniPoly(coeffs)
 
 

@@ -99,12 +99,6 @@ class LatticePolytope:
             i for i, (a, b) in enumerate(self.facets) if vec_dot(a, point) == b
         )
 
-    def vertex_index(self, point: Sequence[int]) -> int:
-        try:
-            return self.vertices.index(tuple(point))
-        except ValueError:
-            raise ValueError(f"{tuple(point)} is not a vertex") from None
-
     def translate(self, shift: Sequence[int]) -> LatticePolytope:
         s = _as_int_row(shift)
         verts = [tuple(x + y for x, y in zip(v, s)) for v in self.vertices]

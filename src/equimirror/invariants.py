@@ -254,14 +254,7 @@ def e_stringy_strata(complex: ConeComplex) -> EPoly:
 
 def _specialize_v_one(value: BiLaurent) -> BiLaurent:
     """Substitute ``v = 1``, keeping the result exact in ``u``."""
-    collected: dict = {}
-    for (p, _q), c in value.terms.items():
-        collected[p] = collected.get(p, 0) + c
-    total = BiLaurent.zero()
-    for p, c in collected.items():
-        if c:
-            total = total + BiLaurent.monomial(p, 0, c)
-    return total
+    return BiLaurent(((p, 0), c) for (p, _q), c in value.terms.items())
 
 
 def hypersurface_checks(complex: ConeComplex) -> IdentityReport:

@@ -17,7 +17,13 @@ from equimirror.cli.models import (
 )
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix
-from equimirror.groups import generate_group, parse_cycles, permutation_matrix
+from equimirror.geometry.polytope import LatticePolytope
+from equimirror.groups import (
+    generate_group,
+    inverse_unimodular,
+    parse_cycles,
+    permutation_matrix,
+)
 
 
 def random_unimodular(rng, n: int) -> IntMatrix:
@@ -31,6 +37,19 @@ def random_unimodular(rng, n: int) -> IntMatrix:
             c = rng.randint(-2, 2)
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     return IntMatrix(rows)
+
+
+def moved_complex(cx: ConeComplex, u: IntMatrix) -> ConeComplex:
+    """``cx`` under ``P -> U P`` and ``G -> U G U^-1``."""
+    u_inv = inverse_unimodular(u)
+    # facet a . x <= b of P becomes (a U^-1) . y <= b of U P
+    image = LatticePolytope(
+        [u.apply(v) for v in cx.polytope.vertices],
+        [(u_inv.transpose().apply(a), b) for a, b in cx.polytope.facets],
+    )
+    return ConeComplex(
+        image, generate_group([u @ g @ u_inv for g in cx.base_group.elements])
+    )
 
 
 def trivial_complex(polytope) -> ConeComplex:
@@ -102,8 +121,6 @@ def sym3_cube3():
 @pytest.fixture(scope="session")
 def cubic_curve():
     """Triple standard triangle, centered: the plane cubic's polytope."""
-    from equimirror.geometry.polytope import LatticePolytope
-
     return trivial_complex(LatticePolytope(((2, -1), (-1, 2), (-1, -1))))
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import quintic_complex, random_unimodular
+from conftest import moved_complex, quintic_complex, random_unimodular
 
 from equimirror.algebra import UniPoly
 from equimirror.algebra.unipoly import truncate_tau
@@ -330,19 +330,6 @@ def test_stilde_induction_crosscheck(sym3_cube3, cube4_central, quintic_a5):
 # -- unimodular change of coordinates ---------------------------------------------
 
 
-def _moved(cx, u):
-    """``cx`` under ``P -> U P`` and ``G -> U G U^-1``."""
-    u_inv = inverse_unimodular(u)
-    # facet a . x <= b of P becomes (a U^-1) . y <= b of U P
-    image = LatticePolytope(
-        [u.apply(v) for v in cx.polytope.vertices],
-        [(u_inv.transpose().apply(a), b) for a, b in cx.polytope.facets],
-    )
-    return ConeComplex(
-        image, generate_group([u @ g @ u_inv for g in cx.base_group.elements])
-    )
-
-
 def test_tables_invariant_under_unimodular_map(sym3_cube3):
     """``P -> U P`` with ``G -> U G U^-1`` leaves every top-face table
     unchanged class by class; element order is lexicographic, so the class
@@ -352,7 +339,7 @@ def test_tables_invariant_under_unimodular_map(sym3_cube3):
     u_inv = inverse_unimodular(u)
     assert not u.is_identity()
     group = cx.base_group
-    moved = _moved(cx, u)
+    moved = moved_complex(cx, u)
     assert moved.base_group.order == group.order
     match = [
         moved.base_group.class_index_of_element(u @ g @ u_inv)
@@ -396,7 +383,7 @@ def test_dual_tables_match_an_independent_dual(sym3_cube3, cube4_central, quinti
     # elements differently
     models = [cube4_central, quintic_complex("(12)(34)", "(123)"), sym3_cube3]
     models += [quintic_a5] + [
-        _moved(
+        moved_complex(
             ConeComplex(build_cube(3), _random_subgroup(rng, _SIGNED_PERMS3)),
             random_unimodular(rng, 3),
         )

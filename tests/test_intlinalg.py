@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,9 @@ import pytest
 from conftest import random_unimodular
 
 from equimirror.algebra import UniPoly
+from equimirror.cli import main as cli
+from equimirror.cli.models import COMMANDS, parse_config
+from equimirror.geometry import cones
 from equimirror.geometry.intlinalg import (
     IntMatrix,
     _as_int,
@@ -36,7 +40,6 @@ def test_matrix_basics():
     assert (m @ IntMatrix.identity(2)) == m
     assert m.apply((1, 1)) == (3, 7)
     assert IntMatrix.from_columns([(1, 3), (2, 4)]) == m
-    assert m.stack(IntMatrix([[5, 6]])).nrows == 3
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     with pytest.raises(AttributeError):
@@ -114,6 +117,73 @@ def test_char_poly_conjugation_invariant():
         cp = char_poly(a)
         assert cp.coefficient(0) == (-1) ** n * det(a)
         assert cp.coefficient(n - 1) == -a.trace()
+
+
+def _matches_determinants(a: IntMatrix) -> bool:
+    """``char_poly(a)`` against Bareiss ``det(t I - a)`` at ``t = 0..n``:
+    both have degree at most ``n``, so ``n + 1`` values fix the polynomial."""
+    n = a.nrows
+    cp = char_poly(a)
+    if cp.degree != n or cp.leading() != 1:
+        return False
+    return all(
+        cp.evaluate(t)
+        == det(IntMatrix([
+            [t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a.rows)
+        ]))
+        for t in range(n + 1)
+    )
+
+
+def test_char_poly_matches_determinants_random():
+    rng = random.Random(1931)
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        a = rand_matrix(rng, n, n, -3, 3)
+        assert _matches_determinants(a), a
+
+
+def test_char_poly_matches_determinants_on_face_restrictions(cube4_central, quintic_a5):
+    checked = 0
+    for model in (cube4_central, quintic_a5):
+        for cx in (model, model.dual()):
+            for e in range(cx.group.order):
+                for f in cx.invariant_faces(e):
+                    assert _matches_determinants(cx.rho(f, e)), (cx, f, e)
+                    checked += 1
+    # the invariant (face, element) pairs of both models, on both sides
+    assert checked == 888
+
+
+def test_package_forms_no_matrix_products(monkeypatch):
+    """Characteristic polynomials, face bases and group builds run on
+    integer rows: every command on cube3 with ``central`` and the quintic
+    mirror check under A5 form no ``IntMatrix`` product, while the face
+    restrictions really are computed."""
+    products, restrictions = [], []
+
+    def counting_matmul(a, b, matmul=IntMatrix.__matmul__):
+        products.append((a, b))
+        return matmul(a, b)
+
+    def recording_char_poly(m, original=cones.char_poly):
+        restrictions.append(m)
+        return original(m)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+    # cones calls intlinalg.char_poly through its own module binding
+    monkeypatch.setattr(cones, "char_poly", recording_char_poly)
+    configs = [
+        {"builtin": "cube", "d": 3, "group": ["central"], "commands": list(COMMANDS)},
+        {"builtin": "fermat", "d": 4, "group": ["(12)(34)", "(123)", "(12345)"],
+         "commands": ["mirror-check"]},
+    ]
+    for config in configs:
+        report, code = cli.run(parse_config(json.dumps(config)))
+        assert code == 0
+    assert report.results["mirror-check"]["verdict"] is True
+    assert restrictions
+    assert products == []
 
 
 def test_integer_kernel_oracles():

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import quintic_complex
+from conftest import moved_complex, quintic_complex, random_unimodular
 
 from equimirror.cli.models import build_cross, build_cube, build_fermat, build_simplex
 from equimirror.errors import NotInvariant, NotReflexive, SubgroupMismatch
@@ -326,6 +326,26 @@ def test_dual_complex(cube3):
         for g in range(cube3.face_count):
             if cube3.leq(f, g):
                 assert dual.leq(cube3.dual_face_index(g), cube3.dual_face_index(f))
+
+
+def test_dual_face_pairing_is_equivariant(sym3_cube3, quintic_a5):
+    """The pairing ``f -> dual_face_index(f)`` is a bijection that
+    complements dimensions, reverses order and commutes with the action:
+    element ``e`` of the dual (the contragredient of ``e``) maps the dual of
+    ``f`` to the dual of ``e f``.  Neither group is its own contragredient,
+    so a mix-up of primal and dual numbering would show."""
+    moved = moved_complex(sym3_cube3, random_unimodular(random.Random(1907), 3))
+    for cx in (quintic_a5, moved):
+        group, dual = cx.base_group, cx.dual()
+        assert any(group.dual_element(g) != g for g in group.elements)
+        pair = [cx.dual_face_index(f) for f in range(cx.face_count)]
+        assert sorted(pair) == list(range(dual.face_count))
+        for f, face in enumerate(cx.faces):
+            assert dual.faces[pair[f]].dim == cx.cdim - face.dim
+            for g in cx.faces_below(f):
+                assert dual.leq(pair[f], pair[g])
+            for e in range(group.order):
+                assert dual.face_image(e, pair[f]) == pair[cx.face_image(e, f)]
 
 
 def test_dual_group_keeps_element_indices(cube4_central, quintic_a5):
