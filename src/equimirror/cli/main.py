@@ -8,12 +8,10 @@ generators, a command that needs reflexivity on a model without it),
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -76,13 +74,17 @@ _CAP_ERRORS = (CapExceeded, DimensionCap)
 _IDENTITY_ERRORS = (IdentityFailure, PhiNotPolynomial, InexactDivision, NegativeExponent)
 
 
-@dataclass
 class RunContext:
     """Everything a command handler needs besides the complex itself."""
 
-    complex: ConeComplex
-    gamma: Optional[int] = None
-    quotient: bool = False
+    __slots__ = ("complex", "gamma", "quotient")
+
+    def __init__(
+        self, complex: ConeComplex, gamma: Optional[int] = None, quotient: bool = False
+    ):
+        self.complex = complex
+        self.gamma = gamma
+        self.quotient = quotient
 
 
 def _class_indices(ctx: RunContext) -> List[int]:
@@ -640,6 +642,10 @@ def selftest(threads: int = 1, json_path: Optional[Path] = None, out=None) -> in
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here, so that importing this module (for ``run``) loads
+    # neither argparse nor the gettext it imports
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="equimirror",
         description="Exact equivariant invariants of lattice polytopes "

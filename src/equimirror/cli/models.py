@@ -13,7 +13,6 @@ lattice the polytope actually lives in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -27,6 +26,7 @@ from ..groups import (
     parse_cycles,
     permutation_matrix,
 )
+from ..records import Frozen
 
 BUILTIN_NAMES = ("cube", "cross", "simplex", "fermat")
 COMMANDS = (
@@ -43,18 +43,40 @@ COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Frozen):
     """A validated run request: one polytope source, a group, commands."""
 
-    builtin: Optional[str] = None
-    d: Optional[int] = None
-    vertices: Optional[Tuple[Tuple[int, ...], ...]] = None
-    facets: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
-    group: Tuple[object, ...] = ()
-    commands: Tuple[str, ...] = ()
-    cap_group: int = GROUP_CAP_DEFAULT
-    quotient_only: bool = False
+    __slots__ = (
+        "builtin",
+        "d",
+        "vertices",
+        "facets",
+        "group",
+        "commands",
+        "cap_group",
+        "quotient_only",
+    )
+
+    def __init__(
+        self,
+        builtin: Optional[str] = None,
+        d: Optional[int] = None,
+        vertices: Optional[Tuple[Tuple[int, ...], ...]] = None,
+        facets: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None,
+        group: Tuple[object, ...] = (),
+        commands: Tuple[str, ...] = (),
+        cap_group: int = GROUP_CAP_DEFAULT,
+        quotient_only: bool = False,
+    ):
+        self._fill(
+            builtin, d, vertices, facets, group, commands, cap_group, quotient_only
+        )
+
+    def replace(self, **changes: object) -> ModelConfig:
+        """A copy with the named fields changed."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return ModelConfig(**fields)
 
     def describe(self) -> Dict[str, object]:
         """Deterministic JSON-able summary of the model source."""
@@ -68,14 +90,15 @@ class ModelConfig:
         return source
 
 
-@dataclass(frozen=True)
-class BuiltinModel:
+class BuiltinModel(Frozen):
     """A constructed built-in polytope plus its generator embedding."""
 
-    name: str
-    d: int
-    polytope: LatticePolytope
-    centrally_symmetric: bool
+    __slots__ = ("name", "d", "polytope", "centrally_symmetric")
+
+    def __init__(
+        self, name: str, d: int, polytope: LatticePolytope, centrally_symmetric: bool
+    ):
+        self._fill(name, d, polytope, centrally_symmetric)
 
 
 def build_cube(d: int) -> LatticePolytope:
@@ -404,11 +427,11 @@ def parse_config(text: str) -> ModelConfig:
 
 
 def with_commands(config: ModelConfig, commands: Sequence[str]) -> ModelConfig:
-    return replace(config, commands=tuple(commands))
+    return config.replace(commands=tuple(commands))
 
 
 def with_cap(config: ModelConfig, cap: Optional[int]) -> ModelConfig:
     if cap is None:
         return config
     _require(cap >= 1, f"the group cap must be a positive integer, got {cap}")
-    return replace(config, cap_group=cap)
+    return config.replace(cap_group=cap)

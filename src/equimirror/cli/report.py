@@ -10,7 +10,6 @@ Hodge diamonds out in the usual centered shape.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -105,14 +104,22 @@ def render_diamond(rows: Sequence[Sequence[str]]) -> List[str]:
     return [r.center(width).rstrip() for r in rendered]
 
 
-@dataclass
 class InvariantReport:
     """Accumulated command outputs for one configuration run."""
 
-    model: Dict[str, object]
-    group: Dict[str, object]
-    results: Dict[str, object] = field(default_factory=dict)
-    text_lines: List[str] = field(default_factory=list)
+    __slots__ = ("model", "group", "results", "text_lines")
+
+    def __init__(
+        self,
+        model: Dict[str, object],
+        group: Dict[str, object],
+        results: Optional[Dict[str, object]] = None,
+        text_lines: Optional[List[str]] = None,
+    ):
+        self.model = model
+        self.group = group
+        self.results = {} if results is None else results
+        self.text_lines = [] if text_lines is None else text_lines
 
     def add(self, command: str, payload: object, lines: Sequence[str]) -> None:
         self.results[command] = payload

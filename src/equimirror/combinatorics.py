@@ -33,7 +33,6 @@ reconstruction of ``phi`` from lower faces — and reports any offending
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -47,6 +46,7 @@ from .geometry.cones import (
     abstract_primal,
     abstract_quotient,
 )
+from .records import Frozen
 
 ONE = UniPoly.one()
 
@@ -306,13 +306,13 @@ class StildeTable(_Table):
         return total
 
 
-@dataclass(frozen=True)
-class Tables:
+class Tables(Frozen):
     """The three combinatorial tables of one complex, computed lazily."""
 
-    phi: PhiTable
-    hg: HGTable
-    stilde: StildeTable
+    __slots__ = ("phi", "hg", "stilde")
+
+    def __init__(self, phi: PhiTable, hg: HGTable, stilde: StildeTable):
+        self._fill(phi, hg, stilde)
 
 
 def tables_for(complex: ConeComplex) -> Tables:
@@ -372,19 +372,26 @@ def mobius_gamma(complex: ConeComplex, lower: int, upper: int, e: int) -> int:
 _RECIPROCITY_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    failures: Tuple[Tuple[int, int, str], ...]
+class IdentityCheck(Frozen):
+    """One identity's failures, as (face, class, message) triples."""
+
+    __slots__ = ("name", "failures")
+
+    def __init__(self, name: str, failures: Tuple[Tuple[int, int, str], ...]):
+        self._fill(name, failures)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: Tuple[IdentityCheck, ...]
+class IdentityReport(Frozen):
+    """The checks of one verification run."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Tuple[IdentityCheck, ...]):
+        self._fill(checks)
 
     @property
     def ok(self) -> bool:

@@ -25,31 +25,42 @@ characteristic polynomials.  A primal cone is the quotient by the apex.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..algebra.unipoly import UniPoly
 from ..errors import IdentityFailure, NonInvertible, NotInvariant, SubgroupMismatch
 from ..groups import MatrixGroup, orbits, stabilizer
+from ..records import Frozen
 from . import counting
 from .intlinalg import IntMatrix, char_poly, integer_kernel, solve_in_row_basis
 from .polytope import LatticePolytope
 
 
-@dataclass(frozen=True)
-class Face:
-    """One face of the cone; ``dim`` is the cone dimension (apex 0)."""
+class Face(Frozen):
+    """One face of the cone; ``dim`` is the cone dimension (apex 0).
 
-    index: int
-    vertex_ids: Tuple[int, ...]
-    tight: Tuple[int, ...]
-    dim: int
-    span: IntMatrix
+    ``vertex_set`` is ``frozenset(vertex_ids)``, built once here:
+    :meth:`ConeComplex.leq` and :meth:`ConeComplex.interval` compare vertex
+    sets on every call."""
 
-    @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertex_ids)
+    __slots__ = ("index", "vertex_ids", "tight", "dim", "span", "vertex_set")
+
+    def __init__(
+        self,
+        index: int,
+        vertex_ids: Tuple[int, ...],
+        tight: Tuple[int, ...],
+        dim: int,
+        span: IntMatrix,
+    ):
+        set_ = object.__setattr__
+        set_(self, "index", index)
+        set_(self, "vertex_ids", vertex_ids)
+        set_(self, "tight", tight)
+        set_(self, "dim", dim)
+        set_(self, "span", span)
+        set_(self, "vertex_set", frozenset(vertex_ids))
 
 
 class ConeComplex:
@@ -324,7 +335,6 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
 # -- abstract cones ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AbstractCone:
     """An interval of the face poset read as a cone.
 
@@ -335,48 +345,58 @@ class AbstractCone:
     complementary dimensions.  Characteristic polynomials are exact ratios
     of the concrete ones, so everything stays equivariant without ever
     constructing quotient lattices.
+
+    The ``h``/``g`` recursion builds one per subcone it visits, so the
+    fields are plain slots behind read-only properties: no per-field
+    ``object.__setattr__`` in the constructor.
     """
 
-    complex: ConeComplex
-    kind: str
-    base: int
-    ambient: int
+    __slots__ = ("_complex", "_kind", "_base", "_ambient")
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "D"):
-            raise ValueError(f"unknown abstract cone kind {self.kind!r}")
-        if not self.complex.leq(self.base, self.ambient):
+    def __init__(self, complex: ConeComplex, kind: str, base: int, ambient: int):
+        if kind not in ("Q", "D"):
+            raise ValueError(f"unknown abstract cone kind {kind!r}")
+        if not complex.leq(base, ambient):
             raise ValueError("base face is not a face of the ambient one")
+        self._complex = complex
+        self._kind = kind
+        self._base = base
+        self._ambient = ambient
+
+    complex = property(attrgetter("_complex"))
+    kind = property(attrgetter("_kind"))
+    base = property(attrgetter("_base"))
+    ambient = property(attrgetter("_ambient"))
 
     @property
     def key(self) -> Tuple[str, int, int]:
-        return (self.kind, self.base, self.ambient)
+        return (self._kind, self._base, self._ambient)
 
     @property
     def dim(self) -> int:
-        faces = self.complex.faces
-        return faces[self.ambient].dim - faces[self.base].dim
+        faces = self._complex.faces
+        return faces[self._ambient].dim - faces[self._base].dim
 
     @property
     def top_element(self) -> int:
-        return self.ambient if self.kind == "Q" else self.base
+        return self._ambient if self._kind == "Q" else self._base
 
     def elements(self) -> Tuple[int, ...]:
-        return self.complex.interval(self.base, self.ambient)
+        return self._complex.interval(self._base, self._ambient)
 
     def element_invariant(self, f: int, e: int) -> bool:
-        return self.complex.is_invariant(f, e)
+        return self._complex.is_invariant(f, e)
 
     def element_charpoly(self, f: int, e: int) -> UniPoly:
-        cx = self.complex
-        if self.kind == "Q":
-            return cx.charpoly(f, e).exact_div(cx.charpoly(self.base, e))
-        return cx.charpoly(self.ambient, e).exact_div(cx.charpoly(f, e))
+        cx = self._complex
+        if self._kind == "Q":
+            return cx.charpoly(f, e).exact_div(cx.charpoly(self._base, e))
+        return cx.charpoly(self._ambient, e).exact_div(cx.charpoly(f, e))
 
     def subcone(self, f: int) -> AbstractCone:
-        if self.kind == "Q":
-            return AbstractCone(self.complex, "Q", self.base, f)
-        return AbstractCone(self.complex, "D", f, self.ambient)
+        if self._kind == "Q":
+            return AbstractCone(self._complex, "Q", self._base, f)
+        return AbstractCone(self._complex, "D", f, self._ambient)
 
 
 def abstract_primal(complex: ConeComplex, face: int) -> AbstractCone:

@@ -20,7 +20,8 @@ meaning ``sum c_i x_i <= rhs``, and by the projection property the rows
 at level ``j`` bound ``x_j`` exactly once ``x_0 .. x_{j-1}`` are fixed.
 ``count_levels`` counts the trailing levels that read no earlier variable
 (all of them in a box) once, as a product of their ranges, and walks the
-levels above them point by point; ``prepare_levels -> count_levels`` is
+levels above them point by point, bounding each value from one least
+residual per ``(c_{j-1}, c_j)`` group; ``prepare_levels -> count_levels`` is
 the one route from rows to a count.  The scan is pure Python with exact
 integers, so no entry is too large for it.
 """
@@ -28,6 +29,7 @@ integers, so no entry is too large for it.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..errors import DimensionCap
@@ -232,12 +234,49 @@ def _free_tail(levels: Levels) -> Tuple[int, List[Tuple[int, int]]]:
     return t, [_bounds(levels[j], x, j) for j in range(t, len(levels))]
 
 
+def _grouped(level: Tuple[Row, ...], j: int) -> Tuple[list, list]:
+    """Level ``j``'s upper and lower rows grouped by ``(c_{j-1}, c_j)``.
+
+    Each group is ``(a, c, members)`` with ``a = c_{j-1}``, ``c = |c_j|``
+    and one ``(c_0 .. c_{j-2}, rhs)`` per row.  Once ``x_0 .. x_{j-2}``
+    are fixed, a row's residual is ``B = rhs - sum c_i x_i`` and it bounds
+    ``x_j`` by ``(B - a x_{j-1}) / c``; that floor grows with ``B``, so the
+    least residual of a group gives the group's bound on either side.
+    """
+    upper: Dict[Tuple[int, int], list] = {}
+    lower: Dict[Tuple[int, int], list] = {}
+    for row in level:
+        c = row[j]
+        side = upper if c > 0 else lower
+        side.setdefault((row[j - 1], abs(c)), []).append((row[: j - 1], row[-1]))
+    return (
+        [(a, c, members) for (a, c), members in upper.items()],
+        [(a, c, members) for (a, c), members in lower.items()],
+    )
+
+
+def _least(groups: list, x: List[int]) -> List[Tuple[int, int, int]]:
+    """``(B, a, c)`` per group: its least residual at the prefix ``x``."""
+    out = []
+    for a, c, members in groups:
+        least = None
+        for prefix, r in members:
+            r -= sum(map(mul, prefix, x))
+            if least is None or r < least:
+                least = r
+        out.append((least, a, c))
+    return out
+
+
 def count_levels(levels: Levels) -> int:
     """Count the integer solutions of a prepared (feasible) system.
 
     The free trailing levels (see :func:`_free_tail`) are counted once,
     as the product of their range sizes; the levels above them are
-    walked point by point.
+    walked point by point.  At each node of the walk the next level's
+    rows are reduced to one least residual per ``(c_{j-1}, c_j)`` group
+    (see :func:`_grouped`), so each value of ``x_{j-1}`` is bounded from
+    the few groups instead of from every row.
     """
     t, ranges = _free_tail(levels)
     tail = 1
@@ -249,20 +288,35 @@ def count_levels(levels: Levels) -> int:
         return tail  # also zero variables: the empty point
     x = [0] * t
     last = t - 1
+    # the groups of level j + 1, which node j bounds for each value of x_j
+    below = [_grouped(levels[j + 1], j + 1) for j in range(last)]
 
-    def rec(j: int) -> int:
-        lo, hi = _bounds(levels[j], x, j)
+    def rec(j: int, lo: int, hi: int) -> int:
         if hi < lo:
             return 0
         if j == last:
             return (hi - lo + 1) * tail
+        upper, lower = below[j]
+        if not upper or not lower:
+            raise ValueError("unbounded direction in lattice scan")
+        upper = _least(upper, x)
+        lower = _least(lower, x)
         total = 0
-        for val in range(lo, hi + 1):
-            x[j] = val
-            total += rec(j + 1)
+        for v in range(lo, hi + 1):
+            x[j] = v
+            next_hi = next_lo = None
+            for b, a, c in upper:
+                b = (b - a * v) // c
+                if next_hi is None or b < next_hi:
+                    next_hi = b
+            for b, a, c in lower:
+                b = -((b - a * v) // c)
+                if next_lo is None or b > next_lo:
+                    next_lo = b
+            total += rec(j + 1, next_lo, next_hi)
         return total
 
-    return rec(0)
+    return rec(0, *_bounds(levels[0], x, 0))
 
 
 def count_system(rows: Iterable[Tuple[Sequence[int], int]], k: int) -> int:

@@ -17,7 +17,6 @@ in :func:`hodge_diamond`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence, Tuple
@@ -34,6 +33,7 @@ from .errors import (
 from .geometry.cones import ConeComplex, abstract_quotient
 from .geometry.intlinalg import char_poly
 from .groups import MatrixGroup
+from .records import Frozen
 
 _T_MINUS_ONE = UniPoly((-1, 1))
 _UV_INVERSE = BiLaurent.monomial(-1, -1)
@@ -43,8 +43,7 @@ _UV_INVERSE = BiLaurent.monomial(-1, -1)
 # per-class container
 
 
-@dataclass(frozen=True)
-class EPoly:
+class EPoly(Frozen):
     """One two-variable polynomial per conjugacy class.
 
     ``dim`` is the ambient dimension: the torus has dimension ``dim`` and a
@@ -53,16 +52,16 @@ class EPoly:
     "stringy-strata").
     """
 
-    group: MatrixGroup
-    values: Tuple[BiLaurent, ...]
-    dim: int
-    kind: str
+    __slots__ = ("group", "values", "dim", "kind")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.classes):
+    def __init__(
+        self, group: MatrixGroup, values: Tuple[BiLaurent, ...], dim: int, kind: str
+    ):
+        if len(values) != len(group.classes):
             raise SubgroupMismatch(
-                f"{len(self.values)} values for {len(self.group.classes)} classes"
+                f"{len(values)} values for {len(group.classes)} classes"
             )
+        self._fill(group, values, dim, kind)
 
     def value_at_class(self, k: int) -> BiLaurent:
         return self.values[k]
@@ -324,15 +323,20 @@ def hypersurface_checks(complex: ConeComplex) -> IdentityReport:
 # the mirror identity
 
 
-@dataclass(frozen=True)
-class MirrorReport:
+class MirrorReport(Frozen):
     """Both sides of the mirror identity per class, plus the residuals."""
 
-    group: MatrixGroup
-    dim: int
-    left: Tuple[BiLaurent, ...]
-    right: Tuple[BiLaurent, ...]
-    residual: Tuple[BiLaurent, ...]
+    __slots__ = ("group", "dim", "left", "right", "residual")
+
+    def __init__(
+        self,
+        group: MatrixGroup,
+        dim: int,
+        left: Tuple[BiLaurent, ...],
+        right: Tuple[BiLaurent, ...],
+        residual: Tuple[BiLaurent, ...],
+    ):
+        self._fill(group, dim, left, right, residual)
 
     @property
     def verdict(self) -> bool:
@@ -372,18 +376,23 @@ def mirror_check(complex: ConeComplex) -> MirrorReport:
 # diamonds and Euler characteristics
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(Frozen):
     """Hodge numbers ``h^{p,q}`` as class functions plus their invariant dims.
 
     ``entries[p][q]`` is a class function; ``invariant[p][q]`` is the
     dimension of its invariant part, i.e. the Hodge number of the quotient.
     """
 
-    group: MatrixGroup
-    size: int
-    entries: Tuple[Tuple[ClassFun, ...], ...]
-    invariant: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("group", "size", "entries", "invariant")
+
+    def __init__(
+        self,
+        group: MatrixGroup,
+        size: int,
+        entries: Tuple[Tuple[ClassFun, ...], ...],
+        invariant: Tuple[Tuple[int, ...], ...],
+    ):
+        self._fill(group, size, entries, invariant)
 
     def hodge(self, p: int, q: int) -> ClassFun:
         return self.entries[p][q]
@@ -443,12 +452,13 @@ def hodge_diamond(epoly: EPoly) -> Diamond:
     )
 
 
-@dataclass(frozen=True)
-class EulerCharacteristics:
+class EulerCharacteristics(Frozen):
     """Per-class Euler characteristics and the quotient value."""
 
-    per_class: ClassFun
-    quotient: int | Fraction
+    __slots__ = ("per_class", "quotient")
+
+    def __init__(self, per_class: ClassFun, quotient: int | Fraction):
+        self._fill(per_class, quotient)
 
 
 def euler_characteristics(epoly: EPoly) -> EulerCharacteristics:
@@ -461,13 +471,18 @@ def euler_characteristics(epoly: EPoly) -> EulerCharacteristics:
 # closed forms for the centrally symmetric family
 
 
-@dataclass(frozen=True)
-class ClosedForms:
+class ClosedForms(Frozen):
     """Closed-form data for the free central involution on the cube family."""
 
-    alpha: UniPoly
-    stringy_identity: BiLaurent
-    quotient: Optional[Tuple[Tuple[int, ...], ...]]
+    __slots__ = ("alpha", "stringy_identity", "quotient")
+
+    def __init__(
+        self,
+        alpha: UniPoly,
+        stringy_identity: BiLaurent,
+        quotient: Optional[Tuple[Tuple[int, ...], ...]],
+    ):
+        self._fill(alpha, stringy_identity, quotient)
 
 
 def cs_closed_forms(

@@ -138,7 +138,7 @@ def test_parse_config_rejections():
 
 
 def test_parse_config_roundtrip_random():
-    """Random well-formed configs parse into matching dataclass fields."""
+    """Random well-formed configs parse into matching ModelConfig fields."""
     rng = random.Random(411)
     dims = {"cube": (1, 5), "cross": (1, 5), "simplex": (1, 5), "fermat": (2, 5)}
     for _ in range(60):
@@ -169,7 +169,7 @@ def test_with_commands_and_with_cap():
     assert with_cap(cfg, 7).cap_group == 7
     with pytest.raises(ConfigError):
         with_cap(cfg, 0)
-    # originals are untouched (frozen dataclass)
+    # originals are untouched (ModelConfig is read-only)
     assert cfg.commands == () and cfg.cap_group != 7
 
 

@@ -334,3 +334,90 @@ def test_empty_free_level_counts_zero():
     rows = [((1, 0), 3), ((-1, 0), 0), ((0, 1), 2), ((0, -1), -5)]
     assert brute_count(rows, 2) == 0
     assert list(scan.iter_system(rows, 2)) == []
+
+
+# ---------------------------------------------------------------------------
+# walked levels bounded from grouped residual minima
+
+
+def reference_count_levels(levels):
+    """The walk that bounds each level row by row at every prefix point:
+    the reference for :func:`scan.count_levels`."""
+    t, ranges = scan._free_tail(levels)
+    tail = 1
+    for lo, hi in ranges:
+        if hi < lo:
+            return 0
+        tail *= hi - lo + 1
+    if t == 0:
+        return tail
+    x = [0] * t
+    last = t - 1
+
+    def rec(j):
+        lo, hi = scan._bounds(levels[j], x, j)
+        if hi < lo:
+            return 0
+        if j == last:
+            return (hi - lo + 1) * tail
+        total = 0
+        for val in range(lo, hi + 1):
+            x[j] = val
+            total += rec(j + 1)
+        return total
+
+    return rec(0)
+
+
+def grouped_rows(rng, k):
+    """A bounded system whose rows repeat a few ``(c_{j-1}, c_j)`` pairs,
+    with non-unit and negative coefficients, under different prefixes."""
+    rows = unit_box_rows(k, rng.randint(-3, 0), rng.randint(0, 3))
+    pairs = [(rng.randint(-3, 3), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3)]
+    for _ in range(rng.randint(2, 6)):
+        head = [rng.randint(-2, 2) for _ in range(k - 2)]
+        rows.append((tuple(head) + rng.choice(pairs), rng.randint(-4, 8)))
+    if rng.random() < 0.3:
+        rows.append(rng.choice(rows))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_grouped_bounds_match_reference_random():
+    rng = random.Random(20261019)
+    nonzero = 0
+    for trial in range(200):
+        k = rng.randint(2, 4)
+        rows = grouped_rows(rng, k)
+        feasible, levels = scan.prepare_levels(rows, k)
+        if not feasible:
+            continue
+        expected = reference_count_levels(levels)
+        assert scan.count_levels(levels) == expected, (trial, rows)
+        if k <= 3:
+            assert expected == brute_count(rows, k, box=4), (trial, rows)
+        nonzero += expected > 0
+    assert nonzero > 100
+
+
+@pytest.mark.parametrize("polytope", [build_cube(5), build_cross(5)], ids=["cube5", "cross5"])
+def test_grouped_bounds_match_reference_on_top_face_slices(polytope):
+    cone_rows = homogenize(polytope.facets)
+    identity = IntMatrix.identity(polytope.dim + 1)
+    for m in range(7):
+        for interior in (False, True):
+            rows, k = slice_system(cone_rows, (), identity, m, interior)
+            feasible, levels = scan.prepare_levels(rows, k)
+            if feasible:
+                assert scan.count_levels(levels) == reference_count_levels(levels)
+
+
+def test_unbounded_walked_level_raises_when_reached():
+    # x1 <= x0 + 2 has no lower bound; the walk reaches level 1 only when
+    # level 0's range is non-empty
+    unbounded = ((-1, 1, 2),)
+    reached = [((1, 3), (-1, 0)), unbounded]
+    for count in (reference_count_levels, scan.count_levels):
+        with pytest.raises(ValueError, match="unbounded direction in lattice scan"):
+            count(reached)
+        assert count([((1, -1), (-1, 0)), unbounded]) == 0
