@@ -203,8 +203,8 @@ _BUILDERS = {
 }
 
 _DIM_RANGE = {
-    "cube": (1, 5),
-    "cross": (1, 5),
+    "cube": (1, 6),
+    "cross": (1, 6),
     "simplex": (1, 5),
     "fermat": (2, 5),
 }

@@ -324,10 +324,10 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
         tight = tuple(
             i for i, ts in enumerate(facet_sets) if vs <= ts
         )
-        # the top face lies on no facet and spans the whole lattice
-        span = IntMatrix.identity(polytope.dim + 1)
         if tight:
             span = integer_kernel(IntMatrix([polytope.cone_rows[i] for i in tight])).transpose()
+        else:  # the top face lies on no facet and spans the whole lattice
+            span = IntMatrix.identity(polytope.dim + 1)
         faces.append(Face(idx, ids, tight, span.nrows, span))
     return tuple(faces)
 

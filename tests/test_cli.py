@@ -19,6 +19,7 @@ from equimirror.cli.models import (
     BUILTIN_NAMES,
     COMMANDS,
     ModelConfig,
+    build_cross,
     build_model,
     parse_config,
     with_cap,
@@ -35,7 +36,9 @@ from equimirror.cli.report import (
     render_diamond,
 )
 from equimirror.errors import ConfigError, NegativeExponent
+from equimirror.geometry import counting, scan
 from equimirror.geometry.cones import ConeComplex
+from equimirror.geometry.counting import fixed_slice_count, homogenize
 from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.groups import generate_group
 
@@ -211,7 +214,8 @@ def test_build_model_rejections():
         (ModelConfig(builtin="cube", d=3, group=("spin",)),
          "unrecognized generator keyword 'spin'"),
         (ModelConfig(builtin="fermat", d=6), "'fermat' needs 2 <= d <= 5"),
-        (ModelConfig(builtin="cube", d=0), "'cube' needs 1 <= d <= 5"),
+        (ModelConfig(builtin="cube", d=0), "'cube' needs 1 <= d <= 6"),
+        (ModelConfig(builtin="cross", d=7), "'cross' needs 1 <= d <= 6"),
         (ModelConfig(vertices=((0, 0), (1, 0))), "bad inline polytope"),
         (ModelConfig(vertices=((0.5, 0), (1, 0), (0, 1), (1.9, 1))),
          "bad inline polytope"),
@@ -330,22 +334,27 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["faces", "--config", point]) == 2
     assert "at least one coordinate" in capsys.readouterr().err
 
-    # the 6-cross-polytope is within the dimension and vertex caps, but its
-    # Fourier-Motzkin elimination hits the pair cap instead of running for
-    # minutes: in the slice counts of phi, and with facets given already in
-    # the boundedness check
+    # the 6-cross-polytope is within the dimension and vertex caps, and its
+    # pruned elimination combines at most 6,561 row pairs in one step; under
+    # a lower pair cap it fails closed in the slice counts of phi, and with
+    # facets given already in the boundedness check
     cross6 = [[s if j == i else 0 for j in range(6)] for i in range(6) for s in (1, -1)]
     signs = [list(s) for s in itertools.product((-1, 1), repeat=6)]
     inline = write_config(tmp_path, json.dumps({"vertices": cross6}), "cross6.json")
-    assert cli.main(["phi", "--config", inline]) == 4
-    assert "row pairs" in capsys.readouterr().err
     with_facets = write_config(
         tmp_path,
         json.dumps({"vertices": cross6, "facets": [[a, 1] for a in signs]}),
         "cross6f.json",
     )
-    assert cli.main(["faces", "--config", with_facets]) == 4
-    assert "row pairs" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        patch.setattr(scan, "FM_PAIR_CAP", 6_000)
+        counting.clear_cache()  # no plan made under the real cap may answer
+        assert cli.main(["phi", "--config", inline]) == 4
+        assert "row pairs" in capsys.readouterr().err
+        assert cli.main(["faces", "--config", with_facets]) == 4
+        assert "row pairs" in capsys.readouterr().err
+    assert cli.main(["faces", "--config", with_facets]) == 0
+    assert "730 cone faces" in capsys.readouterr().out
 
     # the affine invariants are fine without reflexivity
     assert cli.main(["euler", "--config", simplex3]) == 0
@@ -356,6 +365,33 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         cli.main(["frobnicate", "--config", cube3c])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+CROSS6_PHI = "1 + 6*t + 15*t^2 + 20*t^3 + 15*t^4 + 6*t^5 + t^6"
+CUBE6_PHI = "1 + 722*t + 10543*t^2 + 23548*t^3 + 10543*t^4 + 722*t^5 + t^6"
+
+
+def test_six_dimensional_cube_and_cross_phi(tmp_path, capsys):
+    """``phi`` of the 6-cross-polytope, inline and built in, and of the
+    built-in 6-cube (64 vertices, the vertex cap): the two are polar, so
+    each one's ``phi[C*]`` is the other's ``phi[C]``."""
+    cross6 = [[s if j == i else 0 for j in range(6)] for i in range(6) for s in (1, -1)]
+    configs = [
+        ({"vertices": cross6}, CROSS6_PHI, CUBE6_PHI),
+        ({"builtin": "cross", "d": 6}, CROSS6_PHI, CUBE6_PHI),
+        ({"builtin": "cube", "d": 6}, CUBE6_PHI, CROSS6_PHI),
+    ]
+    for i, (config, primal, dual) in enumerate(configs):
+        path = write_config(tmp_path, json.dumps(config), f"six{i}.json")
+        assert cli.main(["phi", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert f"phi[C](class 0) = {primal}\n" in out
+        assert f"phi[C*](class 0) = {dual}\n" in out
+    # the top-face slices: m times the 6-cross-polytope holds
+    # sum_k 2^k C(6, k) C(m, k) lattice points
+    rows = homogenize(build_cross(6).facets)
+    identity = IntMatrix.identity(7)
+    assert [fixed_slice_count(rows, (), identity, m) for m in (1, 2, 3)] == [13, 85, 377]
 
 
 def test_main_identity_failure_exit(tmp_path, capsys, monkeypatch):

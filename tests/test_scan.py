@@ -14,7 +14,7 @@ from equimirror.cli.models import build_cross, build_cube, parse_config
 from equimirror.errors import DimensionCap
 from equimirror.geometry import counting, scan
 from equimirror.geometry.counting import homogenize, slice_system
-from equimirror.geometry.intlinalg import IntMatrix
+from equimirror.geometry.intlinalg import IntMatrix, det
 
 
 def brute_count(rows, k, box=12):
@@ -231,6 +231,23 @@ def random_coefficient_rows(rng, k):
     return rows
 
 
+def assert_matches_reference(rows, k):
+    """The pruned levels count what the full elimination's count (0 when
+    infeasible), and each pruned level row is a reference row's
+    coefficients with a right-hand side no tighter than the reference's:
+    a skipped derivation can leave a slot's bound weaker, never stronger.
+    Returns ``(reference feasible, count, rows pruned away)``."""
+    ref_feasible, ref_levels = reference_prepare_levels(rows, k)
+    feasible, levels = scan.prepare_levels(rows, k)
+    expected = reference_count_levels(ref_levels) if ref_feasible else 0
+    assert (scan.count_levels(levels) if feasible else 0) == expected, rows
+    for level, ref_level in zip(levels, ref_levels):
+        ref_rhs = {row[:-1]: row[-1] for row in ref_level}
+        for row in level:
+            assert row[-1] >= ref_rhs[row[:-1]], (rows, row)
+    return ref_feasible, expected, sum(map(len, ref_levels)) - sum(map(len, levels))
+
+
 def test_replay_matches_reference_random():
     rng = random.Random(31337)
     scan.clear_plans()
@@ -240,18 +257,69 @@ def test_replay_matches_reference_random():
         coeffs = random_coefficient_rows(rng, k)
         # several right-hand sides in a row on one coefficient system: the
         # first call plans the elimination, the others replay it
-        for _ in range(4):
+        for rhs_round in range(4):
             rows = [(c, rng.randint(-2, 9)) for c in coeffs]
-            expected = reference_prepare_levels(rows, k)
-            assert scan.prepare_levels(rows, k) == expected, (trial, rows)
-            outcomes.add(expected[0])
+            feasible, count, _ = assert_matches_reference(rows, k)
+            if k <= 3 and rhs_round == 0:
+                assert brute_count(rows, k, box=9) == count, (trial, rows)
+            outcomes.add(feasible)
     assert outcomes == {True, False}
     # a negative all-zero row makes the system infeasible at any other rhs
     coeffs = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)]
     for zero_rhs, feasible in ((0, True), (-1, False), (3, True)):
         rows = list(zip(coeffs, (2, 2, 2, 2, zero_rhs)))
         assert scan.prepare_levels(rows, 2)[0] is feasible
-        assert scan.prepare_levels(rows, 2) == reference_prepare_levels(rows, 2)
+        assert assert_matches_reference(rows, 2)[1] == (25 if feasible else 0)
+
+
+def random_simplex_rows(rng, k):
+    """A bounded system that is no box: ``k`` independent random rows, the
+    negated sum of them (so only the origin has every row ``<= 0``), and
+    random cuts."""
+    while True:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(k)]
+        if det(IntMatrix(rows)):
+            break
+    rows.append(tuple(-sum(column) for column in zip(*rows)))
+    rows += [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_pruned_counts_match_reference_up_to_five_variables():
+    """Bounded systems up to ``k = 5``: no walked level is left unbounded
+    (a ``ValueError`` would fail the test), the counts are the full
+    elimination's, and pruning drops rows on a good share of them."""
+    rng = random.Random(5150)
+    scan.clear_plans()
+    pruned = nonzero = 0
+    for trial in range(120):
+        k = rng.randint(2, 5)
+        coeffs = random_coefficient_rows(rng, k) if trial % 2 else random_simplex_rows(rng, k)
+        for _ in range(2):
+            _, count, dropped = assert_matches_reference(
+                [(c, rng.randint(-3, 8)) for c in coeffs], k
+            )
+            nonzero += count > 0
+            pruned += dropped > 0
+    assert nonzero > 100 and pruned > 60
+
+
+def test_one_sided_pruned_level_is_planned_again_in_full():
+    """One smallest history per slot is not all of Chernikov's argument: on
+    this bounded system (only the origin has every row ``<= 0``) the pruned
+    plan leaves a level whose rows all have one sign.  The elimination is
+    then planned in full, and every count stays bounded and exact."""
+    coeffs = (
+        (-2, -1, 2, -2), (1, -2, -1, -2), (1, 0, 1, -1), (0, 1, 2, 0),
+        (-2, 2, -1, 1), (2, -2, -2, -2), (0, -2, 1, 2),
+    )
+    assert scan._eliminate(4, coeffs, True) is None
+    assert scan.eliminate(4, coeffs) == scan._eliminate(4, coeffs, False)
+    assert scan.count_system([(c, 0) for c in coeffs], 4) == 1
+    rng = random.Random(7)
+    for _ in range(20):
+        assert_matches_reference([(c, rng.randint(0, 6)) for c in coeffs], 4)
 
 
 @pytest.mark.parametrize("polytope", [build_cube(5), build_cross(5)], ids=["cube5", "cross5"])
@@ -261,7 +329,21 @@ def test_replay_matches_reference_on_top_face_slices(polytope):
     for m in range(7):
         for interior in (False, True):
             rows, k = slice_system(cone_rows, (), identity, m, interior)
-            assert scan.prepare_levels(rows, k) == reference_prepare_levels(rows, k)
+            assert_matches_reference(rows, k)
+
+
+def test_cross5_top_face_plan_is_pruned():
+    """Chernikov's rule keeps a fraction of the rows the full elimination
+    carries through the 5-cross-polytope's top-face slices."""
+    polytope = build_cross(5)
+    rows, k = slice_system(
+        homogenize(polytope.facets), (), IntMatrix.identity(polytope.dim + 1), 3, False
+    )
+    _, levels = scan.prepare_levels(rows, k)
+    _, ref_levels = reference_prepare_levels(rows, k)
+    assert [len(level) for level in ref_levels] == [2, 94, 82, 54, 32]
+    for level, most in zip(levels, [2, 14, 18, 54, 32]):
+        assert len(level) <= most
 
 
 def test_phi_eliminates_once_per_coefficient_system(monkeypatch):
