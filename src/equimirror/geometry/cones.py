@@ -16,6 +16,11 @@ Faces are found by intersecting facet vertex sets — the intersection of
 two faces is a face, and every proper face is an intersection of facets,
 so closing the facet sets under intersection enumerates everything.
 
+A dual complex (:meth:`ConeComplex.dual`) is read off its partner instead,
+the same face lattice upside down, and orders its faces as its partner
+does: face ``i`` is dual to face ``i`` as element ``e`` is to element
+``e``, so its apex is not face 0.
+
 The module also provides the abstract cones the recursions run on:
 intervals of the face poset read either upward (quotient cones) or
 downward (dual face cones), carrying ratios of the concrete
@@ -26,10 +31,10 @@ from __future__ import annotations
 
 import weakref
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..algebra.unipoly import UniPoly
-from ..errors import IdentityFailure, NonInvertible, NotInvariant, SubgroupMismatch
+from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
 from ..groups import MatrixGroup, orbits, stabilizer
 from ..records import Frozen
 from . import counting
@@ -54,13 +59,7 @@ class Face(Frozen):
         dim: int,
         span: IntMatrix,
     ):
-        set_ = object.__setattr__
-        set_(self, "index", index)
-        set_(self, "vertex_ids", vertex_ids)
-        set_(self, "tight", tight)
-        set_(self, "dim", dim)
-        set_(self, "span", span)
-        set_(self, "vertex_set", frozenset(vertex_ids))
+        self._fill(index, vertex_ids, tight, dim, span, frozenset(vertex_ids))
 
 
 class ConeComplex:
@@ -72,53 +71,35 @@ class ConeComplex:
             raise SubgroupMismatch(
                 f"group acts on Z^{group.dim} but the polytope lives in Z^{d}"
             )
+        images = _vertex_action(polytope, group)
+        faces = _enumerate_faces(polytope)
+        below = [
+            tuple(g.index for g in faces if g.vertex_set <= f.vertex_set) for f in faces
+        ]
+        self._setup(polytope, group, faces, below, _face_maps(images, faces))
+
+    def _setup(self, polytope, group, faces, below, face_maps) -> None:
+        """Set the fields from the faces, the faces below each one and, per
+        element, the index of each face's image; shared by ``__init__`` and
+        :meth:`dual`."""
         self.polytope = polytope
         self.base_group = group
-        self.dim = d
-        self.cdim = d + 1
-
-        vertex_of = {v: i for i, v in enumerate(polytope.vertices)}
-        self._vertex_images = _vertex_action(polytope, group, vertex_of)
-
+        self.dim = polytope.dim
+        self.cdim = polytope.dim + 1
         self.group = group.image(_homogenize)
-        self.faces = _enumerate_faces(polytope)
-        self._index_of_vertexset = {f.vertex_set: f.index for f in self.faces}
-        self.apex_index = self._index_of_vertexset[frozenset()]
-        self.top_index = self._index_of_vertexset[
-            frozenset(range(len(polytope.vertices)))
-        ]
-
-        self._below: List[Tuple[int, ...]] = [
-            tuple(
-                g.index
-                for g in self.faces
-                if g.vertex_set <= f.vertex_set
-            )
-            for f in self.faces
-        ]
-        self._face_maps = self._build_face_maps()
+        self.faces = faces
+        self.apex_index = next(f.index for f in faces if f.dim == 0)
+        self.top_index = next(f.index for f in faces if f.dim == self.cdim)
+        self._below: List[Tuple[int, ...]] = below
+        self._face_maps = face_maps
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
         # the dual itself if this complex built it, else a weak back-link
         self._dual = None
-        self._dual_faces: Optional[Tuple[int, ...]] = None
         self.tables = None  # the combinatorial tables, set by tables_for
         self.stringy = None  # the stringy E-polynomial, set by e_stringy_reflexive
 
     # -- plumbing ---------------------------------------------------------
-
-    def _build_face_maps(self) -> Tuple[Tuple[int, ...], ...]:
-        maps = []
-        for images in self._vertex_images:
-            row = []
-            for f in self.faces:
-                image = frozenset(images[v] for v in f.vertex_ids)
-                target = self._index_of_vertexset.get(image)
-                if target is None:  # pragma: no cover - impossible for an action
-                    raise NotInvariant("group element does not permute the faces")
-                row.append(target)
-            maps.append(tuple(row))
-        return tuple(maps)
 
     def __repr__(self) -> str:
         return (
@@ -235,7 +216,15 @@ class ConeComplex:
         """The complex of the dual cone (polar dual polytope, dual action).
 
         Element ``e`` of its group is the contragredient of element ``e``
-        here, so element and class indices carry over unchanged.
+        here and its face ``i`` is the dual of face ``i`` here, so element,
+        class and face indices carry over (its apex is ``self.top_index``).
+        Dual vertex ``j`` is facet ``j`` here and dual facet ``j`` is vertex
+        ``j`` (both lists are sorted; every offset of a reflexive polytope is
+        1), so the dual of face ``i`` has the vertices ``faces[i].tight``,
+        lies on the facets ``faces[i].vertex_ids`` and moves as face ``i``
+        does, since ``<g^-T a, g v> = <a, v>``: the face maps are shared, and
+        the faces below face ``i`` there are the faces above it here.
+
         Polar duality and the contragredient are involutions, so the dual's
         dual is ``self`` while ``self`` is alive.  The complex that builds
         the dual holds it; the dual links back weakly, so dropping the last
@@ -244,37 +233,25 @@ class ConeComplex:
         if isinstance(dual, weakref.ref):
             dual = dual()
         if dual is None:
-            dual = ConeComplex(
-                self.polytope.dual_reflexive(), self.base_group.dual_group()
+            polytope = self.polytope.dual_reflexive()
+            faces = tuple(
+                _face(polytope, f.index, f.tight, f.vertex_ids) for f in self.faces
             )
+            above = [[] for _ in self.faces]
+            for g, below in enumerate(self._below):
+                for f in below:
+                    above[f].append(g)
+            dual = ConeComplex.__new__(ConeComplex)
+            group = self.base_group.dual_group()
+            dual._setup(polytope, group, faces, list(map(tuple, above)), self._face_maps)
             dual._dual = weakref.ref(self)
             self._dual = dual
         return dual
 
-    def dual_face_index(self, f: int) -> int:
-        """Index in ``dual()`` of the face dual to face ``f``.
 
-        Dual vertex ``i`` is primal facet ``i``: the dual's vertices are the
-        facet normals, and both lists are sorted by normal (every offset of
-        a reflexive polytope is 1).  So the dual face is spanned by the dual
-        vertices numbered ``f.tight``; its dimension complements ``f``'s.
-        """
-        if self._dual_faces is None:
-            dual = self.dual()
-            normals = tuple(a for a, _ in self.polytope.facets)
-            if dual.polytope.vertices != normals:  # pragma: no cover - sanity
-                raise IdentityFailure("dual vertices are not the facet normals in order")
-            pairs = []
-            for face in self.faces:
-                j = dual._index_of_vertexset[frozenset(face.tight)]
-                if dual.faces[j].dim != self.cdim - face.dim:  # pragma: no cover
-                    raise NotInvariant("dual pairing does not complement dimensions")
-                pairs.append(j)
-            self._dual_faces = tuple(pairs)
-        return self._dual_faces[f]
-
-
-def _vertex_action(polytope, group, vertex_of) -> Tuple[Tuple[int, ...], ...]:
+def _vertex_action(polytope, group) -> Tuple[Tuple[int, ...], ...]:
+    """Per element, the index of each vertex's image."""
+    vertex_of = {v: i for i, v in enumerate(polytope.vertices)}
     images = []
     for g in group.elements:
         row = []
@@ -288,6 +265,15 @@ def _vertex_action(polytope, group, vertex_of) -> Tuple[Tuple[int, ...], ...]:
             row.append(j)
         images.append(tuple(row))
     return tuple(images)
+
+
+def _face_maps(images, faces) -> Tuple[Tuple[int, ...], ...]:
+    """Per element, the index of each face's image, from the vertex images."""
+    index_of = {f.vertex_set: f.index for f in faces}
+    return tuple(
+        tuple(index_of[frozenset(row[v] for v in f.vertex_ids)] for f in faces)
+        for row in images
+    )
 
 
 def _homogenize(g: IntMatrix) -> IntMatrix:
@@ -317,19 +303,22 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
                     fresh.append(meet)
         frontier = fresh
 
-    ordered = sorted(found, key=lambda s: tuple(sorted(s)))
     faces = []
-    for idx, vs in enumerate(ordered):
-        ids = tuple(sorted(vs))
-        tight = tuple(
-            i for i, ts in enumerate(facet_sets) if vs <= ts
-        )
-        if tight:
-            span = integer_kernel(IntMatrix([polytope.cone_rows[i] for i in tight])).transpose()
-        else:  # the top face lies on no facet and spans the whole lattice
-            span = IntMatrix.identity(polytope.dim + 1)
-        faces.append(Face(idx, ids, tight, span.nrows, span))
+    for idx, vs in enumerate(sorted(found, key=lambda s: tuple(sorted(s)))):
+        tight = tuple(i for i, ts in enumerate(facet_sets) if vs <= ts)
+        faces.append(_face(polytope, idx, tuple(sorted(vs)), tight))
     return tuple(faces)
+
+
+def _face(polytope, index, vertex_ids, tight) -> Face:
+    """Face ``index`` of the cone over ``polytope``, spanned by the vertices
+    ``vertex_ids`` and lying on the facets ``tight``: its span is the
+    integer kernel of those facet rows."""
+    if tight:
+        span = integer_kernel(IntMatrix([polytope.cone_rows[i] for i in tight])).transpose()
+    else:  # the top face lies on no facet and spans the whole lattice
+        span = IntMatrix.identity(polytope.dim + 1)
+    return Face(index, vertex_ids, tight, span.nrows, span)
 
 
 # -- abstract cones ----------------------------------------------------------

@@ -184,8 +184,9 @@ def e_stringy_reflexive(complex: ConeComplex) -> EPoly:
         and the full cone) of
         (-u)^{dim F} det(rho_F) Stilde(F, v/u) Stilde(F*, uv)
 
-    where ``F*`` is the matching face of the dual cone and its polynomial
-    is evaluated at the contragredient element.
+    where ``F*`` is the dual face, the same index in ``complex.dual()``,
+    and its polynomial is evaluated at the contragredient element (the
+    same element index there).
 
     The result is kept on the complex (``complex.stringy``) and reused.
     """
@@ -202,7 +203,7 @@ def e_stringy_reflexive(complex: ConeComplex) -> EPoly:
             face_dim = complex.faces[face].dim
             primal = BiLaurent.from_unipoly(tables.stilde.poly(face, e), -1, 1)
             partner = BiLaurent.from_unipoly(
-                dual_tables.stilde.poly(complex.dual_face_index(face), e), 1, 1
+                dual_tables.stilde.poly(face, e), 1, 1
             )
             sign = complex.detsign(face, e) * (-1 if face_dim % 2 else 1)
             total = total + BiLaurent.monomial(face_dim, 0, sign) * primal * partner
@@ -239,7 +240,7 @@ def e_stringy_strata(complex: ConeComplex) -> EPoly:
                 continue
             slice_part = e_affine_face(complex, face, e)
             weight = BiLaurent.from_unipoly(
-                dual_tables.phi.poly(complex.dual_face_index(face), e), 1, 1
+                dual_tables.phi.poly(face, e), 1, 1
             )
             total = total + slice_part * weight
         values.append(_bounded(total, complex.dim - 1, "stringy E-polynomial"))
@@ -408,9 +409,11 @@ def hodge_diamond(epoly: EPoly) -> Diamond:
     """Read Hodge numbers off an E-polynomial: ``h^{p,q} = (-1)^{p+q} e^{p,q}``.
 
     The ambient dimension ``d`` is the one recorded on the polynomial
-    (hypersurface dimension ``d - 1``).  Exponents outside ``[0, d-1]``
-    raise :class:`NegativeExponent`.  For stringy inputs the invariant
-    part of ``h^{0,0}`` must be 1 (the quotient is connected).
+    (hypersurface dimension ``n = d - 1``).  Exponents outside ``[0, n]``
+    raise :class:`NegativeExponent`.  For stringy inputs with ``n >= 1``
+    the invariant part of ``h^{0,0}`` must be 1 (the quotient is
+    connected); at ``n = 0`` the hypersurface is a set of points, and
+    ``h^{0,0}`` counts them.
     """
     n = epoly.dim - 1
     for value in epoly.values:
@@ -440,7 +443,7 @@ def hodge_diamond(epoly: EPoly) -> Diamond:
                 raise IdentityFailure(
                     f"h^{p},{q} differs from h^{q},{p}: Hodge symmetry broken"
                 )
-    if epoly.kind.startswith("stringy") and invariant[0][0] != 1:
+    if n >= 1 and epoly.kind.startswith("stringy") and invariant[0][0] != 1:
         raise IdentityFailure(
             f"invariant h^0,0 is {invariant[0][0]}, expected 1 for a connected quotient"
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -394,6 +395,29 @@ def test_six_dimensional_cube_and_cross_phi(tmp_path, capsys):
     assert [fixed_slice_count(rows, (), identity, m) for m in (1, 2, 3)] == [13, 85, 377]
 
 
+def test_one_dimensional_diamond_counts_two_points(tmp_path, capsys):
+    """The hypersurface of a 1-dimensional reflexive model is two points,
+    so ``h^{0,0} = 2``: the connectedness guard applies only from curves
+    on.  Under ``central`` the two points are swapped, so the antipodal
+    class fixes neither and the quotient is one point."""
+    for name in ("cube", "cross"):
+        trivial = write_config(tmp_path, json.dumps({"builtin": name, "d": 1}))
+        json_path = tmp_path / "report.json"
+        assert cli.main(["diamond", "--config", trivial, "--json", str(json_path)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "Hodge diamond (dimensions at the identity):\n2\n"
+        )
+        diamond = json.loads(json_path.read_text())["results"]["diamond"]
+        assert diamond["size"] == 0 and diamond["invariant"] == {"0,0": 2}
+        central = write_config(
+            tmp_path, json.dumps({"builtin": name, "d": 1, "group": ["central"]})
+        )
+        assert cli.main(["diamond", "--config", central, "--json", str(json_path)]) == 0
+        assert "h^{0,0} by class: 0, 2\n" in capsys.readouterr().out
+        diamond = json.loads(json_path.read_text())["results"]["diamond"]
+        assert diamond["invariant"] == {"0,0": 1}
+
+
 def test_main_identity_failure_exit(tmp_path, capsys, monkeypatch):
     """A failing verification and a raised identity error both map to 3."""
     cfg = write_config(tmp_path, '{"builtin": "cube", "d": 2}')
@@ -460,6 +484,71 @@ def test_main_reports_are_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         blobs.append(json_path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+REPORT_MODELS = {
+    "cross3-central": {"builtin": "cross", "d": 3, "group": ["central"]},
+    # A5 is not its own contragredient in the quintic's lattice basis
+    "quintic-a5": {"builtin": "fermat", "d": 4, "group": ["(12)(34)", "(12345)"]},
+    "fermat3-(12)(34)": {"builtin": "fermat", "d": 3, "group": ["(12)(34)"]},
+}
+
+# sha256 of each command's stdout, a NUL byte and its --json report
+REPORT_DIGESTS = {
+    "cross3-central": {
+        "faces": "c0f8ef2f6cbbffc0593d8a68c7815f81ecc87e573edc648dd7eee324690ae189",
+        "phi": "a8f2f159fd8e6346473550c5bec96b0449f3dd79770054b415950e533dbb40fa",
+        "hg": "790bc8bc49f8557e9daa5876c121c2e54d801c4d0434aa99d52fa58402be054e",
+        "stilde": "c704f6fc09ab098b200e58098c5849cbd90a6f9be2c216d91852ff22295f5047",
+        "ehodge": "bf3733889fedac8cb27e2b036776af663442e9f5307193c334d2eed04760d34e",
+        "stringy": "4743790a0f10e1fdccd0f3d8f74c4804a8e38391c90aa4d5f2fa1fa86ffd954c",
+        "mirror-check": "73fa111fa2441cfbd607aad8bcd454cfbc9c8a4c079856ff10f24b3f3c987938",
+        "diamond": "19803bb01ec0bc0b29c8020c4ca3dd4486ca4d4c4e33323f54d2e1f35b12502d",
+        "euler": "a8176663a6532058b9fb35b5ea34162ac173c4ad403cc176b4ffac038dbba2c6",
+        "identities": "703204a782aaa630152a7680d2ec396841460981cfbcff36e70a97d429b1db61",
+    },
+    "quintic-a5": {
+        "faces": "6d94704bc2c723ecb6edafbfd73656d3fb55771d2d3fa3a485745cc8df9848ff",
+        "phi": "443a59f9210b2c43322986e6cbb10e5f4adc1e9abfaaa0aed680b501daef95e3",
+        "hg": "4ccaa9e5078a7ae27ee3c4f4ab5e28917d800c9aa6ae0b83cc6701f9c5fe7d80",
+        "stilde": "6f7f73b10135263f09efd8db6c0f80e2e097f37b29d616602ca021c0f6ffea3a",
+        "ehodge": "aaf389ad1f9bbb3769f1929b18ab7c90360ec48dea0819e28bc537f3688c448c",
+        "stringy": "6bc5830bcea39edf92b3ba5be7cb656f353b8076573736177b6d789092ebffa4",
+        "mirror-check": "ca4d5a4e69fd7dae296e15e93b3d95bf4ecd282dcb45dc9be54c3cc9565f9a98",
+        "diamond": "52fbc04ecf6e8ae85a3f60de0bba1b43d38854b8aaf1f939c0a9e85615958e4d",
+        "euler": "620e8b4ad58ff1bf7d0579bab2f637d5fe4f5a77cf3865cab6fc099471f9d34f",
+        "identities": "3bd46187a1186b7faf0f2d114867023051e0c84953e9b5f95526c14c0f505d26",
+    },
+    "fermat3-(12)(34)": {
+        "faces": "a10ff0d201895a16af37e1d31b2885bb1b54f1e8a12143c6c873b965215a9678",
+        "phi": "d4b40ea459dd8320fd066ba82de208a40591eab9889fa091e98d23ff830d070a",
+        "hg": "94f55a1e13c47ea939a81176778ceedfadf93410f56bd340f44072d36e13eba9",
+        "stilde": "b95c5d5ffb3111fa084ff9057702fe6810de0a4d6b62382610252438a4608fef",
+        "ehodge": "5aa09e901315952f4ee78c6e305673cd1bdc55781fe01692d2dfbd7c9a1a44da",
+        "stringy": "17b3bbdce8a536c039f2e66675fb3ea8b83d29d8e4907c74f9a985541e9ba3e6",
+        "mirror-check": "f93581d6c927702265b292fed3d4bc251f0f8351f4a328ba24339f8b98269704",
+        "diamond": "33b704f79e1a063644e065cfc0936037d4308608453b38f0ce4d003f5a76c5fa",
+        "euler": "95878e9c4b883ee26c61e5416365232902e241bb6ae1b3066789ff88caf95f47",
+        "identities": "3cd8cf1dbf3c313541f5ea786fa6177f90d8eca8355ec75afe6ed630f34f1b87",
+    },
+}
+
+
+def test_report_digests_are_pinned(tmp_path, capsys):
+    """Every report of every command is byte-for-byte the pinned one: a
+    refactor that changes a report, even only its order or formatting,
+    fails here and has to update the digest on purpose."""
+    json_path = tmp_path / "report.json"
+    found = {}
+    for name, config in REPORT_MODELS.items():
+        path = write_config(tmp_path, json.dumps(config))
+        found[name] = {}
+        for command in COMMANDS:
+            assert cli.main([command, "--config", path, "--json", str(json_path)]) == 0
+            stdout = capsys.readouterr().out.encode()
+            blob = stdout + b"\0" + json_path.read_bytes()
+            found[name][command] = hashlib.sha256(blob).hexdigest()
+    assert found == REPORT_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -315,12 +315,15 @@ def test_mirror_check_subgroup_sweep():
 
 def test_duality_is_an_involution(cube3_central):
     """``cx.dual().dual()`` is ``cx`` itself, the face and element pairings
-    invert each other, and the mirror identity holds seen from the dual."""
+    invert each other, and the mirror identity holds seen from the dual.
+    Face ``f`` of the dual swaps the vertices and facets of face ``f``, so
+    swapping them again gives face ``f`` back."""
     for cx in (cube3_central, quintic("(12345)"), quintic("(12)(34)", "(123)")):
         dual = cx.dual()
         assert dual.dual() is cx
-        for f in range(cx.face_count):
-            assert dual.dual_face_index(cx.dual_face_index(f)) == f
+        for f, face in enumerate(cx.faces):
+            assert dual.faces[f].vertex_ids == face.tight
+            assert dual.faces[f].tight == face.vertex_ids
         for e, g in enumerate(cx.base_group.elements):
             assert dual.base_group.dual_element(dual.base_group.elements[e]) == g
         assert mirror_check(dual).verdict

@@ -8,13 +8,21 @@ from collections import Counter
 import pytest
 from conftest import moved_complex, quintic_complex, random_unimodular
 
-from equimirror.cli.models import build_cross, build_cube, build_fermat, build_simplex
+from equimirror.cli.main import run
+from equimirror.cli.models import (
+    build_cross,
+    build_cube,
+    build_fermat,
+    build_simplex,
+    parse_config,
+)
 from equimirror.errors import NotInvariant, NotReflexive, SubgroupMismatch
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry import cones, intlinalg
 from equimirror.geometry.intlinalg import IntMatrix, det, integer_kernel
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
+from equimirror.invariants import mirror_check
 
 
 def f_vector(cx: ConeComplex) -> Counter:
@@ -312,40 +320,116 @@ def test_count_fixed_matches_polytope_counts(cube3_central):
 
 
 def test_dual_complex(cube3):
+    """Face ``f`` of the dual is the dual of face ``f``: the dual's faces
+    are distinct, complement dimensions and reverse the order."""
     dual = cube3.dual()
     assert dual.polytope == build_cross(3)
     assert dual.face_count == cube3.face_count
     seen = set()
     for f in range(cube3.face_count):
-        j = cube3.dual_face_index(f)
-        assert dual.faces[j].dim == cube3.cdim - cube3.faces[f].dim
-        seen.add(j)
+        assert dual.faces[f].index == f
+        assert dual.faces[f].dim == cube3.cdim - cube3.faces[f].dim
+        seen.add(dual.faces[f].vertex_set)
     assert len(seen) == cube3.face_count
     # order-reversing
     for f in range(cube3.face_count):
         for g in range(cube3.face_count):
             if cube3.leq(f, g):
-                assert dual.leq(cube3.dual_face_index(g), cube3.dual_face_index(f))
+                assert dual.leq(g, f)
 
 
 def test_dual_face_pairing_is_equivariant(sym3_cube3, quintic_a5):
-    """The pairing ``f -> dual_face_index(f)`` is a bijection that
-    complements dimensions, reverses order and commutes with the action:
-    element ``e`` of the dual (the contragredient of ``e``) maps the dual of
-    ``f`` to the dual of ``e f``.  Neither group is its own contragredient,
-    so a mix-up of primal and dual numbering would show."""
+    """The pairing ``f -> f`` between a complex and its dual is a bijection
+    that complements dimensions, reverses order and commutes with the
+    action: element ``e`` of the dual (the contragredient of ``e``) maps the
+    dual of ``f`` to the dual of ``e f``, read off the dual vertices it
+    moves.  Neither group is its own contragredient, so a mix-up of primal
+    and dual elements would show."""
     moved = moved_complex(sym3_cube3, random_unimodular(random.Random(1907), 3))
     for cx in (quintic_a5, moved):
         group, dual = cx.base_group, cx.dual()
         assert any(group.dual_element(g) != g for g in group.elements)
-        pair = [cx.dual_face_index(f) for f in range(cx.face_count)]
-        assert sorted(pair) == list(range(dual.face_count))
+        vertex_of = {v: i for i, v in enumerate(dual.polytope.vertices)}
+        face_of = {face.vertex_set: face.index for face in dual.faces}
+        assert sorted(face_of.values()) == list(range(dual.face_count))
         for f, face in enumerate(cx.faces):
-            assert dual.faces[pair[f]].dim == cx.cdim - face.dim
+            assert dual.faces[f].dim == cx.cdim - face.dim
             for g in cx.faces_below(f):
-                assert dual.leq(pair[f], pair[g])
-            for e in range(group.order):
-                assert dual.face_image(e, pair[f]) == pair[cx.face_image(e, f)]
+                assert dual.leq(f, g)
+            for e, h in enumerate(dual.base_group.elements):
+                moved_vertices = frozenset(
+                    vertex_of[h.apply(dual.polytope.vertices[i])]
+                    for i in dual.faces[f].vertex_ids
+                )
+                assert face_of[moved_vertices] == dual.face_image(e, f)
+                assert dual.face_image(e, f) == cx.face_image(e, f)
+
+
+def _dual_reference_models(quintic_sym5, quintic_a5):
+    for build, low in ((build_cube, 1), (build_cross, 1), (build_simplex, 1),
+                       (build_fermat, 2)):
+        for d in range(low, 6):
+            polytope = build(d)
+            if polytope.is_reflexive():
+                yield trivial(polytope)
+    for build in (build_cube, build_cross):
+        for d in range(1, 5):
+            yield ConeComplex(build(d), generate_group([IntMatrix.identity(d).scale(-1)]))
+    yield quintic_sym5
+    yield quintic_a5
+    yield moved_complex(quintic_a5, random_unimodular(random.Random(2203), 4))
+
+
+def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
+    """The dual read off the primal is the complex built from scratch on
+    the polar dual and the dual group, up to numbering: matched by vertex
+    set, each face has the same vertices, facets, dimension, span, faces
+    below it and image under every element."""
+    models = 0
+    for cx in _dual_reference_models(quintic_sym5, quintic_a5):
+        dual = cx.dual()
+        fresh = ConeComplex(cx.polytope.dual_reflexive(), cx.base_group.dual_group())
+        assert dual.polytope == fresh.polytope
+        assert dual.face_count == fresh.face_count
+        index = {face.vertex_set: face.index for face in fresh.faces}
+        match = [index[face.vertex_set] for face in dual.faces]
+        assert sorted(match) == list(range(fresh.face_count))
+        for face, j in zip(dual.faces, match):
+            other = fresh.faces[j]
+            assert face.vertex_ids == other.vertex_ids, (cx, face.index)
+            assert face.tight == other.tight, (cx, face.index)
+            assert face.dim == other.dim, (cx, face.index)
+            assert face.span.rows == other.span.rows, (cx, face.index)
+        for f in range(dual.face_count):
+            below = sorted(match[g] for g in dual.faces_below(f))
+            assert below == list(fresh.faces_below(match[f])), (cx, f)
+        for e in range(cx.group.order):
+            for f in range(dual.face_count):
+                assert match[dual.face_image(e, f)] == fresh.face_image(e, match[f])
+        assert match[dual.apex_index] == fresh.apex_index
+        assert match[dual.top_index] == fresh.top_index
+        models += 1
+    assert models == 25
+
+
+def test_faces_are_enumerated_once_per_pair(monkeypatch):
+    """A dual complex takes its faces from its partner: the face closure
+    runs once for the pair, on the mirror check and on CLI ``phi``."""
+    polytopes = []
+    enumerate_faces = cones._enumerate_faces
+
+    def counted(polytope):
+        polytopes.append(polytope)
+        return enumerate_faces(polytope)
+
+    monkeypatch.setattr(cones, "_enumerate_faces", counted)
+    quintic = quintic_complex("(12)", "(12345)")
+    assert mirror_check(quintic).verdict
+    assert polytopes == [quintic.polytope]
+    polytopes.clear()
+    report, code = run(parse_config('{"builtin": "cube", "d": 5, "commands": ["phi"]}'))
+    assert code == 0 and "phi[C*](class 0)" in report.render()
+    assert polytopes == [build_cube(5)]
 
 
 def test_dual_group_keeps_element_indices(cube4_central, quintic_a5):
