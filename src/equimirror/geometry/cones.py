@@ -12,14 +12,19 @@ characteristic polynomial, one per orbit of (face, element) under
 by the orbit's :meth:`ConeComplex.canonical` pair; its determinant is read
 off the constant term.
 
-Faces are found by intersecting facet vertex sets — the intersection of
-two faces is a face, and every proper face is an intersection of facets,
-so closing the facet sets under intersection enumerates everything.
+Vertex sets are int bitmasks while the lattice is built.  Faces are found
+by closing the facets' vertex bitmasks under intersection — the
+intersection of two faces is a face, and every proper face is an
+intersection of facets.  The faces below a face are those on every facet
+it lies on, the meet of per-facet face bitmasks, and a face's image under
+an element is looked up by the bitmask of its moved vertices.
 
 A dual complex (:meth:`ConeComplex.dual`) is read off its partner instead,
 the same face lattice upside down, and orders its faces as its partner
 does: face ``i`` is dual to face ``i`` as element ``e`` is to element
-``e``, so its apex is not face 0.
+``e``, so its apex is not face 0.  Its spans come from its partner's
+spans (the annihilator of a face's span is its dual's span), and the two
+share one least-face table for :meth:`ConeComplex.canonical`.
 
 The module also provides the abstract cones the recursions run on:
 intervals of the face poset read either upward (quotient cones) or
@@ -73,9 +78,7 @@ class ConeComplex:
             )
         images = _vertex_action(polytope, group)
         faces = _enumerate_faces(polytope)
-        below = [
-            tuple(g.index for g in faces if g.vertex_set <= f.vertex_set) for f in faces
-        ]
+        below = _faces_below(faces, len(polytope.facets))
         self._setup(polytope, group, faces, below, _face_maps(images, faces))
 
     def _setup(self, polytope, group, faces, below, face_maps) -> None:
@@ -225,6 +228,15 @@ class ConeComplex:
         does, since ``<g^-T a, g v> = <a, v>``: the face maps are shared, and
         the faces below face ``i`` there are the faces above it here.
 
+        The span of the dual of face ``i`` is read off the span here: the
+        dual cone's rows are ``(v, -1)`` for the vertices ``v``, so it is the
+        integer kernel of face ``i``'s span rows with the height negated,
+        at most ``cdim`` rows.  The Hermite form is canonical, so the rows
+        are the ones a build from scratch gives.  Both complexes share their
+        face maps and their groups share classes, conjugators and
+        centralizers, so they share one least-face table for
+        :meth:`canonical` too.
+
         Polar duality and the contragredient are involutions, so the dual's
         dual is ``self`` while ``self`` is alive.  The complex that builds
         the dual holds it; the dual links back weakly, so dropping the last
@@ -234,9 +246,7 @@ class ConeComplex:
             dual = dual()
         if dual is None:
             polytope = self.polytope.dual_reflexive()
-            faces = tuple(
-                _face(polytope, f.index, f.tight, f.vertex_ids) for f in self.faces
-            )
+            faces = tuple(_dual_face(f, self.cdim) for f in self.faces)
             above = [[] for _ in self.faces]
             for g, below in enumerate(self._below):
                 for f in below:
@@ -244,6 +254,7 @@ class ConeComplex:
             dual = ConeComplex.__new__(ConeComplex)
             group = self.base_group.dual_group()
             dual._setup(polytope, group, faces, list(map(tuple, above)), self._face_maps)
+            dual._canonical_faces = self._canonical_faces
             dual._dual = weakref.ref(self)
             self._dual = dual
         return dual
@@ -268,12 +279,31 @@ def _vertex_action(polytope, group) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _face_maps(images, faces) -> Tuple[Tuple[int, ...], ...]:
-    """Per element, the index of each face's image, from the vertex images."""
-    index_of = {f.vertex_set: f.index for f in faces}
-    return tuple(
-        tuple(index_of[frozenset(row[v] for v in f.vertex_ids)] for f in faces)
-        for row in images
-    )
+    """Per element, the index of each face's image, from the vertex images:
+    a face is keyed by the bitmask of its vertices."""
+    index_of = {_mask(f.vertex_ids): f.index for f in faces}
+    maps = []
+    for row in images:
+        bits = [1 << j for j in row]
+        maps.append(
+            tuple(index_of[sum(bits[v] for v in f.vertex_ids)] for f in faces)
+        )
+    return tuple(maps)
+
+
+def _mask(ids) -> int:
+    """The bitmask of a set of indices."""
+    return sum(1 << i for i in ids)
+
+
+def _members(mask: int) -> Tuple[int, ...]:
+    """The set bits of ``mask``, low to high."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _homogenize(g: IntMatrix) -> IntMatrix:
@@ -281,22 +311,23 @@ def _homogenize(g: IntMatrix) -> IntMatrix:
 
 
 def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
-    nv = len(polytope.vertices)
-    facet_sets = []
-    for a, b in polytope.facets:
-        tightset = frozenset(
-            i for i, v in enumerate(polytope.vertices) if sum(x * y for x, y in zip(a, v)) == b
+    """Every face, by closing the facets' vertex bitmasks under
+    intersection, numbered in lexicographic order of vertex ids."""
+    facet_masks = [
+        _mask(
+            i for i, v in enumerate(polytope.vertices)
+            if sum(x * y for x, y in zip(a, v)) == b
         )
-        facet_sets.append(tightset)
-
-    found = set(facet_sets)
-    found.add(frozenset(range(nv)))
-    found.add(frozenset())
+        for a, b in polytope.facets
+    ]
+    found = set(facet_masks)
+    found.add((1 << len(polytope.vertices)) - 1)
+    found.add(0)
     frontier = list(found)
     while frontier:
         fresh = []
         for s in frontier:
-            for t in facet_sets:
+            for t in facet_masks:
                 meet = s & t
                 if meet not in found:
                     found.add(meet)
@@ -304,10 +335,31 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
         frontier = fresh
 
     faces = []
-    for idx, vs in enumerate(sorted(found, key=lambda s: tuple(sorted(s)))):
-        tight = tuple(i for i, ts in enumerate(facet_sets) if vs <= ts)
-        faces.append(_face(polytope, idx, tuple(sorted(vs)), tight))
+    for idx, (vertex_ids, s) in enumerate(sorted((_members(s), s) for s in found)):
+        tight = tuple(i for i, t in enumerate(facet_masks) if s & t == s)
+        faces.append(_face(polytope, idx, vertex_ids, tight))
     return tuple(faces)
+
+
+def _faces_below(faces, facet_count: int) -> List[Tuple[int, ...]]:
+    """Per face, the indices of the faces below it, ascending.
+
+    A face's vertex set is the intersection of its tight facets' (the
+    apex's, of all of them), so ``g`` lies below ``f`` exactly when it lies
+    on every facet ``f`` lies on: the faces below ``f`` are the meet of
+    the per-facet face bitmasks over ``f.tight``."""
+    on_facet = [0] * facet_count
+    for f in faces:
+        for i in f.tight:
+            on_facet[i] |= 1 << f.index
+    everything = (1 << len(faces)) - 1
+    below = []
+    for f in faces:
+        mask = everything
+        for i in f.tight:
+            mask &= on_facet[i]
+        below.append(_members(mask))
+    return below
 
 
 def _face(polytope, index, vertex_ids, tight) -> Face:
@@ -315,10 +367,21 @@ def _face(polytope, index, vertex_ids, tight) -> Face:
     ``vertex_ids`` and lying on the facets ``tight``: its span is the
     integer kernel of those facet rows."""
     if tight:
-        span = integer_kernel(IntMatrix([polytope.cone_rows[i] for i in tight])).transpose()
+        span = integer_kernel(IntMatrix([polytope.cone_rows[i] for i in tight]))
     else:  # the top face lies on no facet and spans the whole lattice
         span = IntMatrix.identity(polytope.dim + 1)
     return Face(index, vertex_ids, tight, span.nrows, span)
+
+
+def _dual_face(face: Face, cdim: int) -> Face:
+    """The dual of ``face``, with its vertices and facets swapped: its span
+    is the integer kernel of ``face``'s span rows with the height negated
+    (the apex's partner is the top face, which spans the whole lattice)."""
+    if face.span.rows:
+        span = integer_kernel(IntMatrix([r[:-1] + (-r[-1],) for r in face.span.rows]))
+    else:
+        span = IntMatrix.identity(cdim)
+    return Face(face.index, face.tight, face.vertex_ids, span.nrows, span)
 
 
 # -- abstract cones ----------------------------------------------------------

@@ -87,12 +87,12 @@ def _face_basis(
         kernel = integer_kernel(IntMatrix([r[-1:] + r[:-1] for r in eq_rows]))
     else:
         kernel = IntMatrix.identity(n)
-    vectors = kernel.columns()
+    vectors = kernel.rows
     g = vectors[0][0] if vectors else 0
-    # back to the cone's coordinate order, one row per coordinate even when
-    # the kernel is trivial
-    basis = IntMatrix([[v[i] for v in vectors] for i in (*range(1, n), 0)])
-    columns = basis.columns()
+    # back to the cone's coordinate order: the basis has the vectors as its
+    # columns and one row per coordinate, even when the kernel is trivial
+    columns = [v[1:] + v[:1] for v in vectors]
+    basis = IntMatrix([[c[i] for c in columns] for i in range(n)])
     skip = set(tight)
     rows = tuple(
         tuple(vec_dot(row, c) for c in columns)

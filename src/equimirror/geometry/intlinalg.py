@@ -3,8 +3,9 @@
 Small dense matrices over the integers, with the handful of fraction-free
 algorithms the rest of the package relies on: Bareiss determinants,
 Faddeev-LeVerrier characteristic polynomials, integer kernels via tracked
-unimodular column operations and row Hermite normal forms.  Everything
-returns plain ``int`` entries; nothing here ever touches floating point.
+unimodular column operations and row Hermite normal forms (Cohen, *A
+Course in Computational Algebraic Number Theory*, 2.4).  Everything returns
+plain ``int`` entries; nothing here ever touches floating point.
 
 Every algorithm works on one arithmetic, lists of integer rows read from
 ``matrix.rows``; none builds a matrix sum or product.  ``IntMatrix`` is
@@ -15,13 +16,16 @@ group action), ``scale`` (scalar elements such as ``-I``), ``trace``
 use to build reference results and to count products.
 
 Every lattice basis this module returns is a Hermite normal form: rows
-(kernel vectors, for ``integer_kernel``) in echelon order, positive
-pivots, entries above each pivot reduced.  Callers read that form
-directly: ranks are Hermite lengths, the first kernel vector is the only
-one nonzero at the first coordinate, coordinates in a basis are read by
-substitution (``solve_in_row_basis``) rather than by a solve, and the
-inverse of a unimodular ``M`` is the right block of the Hermite form of
-``[M | I]`` (``groups.inverse_unimodular``).
+(``integer_kernel`` returns its kernel vectors as rows too) in echelon
+order, positive pivots, entries above each pivot reduced.  One routine on
+lists of integer rows computes that form for ``hnf_rows`` and
+``integer_kernel``, and each result is put in one ``IntMatrix``.  The form
+is canonical, so a lattice has one basis however it was reached.  Callers
+read that form directly: ranks are Hermite lengths, the first kernel
+vector is the only one nonzero at the first coordinate, coordinates in a
+basis are read by substitution (``solve_in_row_basis``) rather than by a
+solve, and the inverse of a unimodular ``M`` is the right block of the
+Hermite form of ``[M | I]`` (``groups.inverse_unimodular``).
 
 Entries are checked to be exactly integral once per row
 (``_as_int_row``), the one check every ``IntMatrix`` and every polytope
@@ -225,61 +229,76 @@ def char_poly(matrix: IntMatrix) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def _gcd_reduce_columns(a: List[List[int]], u: List[List[int]], row: int, start: int) -> bool:
-    """Clear row ``row`` to a single nonzero entry at column ``start``.
+def _echelon(
+    rows: List[List[int]], width: int
+) -> Tuple[List[Tuple[int, List[int]]], List[List[int]]]:
+    """Row echelon form of the integer rows ``rows`` on their first
+    ``width`` coordinates, by gcd steps (unimodular row operations).
 
-    Works by repeated column subtractions (unimodular), mirroring every
-    operation in ``u``.  Returns True when a pivot remains.
+    Returns ``(pivots, rest)``: ``pivots`` pairs each pivot coordinate, in
+    increasing order, with the one row whose leading entry sits there;
+    ``rest`` holds the other rows, zero at every one of those coordinates.
+    Together they are a unimodular transform of ``rows``.
     """
-    ncols = len(a[0]) if a else 0
-    while True:
-        pivot = -1
-        best = 0
-        for j in range(start, ncols):
-            x = abs(a[row][j])
-            if x and (pivot < 0 or x < best):
-                pivot, best = j, x
-        if pivot < 0:
-            return False
-        done = True
-        for j in range(start, ncols):
-            if j == pivot or a[row][j] == 0:
-                continue
-            q = a[row][j] // a[row][pivot]
-            for i in range(len(a)):
-                a[i][j] -= q * a[i][pivot]
-            for i in range(len(u)):
-                u[i][j] -= q * u[i][pivot]
-            if a[row][j] != 0:
-                done = False
-        if done:
-            if pivot != start:
-                for i in range(len(a)):
-                    a[i][pivot], a[i][start] = a[i][start], a[i][pivot]
-                for i in range(len(u)):
-                    u[i][pivot], u[i][start] = u[i][start], u[i][pivot]
-            return True
+    pivots = []
+    rest = rows
+    for c in range(width):
+        if not rest:
+            break
+        live = [r for r in rest if r[c]]
+        if not live:
+            continue
+        rest = [r for r in rest if not r[c]]
+        # subtract the row of least entry at c from the others until it is
+        # the only one left nonzero there; each round shrinks the least entry
+        while len(live) > 1:
+            sizes = [abs(r[c]) for r in live]
+            p = live.pop(sizes.index(min(sizes)))
+            nxt = [p]
+            for r in live:
+                q = r[c] // p[c]
+                r = [x - q * y for x, y in zip(r, p)]
+                (nxt if r[c] else rest).append(r)
+            live = nxt
+        pivots.append((c, live[0]))
+    return pivots, rest
+
+
+def _hermite(rows: List[List[int]], width: int) -> List[List[int]]:
+    """The nonzero rows of the row Hermite normal form of the integer rows
+    ``rows`` of width ``width``."""
+    out: List[List[int]] = []
+    # reduce entries above each pivot, left to right: each pivot row has
+    # zeros in all earlier pivot columns, so this order never un-reduces one
+    for c, p in _echelon(rows, width)[0]:
+        if p[c] < 0:
+            p = [-x for x in p]
+        for i, r in enumerate(out):
+            q = r[c] // p[c]
+            if q:
+                out[i] = [x - q * y for x, y in zip(r, p)]
+        out.append(p)
+    return out
 
 
 def integer_kernel(matrix: IntMatrix) -> IntMatrix:
-    """Basis of ``{x : M x = 0}`` over the integers, as matrix columns.
+    """Basis of ``{x : M x = 0}`` over the integers, as the rows of a
+    Hermite normal form.
 
-    The basis spans the kernel saturatedly (any integer solution is an
-    integer combination of the columns), and its transpose is a row
-    Hermite normal form.  Returns an ``ncols x k`` matrix; ``k`` may be
-    zero.
+    The basis spans the kernel saturatedly: any integer solution is an
+    integer combination of the rows.  Returns a ``k x ncols`` matrix; ``k``
+    may be zero, and then the matrix has no rows.
     """
-    n = matrix.ncols
-    a = [list(r) for r in matrix.rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    start = 0
-    for row in range(matrix.nrows):
-        if start >= n:
-            break
-        if _gcd_reduce_columns(a, u, row, start):
-            start += 1
-    kernel_rows = IntMatrix([[u[i][j] for i in range(n)] for j in range(start, n)])
-    return IntMatrix.from_columns(hnf_rows(kernel_rows).rows)
+    rows = matrix.rows
+    n, m = matrix.ncols, matrix.nrows
+    # the rows of [M^T | I]: reducing the M^T part is a unimodular column
+    # reduction of M that the identity part records, so the rows it leaves
+    # zero there carry a basis of the kernel
+    aug = [[r[j] for r in rows] + [0] * n for j in range(n)]
+    for j in range(n):
+        aug[j][m + j] = 1
+    rest = _echelon(aug, m)[1]
+    return IntMatrix(_hermite([r[m:] for r in rest], n))
 
 
 def hnf_rows(matrix: IntMatrix) -> IntMatrix:
@@ -288,48 +307,7 @@ def hnf_rows(matrix: IntMatrix) -> IntMatrix:
     Pivots are positive, entries above each pivot are reduced to the range
     ``[0, pivot)``; the result is the canonical basis of the row span.
     """
-    a = [list(r) for r in matrix.rows]
-    nrows = len(a)
-    ncols = matrix.ncols
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        # gcd-reduce entries in this column at or below pivot_row
-        while True:
-            best_i = -1
-            best = 0
-            for i in range(pivot_row, nrows):
-                x = abs(a[i][col])
-                if x and (best_i < 0 or x < best):
-                    best_i, best = i, x
-            if best_i < 0:
-                break
-            a[pivot_row], a[best_i] = a[best_i], a[pivot_row]
-            done = True
-            for i in range(pivot_row + 1, nrows):
-                if a[i][col]:
-                    q = a[i][col] // a[pivot_row][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
-                    if a[i][col]:
-                        done = False
-            if done:
-                break
-        if pivot_row < nrows and a[pivot_row][col]:
-            if a[pivot_row][col] < 0:
-                a[pivot_row] = [-x for x in a[pivot_row]]
-            pivots.append((pivot_row, col))
-            pivot_row += 1
-    # reduce entries above each pivot, left to right: each pivot row has
-    # zeros in all earlier pivot columns, so this order never un-reduces one
-    for r, c in pivots:
-        p = a[r][c]
-        for i in range(r):
-            q = a[i][c] // p
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-    return IntMatrix([row for row in a[:pivot_row]])
+    return IntMatrix(_hermite([list(r) for r in matrix.rows], matrix.ncols))
 
 
 def solve_in_row_basis(basis: IntMatrix, vector: Sequence[int]) -> Tuple[int, ...]:

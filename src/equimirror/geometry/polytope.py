@@ -185,9 +185,9 @@ def _search_facets(verts: Tuple[Vector, ...], d: int) -> Tuple[Facet, ...]:
     for subset in combinations(range(len(verts)), d):
         rows = IntMatrix([verts[i] + (1,) for i in subset])
         kern = integer_kernel(rows)
-        if kern.ncols != 1:
+        if kern.nrows != 1:
             continue
-        normal = primitive(kern.col(0))
+        normal = primitive(kern.rows[0])
         a, negb = normal[:d], normal[d]
         values = [vec_dot(a, v) for v in verts]
         b = -negb

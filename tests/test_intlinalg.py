@@ -188,11 +188,11 @@ def test_package_forms_no_matrix_products(monkeypatch):
 
 def test_integer_kernel_oracles():
     k = integer_kernel(IntMatrix([[2, 4]]))
-    assert k.shape == (2, 1)
-    # primitive generator of { (x, y) : 2x + 4y = 0 }
-    assert primitive(k.col(0)) == tuple(k.col(0))
-    assert IntMatrix([[2, 4]]) @ k == IntMatrix.zero(1, 1)
-    assert integer_kernel(IntMatrix.identity(3)).ncols == 0
+    assert k.shape == (1, 2)
+    # primitive generator of { (x, y) : 2x + 4y = 0 }, as the one row
+    assert primitive(k.rows[0]) == k.rows[0]
+    assert IntMatrix([[2, 4]]) @ k.transpose() == IntMatrix.zero(1, 1)
+    assert integer_kernel(IntMatrix.identity(3)).nrows == 0
     full = integer_kernel(IntMatrix.zero(2, 3))
     assert full.shape == (3, 3)
     assert det(full) in (1, -1)
@@ -204,19 +204,21 @@ def test_integer_kernel_random():
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         a = rand_matrix(rng, n, m, -4, 4)
         ker = integer_kernel(a)
-        if ker.ncols:
-            assert a @ ker == IntMatrix.zero(n, ker.ncols)
+        # M x = 0 for each basis row
+        for row in ker.rows:
+            assert len(row) == m
+            assert a.apply(row) == (0,) * n
         rank = hnf_rows(a).nrows
-        assert rank + ker.ncols == m
-        # the kernel basis is already a row Hermite form, which the face
-        # bases in ``counting`` and the face spans in ``cones`` read directly
-        assert hnf_rows(ker.transpose()) == ker.transpose()
+        assert rank + ker.nrows == m
+        # the kernel basis is a row Hermite form, which the face bases in
+        # ``counting`` and the face spans in ``cones`` read directly
+        assert hnf_rows(ker) == ker
         # saturation: a primitive multiple of any kernel vector stays inside
-        if ker.ncols:
-            combo = [rng.randint(-3, 3) for _ in range(ker.ncols)]
-            vec = primitive(ker.apply(combo))
+        if ker.nrows:
+            combo = [rng.randint(-3, 3) for _ in range(ker.nrows)]
+            vec = primitive(ker.transpose().apply(combo))
             if any(vec):
-                solve_in_row_basis(ker.transpose(), vec)
+                solve_in_row_basis(ker, vec)
 
 
 def test_hnf_rows_canonical():

@@ -156,10 +156,11 @@ def saturated_vertex_span(polytope, face) -> IntMatrix:
     if not face.vertex_ids:
         return IntMatrix(())
     gens = IntMatrix([polytope.vertices[i] + (1,) for i in face.vertex_ids])
+    # the rows of each kernel are the vectors orthogonal to every given row
     annihilator = integer_kernel(gens)
-    if annihilator.ncols == 0:
+    if annihilator.nrows == 0:
         return IntMatrix.identity(polytope.dim + 1)
-    return integer_kernel(annihilator.transpose()).transpose()
+    return integer_kernel(annihilator)
 
 
 def test_face_spans_are_saturated_vertex_spans():
@@ -410,6 +411,109 @@ def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
         assert match[dual.top_index] == fresh.top_index
         models += 1
     assert models == 25
+
+
+def reference_lattice(polytope, group):
+    """The faces of the cone over ``polytope`` as ``(vertex_ids, tight)`` in
+    lexicographic order, the faces below each one and, per element of
+    ``group``, the index of each face's image: the frozenset comprehensions
+    the bitmask build replaced."""
+    facet_sets = [
+        frozenset(
+            i for i, v in enumerate(polytope.vertices)
+            if sum(x * y for x, y in zip(a, v)) == b
+        )
+        for a, b in polytope.facets
+    ]
+    found = set(facet_sets) | {frozenset(range(len(polytope.vertices))), frozenset()}
+    frontier = list(found)
+    while frontier:
+        fresh = {s & t for s in frontier for t in facet_sets} - found
+        found |= fresh
+        frontier = list(fresh)
+    order = sorted(found, key=lambda s: tuple(sorted(s)))
+    faces = [
+        (tuple(sorted(s)), tuple(i for i, t in enumerate(facet_sets) if s <= t))
+        for s in order
+    ]
+    below = [tuple(j for j, t in enumerate(order) if t <= s) for s in order]
+    index_of = {s: i for i, s in enumerate(order)}
+    vertex_of = {v: i for i, v in enumerate(polytope.vertices)}
+    maps = [
+        [
+            index_of[frozenset(vertex_of[g.apply(polytope.vertices[v])] for v in s)]
+            for s in order
+        ]
+        for g in group.elements
+    ]
+    return faces, below, maps
+
+
+def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
+    """On both sides of the 25 dual reference models, the bitmask build
+    gives the reference's faces, faces below and face images.  A primal
+    numbers its faces as the reference does; a dual is matched to it by
+    vertex set."""
+    models = 0
+    for cx in _dual_reference_models(quintic_sym5, quintic_a5):
+        for side in (cx, cx.dual()):
+            faces, below, maps = reference_lattice(side.polytope, side.base_group)
+            index = {frozenset(ids): i for i, (ids, _) in enumerate(faces)}
+            match = [index[face.vertex_set] for face in side.faces]
+            if side is cx:
+                assert match == list(range(len(faces)))
+            assert sorted(match) == list(range(len(faces)))
+            for face, j in zip(side.faces, match):
+                assert (face.vertex_ids, face.tight) == faces[j], (side, face.index)
+                assert sorted(match[g] for g in side.faces_below(face.index)) == list(
+                    below[j]
+                ), (side, face.index)
+            for e in range(side.group.order):
+                for f, j in enumerate(match):
+                    assert match[side.face_image(e, f)] == maps[e][j], (side, e, f)
+        models += 1
+    assert models == 25
+
+
+def test_dual_spans_take_at_most_cdim_rows(monkeypatch):
+    """The dual reads each span off its partner's: every kernel it takes
+    has at most ``cdim`` rows, where one over the dual's tight facets
+    would take up to 32 vertex rows on cube5."""
+    cx = trivial(build_cube(5))
+    sizes = []
+    original = intlinalg.integer_kernel
+
+    def counted(matrix):
+        sizes.append(matrix.nrows)
+        return original(matrix)
+
+    monkeypatch.setattr(intlinalg, "integer_kernel", counted)
+    monkeypatch.setattr(cones, "integer_kernel", counted, raising=False)
+    dual = cx.dual()
+    # one kernel per face but the dual's top, the apex's partner
+    assert len(sizes) == dual.face_count - 1 == 243
+    assert max(sizes) <= cx.cdim == 6
+
+
+def test_partners_share_one_least_face_table(quintic_a5):
+    """A complex and its dual share their face maps, classes, conjugators
+    and centralizers, so they share one least-face table: the dual takes
+    its partner's, and ``canonical`` agrees on every pair, also under A5,
+    which is not its own contragredient in Fermat coordinates."""
+    quintic = quintic_complex("(12)", "(12345)")
+    assert mirror_check(quintic).verdict
+    assert quintic.dual()._canonical_faces is quintic._canonical_faces
+    cx, dual = quintic_a5, quintic_a5.dual()
+    assert any(g != cx.base_group.dual_element(g) for g in cx.base_group.elements)
+    for f in range(cx.face_count):
+        for e in range(cx.group.order):
+            # the orbit representative from the dual's own maps and group
+            x, r = dual.group.conjugator(e)
+            least = min(
+                dual.face_image(c, dual.face_image(x, f))
+                for c in dual.group.centralizer(r)
+            )
+            assert cx.canonical(f, e) == dual.canonical(f, e) == (least, r), (f, e)
 
 
 def test_faces_are_enumerated_once_per_pair(monkeypatch):
