@@ -22,9 +22,12 @@ an element is looked up by the bitmask of its moved vertices.
 A dual complex (:meth:`ConeComplex.dual`) is read off its partner instead,
 the same face lattice upside down, and orders its faces as its partner
 does: face ``i`` is dual to face ``i`` as element ``e`` is to element
-``e``, so its apex is not face 0.  Its spans come from its partner's
-spans (the annihilator of a face's span is its dual's span), and the two
-share one least-face table for :meth:`ConeComplex.canonical`.
+``e``, so its apex is not face 0.  It does no integer linear algebra: its
+faces carry no span, and its characteristic polynomials are quotients of
+its partner's (the span of a dual face is the annihilator of its
+partner's span, on which an element acts as the contragredient of its
+action on the quotient by that span).  The two share one least-face
+table for :meth:`ConeComplex.canonical`.
 
 The module also provides the abstract cones the recursions run on:
 intervals of the face poset read either upward (quotient cones) or
@@ -50,6 +53,8 @@ from .polytope import LatticePolytope
 class Face(Frozen):
     """One face of the cone; ``dim`` is the cone dimension (apex 0).
 
+    ``span`` is the Hermite basis of the face's span, or ``None`` on a
+    complex read off its partner (:meth:`ConeComplex.span` derives it).
     ``vertex_set`` is ``frozenset(vertex_ids)``, built once here:
     :meth:`ConeComplex.leq` and :meth:`ConeComplex.interval` compare vertex
     sets on every call."""
@@ -62,7 +67,7 @@ class Face(Frozen):
         vertex_ids: Tuple[int, ...],
         tight: Tuple[int, ...],
         dim: int,
-        span: IntMatrix,
+        span: IntMatrix | None,
     ):
         self._fill(index, vertex_ids, tight, dim, span, frozenset(vertex_ids))
 
@@ -97,6 +102,9 @@ class ConeComplex:
         self._face_maps = face_maps
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
+        # on a complex read off its partner, the partner's faces (with
+        # spans), homogenized group and charpoly memo; None if it has spans
+        self._partner = None
         # the dual itself if this complex built it, else a weak back-link
         self._dual = None
         self.tables = None  # the combinatorial tables, set by tables_for
@@ -168,26 +176,40 @@ class ConeComplex:
 
     # -- restriction data ------------------------------------------------------
 
+    def span(self, f: int) -> IntMatrix:
+        """The Hermite basis of the span of face ``f``.  A complex read off
+        its partner stores none and derives it from the partner face's
+        span on each call."""
+        if self._partner is None:
+            return self.faces[f].span
+        return _dual_span(self._partner[0][f].span, self.cdim)
+
     def rho(self, f: int, e: int) -> IntMatrix:
         """Matrix of element ``e`` on the span of face ``f``, in its basis."""
         if not self.is_invariant(f, e):
             raise NotInvariant(f"face {f} is not invariant under element {e}")
-        span = self.faces[f].span
-        g = self.group.elements[e]
-        cols = [solve_in_row_basis(span, g.apply(row)) for row in span.rows]
-        return IntMatrix.from_columns(cols)
+        return _action(self.span(f), self.group.elements[e])
 
     def charpoly(self, f: int, e: int) -> UniPoly:
         """Monic characteristic polynomial of the face restriction, the one
         fact kept per orbit of (face, element), computed at the orbit's
-        canonical pair."""
+        canonical pair ``(f', r)``.
+
+        On a complex read off its partner ``P`` it is
+        ``P.charpoly(top, r) / P.charpoly(f', r)``, with ``top`` this
+        complex's apex: the element acts on the dual face's span, the
+        annihilator of the span of face ``f'`` there, as the contragredient
+        of its action on the quotient by that span, and a rational
+        characteristic polynomial of finite order is its own contragredient
+        (its roots are roots of unity, closed under conjugation)."""
         key = self.canonical(f, e)
+        partner = self._partner
+        if partner is None:
+            return _span_charpoly(self.faces, self.group, self._charpoly, key)
         hit = self._charpoly.get(key)
         if hit is None:
-            hit = char_poly(self.rho(*key))
-            # the constant term is (-1)^dim det(rho)
-            if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
-                raise NonInvertible("face restriction is not unimodular")
+            top = _span_charpoly(*partner, (self.apex_index, key[1]))
+            hit = top.exact_div(_span_charpoly(*partner, key))
             self._charpoly[key] = hit
         return hit
 
@@ -228,32 +250,42 @@ class ConeComplex:
         does, since ``<g^-T a, g v> = <a, v>``: the face maps are shared, and
         the faces below face ``i`` there are the faces above it here.
 
-        The span of the dual of face ``i`` is read off the span here: the
-        dual cone's rows are ``(v, -1)`` for the vertices ``v``, so it is the
-        integer kernel of face ``i``'s span rows with the height negated,
-        at most ``cdim`` rows.  The Hermite form is canonical, so the rows
-        are the ones a build from scratch gives.  Both complexes share their
-        face maps and their groups share classes, conjugators and
-        centralizers, so they share one least-face table for
-        :meth:`canonical` too.
+        The dual does no integer linear algebra.  Its faces carry no span
+        and get ``cdim - dim`` from the lattice; it keeps its partner's
+        faces, homogenized group and charpoly memo, and reads each
+        :meth:`charpoly` off them.  Both complexes share their face maps and
+        their groups share classes, conjugators and centralizers, so they
+        share one least-face table for :meth:`canonical` and one canonical
+        pair per orbit.
 
         Polar duality and the contragredient are involutions, so the dual's
         dual is ``self`` while ``self`` is alive.  The complex that builds
         the dual holds it; the dual links back weakly, so dropping the last
-        reference to a model frees it without the cycle collector."""
+        reference to a model frees it without the cycle collector.  What the
+        dual keeps of its partner refers to neither complex, so it outlives
+        the complex that built it: if that one is gone, the dual's dual is
+        rebuilt from that data and is the same complex again, with its
+        faces, element order and memo, and no span computed."""
         dual = self._dual
         if isinstance(dual, weakref.ref):
             dual = dual()
         if dual is None:
             polytope = self.polytope.dual_reflexive()
-            faces = tuple(_dual_face(f, self.cdim) for f in self.faces)
             above = [[] for _ in self.faces]
             for g, below in enumerate(self._below):
                 for f in below:
                     above[f].append(g)
+            above = list(map(tuple, above))
             dual = ConeComplex.__new__(ConeComplex)
             group = self.base_group.dual_group()
-            dual._setup(polytope, group, faces, list(map(tuple, above)), self._face_maps)
+            if self._partner is None:
+                faces = tuple(_dual_face(f, self.cdim) for f in self.faces)
+                dual._setup(polytope, group, faces, above, self._face_maps)
+                dual._partner = (self.faces, self.group, self._charpoly)
+            else:  # the partner is gone: rebuild it from what was kept of it
+                faces, homogenized, memo = self._partner
+                dual._setup(polytope, group, faces, above, self._face_maps)
+                dual.group, dual._charpoly = homogenized, memo
             dual._canonical_faces = self._canonical_faces
             dual._dual = weakref.ref(self)
             self._dual = dual
@@ -374,14 +406,40 @@ def _face(polytope, index, vertex_ids, tight) -> Face:
 
 
 def _dual_face(face: Face, cdim: int) -> Face:
-    """The dual of ``face``, with its vertices and facets swapped: its span
-    is the integer kernel of ``face``'s span rows with the height negated
-    (the apex's partner is the top face, which spans the whole lattice)."""
-    if face.span.rows:
-        span = integer_kernel(IntMatrix([r[:-1] + (-r[-1],) for r in face.span.rows]))
-    else:
-        span = IntMatrix.identity(cdim)
-    return Face(face.index, face.tight, face.vertex_ids, span.nrows, span)
+    """The dual of ``face``, with its vertices and facets swapped and the
+    complementary dimension; it carries no span."""
+    return Face(face.index, face.tight, face.vertex_ids, cdim - face.dim, None)
+
+
+def _dual_span(span: IntMatrix, cdim: int) -> IntMatrix:
+    """The span of the dual of a face with span ``span``: the integer kernel
+    of its rows with the height negated, since the dual cone's rows are
+    ``(v, -1)`` (the apex's partner is the top face, which spans the whole
+    lattice).  The Hermite form is canonical, so the rows are the ones a
+    build from scratch gives."""
+    if span.rows:
+        return integer_kernel(IntMatrix([r[:-1] + (-r[-1],) for r in span.rows]))
+    return IntMatrix.identity(cdim)
+
+
+def _action(span: IntMatrix, g: IntMatrix) -> IntMatrix:
+    """The matrix of ``g`` on the row span of ``span``, in that basis."""
+    cols = [solve_in_row_basis(span, g.apply(row)) for row in span.rows]
+    return IntMatrix.from_columns(cols)
+
+
+def _span_charpoly(faces, group, memo, key: Tuple[int, int]) -> UniPoly:
+    """The characteristic polynomial of element ``key[1]`` of ``group`` on
+    the span of face ``key[0]`` of ``faces``, kept in ``memo``."""
+    hit = memo.get(key)
+    if hit is None:
+        f, e = key
+        hit = char_poly(_action(faces[f].span, group.elements[e]))
+        # the constant term is (-1)^dim det(rho)
+        if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
+            raise NonInvertible("face restriction is not unimodular")
+        memo[key] = hit
+    return hit
 
 
 # -- abstract cones ----------------------------------------------------------

@@ -17,6 +17,7 @@ from equimirror.errors import (
     NotReflexive,
     SubgroupMismatch,
 )
+from equimirror.geometry import cones, intlinalg
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.groups import generate_group
@@ -359,6 +360,62 @@ def test_models_are_freed_without_the_cycle_collector():
         refs = (weakref.ref(cx), weakref.ref(cx.dual()))
         del cx
         assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_dual_outlives_its_primal(monkeypatch):
+    """``ConeComplex(p, g).dual()`` with the primal dropped keeps what its
+    characteristic polynomials need: on every invariant pair it agrees
+    with the dual of a model kept whole, and so does its mirror check.
+    Its own dual is the dropped primal rebuilt from that data, with the
+    same faces, spans, elements and characteristic polynomials and no
+    kernel taken.  Dropping the dual then frees both without the cycle
+    collector."""
+    kernels = []
+    original = intlinalg.integer_kernel
+
+    def counted(matrix):
+        kernels.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(cones, "integer_kernel", counted)
+    central = generate_group([IntMatrix.identity(3).scale(-1)])
+    builds = (
+        lambda: ConeComplex(build_cube(3), central),
+        lambda: quintic("(12)(34)", "(12345)"),
+    )
+    gc.disable()
+    try:
+        for build in builds:
+            whole = build()
+            kept = whole.dual()
+            dual = build().dual()
+            for e in range(dual.group.order):
+                for f in dual.invariant_faces(e):
+                    assert dual.charpoly(f, e) == kept.charpoly(f, e), (f, e)
+                    assert dual.detsign(f, e) == kept.detsign(f, e), (f, e)
+                    assert dual.rho(f, e) == kept.rho(f, e), (f, e)
+            kernels.clear()
+            primal = dual.dual()
+            assert kernels == []
+            assert primal.dual() is dual
+            assert primal.base_group.elements == whole.base_group.elements
+            assert primal.group.elements == whole.group.elements
+            for face, other in zip(primal.faces, whole.faces, strict=True):
+                assert (face.vertex_ids, face.tight, face.dim) == (
+                    other.vertex_ids, other.tight, other.dim
+                )
+                assert face.span == other.span
+            for e in range(whole.group.order):
+                for f in whole.invariant_faces(e):
+                    assert primal.charpoly(f, e) == whole.charpoly(f, e), (f, e)
+            report, reference = mirror_check(dual), mirror_check(kept)
+            assert report.verdict
+            assert (report.left, report.right) == (reference.left, reference.right)
+            refs = (weakref.ref(dual), weakref.ref(primal))
+            del dual, primal
+            assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 

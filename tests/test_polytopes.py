@@ -286,17 +286,19 @@ def test_detsign_is_det_of_rho(sym3_cube3, cube3_central):
                 assert cx.detsign(f, e) == det(cx.rho(f, e)), (cx, f, e)
 
 
-def test_rho_is_the_action_in_the_span_basis(sym3_cube3):
+def test_rho_is_the_action_in_the_span_basis(sym3_cube3, quintic_a5):
     """Column ``i`` of ``rho(f, e)`` holds the coordinates of ``g . b_i``
     in the face's span basis: ``g . b_i == sum_j rho[j][i] b_j``.  A
     transposed ``rho`` has the same characteristic polynomial, so only an
-    identity like this one tells the two apart."""
+    identity like this one tells the two apart.  The A5 quintic's dual,
+    whose group is not its own contragredient, reads its spans off its
+    partner's."""
     square = ConeComplex(build_cube(2), generate_group([IntMatrix(((0, -1), (1, 0)))]))
     checked = 0
-    for cx in (sym3_cube3, square, quintic_complex("(12345)")):
+    for cx in (sym3_cube3, square, quintic_complex("(12345)"), quintic_a5.dual()):
         for e, g in enumerate(cx.group.elements):
             for f in cx.invariant_faces(e):
-                span = cx.faces[f].span
+                span = cx.span(f)
                 rho = cx.rho(f, e)
                 for i, b in enumerate(span.rows):
                     image = tuple(
@@ -384,8 +386,10 @@ def _dual_reference_models(quintic_sym5, quintic_a5):
 def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
     """The dual read off the primal is the complex built from scratch on
     the polar dual and the dual group, up to numbering: matched by vertex
-    set, each face has the same vertices, facets, dimension, span, faces
-    below it and image under every element."""
+    set, each face has the same vertices, facets, dimension, span (the one
+    the dual's ``rho`` derives), faces below it and image under every
+    element, and the characteristic polynomial read off the primal's is
+    the fresh build's, from its ``rho``, on every invariant pair."""
     models = 0
     for cx in _dual_reference_models(quintic_sym5, quintic_a5):
         dual = cx.dual()
@@ -400,13 +404,16 @@ def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
             assert face.vertex_ids == other.vertex_ids, (cx, face.index)
             assert face.tight == other.tight, (cx, face.index)
             assert face.dim == other.dim, (cx, face.index)
-            assert face.span.rows == other.span.rows, (cx, face.index)
+            assert face.span is None, (cx, face.index)
+            assert dual.span(face.index).rows == other.span.rows, (cx, face.index)
         for f in range(dual.face_count):
             below = sorted(match[g] for g in dual.faces_below(f))
             assert below == list(fresh.faces_below(match[f])), (cx, f)
         for e in range(cx.group.order):
             for f in range(dual.face_count):
                 assert match[dual.face_image(e, f)] == fresh.face_image(e, match[f])
+            for f in dual.invariant_faces(e):
+                assert dual.charpoly(f, e) == fresh.charpoly(match[f], e), (cx, f, e)
         assert match[dual.apex_index] == fresh.apex_index
         assert match[dual.top_index] == fresh.top_index
         models += 1
@@ -476,9 +483,12 @@ def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
 
 
 def test_dual_spans_take_at_most_cdim_rows(monkeypatch):
-    """The dual reads each span off its partner's: every kernel it takes
-    has at most ``cdim`` rows, where one over the dual's tight facets
-    would take up to 32 vertex rows on cube5."""
+    """A dual is read off its partner with no integer linear algebra:
+    building cube5's dual takes no kernel, and the mirror check on the A5
+    quintic calls ``rho`` on no read-off dual.  The span a dual's ``rho``
+    derives on demand is the kernel of its partner face's span rows, at
+    most ``cdim`` of them, where one over the dual's tight facets would
+    take up to 32 vertex rows on cube5."""
     cx = trivial(build_cube(5))
     sizes = []
     original = intlinalg.integer_kernel
@@ -490,9 +500,26 @@ def test_dual_spans_take_at_most_cdim_rows(monkeypatch):
     monkeypatch.setattr(intlinalg, "integer_kernel", counted)
     monkeypatch.setattr(cones, "integer_kernel", counted, raising=False)
     dual = cx.dual()
+    assert sizes == []
+    assert all(face.span is None for face in dual.faces)
+    for f in range(dual.face_count):
+        assert dual.rho(f, 0).nrows == dual.faces[f].dim
     # one kernel per face but the dual's top, the apex's partner
     assert len(sizes) == dual.face_count - 1 == 243
     assert max(sizes) <= cx.cdim == 6
+
+    read_off = []
+    rho = ConeComplex.rho
+
+    def recorded(self, f, e):
+        read_off.append(all(face.span is None for face in self.faces))
+        return rho(self, f, e)
+
+    monkeypatch.setattr(ConeComplex, "rho", recorded)
+    quintic = quintic_complex("(12)(34)", "(123)", "(12345)")
+    assert mirror_check(quintic).verdict
+    assert quintic.dual().stringy is not None
+    assert not any(read_off)
 
 
 def test_partners_share_one_least_face_table(quintic_a5):
