@@ -15,7 +15,10 @@ simultaneous conjugation and computed only at the orbit's canonical pair
 (:meth:`ConeComplex.canonical`); ``h`` and ``g`` are computed once per
 interval shape (the dimension and the characteristic polynomials on the
 interval, see :class:`HGTable`), however many (cone, element) pairs share
-it.  A complex has one set of the three tables, :class:`Tables`, and
+it.  A shape is data, never a complex or a group, so the shapes and their
+``h``/``g`` are one store for every complex in the process, dropped by
+``counting.clear_cache`` with the counts.  A complex has one set of the
+three tables, :class:`Tables`, and
 :func:`tables_for` is the only way to get it: the set is kept on the
 complex, so every invariant, command and check shares its entries.  A
 table refers to its complex weakly, so the two form no reference cycle.
@@ -39,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .algebra.classfun import ClassFun, ClassPoly
 from .algebra.unipoly import UniPoly, series_ratio, truncate_tau
 from .errors import NotInvariant, PhiNotPolynomial
+from .geometry import counting
 from .geometry.cones import (
     AbstractCone,
     ConeComplex,
@@ -52,6 +56,26 @@ ONE = UniPoly.one()
 
 # The zero cone: dimension 0, top polynomial 1, nothing below the top.
 _ZERO_SHAPE = (0, ONE, ())
+
+
+def _fresh_shapes() -> tuple:
+    """An empty shape store holding the zero shape: shape -> shape id,
+    shape id -> shape, and ``h`` and ``g`` by shape id."""
+    return {_ZERO_SHAPE: 0}, [_ZERO_SHAPE], {}, {}
+
+
+# The shapes of every complex in the process.  Clearing replaces the store
+# instead of emptying it: a table keeps the store it was made with, since
+# the shape ids in its ``_shape_of`` name shapes of that store only.
+_shape_store = _fresh_shapes()
+
+
+def _clear_shapes() -> None:
+    global _shape_store
+    _shape_store = _fresh_shapes()
+
+
+counting.clear_with_counts(_clear_shapes)
 
 
 class _Table:
@@ -131,21 +155,26 @@ class HGTable(_Table):
     ``h``/``g`` depend only on the interval; Stapledon, arXiv:1003.1738,
     gives the equivariant form), so each cone is reduced to an interned
     shape id and the polynomials are computed once per distinct shape.
-    ``_h`` and ``_g`` keep the answers to outside calls per (cone,
-    element).  All of it lives on the table, so it is freed with the
-    complex.
+    A shape mentions no face, element or group, so the interning and the
+    polynomials by shape id are one store for every complex in the
+    process: a model of another group, or the dual side, finds there the
+    shapes an earlier one computed.  The store holds only tuples and
+    polynomials; ``counting.clear_cache`` drops it, and tables made after
+    that start a new one.  ``_shape_of`` (cone and element to shape id)
+    and ``_h`` and ``_g``, the answers to outside calls per (cone,
+    element), live on the table and are freed with the complex.
     """
 
     def __init__(self, complex: ConeComplex):
         super().__init__(complex)
         self._h: Dict[tuple, UniPoly] = {}
         self._g: Dict[tuple, UniPoly] = {}
-        # cone.key + (e,) -> shape id; shape -> shape id; shape id -> shape
+        # cone.key + (e,) -> shape id
         self._shape_of: Dict[tuple, int] = {}
-        self._shape_ids: Dict[tuple, int] = {_ZERO_SHAPE: 0}
-        self._shapes: List[tuple] = [_ZERO_SHAPE]
-        self._h_by_shape: Dict[int, UniPoly] = {}
-        self._g_by_shape: Dict[int, UniPoly] = {}
+        # the process's store: shape -> shape id; shape id -> shape; h and
+        # g by shape id
+        (self._shape_ids, self._shapes,
+         self._h_by_shape, self._g_by_shape) = _shape_store
 
     def h(self, cone: AbstractCone, e: int) -> UniPoly:
         key = cone.key + (e,)

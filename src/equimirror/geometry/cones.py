@@ -10,7 +10,12 @@ each invariant face.  The one fact kept about a restriction is its
 characteristic polynomial, one per orbit of (face, element) under
 ``h . (f, e) = (h f, h e h^-1)`` (conjugate restrictions share it), keyed
 by the orbit's :meth:`ConeComplex.canonical` pair; its determinant is read
-off the constant term.
+off the constant term.  The polynomial is a function of the span's rows
+and the element's rows alone, so behind each complex's memo sits one
+store for the process, keyed by that data: a model of another group of
+the same polytope finds there what an earlier model computed, whichever
+order they run in.  The store holds only tuples and polynomials and
+``counting.clear_cache`` drops it with the counts.
 
 Vertex sets are int bitmasks while the lattice is built.  Faces are found
 by closing the facets' vertex bitmasks under intersection — the
@@ -428,16 +433,28 @@ def _action(span: IntMatrix, g: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
+# face-restriction characteristic polynomials by (span rows, element
+# rows), for every complex in the process
+_charpolys: Dict[tuple, UniPoly] = {}
+counting.clear_with_counts(_charpolys.clear)
+
+
 def _span_charpoly(faces, group, memo, key: Tuple[int, int]) -> UniPoly:
     """The characteristic polynomial of element ``key[1]`` of ``group`` on
-    the span of face ``key[0]`` of ``faces``, kept in ``memo``."""
+    the span of face ``key[0]`` of ``faces``, kept in ``memo`` and, by the
+    rows of the span and the element, in the process-wide store."""
     hit = memo.get(key)
     if hit is None:
         f, e = key
-        hit = char_poly(_action(faces[f].span, group.elements[e]))
-        # the constant term is (-1)^dim det(rho)
-        if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
-            raise NonInvertible("face restriction is not unimodular")
+        span, g = faces[f].span, group.elements[e]
+        data = (span.rows, g.rows)
+        hit = _charpolys.get(data)
+        if hit is None:
+            hit = char_poly(_action(span, g))
+            # the constant term is (-1)^dim det(rho)
+            if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
+                raise NonInvertible("face restriction is not unimodular")
+            _charpolys[data] = hit
         memo[key] = hit
     return hit
 

@@ -24,13 +24,22 @@ Each slice family, one ``(cone rows, tight facets, element)``, has one
 process-wide memo entry: its basis, ``g``, its rows and the counts found
 so far, keyed by ``(m, interior)``.  A count is asked for over and over
 while the recursions assemble their tables, and across models that share
-a face and an element.  ``scan`` keeps its elimination plans beside these
-entries; :func:`clear_cache` drops both.
+a face and an element.
+
+This is one of four process-wide memos, each keyed by data alone (rows,
+matrices, polynomials), so a model of any group reuses what another
+model of the same polytope left and the work done does not depend on the
+order the models run in.  Beside these counts, ``scan`` keeps its
+elimination plans, ``cones`` the characteristic polynomial of each face
+restriction (by span and element rows) and ``combinatorics`` the ``h``/``g``
+interval shapes.  None holds a complex or a group, so a model is freed by
+reference counting as before.  :func:`clear_cache` drops all four: the
+two above this module register how with :func:`clear_with_counts`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import scan
 from .intlinalg import IntMatrix, integer_kernel, vec_dot
@@ -41,16 +50,28 @@ Family = Tuple[IntMatrix, int, Tuple[Row, ...], Dict[Tuple[int, bool], int]]
 
 _bases: Dict[tuple, Family] = {}
 
+# how to drop the process-wide memos of the modules above this one
+_clears: List[Callable[[], None]] = []
+
 
 def cache_size() -> int:
     """The number of counts held."""
     return sum(len(family[3]) for family in _bases.values())
 
 
+def clear_with_counts(clear: Callable[[], None]) -> None:
+    """Have :func:`clear_cache` call ``clear``, which drops a process-wide
+    memo kept by a module that imports this one."""
+    _clears.append(clear)
+
+
 def clear_cache() -> None:
-    """Forget every count, face basis and elimination plan."""
+    """Forget every count, face basis, elimination plan, face-restriction
+    characteristic polynomial and ``h``/``g`` shape."""
     _bases.clear()
     scan.clear_plans()
+    for clear in _clears:
+        clear()
 
 
 def homogenize(facets: Iterable[Tuple[Sequence[int], int]]) -> Tuple[Row, ...]:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import moved_complex, quintic_complex, random_unimodular
@@ -19,6 +22,7 @@ from equimirror.cli.models import (
     build_fermat,
     build_simplex,
     fermat_permutation,
+    parse_config,
 )
 from equimirror.combinatorics import (
     HGTable,
@@ -27,6 +31,7 @@ from equimirror.combinatorics import (
     verify_identities,
 )
 from equimirror.errors import NotInvariant
+from equimirror.geometry import cones, counting
 from equimirror.geometry.cones import (
     AbstractCone,
     ConeComplex,
@@ -254,15 +259,18 @@ def test_shape_memo_equals_direct_recursion():
 
 def test_hg_computes_each_shape_once(monkeypatch):
     """All ten commands on cube4 with ``central`` compute ``h`` once per
-    distinct shape: a few dozen polynomials, not one per (cone, element)."""
+    distinct shape: a few dozen polynomials, not one per (cone, element).
+    The shape store is process-wide, so it is emptied first: shapes left by
+    earlier tests would be found there and never computed."""
+    counting.clear_cache()
     computed = []
     compute_h = HGTable._compute_h
 
-    def counting(self, sid):
+    def counted(self, sid):
         computed.append((self, sid))
         return compute_h(self, sid)
 
-    monkeypatch.setattr(HGTable, "_compute_h", counting)
+    monkeypatch.setattr(HGTable, "_compute_h", counted)
     config = ModelConfig(builtin="cube", d=4, group=("central",), commands=COMMANDS)
     _report, code = run(config)
     assert code == 0
@@ -568,3 +576,137 @@ def test_verify_identities_uses_the_shared_tables():
     assert verify_identities(cx).ok
     assert cx.tables is tables_for(cx)
     assert cx.tables.hg._h and cx.tables.stilde._polys
+
+
+# -- process-wide stores ------------------------------------------------------------
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, the benchmark's model lists and orders."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _recording(monkeypatch):
+    """Record every face-restriction ``char_poly`` and ``_compute_h`` call."""
+    restrictions, shapes = [], []
+    compute_h = HGTable._compute_h
+
+    def recording_char_poly(m, original=cones.char_poly):
+        restrictions.append(m)
+        return original(m)
+
+    def recording_compute_h(self, sid):
+        shapes.append(sid)
+        return compute_h(self, sid)
+
+    # cones calls intlinalg.char_poly through its own module binding
+    monkeypatch.setattr(cones, "char_poly", recording_char_poly)
+    monkeypatch.setattr(HGTable, "_compute_h", recording_compute_h)
+    return restrictions, shapes
+
+
+def _run_models(models):
+    """Each model's report JSON, the models run in order in this process."""
+    reports = {}
+    for name, config in models:
+        report, code = run(parse_config(json.dumps(config)))
+        assert code == 0, name
+        reports[name] = report.to_json()
+    return reports
+
+
+def test_sweep_reports_and_work_do_not_depend_on_model_order(monkeypatch):
+    """The charpoly and shape stores are keyed by data, so the sweep's nine
+    quintic models give the same reports in either seeded order and alone,
+    and either order computes each distinct restriction polynomial and each
+    distinct shape's ``h`` exactly once: 130 and 18, against 248 and 194
+    for per-complex memos."""
+    workloads = _benchmark_workloads()
+    restrictions, shapes = _recording(monkeypatch)
+
+    def cold(models):
+        counting.clear_cache()
+        del restrictions[:], shapes[:]
+        return _run_models(models)
+
+    orders = [workloads.plan("quintic-mirror-sweep", seed) for seed in (1, 2)]
+    names = [[name for name, _ in models] for models in orders]
+    assert names[0] != names[1]
+    assert sorted(names[0]) == sorted(name for name, _ in workloads.QUINTIC_GROUPS)
+    alone = {}
+    for model in orders[0]:
+        alone.update(cold([model]))
+    for models in orders:
+        assert cold(models) == alone
+        assert (len(restrictions), len(shapes)) == (130, 18)
+
+
+def test_stores_filled_by_other_models_give_the_computed_values(monkeypatch):
+    """After the benchmark's sweep and cube4 runs have filled the stores,
+    fresh complexes of the A5 and Z2 quintics and of cube4 under ``central``
+    find every restriction polynomial and shape there, and on both sides
+    each value is the one computed afresh: ``charpoly`` against
+    ``char_poly(rho)`` at every invariant pair, ``h``/``g`` of every cone
+    the tables used against a new table made after the stores are
+    cleared."""
+    workloads = _benchmark_workloads()
+    counting.clear_cache()
+    _run_models(
+        workloads.plan("quintic-mirror-sweep", 1)
+        + workloads.plan("cube4-central-all", 1)
+    )
+    restrictions, shapes = _recording(monkeypatch)
+    models = [
+        quintic_complex("(12)(34)", "(12345)"),
+        quintic_complex("(12)(34)"),
+        ConeComplex(build_cube(4), generate_group([IntMatrix.identity(4).scale(-1)])),
+    ]
+    for cx in models:
+        assert mirror_check(cx).verdict
+    assert restrictions == [] and shapes == []
+    sides = [side for cx in models for side in (cx, cx.dual())]
+    checked = 0
+    for side in sides:
+        for e in range(side.group.order):
+            for f in side.invariant_faces(e):
+                assert side.charpoly(f, e) == char_poly(side.rho(f, e)), (side, f, e)
+                checked += 1
+    # the invariant (face, element) pairs of the three models, both sides
+    assert checked == 968
+    used = [(side, tables_for(side).hg) for side in sides]
+    counting.clear_cache()
+    compared = 0
+    for side, table in used:
+        fresh = HGTable(side)
+        assert table._g  # the stringy polynomial reads g of dual faces
+        for memo, method in ((table._h, fresh.h), (table._g, fresh.g)):
+            for (kind, base, ambient, e), value in memo.items():
+                assert method(AbstractCone(side, kind, base, ambient), e) == value
+                compared += 1
+    assert shapes  # the fresh tables computed their shapes again
+    assert compared > 100
+
+
+def test_clear_cache_drops_the_stores_but_not_a_tables_shape_ids():
+    """``counting.clear_cache`` empties the charpoly and shape stores.  A
+    table made before the clear keeps the store it started with, whose ids
+    its ``_shape_of`` holds, and still answers as a fresh table does."""
+    cx = trivial(build_cube(3))
+    old = tables_for(cx).hg
+    old.h_face(cx.top_index, 0)
+    assert cones._charpolys
+    counting.clear_cache()
+    assert not cones._charpolys
+    twin = trivial(build_cube(3))
+    fresh = HGTable(twin)
+    assert fresh._shapes == [fresh._shapes[0]] and old._shapes is not fresh._shapes
+    # a new model interns its shapes in the new store first
+    square = trivial(build_cube(2))
+    tables_for(square).hg.h_face(square.top_index, 0)
+    for f in range(cx.face_count):
+        assert old.h_face(f, 0) == fresh.h_face(f, 0)
+        assert old.g_face(f, 0) == fresh.g_face(f, 0)

@@ -13,7 +13,7 @@ from conftest import random_unimodular
 from equimirror.algebra import UniPoly
 from equimirror.cli import main as cli
 from equimirror.cli.models import COMMANDS, parse_config
-from equimirror.geometry import cones
+from equimirror.geometry import cones, counting
 from equimirror.geometry.intlinalg import (
     IntMatrix,
     _as_int,
@@ -159,7 +159,10 @@ def test_package_forms_no_matrix_products(monkeypatch):
     """Characteristic polynomials, face bases and group builds run on
     integer rows: every command on cube3 with ``central`` and the quintic
     mirror check under A5 form no ``IntMatrix`` product, while the face
-    restrictions really are computed."""
+    restrictions really are computed: the process-wide charpoly store is
+    emptied first, so restrictions left there by earlier tests are not
+    merely looked up."""
+    counting.clear_cache()
     products, restrictions = [], []
 
     def counting_matmul(a, b, matmul=IntMatrix.__matmul__):
