@@ -4,33 +4,34 @@
 matrix group preserving it (:class:`NotInvariant` otherwise) and holds
 every face of the cone over the polytope (the polytope placed at height
 one), ordered lexicographically by vertex index set so that the apex comes
-first, with the Hermite basis of each face's span (the integer kernel of
-its tight facet rows) and the induced action of each group element on
-each invariant face.  The one fact kept about a restriction is its
-characteristic polynomial, one per orbit of (face, element) under
-``h . (f, e) = (h f, h e h^-1)`` (conjugate restrictions share it), keyed
-by the orbit's :meth:`ConeComplex.canonical` pair; its determinant is read
-off the constant term.  The polynomial is a function of the span's rows
-and the element's rows alone, so behind each complex's memo sits one
-store for the process, keyed by that data: a model of another group of
-the same polytope finds there what an earlier model computed, whichever
-order they run in.  The store holds only tuples and polynomials and
-``counting.clear_cache`` drops it with the counts.
+first, and the induced action of each group element on the faces.  A face
+is lattice data only; its span, the integer kernel of its tight cone rows,
+is computed by :meth:`ConeComplex.span` where a value needs it.  The one
+fact kept about a restriction is its characteristic polynomial, one per
+orbit of (face, element) under ``h . (f, e) = (h f, h e h^-1)`` (conjugate
+restrictions share it), keyed by the orbit's :meth:`ConeComplex.canonical`
+pair; its determinant is read off the constant term.  The polynomial is a
+function of the face's tight cone rows and the element's rows alone, so
+behind each complex's memo sits one store for the process, keyed by that
+data: a model of another group of the same polytope finds there what an
+earlier model computed, whichever order they run in.  A span is built
+only when the store misses.  The store holds only tuples and polynomials
+and ``counting.clear_cache`` drops it with the counts.
 
-Vertex sets are int bitmasks while the lattice is built.  Faces are found
-by closing the facets' vertex bitmasks under intersection — the
-intersection of two faces is a face, and every proper face is an
-intersection of facets.  The faces below a face are those on every facet
-it lies on, the meet of per-facet face bitmasks, and a face's image under
-an element is looked up by the bitmask of its moved vertices.
+Vertex sets are int bitmasks.  Faces are found by closing the facets'
+vertex bitmasks under intersection — the intersection of two faces is a
+face, and every proper face is an intersection of facets.  The faces
+below a face are those on every facet it lies on, the meet of per-facet
+face bitmasks; a face's dimension is one more than the largest below it,
+and its image under an element is looked up by the bitmask of its moved
+vertices.
 
 A dual complex (:meth:`ConeComplex.dual`) is read off its partner instead,
 the same face lattice upside down, and orders its faces as its partner
 does: face ``i`` is dual to face ``i`` as element ``e`` is to element
-``e``, so its apex is not face 0.  It does no integer linear algebra: its
-faces carry no span, and its characteristic polynomials are quotients of
-its partner's (the span of a dual face is the annihilator of its
-partner's span, on which an element acts as the contragredient of its
+``e``, so its apex is not face 0.  Its characteristic polynomials are
+quotients of its partner's (the span of a dual face is the annihilator of
+its partner's span, on which an element acts as the contragredient of its
 action on the quotient by that span).  The two share one least-face
 table for :meth:`ConeComplex.canonical`.
 
@@ -56,15 +57,12 @@ from .polytope import LatticePolytope
 
 
 class Face(Frozen):
-    """One face of the cone; ``dim`` is the cone dimension (apex 0).
+    """One face of the cone: the vertices spanning it, the facets it lies
+    on, its cone dimension (apex 0) and ``mask``, the bitmask of
+    ``vertex_ids``, which :meth:`ConeComplex.leq` and
+    :meth:`ConeComplex.interval` compare."""
 
-    ``span`` is the Hermite basis of the face's span, or ``None`` on a
-    complex read off its partner (:meth:`ConeComplex.span` derives it).
-    ``vertex_set`` is ``frozenset(vertex_ids)``, built once here:
-    :meth:`ConeComplex.leq` and :meth:`ConeComplex.interval` compare vertex
-    sets on every call."""
-
-    __slots__ = ("index", "vertex_ids", "tight", "dim", "span", "vertex_set")
+    __slots__ = ("index", "vertex_ids", "tight", "dim", "mask")
 
     def __init__(
         self,
@@ -72,9 +70,9 @@ class Face(Frozen):
         vertex_ids: Tuple[int, ...],
         tight: Tuple[int, ...],
         dim: int,
-        span: IntMatrix | None,
+        mask: int,
     ):
-        self._fill(index, vertex_ids, tight, dim, span, frozenset(vertex_ids))
+        self._fill(index, vertex_ids, tight, dim, mask)
 
 
 class ConeComplex:
@@ -87,8 +85,7 @@ class ConeComplex:
                 f"group acts on Z^{group.dim} but the polytope lives in Z^{d}"
             )
         images = _vertex_action(polytope, group)
-        faces = _enumerate_faces(polytope)
-        below = _faces_below(faces, len(polytope.facets))
+        faces, below = _enumerate_faces(polytope)
         self._setup(polytope, group, faces, below, _face_maps(images, faces))
 
     def _setup(self, polytope, group, faces, below, face_maps) -> None:
@@ -107,8 +104,8 @@ class ConeComplex:
         self._face_maps = face_maps
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
-        # on a complex read off its partner, the partner's faces (with
-        # spans), homogenized group and charpoly memo; None if it has spans
+        # on a complex read off its partner, the partner's cone rows, faces,
+        # homogenized group and charpoly memo; None on a complex built here
         self._partner = None
         # the dual itself if this complex built it, else a weak back-link
         self._dual = None
@@ -130,15 +127,16 @@ class ConeComplex:
         return len(self.faces)
 
     def leq(self, i: int, j: int) -> bool:
-        return self.faces[i].vertex_set <= self.faces[j].vertex_set
+        mask = self.faces[i].mask
+        return self.faces[j].mask & mask == mask
 
     def faces_below(self, j: int) -> Tuple[int, ...]:
         """All faces of face ``j``, apex and ``j`` included."""
         return self._below[j]
 
     def interval(self, i: int, j: int) -> Tuple[int, ...]:
-        vs = self.faces[i].vertex_set
-        return tuple(g for g in self._below[j] if vs <= self.faces[g].vertex_set)
+        faces, mask = self.faces, self.faces[i].mask
+        return tuple(g for g in self._below[j] if faces[g].mask & mask == mask)
 
     # -- action ---------------------------------------------------------------
 
@@ -182,12 +180,10 @@ class ConeComplex:
     # -- restriction data ------------------------------------------------------
 
     def span(self, f: int) -> IntMatrix:
-        """The Hermite basis of the span of face ``f``.  A complex read off
-        its partner stores none and derives it from the partner face's
-        span on each call."""
-        if self._partner is None:
-            return self.faces[f].span
-        return _dual_span(self._partner[0][f].span, self.cdim)
+        """The Hermite basis of the span of face ``f``, computed on each
+        call: the integer kernel of its tight cone rows."""
+        rows = [self.polytope.cone_rows[i] for i in self.faces[f].tight]
+        return _span(rows, self.cdim)
 
     def rho(self, f: int, e: int) -> IntMatrix:
         """Matrix of element ``e`` on the span of face ``f``, in its basis."""
@@ -210,7 +206,9 @@ class ConeComplex:
         key = self.canonical(f, e)
         partner = self._partner
         if partner is None:
-            return _span_charpoly(self.faces, self.group, self._charpoly, key)
+            return _span_charpoly(
+                self.polytope.cone_rows, self.faces, self.group, self._charpoly, key
+            )
         hit = self._charpoly.get(key)
         if hit is None:
             top = _span_charpoly(*partner, (self.apex_index, key[1]))
@@ -255,9 +253,9 @@ class ConeComplex:
         does, since ``<g^-T a, g v> = <a, v>``: the face maps are shared, and
         the faces below face ``i`` there are the faces above it here.
 
-        The dual does no integer linear algebra.  Its faces carry no span
-        and get ``cdim - dim`` from the lattice; it keeps its partner's
-        faces, homogenized group and charpoly memo, and reads each
+        The dual does no integer linear algebra when it is built.  Its faces
+        get ``cdim - dim`` from the lattice; it keeps its partner's cone
+        rows, faces, homogenized group and charpoly memo, and reads each
         :meth:`charpoly` off them.  Both complexes share their face maps and
         their groups share classes, conjugators and centralizers, so they
         share one least-face table for :meth:`canonical` and one canonical
@@ -270,7 +268,7 @@ class ConeComplex:
         dual keeps of its partner refers to neither complex, so it outlives
         the complex that built it: if that one is gone, the dual's dual is
         rebuilt from that data and is the same complex again, with its
-        faces, element order and memo, and no span computed."""
+        faces, element order and memo."""
         dual = self._dual
         if isinstance(dual, weakref.ref):
             dual = dual()
@@ -286,9 +284,11 @@ class ConeComplex:
             if self._partner is None:
                 faces = tuple(_dual_face(f, self.cdim) for f in self.faces)
                 dual._setup(polytope, group, faces, above, self._face_maps)
-                dual._partner = (self.faces, self.group, self._charpoly)
+                dual._partner = (
+                    self.polytope.cone_rows, self.faces, self.group, self._charpoly
+                )
             else:  # the partner is gone: rebuild it from what was kept of it
-                faces, homogenized, memo = self._partner
+                _, faces, homogenized, memo = self._partner
                 dual._setup(polytope, group, faces, above, self._face_maps)
                 dual.group, dual._charpoly = homogenized, memo
             dual._canonical_faces = self._canonical_faces
@@ -318,7 +318,7 @@ def _vertex_action(polytope, group) -> Tuple[Tuple[int, ...], ...]:
 def _face_maps(images, faces) -> Tuple[Tuple[int, ...], ...]:
     """Per element, the index of each face's image, from the vertex images:
     a face is keyed by the bitmask of its vertices."""
-    index_of = {_mask(f.vertex_ids): f.index for f in faces}
+    index_of = {f.mask: f.index for f in faces}
     maps = []
     for row in images:
         bits = [1 << j for j in row]
@@ -347,9 +347,16 @@ def _homogenize(g: IntMatrix) -> IntMatrix:
     return IntMatrix([row + (0,) for row in g.rows] + [(0,) * g.nrows + (1,)])
 
 
-def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
+def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Tuple[Face, ...], list]:
     """Every face, by closing the facets' vertex bitmasks under
-    intersection, numbered in lexicographic order of vertex ids."""
+    intersection, numbered in lexicographic order of vertex ids, and per
+    face the indices of the faces below it, ascending.
+
+    A face's vertex set is the intersection of its tight facets' (the
+    apex's, of all of them), so the faces below ``f`` are the meet of the
+    per-facet face bitmasks over ``f``'s tight facets.  The lattice is
+    graded, so a face's dimension is one more than the largest below it
+    (the apex's is 0), found in order of how many faces lie below."""
     facet_masks = [
         _mask(
             i for i, v in enumerate(polytope.vertices)
@@ -371,59 +378,43 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Face, ...]:
                     fresh.append(meet)
         frontier = fresh
 
-    faces = []
-    for idx, (vertex_ids, s) in enumerate(sorted((_members(s), s) for s in found)):
-        tight = tuple(i for i, t in enumerate(facet_masks) if s & t == s)
-        faces.append(_face(polytope, idx, vertex_ids, tight))
-    return tuple(faces)
-
-
-def _faces_below(faces, facet_count: int) -> List[Tuple[int, ...]]:
-    """Per face, the indices of the faces below it, ascending.
-
-    A face's vertex set is the intersection of its tight facets' (the
-    apex's, of all of them), so ``g`` lies below ``f`` exactly when it lies
-    on every facet ``f`` lies on: the faces below ``f`` are the meet of
-    the per-facet face bitmasks over ``f.tight``."""
-    on_facet = [0] * facet_count
-    for f in faces:
-        for i in f.tight:
-            on_facet[i] |= 1 << f.index
-    everything = (1 << len(faces)) - 1
+    lattice = sorted((_members(s), s) for s in found)
+    tights = [
+        tuple(i for i, t in enumerate(facet_masks) if s & t == s) for _, s in lattice
+    ]
+    on_facet = [0] * len(facet_masks)
+    for f, tight in enumerate(tights):
+        for i in tight:
+            on_facet[i] |= 1 << f
+    everything = (1 << len(lattice)) - 1
     below = []
-    for f in faces:
-        mask = everything
-        for i in f.tight:
-            mask &= on_facet[i]
-        below.append(_members(mask))
-    return below
-
-
-def _face(polytope, index, vertex_ids, tight) -> Face:
-    """Face ``index`` of the cone over ``polytope``, spanned by the vertices
-    ``vertex_ids`` and lying on the facets ``tight``: its span is the
-    integer kernel of those facet rows."""
-    if tight:
-        span = integer_kernel(IntMatrix([polytope.cone_rows[i] for i in tight]))
-    else:  # the top face lies on no facet and spans the whole lattice
-        span = IntMatrix.identity(polytope.dim + 1)
-    return Face(index, vertex_ids, tight, span.nrows, span)
+    for tight in tights:
+        faces_below = everything
+        for i in tight:
+            faces_below &= on_facet[i]
+        below.append(_members(faces_below))
+    dims = [0] * len(lattice)
+    for f in sorted(range(len(lattice)), key=lambda f: len(below[f])):
+        dims[f] = max((dims[g] + 1 for g in below[f] if g != f), default=0)
+    faces = tuple(
+        Face(f, vertex_ids, tights[f], dims[f], s)
+        for f, (vertex_ids, s) in enumerate(lattice)
+    )
+    return faces, below
 
 
 def _dual_face(face: Face, cdim: int) -> Face:
     """The dual of ``face``, with its vertices and facets swapped and the
-    complementary dimension; it carries no span."""
-    return Face(face.index, face.tight, face.vertex_ids, cdim - face.dim, None)
+    complementary dimension."""
+    ids = face.tight
+    return Face(face.index, ids, face.vertex_ids, cdim - face.dim, _mask(ids))
 
 
-def _dual_span(span: IntMatrix, cdim: int) -> IntMatrix:
-    """The span of the dual of a face with span ``span``: the integer kernel
-    of its rows with the height negated, since the dual cone's rows are
-    ``(v, -1)`` (the apex's partner is the top face, which spans the whole
-    lattice).  The Hermite form is canonical, so the rows are the ones a
-    build from scratch gives."""
-    if span.rows:
-        return integer_kernel(IntMatrix([r[:-1] + (-r[-1],) for r in span.rows]))
+def _span(rows, cdim: int) -> IntMatrix:
+    """The Hermite basis of the lattice the cone rows ``rows`` cut out in
+    ``Z^cdim``, saturated: their integer kernel, or everything for none."""
+    if rows:
+        return integer_kernel(IntMatrix(rows))
     return IntMatrix.identity(cdim)
 
 
@@ -433,24 +424,26 @@ def _action(span: IntMatrix, g: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
-# face-restriction characteristic polynomials by (span rows, element
-# rows), for every complex in the process
+# face-restriction characteristic polynomials by (tight cone rows,
+# element rows), for every complex in the process
 _charpolys: Dict[tuple, UniPoly] = {}
 counting.clear_with_counts(_charpolys.clear)
 
 
-def _span_charpoly(faces, group, memo, key: Tuple[int, int]) -> UniPoly:
+def _span_charpoly(cone_rows, faces, group, memo, key: Tuple[int, int]) -> UniPoly:
     """The characteristic polynomial of element ``key[1]`` of ``group`` on
-    the span of face ``key[0]`` of ``faces``, kept in ``memo`` and, by the
-    rows of the span and the element, in the process-wide store."""
+    the span of face ``key[0]`` of ``faces`` in the cone with rows
+    ``cone_rows``, kept in ``memo`` and, by the face's tight cone rows and
+    the element's rows, in the process-wide store; the span is built only
+    when the store misses."""
     hit = memo.get(key)
     if hit is None:
         f, e = key
-        span, g = faces[f].span, group.elements[e]
-        data = (span.rows, g.rows)
+        rows, g = tuple(cone_rows[i] for i in faces[f].tight), group.elements[e]
+        data = (rows, g.rows)
         hit = _charpolys.get(data)
         if hit is None:
-            hit = char_poly(_action(span, g))
+            hit = char_poly(_action(_span(rows, g.nrows), g))
             # the constant term is (-1)^dim det(rho)
             if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
                 raise NonInvertible("face restriction is not unimodular")

@@ -27,14 +27,15 @@ while the recursions assemble their tables, and across models that share
 a face and an element.
 
 This is one of four process-wide memos, each keyed by data alone (rows,
-matrices, polynomials), so a model of any group reuses what another
-model of the same polytope left and the work done does not depend on the
-order the models run in.  Beside these counts, ``scan`` keeps its
-elimination plans, ``cones`` the characteristic polynomial of each face
-restriction (by span and element rows) and ``combinatorics`` the ``h``/``g``
-interval shapes.  None holds a complex or a group, so a model is freed by
-reference counting as before.  :func:`clear_cache` drops all four: the
-two above this module register how with :func:`clear_with_counts`.
+matrices, polynomials), so a model of any group reuses what another model
+of the same polytope left and the work done does not depend on the order
+the models run in.  Beside these counts, ``scan`` keeps its elimination
+plans, ``cones`` the characteristic polynomial of each face restriction
+(by tight cone rows and element rows) and ``combinatorics`` the
+``h``/``g`` interval shapes.  None holds a complex or a group, so a model
+is freed by reference counting as before.  :func:`clear_cache` drops all
+four: the two above this module register how with
+:func:`clear_with_counts`.
 """
 
 from __future__ import annotations

@@ -624,13 +624,21 @@ def test_sweep_reports_and_work_do_not_depend_on_model_order(monkeypatch):
     quintic models give the same reports in either seeded order and alone,
     and either order computes each distinct restriction polynomial and each
     distinct shape's ``h`` exactly once: 130 and 18, against 248 and 194
-    for per-complex memos."""
+    for per-complex memos.  A span is taken only for a restriction
+    polynomial the store lacks, so ``cones`` takes no more kernels."""
     workloads = _benchmark_workloads()
     restrictions, shapes = _recording(monkeypatch)
+    kernels = []
+
+    def recording_kernel(m, original=cones.integer_kernel):
+        kernels.append(m)
+        return original(m)
+
+    monkeypatch.setattr(cones, "integer_kernel", recording_kernel)
 
     def cold(models):
         counting.clear_cache()
-        del restrictions[:], shapes[:]
+        del restrictions[:], shapes[:], kernels[:]
         return _run_models(models)
 
     orders = [workloads.plan("quintic-mirror-sweep", seed) for seed in (1, 2)]
@@ -643,6 +651,7 @@ def test_sweep_reports_and_work_do_not_depend_on_model_order(monkeypatch):
     for models in orders:
         assert cold(models) == alone
         assert (len(restrictions), len(shapes)) == (130, 18)
+        assert len(kernels) <= len(restrictions)
 
 
 def test_stores_filled_by_other_models_give_the_computed_values(monkeypatch):

@@ -19,7 +19,7 @@ from equimirror.cli.models import (
 from equimirror.errors import NotInvariant, NotReflexive, SubgroupMismatch
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry import cones, intlinalg
-from equimirror.geometry.intlinalg import IntMatrix, det, integer_kernel
+from equimirror.geometry.intlinalg import IntMatrix, det, hnf_rows, integer_kernel
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
 from equimirror.invariants import mirror_check
@@ -140,14 +140,15 @@ def test_intervals_are_eulerian(cube3, cross3, simplex3):
 
 def test_face_span_dimensions(cube4):
     for face in cube4.faces:
-        assert face.span.nrows == face.dim
+        span = cube4.span(face.index)
+        assert span.nrows == face.dim
         if face.dim:
             # the span contains each cone generator of the face
             from equimirror.geometry.intlinalg import solve_in_row_basis
 
             for vid in face.vertex_ids:
                 point = cube4.polytope.vertices[vid] + (1,)
-                solve_in_row_basis(face.span, point)
+                solve_in_row_basis(span, point)
 
 
 def saturated_vertex_span(polytope, face) -> IntMatrix:
@@ -166,7 +167,9 @@ def saturated_vertex_span(polytope, face) -> IntMatrix:
 def test_face_spans_are_saturated_vertex_spans():
     """The span cut out by the tight facet rows is the saturation of the
     vertex span, entry for entry, on both sides of the builtins and on
-    inline polytopes with non-simple vertices and non-unimodular cones."""
+    inline polytopes with non-simple vertices and non-unimodular cones.
+    The dimension the lattice gives a face is the rank of its homogenized
+    vertices."""
     polytopes = [build_cube(d) for d in (1, 2, 3, 4)]
     polytopes += [build_cross(d) for d in (2, 3, 4)]
     polytopes += [build_simplex(d) for d in (1, 2, 3)]
@@ -181,19 +184,27 @@ def test_face_spans_are_saturated_vertex_spans():
     ]
     checked = 0
     for polytope in polytopes:
-        for face in trivial(polytope).faces:
-            assert face.span == saturated_vertex_span(polytope, face), (polytope, face)
+        cx = trivial(polytope)
+        for face in cx.faces:
+            assert cx.span(face.index) == saturated_vertex_span(polytope, face), (
+                polytope, face
+            )
+            gens = IntMatrix([polytope.vertices[i] + (1,) for i in face.vertex_ids])
+            assert face.dim == hnf_rows(gens).nrows, (polytope, face)
             checked += 1
     assert checked == 676
 
 
 def test_vertex_set_is_built_once(cube3):
-    for face in cube3.faces:
-        assert face.vertex_set is face.vertex_set
-        assert face.vertex_set == frozenset(face.vertex_ids)
+    """A face keeps the vertex bitmask the lattice build made, on both
+    sides of a pair."""
+    for face in cube3.faces + cube3.dual().faces:
+        assert face.mask == cones._mask(face.vertex_ids)
+        assert cones._members(face.mask) == face.vertex_ids
 
 
-def test_one_kernel_per_face_but_the_top(monkeypatch):
+def _counted_kernels(monkeypatch):
+    """Record the matrix of every integer kernel ``cones`` takes."""
     calls = []
     original = intlinalg.integer_kernel
 
@@ -201,11 +212,25 @@ def test_one_kernel_per_face_but_the_top(monkeypatch):
         calls.append(matrix)
         return original(matrix)
 
-    monkeypatch.setattr(intlinalg, "integer_kernel", counted)
-    monkeypatch.setattr(cones, "integer_kernel", counted, raising=False)
+    monkeypatch.setattr(cones, "integer_kernel", counted)
+    return calls
+
+
+def test_building_a_complex_takes_no_kernel(monkeypatch):
+    """Faces are lattice data only: building cube4's and cube5's complexes
+    and cube5's dual takes no integer kernel.  CLI ``phi`` on cube5 takes
+    one, the apex's span, which the dual's top-face quotient reaches."""
+    calls = _counted_kernels(monkeypatch)
     cx = trivial(build_cube(4))
     assert cx.face_count == 82
-    assert len(calls) == 81
+    assert calls == []
+    cube5 = trivial(build_cube(5))
+    cube5.dual()
+    assert calls == []
+    report, code = run(parse_config('{"builtin": "cube", "d": 5, "commands": ["phi"]}'))
+    assert code == 0 and "phi[C*](class 0)" in report.render()
+    # the apex lies on every facet; its span is the kernel of all ten rows
+    assert [m.rows for m in calls] == [cube5.polytope.cone_rows]
 
 
 def test_group_must_preserve_polytope():
@@ -332,7 +357,7 @@ def test_dual_complex(cube3):
     for f in range(cube3.face_count):
         assert dual.faces[f].index == f
         assert dual.faces[f].dim == cube3.cdim - cube3.faces[f].dim
-        seen.add(dual.faces[f].vertex_set)
+        seen.add(dual.faces[f].mask)
     assert len(seen) == cube3.face_count
     # order-reversing
     for f in range(cube3.face_count):
@@ -353,14 +378,14 @@ def test_dual_face_pairing_is_equivariant(sym3_cube3, quintic_a5):
         group, dual = cx.base_group, cx.dual()
         assert any(group.dual_element(g) != g for g in group.elements)
         vertex_of = {v: i for i, v in enumerate(dual.polytope.vertices)}
-        face_of = {face.vertex_set: face.index for face in dual.faces}
+        face_of = {face.mask: face.index for face in dual.faces}
         assert sorted(face_of.values()) == list(range(dual.face_count))
         for f, face in enumerate(cx.faces):
             assert dual.faces[f].dim == cx.cdim - face.dim
             for g in cx.faces_below(f):
                 assert dual.leq(f, g)
             for e, h in enumerate(dual.base_group.elements):
-                moved_vertices = frozenset(
+                moved_vertices = cones._mask(
                     vertex_of[h.apply(dual.polytope.vertices[i])]
                     for i in dual.faces[f].vertex_ids
                 )
@@ -396,16 +421,15 @@ def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
         fresh = ConeComplex(cx.polytope.dual_reflexive(), cx.base_group.dual_group())
         assert dual.polytope == fresh.polytope
         assert dual.face_count == fresh.face_count
-        index = {face.vertex_set: face.index for face in fresh.faces}
-        match = [index[face.vertex_set] for face in dual.faces]
+        index = {face.mask: face.index for face in fresh.faces}
+        match = [index[face.mask] for face in dual.faces]
         assert sorted(match) == list(range(fresh.face_count))
         for face, j in zip(dual.faces, match):
             other = fresh.faces[j]
             assert face.vertex_ids == other.vertex_ids, (cx, face.index)
             assert face.tight == other.tight, (cx, face.index)
             assert face.dim == other.dim, (cx, face.index)
-            assert face.span is None, (cx, face.index)
-            assert dual.span(face.index).rows == other.span.rows, (cx, face.index)
+            assert dual.span(face.index) == fresh.span(j), (cx, face.index)
         for f in range(dual.face_count):
             below = sorted(match[g] for g in dual.faces_below(f))
             assert below == list(fresh.faces_below(match[f])), (cx, f)
@@ -465,8 +489,8 @@ def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
     for cx in _dual_reference_models(quintic_sym5, quintic_a5):
         for side in (cx, cx.dual()):
             faces, below, maps = reference_lattice(side.polytope, side.base_group)
-            index = {frozenset(ids): i for i, (ids, _) in enumerate(faces)}
-            match = [index[face.vertex_set] for face in side.faces]
+            index = {cones._mask(ids): i for i, (ids, _) in enumerate(faces)}
+            match = [index[face.mask] for face in side.faces]
             if side is cx:
                 assert match == list(range(len(faces)))
             assert sorted(match) == list(range(len(faces)))
@@ -482,37 +506,26 @@ def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
     assert models == 25
 
 
-def test_dual_spans_take_at_most_cdim_rows(monkeypatch):
+def test_dual_spans_are_taken_on_demand(monkeypatch):
     """A dual is read off its partner with no integer linear algebra:
     building cube5's dual takes no kernel, and the mirror check on the A5
     quintic calls ``rho`` on no read-off dual.  The span a dual's ``rho``
-    derives on demand is the kernel of its partner face's span rows, at
-    most ``cdim`` of them, where one over the dual's tight facets would
-    take up to 32 vertex rows on cube5."""
+    takes on demand follows the primal's rule, one kernel of the dual's
+    own tight cone rows per face but its top."""
     cx = trivial(build_cube(5))
-    sizes = []
-    original = intlinalg.integer_kernel
-
-    def counted(matrix):
-        sizes.append(matrix.nrows)
-        return original(matrix)
-
-    monkeypatch.setattr(intlinalg, "integer_kernel", counted)
-    monkeypatch.setattr(cones, "integer_kernel", counted, raising=False)
+    calls = _counted_kernels(monkeypatch)
     dual = cx.dual()
-    assert sizes == []
-    assert all(face.span is None for face in dual.faces)
+    assert calls == []
     for f in range(dual.face_count):
         assert dual.rho(f, 0).nrows == dual.faces[f].dim
     # one kernel per face but the dual's top, the apex's partner
-    assert len(sizes) == dual.face_count - 1 == 243
-    assert max(sizes) <= cx.cdim == 6
+    assert len(calls) == dual.face_count - 1 == 243
 
     read_off = []
     rho = ConeComplex.rho
 
     def recorded(self, f, e):
-        read_off.append(all(face.span is None for face in self.faces))
+        read_off.append(self._partner is not None)
         return rho(self, f, e)
 
     monkeypatch.setattr(ConeComplex, "rho", recorded)

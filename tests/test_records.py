@@ -57,11 +57,11 @@ def check_record(cls, fields, values, frozen=True):
 
 
 def test_cone_records(square):
-    span = square.faces[1].span
+    mask = square.faces[1].mask
     face = check_record(
-        Face, ("index", "vertex_ids", "tight", "dim", "span"), (1, (0,), (0, 2), 1, span)
+        Face, ("index", "vertex_ids", "tight", "dim", "mask"), (1, (0,), (0, 2), 1, mask)
     )
-    assert face.vertex_set == frozenset({0}) and face.vertex_set is face.vertex_set
+    assert face.mask == 0b1
     apex, top = square.apex_index, square.top_index
     cone = check_record(
         AbstractCone, ("complex", "kind", "base", "ambient"), (square, "Q", apex, top)
