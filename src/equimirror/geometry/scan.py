@@ -23,16 +23,16 @@ meaning ``sum c_i x_i <= rhs``, and by the projection property the rows
 at level ``j`` bound ``x_j`` exactly once ``x_0 .. x_{j-1}`` are fixed.
 ``count_levels`` counts the trailing levels that read no earlier variable
 (all of them in a box) once, as a product of their ranges, and walks the
-levels above them point by point, bounding each value from one least
-residual per ``(c_{j-1}, c_j)`` group; ``prepare_levels -> count_levels`` is
-the one route from rows to a count.  The scan is pure Python with exact
-integers, so no entry is too large for it.
+levels above them point by point, carrying one least residual per
+coefficient suffix down the walk (:func:`_walk_layout`, laid out once per
+plan); ``prepare_levels -> count_levels`` is the one route from rows to a
+count.  The scan is pure Python with exact integers, so no entry is too
+large for it.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..errors import DimensionCap
@@ -48,6 +48,13 @@ FM_PAIR_CAP = 100_000
 
 # elimination plans by (k, coefficient rows), for the life of the process
 _plans: Dict[tuple, Plan] = {}
+
+
+class _PlannedLevels(list):
+    """Levels from a plan, carrying the plan's walk layout (None when
+    fewer than two levels are walked)."""
+
+    __slots__ = ("walk",)
 
 
 def clear_plans() -> None:
@@ -73,7 +80,7 @@ def eliminate(k: int, coeffs: Tuple[Row, ...]) -> Plan:
     sort depend only on the coefficients, so the elimination is planned
     once per coefficient system and :func:`_replay` carries any
     right-hand sides through it.  The plan is
-    ``(row_slot, row_div, nslots, steps)``:
+    ``(row_slot, row_div, nslots, steps, walk)``:
 
     - per input row, its pool slot (-1 for an all-zero row) and the gcd
       that divides it;
@@ -82,7 +89,9 @@ def eliminate(k: int, coeffs: Tuple[Row, ...]) -> Plan:
       ``(sp, beta, sn, alpha, target, gcd)``: slot ``sp`` (``c_j =
       alpha > 0``) and slot ``sn`` (``c_j = -beta < 0``) combine as
       ``beta*sp + alpha*sn`` into ``target`` (-1 for an all-zero
-      combination) after dividing by ``gcd``.
+      combination) after dividing by ``gcd``;
+    - the walk layout of the levels (see :func:`_walk_layout`), or None
+      when :func:`count_levels` walks fewer than two of them.
 
     **The rule** (Chernikov 1965; Imbert 1990).  Each slot has a history,
     the bitmask of input slots combined into it: an input slot starts with
@@ -178,15 +187,18 @@ def _eliminate(k: int, coeffs: Tuple[Row, ...], prune: bool) -> Plan | None:
                 t, g = normalise(tuple(beta * a + alpha * b for a, b in zip(cp, cn)), h)
                 pairs.append((sp, beta, sn, alpha, t, g))
         steps.append((j, level, pairs))
-    return row_slot, row_div, len(key_of), steps
+    coeffs = [[prefix for prefix, _ in level] for _, level, _ in reversed(steps)]
+    walked = _free_start(coeffs)
+    walk = _walk_layout(coeffs[:walked]) if walked > 1 else None
+    return row_slot, row_div, len(key_of), steps, walk
 
 
 def _replay(plan: Plan, rhs: List[int]) -> Tuple[bool, Levels]:
     """``(feasible, levels)`` for right-hand sides ``rhs`` of the planned
     rows: floor-divide by each row's gcd, combine ``beta*rp + alpha*rn``
     over the kept pairs, keep the least per slot, and fail on a negative
-    all-zero row."""
-    row_slot, row_div, nslots, steps = plan
+    all-zero row.  The levels carry the plan's walk layout."""
+    row_slot, row_div, nslots, steps, walk = plan
     feasible = True
     bound: List[int | None] = [None] * nslots
     for s, g, r in zip(row_slot, row_div, rhs):
@@ -198,7 +210,8 @@ def _replay(plan: Plan, rhs: List[int]) -> Tuple[bool, Levels]:
         old = bound[s]
         if old is None or r < old:
             bound[s] = r
-    levels: Levels = [()] * len(steps)
+    levels = _PlannedLevels([()] * len(steps))
+    levels.walk = walk
     for j, level, pairs in steps:
         levels[j] = tuple(p + (bound[s],) for p, s in level)
         for sp, beta, sn, alpha, t, g in pairs:
@@ -266,50 +279,92 @@ def _bounds(rows: Sequence[Row], x: List[int], j: int) -> Tuple[int, int]:
     return lo, hi
 
 
-def _free_tail(levels: Levels) -> Tuple[int, List[Tuple[int, int]]]:
-    """``(t, ranges)``: levels ``t..k-1`` read no earlier variable (every
-    ``row[:j]`` is zero, as in a box), and ``ranges`` are their fixed
-    integer ranges ``[lo, hi]``.  Level 0 reads none, so ``t = 0`` exactly
-    when every level is free."""
+def _free_start(levels: Sequence[Sequence[Row]]) -> int:
+    """The first of the trailing levels that read no earlier variable
+    (every ``row[:j]`` is zero, as in a box); level 0 reads none, so 0
+    when every level is free.  The rows may carry their right-hand sides
+    or not."""
     t = len(levels)
     while t > 0 and not any(any(row[: t - 1]) for row in levels[t - 1]):
         t -= 1
+    return t
+
+
+def _free_tail(levels: Levels) -> Tuple[int, List[Tuple[int, int]]]:
+    """``(t, ranges)``: levels ``t..k-1`` read no earlier variable (see
+    :func:`_free_start`), and ``ranges`` are their fixed integer ranges
+    ``[lo, hi]``."""
+    t = _free_start(levels)
     x = [0] * len(levels)
     return t, [_bounds(levels[j], x, j) for j in range(t, len(levels))]
 
 
-def _grouped(level: Tuple[Row, ...], j: int) -> Tuple[list, list]:
-    """Level ``j``'s upper and lower rows grouped by ``(c_{j-1}, c_j)``.
+def _walk_layout(coeffs: Sequence[Sequence[Row]]) -> tuple:
+    """The layout of the walk over levels whose coefficient rows (no
+    right-hand sides) are ``coeffs[0..last]``, ``last >= 1``.
 
-    Each group is ``(a, c, members)`` with ``a = c_{j-1}``, ``c = |c_j|``
-    and one ``(c_0 .. c_{j-2}, rhs)`` per row.  Once ``x_0 .. x_{j-2}``
-    are fixed, a row's residual is ``B = rhs - sum c_i x_i`` and it bounds
-    ``x_j`` by ``(B - a x_{j-1}) / c``; that floor grows with ``B``, so the
-    least residual of a group gives the group's bound on either side.
+    Node ``j`` of the walk has ``x_0 .. x_{j-1}`` fixed and keeps one
+    residual ``rhs - sum_{i<j} c_i x_i`` per key ``(L, (c_j, ..., c_L))``,
+    ``j < L <= last``: the rows of level ``L`` that share the coefficients
+    of the variables not yet fixed are one constraint from here on, and
+    only their least residual binds.  For a value ``v`` of ``x_j``, the
+    keys of level ``j + 1`` bound ``x_{j+1}`` by ``(r - c_j v) / c_{j+1}``,
+    and each deeper key hands ``r - c_j v`` to node ``j + 1``'s key
+    ``(L, (c_{j+1}, ..., c_L))``, the least of all that land on it.
+
+    Returns ``(root, nodes)``.  ``root = (first, extra)`` fills node 0's
+    residuals from the levels: ``first`` holds one ``(L, i)`` row per
+    residual, ``extra`` one ``(L, i, e)`` per further row of the same key.
+    ``nodes[j] = (upper, lower, shifts, extra)``:
+
+    - ``upper``/``lower``: ``(e, c_j, |c_{j+1}|)`` per key of level
+      ``j + 1`` with ``c_{j+1} > 0`` / ``< 0``;
+    - ``shifts``: ``c_j`` of the first key handed to each of node
+      ``j + 1``'s residuals, which sit at the front in that order, so
+      ``[r - a v for r, a in zip(res, shifts)]`` is node ``j + 1``'s
+      vector before the merge;
+    - ``extra``: ``(e, c_j, target)`` for the other keys, min-merged in.
+
+    Everything depends on the coefficients alone, so a planned system
+    builds it once, in :func:`eliminate`.
     """
-    upper: Dict[Tuple[int, int], list] = {}
-    lower: Dict[Tuple[int, int], list] = {}
-    for row in level:
-        c = row[j]
-        side = upper if c > 0 else lower
-        side.setdefault((row[j - 1], abs(c)), []).append((row[: j - 1], row[-1]))
-    return (
-        [(a, c, members) for (a, c), members in upper.items()],
-        [(a, c, members) for (a, c), members in lower.items()],
-    )
-
-
-def _least(groups: list, x: List[int]) -> List[Tuple[int, int, int]]:
-    """``(B, a, c)`` per group: its least residual at the prefix ``x``."""
-    out = []
-    for a, c, members in groups:
-        least = None
-        for prefix, r in members:
-            r -= sum(map(mul, prefix, x))
-            if least is None or r < least:
-                least = r
-        out.append((least, a, c))
-    return out
+    last = len(coeffs) - 1
+    nodes = []
+    index: Dict[tuple, int] = {}  # node j + 1's keys -> their residuals
+    for j in range(last - 1, -1, -1):
+        keys = {(L, row[j:]) for L in range(j + 1, last + 1) for row in coeffs[L]}
+        first: List[tuple] = [None] * len(index)
+        merged, bounding = [], []
+        for key in sorted(keys):
+            L, suffix = key
+            if L == j + 1:
+                bounding.append(key)
+                continue
+            target = index[(L, suffix[1:])]
+            if first[target] is None:
+                first[target] = key
+            else:
+                merged.append((key, target))
+        order = first + [key for key, _ in merged] + bounding
+        index = {key: e for e, key in enumerate(order)}
+        sides = [(index[key], *key[1]) for key in bounding]
+        nodes.append((
+            tuple((e, a, c) for e, a, c in sides if c > 0),
+            tuple((e, a, -c) for e, a, c in sides if c < 0),
+            tuple(suffix[0] for _, suffix in first),
+            tuple((index[key], key[1][0], target) for key, target in merged),
+        ))
+    nodes.reverse()
+    first = [None] * len(index)
+    extra = []
+    for L in range(1, last + 1):
+        for i, row in enumerate(coeffs[L]):
+            e = index[(L, row)]
+            if first[e] is None:
+                first[e] = (L, i)
+            else:
+                extra.append((L, i, e))
+    return (tuple(first), tuple(extra)), tuple(nodes)
 
 
 def count_levels(levels: Levels) -> int:
@@ -317,10 +372,10 @@ def count_levels(levels: Levels) -> int:
 
     The free trailing levels (see :func:`_free_tail`) are counted once,
     as the product of their range sizes; the levels above them are
-    walked point by point.  At each node of the walk the next level's
-    rows are reduced to one least residual per ``(c_{j-1}, c_j)`` group
-    (see :func:`_grouped`), so each value of ``x_{j-1}`` is bounded from
-    the few groups instead of from every row.
+    walked point by point, one subtraction per coefficient suffix for
+    each value (see :func:`_walk_layout`).  Levels from
+    :func:`prepare_levels` carry their plan's layout; others get one
+    built here.
     """
     t, ranges = _free_tail(levels)
     tail = 1
@@ -330,37 +385,53 @@ def count_levels(levels: Levels) -> int:
         tail *= hi - lo + 1
     if t == 0:
         return tail  # also zero variables: the empty point
-    x = [0] * t
-    last = t - 1
-    # the groups of level j + 1, which node j bounds for each value of x_j
-    below = [_grouped(levels[j + 1], j + 1) for j in range(last)]
+    lo, hi = _bounds(levels[0], [], 0)
+    if hi < lo:
+        return 0
+    if t == 1:
+        return (hi - lo + 1) * tail
+    walk = getattr(levels, "walk", None)
+    if walk is None:
+        walk = _walk_layout([[tuple(r[:-1]) for r in level] for level in levels[:t]])
+    (first, extra), nodes = walk
+    res = [levels[L][i][-1] for L, i in first]
+    for L, i, e in extra:
+        r = levels[L][i][-1]
+        if r < res[e]:
+            res[e] = r
+    penultimate = t - 2
 
-    def rec(j: int, lo: int, hi: int) -> int:
-        if hi < lo:
-            return 0
-        if j == last:
-            return (hi - lo + 1) * tail
-        upper, lower = below[j]
+    def rec(j: int, lo: int, hi: int, res: List[int]) -> int:
+        upper, lower, shifts, extra = nodes[j]
         if not upper or not lower:
             raise ValueError("unbounded direction in lattice scan")
-        upper = _least(upper, x)
-        lower = _least(lower, x)
+        upper = [(res[e], a, c) for e, a, c in upper]
+        lower = [(res[e], a, c) for e, a, c in lower]
         total = 0
         for v in range(lo, hi + 1):
-            x[j] = v
             next_hi = next_lo = None
-            for b, a, c in upper:
-                b = (b - a * v) // c
+            for r, a, c in upper:
+                b = (r - a * v) // c
                 if next_hi is None or b < next_hi:
                     next_hi = b
-            for b, a, c in lower:
-                b = -((b - a * v) // c)
+            for r, a, c in lower:
+                b = -((r - a * v) // c)
                 if next_lo is None or b > next_lo:
                     next_lo = b
-            total += rec(j + 1, next_lo, next_hi)
+            if next_hi < next_lo:
+                continue
+            if j == penultimate:
+                total += next_hi - next_lo + 1
+                continue
+            below = [r - a * v for r, a in zip(res, shifts)]
+            for e, a, target in extra:
+                r = res[e] - a * v
+                if r < below[target]:
+                    below[target] = r
+            total += rec(j + 1, next_lo, next_hi, below)
         return total
 
-    return rec(0, *_bounds(levels[0], x, 0))
+    return rec(0, lo, hi, res) * tail
 
 
 def count_system(rows: Iterable[Tuple[Sequence[int], int]], k: int) -> int:

@@ -5,17 +5,19 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
+from conftest import trivial_complex
 
+from equimirror.algebra import UniPoly
 from equimirror.cli.main import run
-from equimirror.cli.models import build_cross, build_cube, parse_config
+from equimirror.cli.models import build_cross, build_cube, build_fermat, parse_config
 from equimirror.errors import DimensionCap
 from equimirror.geometry import counting, scan
 from equimirror.geometry.counting import homogenize, slice_system
 from equimirror.geometry.intlinalg import IntMatrix, det
-
+from equimirror.invariants import tables_for
 
 def brute_count(rows, k, box=12):
     """Count integer points of ``coeffs . x <= rhs`` by exhausting a box.
@@ -419,7 +421,7 @@ def test_empty_free_level_counts_zero():
 
 
 # ---------------------------------------------------------------------------
-# walked levels bounded from grouped residual minima
+# walked levels bounded from one least residual per coefficient suffix
 
 
 def reference_count_levels(levels):
@@ -503,3 +505,130 @@ def test_unbounded_walked_level_raises_when_reached():
         with pytest.raises(ValueError, match="unbounded direction in lattice scan"):
             count(reached)
         assert count([((1, -1), (-1, 0)), unbounded]) == 0
+
+
+def suffix_rows(rng, k):
+    """A bounded system whose rows share coefficient suffixes
+    ``(c_j, ..., c_L)`` under different prefixes at several depths: each
+    row is a random head, then a tail from a small pool per length, then
+    zeros.  Coefficients are negative and non-unit too, and some rows are
+    repeated."""
+    rows = unit_box_rows(k, rng.randint(-2, 0), rng.randint(0, 2))
+    tails = {
+        n: [
+            tuple(rng.randint(-3, 3) for _ in range(n - 1))
+            + (rng.choice((-3, -2, -1, 1, 2, 3)),)
+            for _ in range(2)
+        ]
+        for n in range(1, k)
+    }
+    for _ in range(rng.randint(3, 8)):
+        last = rng.randint(1, k - 1)
+        tail = rng.choice(tails[rng.randint(1, last)])
+        head = tuple(rng.randint(-2, 2) for _ in range(last + 1 - len(tail)))
+        rows.append((head + tail + (0,) * (k - 1 - last), rng.randint(-3, 6)))
+    for _ in range(rng.randint(0, 2)):
+        rows.append(rng.choice(rows))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_suffix_walk_matches_reference_random():
+    """Counts on systems whose suffixes merge at several node levels, from
+    the planned layout, from one built on the spot for plain lists, and
+    with repeated level rows that node 0 merges."""
+    rng = random.Random(271828)
+    merged_at, nonzero = set(), 0
+    for trial in range(150):
+        k = rng.randint(2, 5)
+        rows = suffix_rows(rng, k)
+        feasible, levels = scan.prepare_levels(rows, k)
+        if not feasible:
+            continue
+        expected = reference_count_levels(levels)
+        assert scan.count_levels(levels) == expected, (trial, rows)
+        if k <= 3:
+            assert expected == brute_count(rows, k, box=3), (trial, rows)
+        nonzero += expected > 0
+        assert scan.count_levels(list(levels)) == expected, (trial, rows)
+        if levels.walk is not None:
+            (_, root_extra), nodes = levels.walk
+            assert not root_extra
+            merged_at.update(j for j, node in enumerate(nodes) if node[3])
+        repeated = [
+            tuple(level) + tuple(
+                row[:-1] + (row[-1] + rng.randint(-1, 2),)
+                for row in rng.sample(level, rng.randint(0, len(level)))
+            )
+            for level in levels
+        ]
+        assert scan.count_levels(repeated) == reference_count_levels(repeated), (
+            trial, repeated
+        )
+    assert nonzero > 80
+    assert {0, 1, 2} <= merged_at
+
+
+@pytest.mark.parametrize(
+    "polytope", [build_cross(6), build_fermat(5)], ids=["cross6", "fermat5"]
+)
+def test_suffix_walk_matches_reference_on_top_face_slices(polytope):
+    """The 6-cross-polytope's slices collapse many rows into few suffixes;
+    ``6 Delta_5``'s (the Fermat sextic) collapse none."""
+    cone_rows = homogenize(polytope.facets)
+    identity = IntMatrix.identity(polytope.dim + 1)
+    for m in range(5):
+        for interior in (False, True):
+            rows, k = slice_system(cone_rows, (), identity, m, interior)
+            feasible, levels = scan.prepare_levels(rows, k)
+            if feasible:
+                assert scan.count_levels(levels) == reference_count_levels(levels)
+
+
+def ehrhart_numerator(count, d):
+    """The numerator of ``sum_m count(m) t^m`` over ``(1 - t)^(d + 1)``,
+    for ``count`` a polynomial of degree ``d``."""
+    values = [count(m) for m in range(d + 1)]
+    return [
+        sum((-1) ** i * comb(d + 1, i) * values[n - i] for i in range(n + 1))
+        for n in range(d + 1)
+    ]
+
+
+def test_six_dimensional_phi_matches_closed_form_ehrhart_numerators():
+    """An oracle outside the scan: ``m`` times the 6-cube holds
+    ``(2m + 1)^6`` lattice points and ``m`` times the 6-cross-polytope
+    ``sum_k 2^k C(6, k) C(m, k)``, so ``phi`` at the identity is the
+    numerator of each Ehrhart series."""
+    cube = ehrhart_numerator(lambda m: (2 * m + 1) ** 6, 6)
+    cross = ehrhart_numerator(
+        lambda m: sum(2**k * comb(6, k) * comb(m, k) for k in range(7)), 6
+    )
+    assert cube == [1, 722, 10543, 23548, 10543, 722, 1]
+    assert cross == [1, 6, 15, 20, 15, 6, 1]
+    counting.clear_cache()
+    for polytope, numerator in ((build_cube(6), cube), (build_cross(6), cross)):
+        cx = trivial_complex(polytope)
+        assert tables_for(cx).phi.poly(cx.top_index, 0) == UniPoly(numerator)
+    counting.clear_cache()
+
+
+def test_phi_lays_out_the_walk_once_per_coefficient_system(monkeypatch):
+    """``phi`` of the 5-cube walks the slices of one family only, the
+    5-cross-polytope's top face (the cube's slices are boxes): its walk
+    layout is built once, in the plan, and every height reads it."""
+    layouts = []
+    walk_layout = scan._walk_layout
+
+    def counted_walk_layout(coeffs):
+        layouts.append(coeffs)
+        return walk_layout(coeffs)
+
+    monkeypatch.setattr(scan, "_walk_layout", counted_walk_layout)
+    counting.clear_cache()
+    config = {"builtin": "cube", "d": 5, "group": [], "commands": ["phi"]}
+    run(parse_config(json.dumps(config)))
+    counting.clear_cache()
+    assert len(layouts) == 1
+    assert [len(level) for level in layouts[0]] == [2, 14, 18, 54, 32]
+
