@@ -87,15 +87,6 @@ class BiLaurent:
     def is_polynomial(self) -> bool:
         return all(p >= 0 and q >= 0 for p, q in self.terms)
 
-    def support(self):
-        return sorted(self.terms)
-
-    def total_degree(self) -> int:
-        """Largest ``p + q`` over the support (0 for the zero element)."""
-        if not self.terms:
-            return 0
-        return max(p + q for p, q in self.terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, BiLaurent):
             return self.terms == other.terms
@@ -203,21 +194,9 @@ class BiLaurent:
         """Substitute ``v -> 1/v``."""
         return BiLaurent({(p, -q): c for (p, q), c in self.terms.items()})
 
-    def swap_uv(self) -> BiLaurent:
-        """Substitute ``u <-> v``."""
-        return BiLaurent({(q, p): c for (p, q), c in self.terms.items()})
-
     def at_one(self):
         """Evaluate at ``u = v = 1``."""
         return _coerce(sum(self.terms.values(), 0))
-
-    def evaluate(self, u_val, v_val):
-        # Fraction bases keep negative powers exact
-        u_val, v_val = Fraction(u_val), Fraction(v_val)
-        total = 0
-        for (p, q), c in self.terms.items():
-            total += c * u_val**p * v_val**q
-        return _coerce(total)
 
     # -- presentation -----------------------------------------------------------
 

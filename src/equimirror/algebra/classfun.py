@@ -97,10 +97,6 @@ class ClassFun:
 
     __rmul__ = __mul__
 
-    def map(self, fn) -> ClassFun:
-        """Apply ``fn`` to every class value."""
-        return ClassFun(self.group, tuple(fn(v) for v in self.values))
-
     # -- averaging over the group ---------------------------------------------
 
     def average(self):

@@ -74,10 +74,6 @@ class UniPoly:
         return cls((1,))
 
     @classmethod
-    def t(cls) -> UniPoly:
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, k: int, c=1) -> UniPoly:
         if k < 0:
             raise NegativeExponent(f"monomial exponent {k} is negative")
@@ -100,11 +96,6 @@ class UniPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def leading(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
@@ -206,14 +197,6 @@ class UniPoly:
         if max_degree < 0:
             return UniPoly(())
         return UniPoly(self.coeffs[: max_degree + 1])
-
-    def shift(self, k: int) -> UniPoly:
-        """Multiply by ``t^k`` (``k >= 0``)."""
-        if k < 0:
-            raise NegativeExponent(f"shift by {k} would create negative exponents")
-        if not self.coeffs:
-            return self
-        return UniPoly((0,) * k + self.coeffs)
 
     def reverse(self, k: int) -> UniPoly:
         """Return ``t^k * p(1/t)``; requires ``deg(p) <= k``."""

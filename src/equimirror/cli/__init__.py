@@ -5,11 +5,10 @@ deliberately not re-exported here so that the submodule name stays
 importable as a module.
 """
 
-from .models import BuiltinModel, ModelConfig, build_fermat, build_model, parse_config
+from .models import ModelConfig, build_fermat, build_model, parse_config
 from .report import InvariantReport
 
 __all__ = [
-    "BuiltinModel",
     "InvariantReport",
     "ModelConfig",
     "build_fermat",

@@ -88,13 +88,10 @@ class RunContext:
 
 
 def _class_indices(ctx: RunContext) -> List[int]:
-    n = len(ctx.complex.group.classes)
+    """The classes a per-class report covers; :func:`run` has checked
+    ``gamma``."""
     if ctx.gamma is None:
-        return list(range(n))
-    if not 0 <= ctx.gamma < n:
-        raise ConfigError(
-            f"--gamma {ctx.gamma} out of range; the group has {n} conjugacy classes"
-        )
+        return list(range(len(ctx.complex.group.classes)))
     return [ctx.gamma]
 
 
@@ -322,23 +319,23 @@ _HANDLERS: Dict[str, Callable] = {
 
 
 def run(
-    config: ModelConfig,
-    threads: int = 1,
-    gamma: Optional[int] = None,
-    quotient: Optional[bool] = None,
+    config: ModelConfig, threads: int = 1, gamma: Optional[int] = None
 ) -> Tuple[InvariantReport, int]:
     """Build the configured model and execute its commands in order.
 
-    ``threads`` is accepted and ignored: commands run sequentially, and the
-    keyword stays only because ``perfbench/sample.py`` passes ``threads=1``.
+    ``gamma`` restricts every per-class output to one class index, checked
+    here before any command runs.  ``threads`` is accepted and ignored:
+    commands run sequentially, and the keyword stays only because
+    ``perfbench/sample.py`` passes ``threads=1``.
     """
     polytope, group, name = build_model(config)
+    n = len(group.classes)
+    if gamma is not None and not 0 <= gamma < n:
+        raise ConfigError(
+            f"--gamma {gamma} out of range; the group has {n} conjugacy classes"
+        )
     cx = ConeComplex(polytope, group)
-    ctx = RunContext(
-        complex=cx,
-        gamma=gamma,
-        quotient=config.quotient_only if quotient is None else quotient,
-    )
+    ctx = RunContext(complex=cx, gamma=gamma, quotient=config.quotient_only)
     report = InvariantReport(model=config.describe(), group=group_json(cx.group))
     report.text_lines = [f"model {name}, ambient dimension {cx.dim}"]
     report.text_lines += describe_classes(cx.group)
@@ -698,7 +695,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         config = parse_config(text)
         config = with_commands(with_cap(config, args.cap_group), (args.command,))
-        report, code = run(config, gamma=args.gamma, quotient=args.quotient or None)
+        if args.quotient:
+            config = config.replace(quotient_only=True)
+        report, code = run(config, gamma=args.gamma)
         sys.stdout.write(report.render())
         if args.json_path is not None:
             _write_json(args.json_path, report.to_json())

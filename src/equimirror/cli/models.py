@@ -90,17 +90,6 @@ class ModelConfig(Frozen):
         return source
 
 
-class BuiltinModel(Frozen):
-    """A constructed built-in polytope plus its generator embedding."""
-
-    __slots__ = ("name", "d", "polytope", "centrally_symmetric")
-
-    def __init__(
-        self, name: str, d: int, polytope: LatticePolytope, centrally_symmetric: bool
-    ):
-        self._fill(name, d, polytope, centrally_symmetric)
-
-
 def build_cube(d: int) -> LatticePolytope:
     verts = tuple(tuple(s) for s in product((-1, 1), repeat=d))
     facets = []
@@ -147,8 +136,6 @@ def build_fermat(d: int) -> LatticePolytope:
     vertices are ``(d+1)e_j - (1, ..., 1)`` and ``(-1, ..., -1)``; the
     facet offsets are all 1, so the polytope is reflexive.
     """
-    if d < 2 or d > 5:
-        raise ConfigError(f"fermat model needs 2 <= d <= 5, got {d}")
     verts = []
     for j in range(d):
         v = [-1] * d
@@ -210,32 +197,31 @@ _DIM_RANGE = {
 }
 
 
-def _builtin_model(name: str, d: int) -> BuiltinModel:
+def _builtin_polytope(name: str, d: int) -> LatticePolytope:
     lo, hi = _DIM_RANGE[name]
     if not lo <= d <= hi:
         raise ConfigError(f"builtin {name!r} needs {lo} <= d <= {hi}, got {d}")
-    polytope = _BUILDERS[name](d)
-    return BuiltinModel(
-        name=name,
-        d=d,
-        polytope=polytope,
-        centrally_symmetric=name in ("cube", "cross"),
-    )
+    return _BUILDERS[name](d)
 
 
-def _generator_matrix(entry: object, model: BuiltinModel) -> IntMatrix:
-    d = model.d
+def _generator_matrix(
+    entry: object, polytope: LatticePolytope, source: str
+) -> IntMatrix:
+    """One group generator as a matrix; ``source`` is the builtin's name, or
+    ``"inline"``."""
+    d = polytope.dim
     if isinstance(entry, IntMatrix):
         return entry
     if isinstance(entry, str):
         if entry == "central":
-            if not model.centrally_symmetric:
+            vertices = frozenset(polytope.vertices)
+            if any(tuple(-x for x in v) not in vertices for v in vertices):
                 raise ConfigError(
-                    f"'central' needs a centrally symmetric model, not {model.name!r}"
+                    f"'central' needs a centrally symmetric model, not {source!r}"
                 )
             return IntMatrix.identity(d).scale(-1)
         if entry.startswith("("):
-            if model.name == "fermat":
+            if source == "fermat":
                 return fermat_permutation(entry, d)
             perm = _cycles(entry)
             if any(k > d or v > d for k, v in perm.items()):
@@ -250,17 +236,17 @@ def _generator_matrix(entry: object, model: BuiltinModel) -> IntMatrix:
         raise ConfigError(f"bad generator matrix: {exc}") from exc
 
 
-def _check_generator(g: IntMatrix, model: BuiltinModel) -> None:
+def _check_generator(g: IntMatrix, polytope: LatticePolytope) -> None:
     """Reject a generator of the wrong size or one that maps a vertex of the
     polytope outside it, before the closure could run into the group cap."""
-    d = model.d
+    d = polytope.dim
     if not g.is_square() or g.nrows != d:
         raise ConfigError(
             f"bad generator matrix: {g.nrows}x{g.ncols} on a polytope in Z^{d}, "
             f"expected {d}x{d}"
         )
-    vertices = frozenset(model.polytope.vertices)
-    for v in model.polytope.vertices:
+    vertices = frozenset(polytope.vertices)
+    for v in polytope.vertices:
         w = g.apply(v)
         if w not in vertices:
             raise ConfigError(
@@ -272,26 +258,20 @@ def _check_generator(g: IntMatrix, model: BuiltinModel) -> None:
 def build_model(config: ModelConfig) -> Tuple[LatticePolytope, MatrixGroup, str]:
     """Construct the polytope and the generated matrix group of a config."""
     if config.builtin is not None:
-        model = _builtin_model(config.builtin, config.d)
-        name = f"{config.builtin}{config.d}"
+        source = config.builtin
+        polytope = _builtin_polytope(source, config.d)
+        name = f"{source}{config.d}"
     else:
         try:
             polytope = LatticePolytope(config.vertices, config.facets)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad inline polytope: {exc}") from exc
-        model = BuiltinModel(
-            name="inline",
-            d=polytope.dim,
-            polytope=polytope,
-            centrally_symmetric=frozenset(polytope.vertices)
-            == frozenset(tuple(-x for x in v) for v in polytope.vertices),
-        )
-        name = "inline"
-    generators = [_generator_matrix(entry, model) for entry in config.group]
+        source = name = "inline"
+    generators = [_generator_matrix(entry, polytope, source) for entry in config.group]
     for g in generators:
-        _check_generator(g, model)
-    group = generate_group(generators, cap=config.cap_group, rank=model.d)
-    return model.polytope, group, name
+        _check_generator(g, polytope)
+    group = generate_group(generators, cap=config.cap_group, rank=polytope.dim)
+    return polytope, group, name
 
 
 def _require(condition: bool, message: str):

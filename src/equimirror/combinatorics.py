@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra.classfun import ClassFun, ClassPoly
 from .algebra.unipoly import UniPoly, series_ratio, truncate_tau
@@ -121,11 +121,6 @@ class PhiTable(_Table):
             value = value.truncate(k - 1)
         self._polys[key] = value
         return value
-
-    def class_poly(self, f: Optional[int] = None) -> ClassPoly:
-        """Class function over the stabilizer of face ``f`` (default: the
-        full cone, whose stabilizer is the whole group)."""
-        return _stabilizer_class_poly(self.complex, f, self.poly)
 
     def override(self, f: int, e: int, poly: UniPoly) -> "PhiTable":
         """A copy with one entry replaced — the fault-injection hook used
@@ -256,12 +251,6 @@ class HGTable(_Table):
     def g_face(self, f: int, e: int) -> UniPoly:
         return self.g(abstract_primal(self.complex, f), e)
 
-    def h_class_poly(self, f: Optional[int] = None) -> ClassPoly:
-        return _stabilizer_class_poly(self.complex, f, self.h_face)
-
-    def g_class_poly(self, f: Optional[int] = None) -> ClassPoly:
-        return _stabilizer_class_poly(self.complex, f, self.g_face)
-
 
 class StildeTable(_Table):
     """The mixed polynomials combining ``phi`` with dual-face ``g``, one
@@ -297,16 +286,13 @@ class StildeTable(_Table):
         self._polys[key] = value
         return value
 
-    def class_poly(self, f: Optional[int] = None) -> ClassPoly:
-        return _stabilizer_class_poly(self.complex, f, self.poly)
-
     def class_poly_by_induction(self, f: Optional[int] = None) -> ClassPoly:
         """The same class function assembled orbit by orbit.
 
         Each stabilizer contributes its term as a class function which is
         then induced up to the full group; summing over face orbits must
-        reproduce the element-wise sums of :meth:`class_poly`.  Used as an
-        independent cross-check of the per-element evaluation.
+        reproduce :meth:`poly` at ``f`` and one element of each class.
+        Used as an independent cross-check of the per-element evaluation.
         """
         cx = self.complex
         if f is None:
@@ -355,18 +341,6 @@ def tables_for(complex: ConeComplex) -> Tables:
             phi_table, hg_table, StildeTable(complex, phi_table, hg_table)
         )
     return complex.tables
-
-
-def _stabilizer_class_poly(
-    complex: ConeComplex, f: Optional[int], fn: Callable[[int, int], UniPoly]
-) -> ClassPoly:
-    if f is None:
-        f = complex.top_index
-    stab = complex.face_stabilizer(f)
-    values = tuple(
-        fn(f, complex.group.index_of[rep]) for rep in stab.class_rep_elements()
-    )
-    return ClassPoly(stab, values)
 
 
 def mobius_gamma(complex: ConeComplex, lower: int, upper: int, e: int) -> int:

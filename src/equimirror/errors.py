@@ -33,6 +33,11 @@ class DimensionCap(EquimirrorError):
     """Input exceeds the supported dimension or vertex-count limits."""
 
 
+class NotAFaceLattice(EquimirrorError):
+    """The vertices and facets of a polytope do not close up into a face
+    lattice: a facet is missing or a listed point is not a vertex."""
+
+
 class NotReflexive(EquimirrorError):
     """An operation that needs a reflexive polytope got a non-reflexive one."""
 

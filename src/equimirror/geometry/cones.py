@@ -48,7 +48,7 @@ from operator import attrgetter
 from typing import Dict, List, Tuple
 
 from ..algebra.unipoly import UniPoly
-from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
+from ..errors import NonInvertible, NotAFaceLattice, NotInvariant, SubgroupMismatch
 from ..groups import MatrixGroup, orbits, stabilizer
 from ..records import Frozen
 from . import counting
@@ -354,9 +354,10 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Tuple[Face, ...], list]
 
     A face's vertex set is the intersection of its tight facets' (the
     apex's, of all of them), so the faces below ``f`` are the meet of the
-    per-facet face bitmasks over ``f``'s tight facets.  The lattice is
-    graded, so a face's dimension is one more than the largest below it
-    (the apex's is 0), found in order of how many faces lie below."""
+    per-facet face bitmasks over ``f``'s tight facets.  A face's dimension
+    is one more than the largest below it (the apex's is 0), found in order
+    of how many faces lie below; :func:`_check_lattice` then rejects a
+    lattice that is not a polytope's."""
     facet_masks = [
         _mask(
             i for i, v in enumerate(polytope.vertices)
@@ -387,20 +388,73 @@ def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Tuple[Face, ...], list]
         for i in tight:
             on_facet[i] |= 1 << f
     everything = (1 << len(lattice)) - 1
-    below = []
+    below_masks = []
     for tight in tights:
         faces_below = everything
         for i in tight:
             faces_below &= on_facet[i]
-        below.append(_members(faces_below))
+        below_masks.append(faces_below)
+    below = [_members(s) for s in below_masks]
     dims = [0] * len(lattice)
     for f in sorted(range(len(lattice)), key=lambda f: len(below[f])):
         dims[f] = max((dims[g] + 1 for g in below[f] if g != f), default=0)
+    _check_lattice(polytope, lattice, below_masks, dims)
     faces = tuple(
         Face(f, vertex_ids, tights[f], dims[f], s)
         for f, (vertex_ids, s) in enumerate(lattice)
     )
     return faces, below
+
+
+def _check_lattice(polytope, lattice, below_masks, dims) -> None:
+    """Raise :class:`NotAFaceLattice` unless the faces found form the face
+    lattice of a polytope with these vertices: it must be atomic (each
+    vertex is a face of its own), graded (each face covers only faces one
+    dimension lower) and thin (each interval of length two has exactly two
+    faces strictly inside).  A facet missing from a validated list, or a
+    listed point that is not a vertex, breaks one of the three.
+
+    Covers are bitmasks over face indices: those of face ``f`` are the faces
+    of dimension ``dim f - 1`` below it, every face below ``f`` must lie
+    below one of them, and each face of dimension ``dim f - 2`` below ``f``
+    must lie below exactly two."""
+
+    def named(f: int) -> str:
+        return str([list(polytope.vertices[i]) for i in lattice[f][0]])
+
+    faces = {s for _, s in lattice}
+    for i, v in enumerate(polytope.vertices):
+        if 1 << i not in faces:
+            raise NotAFaceLattice(
+                f"point {list(v)} is no face on its own: it is not a vertex,"
+                " or a facet through it is missing"
+            )
+    by_dim = [0] * (max(dims) + 1)
+    for f, k in enumerate(dims):
+        by_dim[k] |= 1 << f
+    for f, k in enumerate(dims):
+        if k == 0:
+            continue
+        strict = below_masks[f] & ~(1 << f)
+        reached = once = twice = more = 0
+        for c in _members(strict & by_dim[k - 1]):
+            reached |= below_masks[c]
+            if k > 1:
+                x = below_masks[c] & by_dim[k - 2]
+                more |= twice & x
+                twice |= once & x
+                once |= x
+        if reached != strict:
+            raise NotAFaceLattice(
+                f"face {named(f)} covers a face more than one dimension lower;"
+                " a facet is missing"
+            )
+        if twice != once or more:
+            g = _members((once & ~twice) | more)[0]
+            raise NotAFaceLattice(
+                f"faces {named(g)} < {named(f)} do not have exactly two faces"
+                " between them; a facet is missing"
+            )
 
 
 def _dual_face(face: Face, cdim: int) -> Face:

@@ -21,10 +21,10 @@ them once and replays the elimination for each height, and a box-like
 slice is counted as a product of ranges.
 
 Each slice family, one ``(cone rows, tight facets, element)``, has one
-process-wide memo entry: its basis, ``g``, its rows and the counts found
-so far, keyed by ``(m, interior)``.  A count is asked for over and over
-while the recursions assemble their tables, and across models that share
-a face and an element.
+process-wide memo entry: the number of basis vectors, ``g``, its rows and
+the counts found so far, keyed by ``(m, interior)``.  A count is asked for
+over and over while the recursions assemble their tables, and across
+models that share a face and an element.
 
 This is one of four process-wide memos, each keyed by data alone (rows,
 matrices, polynomials), so a model of any group reuses what another model
@@ -46,8 +46,8 @@ from . import scan
 from .intlinalg import IntMatrix, integer_kernel, vec_dot
 
 Row = Tuple[int, ...]
-# (basis, g, rows, counts by (m, interior)), one per slice family
-Family = Tuple[IntMatrix, int, Tuple[Row, ...], Dict[Tuple[int, bool], int]]
+# (basis size, g, rows, counts by (m, interior)), one per slice family
+Family = Tuple[int, int, Tuple[Row, ...], Dict[Tuple[int, bool], int]]
 
 _bases: Dict[tuple, Family] = {}
 
@@ -84,13 +84,12 @@ def homogenize(facets: Iterable[Tuple[Sequence[int], int]]) -> Tuple[Row, ...]:
 def _face_basis(
     cone_rows: Tuple[Row, ...], tight: Tuple[int, ...], matrix: IntMatrix
 ) -> Family:
-    """The fixed lattice of a face, height first: ``(basis, g, rows,
-    counts)``.
+    """The fixed lattice of a face, height first: ``(k, g, rows, counts)``.
 
-    ``basis`` has one column per kernel coordinate; column 0 has height
-    ``g >= 0`` and the others height 0 (``g = 0`` when the whole kernel
-    lies at height 0).  ``rows`` are the non-tight cone rows written in
-    the basis; ``counts`` is the family's count memo.
+    Its basis has ``k`` vectors; vector 0 has height ``g >= 0`` and the
+    others height 0 (``g = 0`` when the whole kernel lies at height 0).
+    ``rows`` are the non-tight cone rows written in the basis; ``counts``
+    is the family's count memo.
     """
     key = (cone_rows, tight, matrix.rows)
     hit = _bases.get(key)
@@ -111,50 +110,31 @@ def _face_basis(
         kernel = IntMatrix.identity(n)
     vectors = kernel.rows
     g = vectors[0][0] if vectors else 0
-    # back to the cone's coordinate order: the basis has the vectors as its
-    # columns and one row per coordinate, even when the kernel is trivial
+    # back to the cone's coordinate order
     columns = [v[1:] + v[:1] for v in vectors]
-    basis = IntMatrix([[c[i] for c in columns] for i in range(n)])
     skip = set(tight)
     rows = tuple(
         tuple(vec_dot(row, c) for c in columns)
         for i, row in enumerate(cone_rows)
         if i not in skip
     )
-    entry = _bases[key] = (basis, g, rows, {})
+    entry = _bases[key] = (len(columns), g, rows, {})
     return entry
 
 
 def _slice(
     family: Family, m: int, interior: bool
 ) -> Optional[Tuple[List[Tuple[Row, int]], int]]:
-    basis, g, rows, _ = family
+    k, g, rows, _ = family
     rhs = -1 if interior else 0
     if g == 0:
         if m != 0:
             return None
-        return [(row, rhs) for row in rows], basis.ncols
+        return [(row, rhs) for row in rows], k
     if m < 0 or m % g:
         return None
     t = m // g
-    return [(row[1:], rhs - row[0] * t) for row in rows], basis.ncols - 1
-
-
-def slice_system(
-    cone_rows: Tuple[Row, ...],
-    tight: Tuple[int, ...],
-    matrix: IntMatrix,
-    m: int,
-    interior: bool = False,
-) -> Optional[Tuple[List[Tuple[Row, int]], int]]:
-    """The inequality system ``(rows, k)`` of the height-``m`` slice of the
-    face picked out by ``tight``, fixed by ``matrix``.
-
-    Its variables are the face basis coordinates after the substituted
-    height coordinate (all of them when ``g = 0``).  ``None`` when the
-    slice has no lattice point because ``g`` does not divide ``m``.
-    """
-    return _slice(_face_basis(cone_rows, tight, matrix), m, interior)
+    return [(row[1:], rhs - row[0] * t) for row in rows], k - 1
 
 
 def fixed_slice_count(
@@ -179,20 +159,3 @@ def fixed_slice_count(
         system = _slice(family, m, interior)
         hit = counts[key] = 0 if system is None else scan.count_system(*system)
     return hit
-
-
-def fixed_slice_points(
-    cone_rows: Tuple[Row, ...],
-    tight: Tuple[int, ...],
-    matrix: IntMatrix,
-    m: int,
-    interior: bool = False,
-) -> Tuple[Tuple[int, ...], ...]:
-    """The points themselves (sorted), for tests and small searches."""
-    family = _face_basis(cone_rows, tight, matrix)
-    system = _slice(family, m, interior)
-    if system is None:
-        return ()
-    basis, g = family[:2]
-    prefix = (m // g,) if g else ()
-    return tuple(sorted(basis.apply(prefix + z) for z in scan.iter_system(*system)))

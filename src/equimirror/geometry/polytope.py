@@ -37,7 +37,14 @@ Facet = Tuple[Vector, int]
 
 
 class LatticePolytope:
-    """An integral polytope of full dimension ``d`` in ``Z^d``."""
+    """An integral polytope of full dimension ``d`` in ``Z^d``.
+
+    Given facets are checked one by one here: each must support the
+    vertices in a hyperplane meeting them in rank ``d - 1``, and together
+    they must bound.  That the list is complete, and that every given point
+    is a vertex, is checked on the face lattice when a
+    :class:`~equimirror.geometry.cones.ConeComplex` is built from it.
+    """
 
     __slots__ = ("vertices", "dim", "facets", "_cone_rows")
 
@@ -89,21 +96,6 @@ class LatticePolytope:
     def cone_rows(self) -> Tuple[Vector, ...]:
         """Homogenised facet rows of the cone over the polytope."""
         return self._cone_rows
-
-    def contains(self, point: Sequence[int]) -> bool:
-        return all(vec_dot(a, point) <= b for a, b in self.facets)
-
-    def tight_facets(self, point: Sequence[int]) -> Tuple[int, ...]:
-        """Indices of the facets the point lies on."""
-        return tuple(
-            i for i, (a, b) in enumerate(self.facets) if vec_dot(a, point) == b
-        )
-
-    def translate(self, shift: Sequence[int]) -> LatticePolytope:
-        s = _as_int_row(shift)
-        verts = [tuple(x + y for x, y in zip(v, s)) for v in self.vertices]
-        facets = [(a, b + vec_dot(a, s)) for a, b in self.facets]
-        return LatticePolytope(verts, facets)
 
     # -- reflexivity -----------------------------------------------------------
 

@@ -33,7 +33,7 @@ large for it.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import DimensionCap
 
@@ -440,27 +440,3 @@ def count_system(rows: Iterable[Tuple[Sequence[int], int]], k: int) -> int:
     if not feasible:
         return 0
     return count_levels(levels)
-
-
-def iter_system(
-    rows: Iterable[Tuple[Sequence[int], int]], k: int
-) -> Iterator[Tuple[int, ...]]:
-    """Yield the integer points themselves, in lexicographic order."""
-    feasible, levels = prepare_levels(rows, k)
-    if not feasible:
-        return
-    if k == 0:
-        yield ()
-        return
-    x = [0] * k
-
-    def rec(j: int) -> Iterator[Tuple[int, ...]]:
-        lo, hi = _bounds(levels[j], x, j)
-        for val in range(lo, hi + 1):
-            x[j] = val
-            if j == k - 1:
-                yield tuple(x)
-            else:
-                yield from rec(j + 1)
-
-    yield from rec(0)

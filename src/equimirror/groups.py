@@ -33,7 +33,6 @@ import copy
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .algebra.classfun import ClassFun
 from .errors import CapExceeded, NonInvertible, NotAnAction, SubgroupMismatch
 from .geometry.intlinalg import IntMatrix, det, hnf_rows
 
@@ -305,9 +304,6 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, element: IntMatrix) -> bool:
-        return element in self.index_of
-
     def inv(self, a: IntMatrix) -> IntMatrix:
         return self.elements[self._inverse[self.index_of[a]]]
 
@@ -335,16 +331,6 @@ class MatrixGroup:
 
     def __repr__(self) -> str:
         return f"MatrixGroup(order={self.order}, dim={self.dim})"
-
-    # -- standard class functions ------------------------------------------------
-
-    def trivial_character(self) -> ClassFun:
-        return ClassFun(self, (1,) * len(self.classes))
-
-    def det_character(self) -> ClassFun:
-        return ClassFun(
-            self, tuple(det(self.elements[i]) for i in self.class_reps)
-        )
 
     # -- dual action ----------------------------------------------------------------
 

@@ -70,9 +70,6 @@ class EPoly(Frozen):
         """Value at the class of the element with index ``e``."""
         return self.values[self.group.class_of(e)]
 
-    def at_identity(self) -> BiLaurent:
-        return self.value_of_element(self.group.identity_index)
-
     def classfun(self) -> ClassPoly:
         return ClassPoly(self.group, self.values)
 

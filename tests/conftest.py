@@ -15,6 +15,7 @@ from equimirror.cli.models import (
     build_simplex,
     fermat_permutation,
 )
+from equimirror.geometry import counting, scan
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix
 from equimirror.geometry.polytope import LatticePolytope
@@ -24,6 +25,42 @@ from equimirror.groups import (
     parse_cycles,
     permutation_matrix,
 )
+
+
+def at_identity(epoly):
+    """An E-polynomial's value at the identity element."""
+    return epoly.value_of_element(epoly.group.identity_index)
+
+
+def iter_system(rows, k):
+    """Yield the integer points of ``coeffs . x <= rhs`` in lexicographic
+    order, walking the levels ``scan.prepare_levels`` gives bound by bound:
+    a reference for ``scan.count_levels``, which counts them."""
+    feasible, levels = scan.prepare_levels(rows, k)
+    if not feasible:
+        return
+    if k == 0:
+        yield ()
+        return
+    x = [0] * k
+
+    def rec(j):
+        lo, hi = scan._bounds(levels[j], x, j)
+        for val in range(lo, hi + 1):
+            x[j] = val
+            if j == k - 1:
+                yield tuple(x)
+            else:
+                yield from rec(j + 1)
+
+    yield from rec(0)
+
+
+def slice_system(cone_rows, tight, matrix, m, interior=False):
+    """The inequality system ``(rows, k)`` that ``counting`` counts for the
+    height-``m`` slice of the face picked out by ``tight``, fixed by
+    ``matrix``; ``None`` when the height step does not divide ``m``."""
+    return counting._slice(counting._face_basis(cone_rows, tight, matrix), m, interior)
 
 
 def random_unimodular(rng, n: int) -> IntMatrix:

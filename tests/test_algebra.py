@@ -24,8 +24,8 @@ def test_unipoly_basics():
     assert p.degree == 2
     assert p.coefficient(1) == 2
     assert p.coefficient(5) == 0
-    assert p == UniPoly.one() + 2 * UniPoly.t() + UniPoly.monomial(2)
-    assert (UniPoly.one() + UniPoly.t()) ** 2 == p
+    assert p == UniPoly.one() + 2 * UniPoly.monomial(1) + UniPoly.monomial(2)
+    assert (UniPoly.one() + UniPoly.monomial(1)) ** 2 == p
     assert p.evaluate(1) == 4
     assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
     assert str(UniPoly.zero()) == "0"
@@ -53,9 +53,8 @@ def test_reverse_and_palindromes():
     assert q.reverse(3) == UniPoly((0, 0, 3, 1))
 
 
-def test_shift_and_truncate():
+def test_truncate():
     p = UniPoly((1, 1, 1, 1))
-    assert p.shift(2) == UniPoly((0, 0, 1, 1, 1, 1))
     assert p.truncate(1) == UniPoly((1, 1))
     assert truncate_tau(p, Fraction(3, 2)) == UniPoly((1, 1))
     assert truncate_tau(p, 2) == UniPoly((1, 1, 1))
@@ -93,7 +92,7 @@ def test_bilaurent_basics():
     assert poly.coefficient(1, 1) == 1
     assert poly.coefficient(0, 0) == -1
     assert poly.at_one() == 0
-    assert (poly * poly).total_degree() == 4
+    assert (poly * poly).coefficient(2, 2) == 1
     assert poly.is_polynomial()
     assert not (poly * BiLaurent.monomial(-1, 0)).is_polynomial()
 
@@ -115,8 +114,7 @@ def test_bilaurent_involutions():
     b = BiLaurent.monomial(2, 1, 3) - BiLaurent.monomial(0, 1) + BiLaurent.one()
     assert b.invert_u().invert_u() == b
     assert b.invert_v().invert_v() == b
-    assert b.swap_uv().swap_uv() == b
-    assert b.swap_uv().coefficient(1, 2) == 3
+    assert b.invert_u().invert_v().coefficient(-2, -1) == 3
 
 
 def test_bilaurent_exact_div():
@@ -148,7 +146,7 @@ def test_bilaurent_random_roundtrips():
             continue
         assert (a * b).exact_div(b) == a
         assert (a * b).at_one() == a.at_one() * b.at_one()
-        assert (a + b).swap_uv() == a.swap_uv() + b.swap_uv()
+        assert (a + b).invert_v() == a.invert_v() + b.invert_v()
         assert (a * b).invert_u() == a.invert_u() * b.invert_u()
 
 
@@ -230,8 +228,6 @@ def test_unipoly_coefficients_are_int_first():
         assert_int_first(product)
         assert_int_first(pa * Fraction(2, 3))
         k = rng.randint(0, 3)
-        assert pa.shift(k).coeffs == _trimmed([0] * k + a)
-        assert_int_first(pa.shift(k))
         rev = pa.reverse(len(a) - 1 + k)
         assert rev.coeffs == _trimmed([0] * k + a[::-1])
         assert_int_first(rev)
@@ -348,7 +344,7 @@ def test_classfun_average_and_invariant_dim():
     ints = ClassFun(group, tuple(rep.trace() for rep in group.class_rep_elements()))
     assert type(ints.average()) is int
     assert ints.invariant_dim() == 1
-    assert type(group.trivial_character().average()) is int
+    assert type(ClassFun(group, (1,) * len(group.classes)).average()) is int
 
 
 def test_classfun_induce_matches_orbit_counts():
@@ -391,7 +387,7 @@ def test_classfun_induce_matches_textbook_formula():
             total = UniPoly.zero()
             for x in parent.elements:
                 y = inverse_unimodular(x) @ g @ x
-                if sub.contains(y):
+                if y in sub.index_of:
                     total = total + chi.value_of(y)
             expected.append(total * Fraction(1, sub.order))
         assert chi.induce(parent).values == tuple(expected)

@@ -258,6 +258,29 @@ def test_build_model_inline_central_detection():
     assert group.order == 2
 
 
+def test_incomplete_facet_list_exits_2(tmp_path, capsys):
+    """The octahedron's facets without ``(1, 1, 1)`` each pass validation;
+    the face lattice check rejects the list, where ``phi`` used to print
+    ``1 + 4*t + 4*t^2 + t^3`` and exit 0."""
+    octahedron = build_cross(3)
+    vertices = [list(v) for v in octahedron.vertices]
+    facets = [[list(a), b] for a, b in octahedron.facets]
+    partial = [f for f in facets if f[0] != [1, 1, 1]]
+    path = write_config(tmp_path, json.dumps({"vertices": vertices, "facets": partial}))
+    assert cli.main(["phi", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "a facet is missing" in captured.err
+    path = write_config(tmp_path, json.dumps({"vertices": vertices, "facets": facets}))
+    assert cli.main(["phi", "--config", path]) == 0
+    assert "phi[C](class 0) = 1 + 3*t + 3*t^2 + t^3" in capsys.readouterr().out
+    # an edge midpoint listed with the square's vertices, facets searched:
+    # phi used to end in a traceback from the dual's facet validation
+    square = [[1, 1], [1, -1], [-1, 1], [-1, -1], [1, 0]]
+    path = write_config(tmp_path, json.dumps({"vertices": square}))
+    assert cli.main(["phi", "--config", path]) == 2
+    assert "point [1, 0] is no face on its own" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes through main()
 
@@ -327,8 +350,10 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["faces", "--config", wrong_size]) == 2
     assert "bad generator matrix" in capsys.readouterr().err
 
-    assert cli.main(["phi", "--config", cube3c, "--gamma", "7"]) == 2
-    assert "out of range" in capsys.readouterr().err
+    # checked before any command runs, so on every command
+    for command in ("phi", "diamond", "identities"):
+        assert cli.main([command, "--config", cube3c, "--gamma", "7"]) == 2
+        assert "out of range" in capsys.readouterr().err
 
     # a zero-dimensional ambient space is a bad config, not a cap hit
     point = write_config(tmp_path, '{"vertices": [[]]}', "point.json")
@@ -573,7 +598,7 @@ def test_run_gamma_restricts_per_class_output():
 def test_run_quotient_changes_text_not_payload():
     cfg = parse_config('{"builtin": "cube", "d": 3, "commands": ["diamond"]}')
     plain, _ = cli.run(cfg)
-    quotient, _ = cli.run(cfg, quotient=True)
+    quotient, _ = cli.run(cfg.replace(quotient_only=True))
     assert plain.payload() == quotient.payload()
     assert any("dimensions at the identity" in line for line in plain.text_lines)
     assert any("quotient Hodge diamond" in line for line in quotient.text_lines)

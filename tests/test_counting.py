@@ -7,23 +7,50 @@ import random
 from math import comb
 
 import pytest
+from conftest import iter_system, slice_system
 
 from equimirror.cli.models import build_cube, build_cross, build_fermat, build_simplex
 from equimirror.cli.models import fermat_permutation
 from equimirror.geometry import scan
-from equimirror.geometry.counting import (
-    cache_size,
-    fixed_slice_count,
-    fixed_slice_points,
-    homogenize,
-)
-from equimirror.geometry.intlinalg import IntMatrix
+from equimirror.geometry.counting import cache_size, fixed_slice_count, homogenize
+from equimirror.geometry.intlinalg import IntMatrix, integer_kernel
 
 
 def count_polytope(polytope, m, matrix=None, interior=False):
     rows = homogenize(polytope.facets)
     g = matrix if matrix is not None else IntMatrix.identity(polytope.dim + 1)
     return fixed_slice_count(rows, (), g, m, interior)
+
+
+def fixed_slice_points(cone_rows, tight, matrix, m, interior=False):
+    """The points ``fixed_slice_count`` counts (sorted), in cone coordinates.
+
+    The slice system's variables are coordinates in the Hermite basis of
+    the fixed lattice of the face, height first; the basis is rebuilt here
+    from the face's equalities, so a point is read back without the
+    counting code's own rows."""
+    system = slice_system(cone_rows, tight, matrix, m, interior)
+    if system is None:
+        return ()
+    n = matrix.nrows
+    equalities = [cone_rows[i] for i in tight] + [
+        row[:i] + (row[i] - 1,) + row[i + 1:]
+        for i, row in enumerate(matrix.rows)
+        if row != tuple(int(i == j) for j in range(n))
+    ]
+    if equalities:
+        kernel = integer_kernel(IntMatrix([r[-1:] + r[:-1] for r in equalities]))
+    else:
+        kernel = IntMatrix.identity(n)
+    basis = [v[1:] + v[:1] for v in kernel.rows]
+    g = basis[0][-1] if basis else 0
+    prefix = (m // g,) if g else ()
+    return tuple(
+        sorted(
+            tuple(sum(c * b[i] for c, b in zip(prefix + z, basis)) for i in range(n))
+            for z in iter_system(*system)
+        )
+    )
 
 
 def homog(matrix):

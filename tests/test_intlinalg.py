@@ -124,7 +124,7 @@ def _matches_determinants(a: IntMatrix) -> bool:
     both have degree at most ``n``, so ``n + 1`` values fix the polynomial."""
     n = a.nrows
     cp = char_poly(a)
-    if cp.degree != n or cp.leading() != 1:
+    if cp.degree != n or cp.coefficient(n) != 1:
         return False
     return all(
         cp.evaluate(t)

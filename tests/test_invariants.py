@@ -7,6 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from conftest import at_identity
 
 from equimirror.algebra import BiLaurent, UniPoly
 from equimirror.cli.models import build_cross, build_cube, build_fermat, fermat_permutation
@@ -70,14 +71,14 @@ def mu_signature(diamond, group):
 def test_e_torus_trivial_group():
     group = generate_group([], rank=3)
     torus = e_torus(group)
-    assert torus.at_identity() == (UV - ONE) ** 3
+    assert at_identity(torus) == (UV - ONE) ** 3
     assert torus.dim == 3
     assert torus.kind == "torus"
 
 
 def test_e_torus_quintic_classes(quintic_a5):
     torus = e_torus(quintic_a5.base_group)
-    assert torus.at_identity() == (UV - ONE) ** 4
+    assert at_identity(torus) == (UV - ONE) ** 4
     double = base_class(quintic_a5, fermat_permutation("(12)(34)", 4))
     assert torus.value_at_class(double) == (UV * UV - ONE) ** 2
 
@@ -85,7 +86,7 @@ def test_e_torus_quintic_classes(quintic_a5):
 def test_epoly_plumbing(quintic_a5):
     torus = e_torus(quintic_a5.base_group)
     ident = quintic_a5.base_group.index_of[IntMatrix.identity(4)]
-    assert torus.value_of_element(ident) == torus.at_identity()
+    assert torus.value_of_element(ident) == at_identity(torus)
     coeff = torus.coefficient(4, 4)
     assert set(coeff.values) <= {Fraction(0), Fraction(1)}
     assert torus.quotient() == torus.classfun().average()
@@ -98,10 +99,10 @@ def test_epoly_plumbing(quintic_a5):
 
 def test_affine_oracles(segment, simplex1, cubic_curve, quintic_a5):
     # degree 1 in one variable: a single reduced point; degree 2: two of them
-    assert e_affine_hypersurface(simplex1).at_identity() == ONE
-    assert e_affine_hypersurface(segment).at_identity() == 2 * ONE
-    assert e_affine_hypersurface(cubic_curve).at_identity() == UV - U - V - 8 * ONE
-    affine = e_affine_hypersurface(quintic_a5).at_identity()
+    assert at_identity(e_affine_hypersurface(simplex1)) == ONE
+    assert at_identity(e_affine_hypersurface(segment)) == 2 * ONE
+    assert at_identity(e_affine_hypersurface(cubic_curve)) == UV - U - V - 8 * ONE
+    affine = at_identity(e_affine_hypersurface(quintic_a5))
     # affine quintic piece: Euler characteristic of the open stratum
     assert affine.at_one() == Fraction(-625)
     assert affine.coefficient(3, 3) == 1
@@ -110,7 +111,7 @@ def test_affine_oracles(segment, simplex1, cubic_curve, quintic_a5):
 
 def test_affine_nonreflexive_is_fine(simplex3):
     affine = e_affine_hypersurface(simplex3)
-    assert affine.at_identity().is_polynomial()
+    assert at_identity(affine).is_polynomial()
     assert hypersurface_checks(simplex3).ok
 
 
@@ -138,14 +139,14 @@ def test_hypersurface_checks_reflexive_sections(cube3_central, simplex3):
 
 
 def test_stringy_oracles(square, cube4, quintic_a5):
-    assert e_stringy_reflexive(square).at_identity() == ONE - U - V + UV
-    cube_st = e_stringy_reflexive(cube4).at_identity()
+    assert at_identity(e_stringy_reflexive(square)) == ONE - U - V + UV
+    cube_st = at_identity(e_stringy_reflexive(cube4))
     assert cube_st.coefficient(1, 1) == 4
     assert cube_st.coefficient(2, 1) == -68
     assert cube_st.coefficient(0, 0) == 1
     assert cube_st.coefficient(0, 3) == -1
     assert cube_st.coefficient(3, 3) == 1
-    quintic_st = e_stringy_reflexive(quintic_a5).at_identity()
+    quintic_st = at_identity(e_stringy_reflexive(quintic_a5))
     assert quintic_st.coefficient(1, 1) == 1
     assert quintic_st.coefficient(2, 1) == -101
 
@@ -191,7 +192,7 @@ def test_diamond_cube4(cube4):
 
 def test_diamond_elliptic_curve(cubic_curve):
     st = e_stringy_reflexive(cubic_curve)
-    assert st.at_identity() == ONE - U - V + UV
+    assert at_identity(st) == ONE - U - V + UV
     assert hodge_diamond(st).rows() == ((1, 1), (1, 1))
     assert euler_characteristics(st).quotient == 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -16,7 +17,12 @@ from equimirror.cli.models import (
     build_simplex,
     parse_config,
 )
-from equimirror.errors import NotInvariant, NotReflexive, SubgroupMismatch
+from equimirror.errors import (
+    NotAFaceLattice,
+    NotInvariant,
+    NotReflexive,
+    SubgroupMismatch,
+)
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry import cones, intlinalg
 from equimirror.geometry.intlinalg import IntMatrix, det, hnf_rows, integer_kernel
@@ -37,9 +43,8 @@ def test_polytope_construction_and_facet_search():
     tri = LatticePolytope(((0, 0), (1, 0), (0, 1)))
     assert tri.dim == 2
     assert len(tri.facets) == 3
-    assert tri.contains((0, 0))
-    assert not tri.contains((1, 1))
-    assert tri.tight_facets((1, 0)) != ()
+    assert all(b >= 0 for _, b in tri.facets)  # contains the origin
+    assert any(a[0] + a[1] > b for a, b in tri.facets)  # not (1, 1)
     # explicit facets must agree with the hull
     with pytest.raises(ValueError):
         LatticePolytope(((0, 0), (1, 0), (0, 1)), facets=(((1, 1), 2),))
@@ -65,18 +70,6 @@ def test_polytope_refuses_non_integral_input():
     ):
         with pytest.raises(ValueError, match="must be integers"):
             LatticePolytope(vertices, facets)
-    with pytest.raises(ValueError, match="must be integers"):
-        LatticePolytope(unit).translate((0.5, 0))
-
-
-def test_translate():
-    square = build_cube(2)
-    moved = square.translate((5, 5))
-    assert sorted(moved.vertices) == sorted(
-        tuple(x + 5 for x in v) for v in square.vertices
-    )
-    assert moved.contains((5, 5))
-    assert not moved.contains((0, 0))
 
 
 def test_reflexive_predicates():
@@ -108,6 +101,68 @@ def test_face_counts():
         assert trivial(build_simplex(d)).face_count == 2 ** (d + 1)
     quintic = trivial(build_fermat(4))
     assert quintic.face_count == 32
+
+
+def test_every_builtin_face_lattice_passes_the_check():
+    """Up to d = 6, simplex and fermat past their builtin range: cube and
+    cross have 3^d + 1 cone faces, the simplices 2^(d + 1)."""
+    for d in range(1, 7):
+        assert trivial(build_cube(d)).face_count == 3**d + 1
+        assert trivial(build_cross(d)).face_count == 3**d + 1
+        assert trivial(build_simplex(d)).face_count == 2 ** (d + 1)
+        if d > 1:
+            assert trivial(build_fermat(d)).face_count == 2 ** (d + 1)
+
+
+def test_incomplete_facet_lists_are_rejected():
+    """Each given facet is validated alone, so a list missing some can pass:
+    60 lists that drop one facet of a builtin (d <= 5) or two (d <= 3) do.
+    The face lattice they close up into is not a polytope's."""
+    accepted = 0
+    builtins = ((build_cube, 1), (build_cross, 1), (build_simplex, 1), (build_fermat, 2))
+    for build, lo in builtins:
+        for d in range(lo, 6):
+            full = build(d)
+            for r in (1, 2) if d <= 3 else (1,):
+                for dropped in itertools.combinations(full.facets, r):
+                    facets = [f for f in full.facets if f not in dropped]
+                    try:
+                        polytope = LatticePolytope(full.vertices, facets)
+                    except ValueError:
+                        continue
+                    accepted += 1
+                    with pytest.raises(NotAFaceLattice, match="a facet is missing"):
+                        trivial(polytope)
+    assert accepted == 60
+
+
+def test_a_point_that_is_not_a_vertex_is_rejected():
+    """An edge point of ``2 cross4`` lies on four facets, so it passes the
+    per-vertex facet count, but it is no face on its own."""
+    cross = build_cross(4)
+    doubled = [tuple(2 * x for x in v) for v in cross.vertices]
+    facets = [(a, 2) for a, _ in cross.facets]
+    polytope = LatticePolytope(doubled + [(1, 1, 0, 0)], facets)
+    assert len(polytope.vertices) == 9
+    with pytest.raises(NotAFaceLattice, match=r"point \[1, 1, 0, 0\] is no face"):
+        trivial(polytope)
+    assert trivial(LatticePolytope(doubled, facets)).face_count == 3**4 + 1
+
+
+def test_a_lattice_that_is_not_graded_is_rejected():
+    """A made-up poset on the square's vertices: three edges 01, 12 and 02
+    under the top and vertex 3 under no edge.  Each vertex below an edge
+    lies on exactly two of them, so only gradedness fails: the top covers
+    vertex 3, two dimensions down."""
+    square = build_cube(2)
+    ids = [(), (0,), (1,), (2,), (3,), (0, 1), (1, 2), (0, 2), (0, 1, 2, 3)]
+    lattice = [(s, sum(1 << i for i in s)) for s in ids]
+    below = [
+        sum(1 << g for g, t in enumerate(ids) if set(t) <= set(s)) for s in ids
+    ]
+    dims = [0, 1, 1, 1, 1, 2, 2, 2, 3]
+    with pytest.raises(NotAFaceLattice, match="more than one dimension lower"):
+        cones._check_lattice(square, lattice, below, dims)
 
 
 def test_poset_structure(cube3):

@@ -10,17 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import at_identity
 
 from equimirror.algebra import BiLaurent, ClassFun, UniPoly
 from equimirror.cli.main import RunContext
-from equimirror.cli.models import (
-    BuiltinModel,
-    ModelConfig,
-    build_cube,
-    parse_config,
-    with_cap,
-    with_commands,
-)
+from equimirror.cli.models import ModelConfig, parse_config, with_cap, with_commands
 from equimirror.cli.report import InvariantReport
 from equimirror.combinatorics import IdentityCheck, IdentityReport, Tables, tables_for
 from equimirror.errors import SubgroupMismatch
@@ -93,7 +87,7 @@ def test_invariant_records(square):
     one = BiLaurent.one()
     values = (one,) * len(group.classes)
     epoly = check_record(EPoly, ("group", "values", "dim", "kind"), (group, values, 2, "torus"))
-    assert epoly.at_identity() == one
+    assert at_identity(epoly) == one
     with pytest.raises(SubgroupMismatch, match="2 values for 1 classes"):
         EPoly(group, (one, one), 2, "torus")
     with pytest.raises(SubgroupMismatch):
@@ -124,11 +118,6 @@ def test_cli_records(square):
     check_record(ModelConfig, fields, ("cube", 3, None, None, ("central",), ("phi",), 9, True))
     positional = ModelConfig("cube", 2)
     assert positional.builtin == "cube" and positional.d == 2 and positional.commands == ()
-
-    polytope = build_cube(2)
-    check_record(
-        BuiltinModel, ("name", "d", "polytope", "centrally_symmetric"), ("cube", 2, polytope, True)
-    )
 
     check_record(RunContext, ("complex", "gamma", "quotient"), (square, 1, True), frozen=False)
     context = RunContext(square)

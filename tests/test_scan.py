@@ -8,14 +8,14 @@ import random
 from math import comb, gcd
 
 import pytest
-from conftest import trivial_complex
+from conftest import iter_system, slice_system, trivial_complex
 
 from equimirror.algebra import UniPoly
 from equimirror.cli.main import run
 from equimirror.cli.models import build_cross, build_cube, build_fermat, parse_config
 from equimirror.errors import DimensionCap
 from equimirror.geometry import counting, scan
-from equimirror.geometry.counting import homogenize, slice_system
+from equimirror.geometry.counting import homogenize
 from equimirror.geometry.intlinalg import IntMatrix, det
 from equimirror.invariants import tables_for
 
@@ -76,7 +76,7 @@ def test_simplex_count():
 
 def test_iter_system_matches_count():
     rows = [((-1, 0), 0), ((0, -1), 0), ((2, 3), 6)]
-    points = sorted(scan.iter_system(rows, 2))
+    points = sorted(iter_system(rows, 2))
     assert len(points) == scan.count_system(rows, 2)
     assert points == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (3, 0)]
 
@@ -96,7 +96,7 @@ def test_counts_match_box_enumeration_random():
         got = scan.count_levels(levels) if feasible else 0
         assert got == expected, (trial, rows)
         if feasible and expected:
-            pts = list(scan.iter_system(rows, k))
+            pts = list(iter_system(rows, k))
             assert len(pts) == expected
             assert len(set(pts)) == expected
 
@@ -381,7 +381,7 @@ def assert_counts_match(rows, k, box=8):
     expected = brute_count(rows, k, box)
     feasible, levels = scan.prepare_levels(rows, k)
     assert (scan.count_levels(levels) if feasible else 0) == expected
-    points = list(scan.iter_system(rows, k))
+    points = list(iter_system(rows, k))
     assert len(points) == len(set(points)) == expected
     assert points == sorted(points)
     return levels
@@ -417,7 +417,7 @@ def test_empty_free_level_counts_zero():
     assert scan.count_levels(levels) == 0
     rows = [((1, 0), 3), ((-1, 0), 0), ((0, 1), 2), ((0, -1), -5)]
     assert brute_count(rows, 2) == 0
-    assert list(scan.iter_system(rows, 2)) == []
+    assert list(iter_system(rows, 2)) == []
 
 
 # ---------------------------------------------------------------------------
