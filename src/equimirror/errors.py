@@ -33,7 +33,7 @@ class DimensionCap(EquimirrorError):
     """Input exceeds the supported dimension or vertex-count limits."""
 
 
-class NotAFaceLattice(EquimirrorError):
+class NotAFaceLattice(EquimirrorError, ValueError):
     """The vertices and facets of a polytope do not close up into a face
     lattice: a facet is missing or a listed point is not a vertex."""
 

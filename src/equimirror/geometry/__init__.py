@@ -3,13 +3,12 @@
 from .cones import (
     AbstractCone,
     ConeComplex,
-    Face,
     abstract_dual_face,
     abstract_primal,
     abstract_quotient,
 )
 from .intlinalg import IntMatrix, char_poly, det, integer_kernel
-from .polytope import LatticePolytope
+from .polytope import Face, LatticePolytope
 
 __all__ = [
     "AbstractCone",

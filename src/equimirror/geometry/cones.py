@@ -2,13 +2,14 @@
 
 :class:`ConeComplex` takes a full-dimensional lattice polytope and a
 matrix group preserving it (:class:`NotInvariant` otherwise) and holds
-every face of the cone over the polytope (the polytope placed at height
-one), ordered lexicographically by vertex index set so that the apex comes
-first, and the induced action of each group element on the faces.  A face
-is lattice data only; its span, the integer kernel of its tight cone rows,
-is computed by :meth:`ConeComplex.span` where a value needs it.  The one
-fact kept about a restriction is its characteristic polynomial, one per
-orbit of (face, element) under ``h . (f, e) = (h f, h e h^-1)`` (conjugate
+the faces of the cone over the polytope and the faces below each one, as
+the polytope built and checked them (:mod:`.polytope`), and the induced
+action of each group element on the faces, a face's image looked up by
+the bitmask of its moved vertices.  A face is lattice data only; its
+span, the integer kernel of its tight cone rows, is computed by
+:meth:`ConeComplex.span` where a value needs it.  The one fact kept
+about a restriction is its characteristic polynomial, one per orbit of
+(face, element) under ``h . (f, e) = (h f, h e h^-1)`` (conjugate
 restrictions share it), keyed by the orbit's :meth:`ConeComplex.canonical`
 pair; its determinant is read off the constant term.  The polynomial is a
 function of the face's tight cone rows and the element's rows alone, so
@@ -18,18 +19,11 @@ earlier model computed, whichever order they run in.  A span is built
 only when the store misses.  The store holds only tuples and polynomials
 and ``counting.clear_cache`` drops it with the counts.
 
-Vertex sets are int bitmasks.  Faces are found by closing the facets'
-vertex bitmasks under intersection — the intersection of two faces is a
-face, and every proper face is an intersection of facets.  The faces
-below a face are those on every facet it lies on, the meet of per-facet
-face bitmasks; a face's dimension is one more than the largest below it,
-and its image under an element is looked up by the bitmask of its moved
-vertices.
-
-A dual complex (:meth:`ConeComplex.dual`) is read off its partner instead,
-the same face lattice upside down, and orders its faces as its partner
-does: face ``i`` is dual to face ``i`` as element ``e`` is to element
-``e``, so its apex is not face 0.  Its characteristic polynomials are
+A dual complex (:meth:`ConeComplex.dual`) is read off its partner: its
+polytope is the partner's polar dual, whose face lattice is the
+partner's upside down, and it orders its faces as its partner does:
+face ``i`` is dual to face ``i`` as element ``e`` is to element ``e``,
+so its apex is not face 0.  Its characteristic polynomials are
 quotients of its partner's (the span of a dual face is the annihilator of
 its partner's span, on which an element acts as the contragredient of its
 action on the quotient by that span).  The two share one least-face
@@ -45,34 +39,14 @@ from __future__ import annotations
 
 import weakref
 from operator import attrgetter
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..algebra.unipoly import UniPoly
-from ..errors import NonInvertible, NotAFaceLattice, NotInvariant, SubgroupMismatch
+from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
 from ..groups import MatrixGroup, orbits, stabilizer
-from ..records import Frozen
 from . import counting
 from .intlinalg import IntMatrix, char_poly, integer_kernel, solve_in_row_basis
 from .polytope import LatticePolytope
-
-
-class Face(Frozen):
-    """One face of the cone: the vertices spanning it, the facets it lies
-    on, its cone dimension (apex 0) and ``mask``, the bitmask of
-    ``vertex_ids``, which :meth:`ConeComplex.leq` and
-    :meth:`ConeComplex.interval` compare."""
-
-    __slots__ = ("index", "vertex_ids", "tight", "dim", "mask")
-
-    def __init__(
-        self,
-        index: int,
-        vertex_ids: Tuple[int, ...],
-        tight: Tuple[int, ...],
-        dim: int,
-        mask: int,
-    ):
-        self._fill(index, vertex_ids, tight, dim, mask)
 
 
 class ConeComplex:
@@ -85,26 +59,25 @@ class ConeComplex:
                 f"group acts on Z^{group.dim} but the polytope lives in Z^{d}"
             )
         images = _vertex_action(polytope, group)
-        faces, below = _enumerate_faces(polytope)
-        self._setup(polytope, group, faces, below, _face_maps(images, faces))
+        self._setup(polytope, group, _face_maps(images, polytope.faces))
 
-    def _setup(self, polytope, group, faces, below, face_maps) -> None:
-        """Set the fields from the faces, the faces below each one and, per
-        element, the index of each face's image; shared by ``__init__`` and
+    def _setup(self, polytope, group, face_maps) -> None:
+        """Set the fields from the polytope's face lattice and, per element,
+        the index of each face's image; shared by ``__init__`` and
         :meth:`dual`."""
         self.polytope = polytope
         self.base_group = group
         self.dim = polytope.dim
         self.cdim = polytope.dim + 1
         self.group = group.image(_homogenize)
-        self.faces = faces
-        self.apex_index = next(f.index for f in faces if f.dim == 0)
-        self.top_index = next(f.index for f in faces if f.dim == self.cdim)
-        self._below: List[Tuple[int, ...]] = below
+        self.faces = polytope.faces
+        self.apex_index = next(f.index for f in self.faces if f.dim == 0)
+        self.top_index = next(f.index for f in self.faces if f.dim == self.cdim)
+        self._below: Tuple[Tuple[int, ...], ...] = polytope.below
         self._face_maps = face_maps
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
-        # on a complex read off its partner, the partner's cone rows, faces,
+        # on a complex read off its partner, the partner's polytope,
         # homogenized group and charpoly memo; None on a complex built here
         self._partner = None
         # the dual itself if this complex built it, else a weak back-link
@@ -206,9 +179,7 @@ class ConeComplex:
         key = self.canonical(f, e)
         partner = self._partner
         if partner is None:
-            return _span_charpoly(
-                self.polytope.cone_rows, self.faces, self.group, self._charpoly, key
-            )
+            return _span_charpoly(self.polytope, self.group, self._charpoly, key)
         hit = self._charpoly.get(key)
         if hit is None:
             top = _span_charpoly(*partner, (self.apex_index, key[1]))
@@ -251,15 +222,15 @@ class ConeComplex:
         1), so the dual of face ``i`` has the vertices ``faces[i].tight``,
         lies on the facets ``faces[i].vertex_ids`` and moves as face ``i``
         does, since ``<g^-T a, g v> = <a, v>``: the face maps are shared, and
-        the faces below face ``i`` there are the faces above it here.
+        the faces below face ``i`` there are the faces above it here, as
+        :meth:`LatticePolytope.dual_reflexive` reads them.
 
-        The dual does no integer linear algebra when it is built.  Its faces
-        get ``cdim - dim`` from the lattice; it keeps its partner's cone
-        rows, faces, homogenized group and charpoly memo, and reads each
-        :meth:`charpoly` off them.  Both complexes share their face maps and
-        their groups share classes, conjugators and centralizers, so they
-        share one least-face table for :meth:`canonical` and one canonical
-        pair per orbit.
+        The dual does no integer linear algebra when it is built and checks
+        no lattice.  It keeps its partner's polytope, homogenized group and
+        charpoly memo, and reads each :meth:`charpoly` off them.  Both
+        complexes share their face maps and their groups share classes,
+        conjugators and centralizers, so they share one least-face table for
+        :meth:`canonical` and one canonical pair per orbit.
 
         Polar duality and the contragredient are involutions, so the dual's
         dual is ``self`` while ``self`` is alive.  The complex that builds
@@ -268,28 +239,20 @@ class ConeComplex:
         dual keeps of its partner refers to neither complex, so it outlives
         the complex that built it: if that one is gone, the dual's dual is
         rebuilt from that data and is the same complex again, with its
-        faces, element order and memo."""
+        polytope, faces, element order and memo."""
         dual = self._dual
         if isinstance(dual, weakref.ref):
             dual = dual()
         if dual is None:
-            polytope = self.polytope.dual_reflexive()
-            above = [[] for _ in self.faces]
-            for g, below in enumerate(self._below):
-                for f in below:
-                    above[f].append(g)
-            above = list(map(tuple, above))
             dual = ConeComplex.__new__(ConeComplex)
             group = self.base_group.dual_group()
             if self._partner is None:
-                faces = tuple(_dual_face(f, self.cdim) for f in self.faces)
-                dual._setup(polytope, group, faces, above, self._face_maps)
-                dual._partner = (
-                    self.polytope.cone_rows, self.faces, self.group, self._charpoly
-                )
+                polytope = self.polytope.dual_reflexive()
+                dual._setup(polytope, group, self._face_maps)
+                dual._partner = (self.polytope, self.group, self._charpoly)
             else:  # the partner is gone: rebuild it from what was kept of it
-                _, faces, homogenized, memo = self._partner
-                dual._setup(polytope, group, faces, above, self._face_maps)
+                polytope, homogenized, memo = self._partner
+                dual._setup(polytope, group, self._face_maps)
                 dual.group, dual._charpoly = homogenized, memo
             dual._canonical_faces = self._canonical_faces
             dual._dual = weakref.ref(self)
@@ -328,140 +291,8 @@ def _face_maps(images, faces) -> Tuple[Tuple[int, ...], ...]:
     return tuple(maps)
 
 
-def _mask(ids) -> int:
-    """The bitmask of a set of indices."""
-    return sum(1 << i for i in ids)
-
-
-def _members(mask: int) -> Tuple[int, ...]:
-    """The set bits of ``mask``, low to high."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _homogenize(g: IntMatrix) -> IntMatrix:
     return IntMatrix([row + (0,) for row in g.rows] + [(0,) * g.nrows + (1,)])
-
-
-def _enumerate_faces(polytope: LatticePolytope) -> Tuple[Tuple[Face, ...], list]:
-    """Every face, by closing the facets' vertex bitmasks under
-    intersection, numbered in lexicographic order of vertex ids, and per
-    face the indices of the faces below it, ascending.
-
-    A face's vertex set is the intersection of its tight facets' (the
-    apex's, of all of them), so the faces below ``f`` are the meet of the
-    per-facet face bitmasks over ``f``'s tight facets.  A face's dimension
-    is one more than the largest below it (the apex's is 0), found in order
-    of how many faces lie below; :func:`_check_lattice` then rejects a
-    lattice that is not a polytope's."""
-    facet_masks = [
-        _mask(
-            i for i, v in enumerate(polytope.vertices)
-            if sum(x * y for x, y in zip(a, v)) == b
-        )
-        for a, b in polytope.facets
-    ]
-    found = set(facet_masks)
-    found.add((1 << len(polytope.vertices)) - 1)
-    found.add(0)
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for t in facet_masks:
-                meet = s & t
-                if meet not in found:
-                    found.add(meet)
-                    fresh.append(meet)
-        frontier = fresh
-
-    lattice = sorted((_members(s), s) for s in found)
-    tights = [
-        tuple(i for i, t in enumerate(facet_masks) if s & t == s) for _, s in lattice
-    ]
-    on_facet = [0] * len(facet_masks)
-    for f, tight in enumerate(tights):
-        for i in tight:
-            on_facet[i] |= 1 << f
-    everything = (1 << len(lattice)) - 1
-    below_masks = []
-    for tight in tights:
-        faces_below = everything
-        for i in tight:
-            faces_below &= on_facet[i]
-        below_masks.append(faces_below)
-    below = [_members(s) for s in below_masks]
-    dims = [0] * len(lattice)
-    for f in sorted(range(len(lattice)), key=lambda f: len(below[f])):
-        dims[f] = max((dims[g] + 1 for g in below[f] if g != f), default=0)
-    _check_lattice(polytope, lattice, below_masks, dims)
-    faces = tuple(
-        Face(f, vertex_ids, tights[f], dims[f], s)
-        for f, (vertex_ids, s) in enumerate(lattice)
-    )
-    return faces, below
-
-
-def _check_lattice(polytope, lattice, below_masks, dims) -> None:
-    """Raise :class:`NotAFaceLattice` unless the faces found form the face
-    lattice of a polytope with these vertices: it must be atomic (each
-    vertex is a face of its own), graded (each face covers only faces one
-    dimension lower) and thin (each interval of length two has exactly two
-    faces strictly inside).  A facet missing from a validated list, or a
-    listed point that is not a vertex, breaks one of the three.
-
-    Covers are bitmasks over face indices: those of face ``f`` are the faces
-    of dimension ``dim f - 1`` below it, every face below ``f`` must lie
-    below one of them, and each face of dimension ``dim f - 2`` below ``f``
-    must lie below exactly two."""
-
-    def named(f: int) -> str:
-        return str([list(polytope.vertices[i]) for i in lattice[f][0]])
-
-    faces = {s for _, s in lattice}
-    for i, v in enumerate(polytope.vertices):
-        if 1 << i not in faces:
-            raise NotAFaceLattice(
-                f"point {list(v)} is no face on its own: it is not a vertex,"
-                " or a facet through it is missing"
-            )
-    by_dim = [0] * (max(dims) + 1)
-    for f, k in enumerate(dims):
-        by_dim[k] |= 1 << f
-    for f, k in enumerate(dims):
-        if k == 0:
-            continue
-        strict = below_masks[f] & ~(1 << f)
-        reached = once = twice = more = 0
-        for c in _members(strict & by_dim[k - 1]):
-            reached |= below_masks[c]
-            if k > 1:
-                x = below_masks[c] & by_dim[k - 2]
-                more |= twice & x
-                twice |= once & x
-                once |= x
-        if reached != strict:
-            raise NotAFaceLattice(
-                f"face {named(f)} covers a face more than one dimension lower;"
-                " a facet is missing"
-            )
-        if twice != once or more:
-            g = _members((once & ~twice) | more)[0]
-            raise NotAFaceLattice(
-                f"faces {named(g)} < {named(f)} do not have exactly two faces"
-                " between them; a facet is missing"
-            )
-
-
-def _dual_face(face: Face, cdim: int) -> Face:
-    """The dual of ``face``, with its vertices and facets swapped and the
-    complementary dimension."""
-    ids = face.tight
-    return Face(face.index, ids, face.vertex_ids, cdim - face.dim, _mask(ids))
 
 
 def _span(rows, cdim: int) -> IntMatrix:
@@ -484,16 +315,16 @@ _charpolys: Dict[tuple, UniPoly] = {}
 counting.clear_with_counts(_charpolys.clear)
 
 
-def _span_charpoly(cone_rows, faces, group, memo, key: Tuple[int, int]) -> UniPoly:
+def _span_charpoly(polytope, group, memo, key: Tuple[int, int]) -> UniPoly:
     """The characteristic polynomial of element ``key[1]`` of ``group`` on
-    the span of face ``key[0]`` of ``faces`` in the cone with rows
-    ``cone_rows``, kept in ``memo`` and, by the face's tight cone rows and
-    the element's rows, in the process-wide store; the span is built only
-    when the store misses."""
+    the span of face ``key[0]`` of the cone over ``polytope``, kept in
+    ``memo`` and, by the face's tight cone rows and the element's rows, in
+    the process-wide store; the span is built only when the store misses."""
     hit = memo.get(key)
     if hit is None:
         f, e = key
-        rows, g = tuple(cone_rows[i] for i in faces[f].tight), group.elements[e]
+        cone_rows, g = polytope.cone_rows, group.elements[e]
+        rows = tuple(cone_rows[i] for i in polytope.faces[f].tight)
         data = (rows, g.rows)
         hit = _charpolys.get(data)
         if hit is None:

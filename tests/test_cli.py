@@ -41,6 +41,7 @@ from equimirror.geometry import counting, scan
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.counting import fixed_slice_count, homogenize
 from equimirror.geometry.intlinalg import IntMatrix
+from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group
 
 
@@ -281,6 +282,31 @@ def test_incomplete_facet_list_exits_2(tmp_path, capsys):
     assert "point [1, 0] is no face on its own" in capsys.readouterr().err
 
 
+def test_given_facets_take_no_elimination(tmp_path, capsys):
+    """A valid 4-polytope whose 28 facets, given, once failed closed with
+    exit 4: a boundedness check by elimination would have combined 159,808
+    row pairs, over the cap.  The face lattice decides that the list is
+    complete, so ``faces`` prints the same with the facets given as with
+    them searched."""
+    vertices = [
+        [-2, -2, 1, 2], [-2, -1, 2, 2], [-1, 1, 0, 1], [-1, 3, -3, -1],
+        [0, -1, -3, -2], [0, -1, 1, 0], [1, 3, 0, -2], [2, 1, -1, 0],
+        [3, -3, 1, 1], [3, 1, 1, 0],
+    ]
+    facets = [[list(a), b] for a, b in LatticePolytope(vertices).facets]
+    assert len(facets) == 28
+    outputs = []
+    for name, config in (
+        ("searched.json", {"vertices": vertices}),
+        ("given.json", {"vertices": vertices, "facets": facets}),
+    ):
+        path = write_config(tmp_path, json.dumps(config), name)
+        assert cli.main(["faces", "--config", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "134 cone faces" in outputs[0]
+
+
 # ---------------------------------------------------------------------------
 # exit codes through main()
 
@@ -362,8 +388,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 
     # the 6-cross-polytope is within the dimension and vertex caps, and its
     # pruned elimination combines at most 6,561 row pairs in one step; under
-    # a lower pair cap it fails closed in the slice counts of phi, and with
-    # facets given already in the boundedness check
+    # a lower pair cap it fails closed in the slice counts of phi, while
+    # faces takes no elimination, facets given or not
     cross6 = [[s if j == i else 0 for j in range(6)] for i in range(6) for s in (1, -1)]
     signs = [list(s) for s in itertools.product((-1, 1), repeat=6)]
     inline = write_config(tmp_path, json.dumps({"vertices": cross6}), "cross6.json")
@@ -377,10 +403,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         counting.clear_cache()  # no plan made under the real cap may answer
         assert cli.main(["phi", "--config", inline]) == 4
         assert "row pairs" in capsys.readouterr().err
-        assert cli.main(["faces", "--config", with_facets]) == 4
-        assert "row pairs" in capsys.readouterr().err
-    assert cli.main(["faces", "--config", with_facets]) == 0
-    assert "730 cone faces" in capsys.readouterr().out
+        assert cli.main(["faces", "--config", inline]) == 0
+        searched = capsys.readouterr().out
+        assert cli.main(["faces", "--config", with_facets]) == 0
+        assert capsys.readouterr().out == searched
+    assert "730 cone faces" in searched
 
     # the affine invariants are fine without reflexivity
     assert cli.main(["euler", "--config", simplex3]) == 0

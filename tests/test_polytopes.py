@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -25,6 +26,7 @@ from equimirror.errors import (
 )
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry import cones, intlinalg
+from equimirror.geometry import polytope as polytope_module
 from equimirror.geometry.intlinalg import IntMatrix, det, hnf_rows, integer_kernel
 from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
@@ -115,10 +117,11 @@ def test_every_builtin_face_lattice_passes_the_check():
 
 
 def test_incomplete_facet_lists_are_rejected():
-    """Each given facet is validated alone, so a list missing some can pass:
-    60 lists that drop one facet of a builtin (d <= 5) or two (d <= 3) do.
-    The face lattice they close up into is not a polytope's."""
-    accepted = 0
+    """Each given facet is validated alone, so a list missing some passes
+    that; the face lattice it closes up into is not a polytope's.  All 206
+    lists that drop one facet of a builtin (d <= 5) or two (d <= 3) fail
+    the lattice check when the polytope is built."""
+    rejected = 0
     builtins = ((build_cube, 1), (build_cross, 1), (build_simplex, 1), (build_fermat, 2))
     for build, lo in builtins:
         for d in range(lo, 6):
@@ -126,26 +129,45 @@ def test_incomplete_facet_lists_are_rejected():
             for r in (1, 2) if d <= 3 else (1,):
                 for dropped in itertools.combinations(full.facets, r):
                     facets = [f for f in full.facets if f not in dropped]
-                    try:
-                        polytope = LatticePolytope(full.vertices, facets)
-                    except ValueError:
-                        continue
-                    accepted += 1
-                    with pytest.raises(NotAFaceLattice, match="a facet is missing"):
-                        trivial(polytope)
-    assert accepted == 60
+                    with pytest.raises(NotAFaceLattice, match="missing"):
+                        LatticePolytope(full.vertices, facets)
+                    rejected += 1
+    assert rejected == 206
+
+
+def test_random_incomplete_facet_lists_are_rejected():
+    """Inline polytopes on random lattice points of a sphere ``x . x = r^2``
+    (each one a vertex of their hull), d = 2..4: the searched facets
+    build, and the list without any one of them, or three random pairs,
+    raises :class:`NotAFaceLattice`, also a ``ValueError``."""
+    rng = random.Random(2029)
+    lists = 0
+    for d, r2 in ((2, 25), (3, 9), (4, 4)):
+        side = range(-math.isqrt(r2), math.isqrt(r2) + 1)
+        sphere = [
+            p for p in itertools.product(side, repeat=d) if sum(x * x for x in p) == r2
+        ]
+        for _ in range(6):
+            full = LatticePolytope(rng.sample(sphere, d + 4))
+            dropped = [(f,) for f in full.facets]
+            dropped += rng.sample(list(itertools.combinations(full.facets, 2)), 3)
+            for gone in dropped:
+                facets = [f for f in full.facets if f not in gone]
+                with pytest.raises(ValueError, match="missing") as info:
+                    LatticePolytope(full.vertices, facets)
+                assert isinstance(info.value, NotAFaceLattice)
+                lists += 1
+    assert lists == 206
 
 
 def test_a_point_that_is_not_a_vertex_is_rejected():
-    """An edge point of ``2 cross4`` lies on four facets, so it passes the
-    per-vertex facet count, but it is no face on its own."""
+    """An edge point of ``2 cross4`` lies on four facets, but it is no face
+    on its own."""
     cross = build_cross(4)
     doubled = [tuple(2 * x for x in v) for v in cross.vertices]
     facets = [(a, 2) for a, _ in cross.facets]
-    polytope = LatticePolytope(doubled + [(1, 1, 0, 0)], facets)
-    assert len(polytope.vertices) == 9
     with pytest.raises(NotAFaceLattice, match=r"point \[1, 1, 0, 0\] is no face"):
-        trivial(polytope)
+        LatticePolytope(doubled + [(1, 1, 0, 0)], facets)
     assert trivial(LatticePolytope(doubled, facets)).face_count == 3**4 + 1
 
 
@@ -162,7 +184,7 @@ def test_a_lattice_that_is_not_graded_is_rejected():
     ]
     dims = [0, 1, 1, 1, 1, 2, 2, 2, 3]
     with pytest.raises(NotAFaceLattice, match="more than one dimension lower"):
-        cones._check_lattice(square, lattice, below, dims)
+        polytope_module._check_lattice(square.vertices, lattice, below, dims)
 
 
 def test_poset_structure(cube3):
@@ -254,8 +276,8 @@ def test_vertex_set_is_built_once(cube3):
     """A face keeps the vertex bitmask the lattice build made, on both
     sides of a pair."""
     for face in cube3.faces + cube3.dual().faces:
-        assert face.mask == cones._mask(face.vertex_ids)
-        assert cones._members(face.mask) == face.vertex_ids
+        assert face.mask == polytope_module._mask(face.vertex_ids)
+        assert polytope_module._members(face.mask) == face.vertex_ids
 
 
 def _counted_kernels(monkeypatch):
@@ -440,7 +462,7 @@ def test_dual_face_pairing_is_equivariant(sym3_cube3, quintic_a5):
             for g in cx.faces_below(f):
                 assert dual.leq(f, g)
             for e, h in enumerate(dual.base_group.elements):
-                moved_vertices = cones._mask(
+                moved_vertices = polytope_module._mask(
                     vertex_of[h.apply(dual.polytope.vertices[i])]
                     for i in dual.faces[f].vertex_ids
                 )
@@ -469,11 +491,15 @@ def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
     set, each face has the same vertices, facets, dimension, span (the one
     the dual's ``rho`` derives), faces below it and image under every
     element, and the characteristic polynomial read off the primal's is
-    the fresh build's, from its ``rho``, on every invariant pair."""
+    the fresh build's, from its ``rho``, on every invariant pair.  The
+    fresh build validates the dual's vertices and facets and enumerates
+    their lattice anew."""
     models = 0
     for cx in _dual_reference_models(quintic_sym5, quintic_a5):
         dual = cx.dual()
-        fresh = ConeComplex(cx.polytope.dual_reflexive(), cx.base_group.dual_group())
+        p = dual.polytope
+        polytope = LatticePolytope(p.vertices, p.facets)
+        fresh = ConeComplex(polytope, cx.base_group.dual_group())
         assert dual.polytope == fresh.polytope
         assert dual.face_count == fresh.face_count
         index = {face.mask: face.index for face in fresh.faces}
@@ -539,12 +565,15 @@ def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
     """On both sides of the 25 dual reference models, the bitmask build
     gives the reference's faces, faces below and face images.  A primal
     numbers its faces as the reference does; a dual is matched to it by
-    vertex set."""
+    vertex set, and its reference is taken on a polytope validated afresh
+    from the dual's vertices and facets."""
     models = 0
     for cx in _dual_reference_models(quintic_sym5, quintic_a5):
         for side in (cx, cx.dual()):
-            faces, below, maps = reference_lattice(side.polytope, side.base_group)
-            index = {cones._mask(ids): i for i, (ids, _) in enumerate(faces)}
+            p = side.polytope
+            reference = p if side is cx else LatticePolytope(p.vertices, p.facets)
+            faces, below, maps = reference_lattice(reference, side.base_group)
+            index = {polytope_module._mask(ids): i for i, (ids, _) in enumerate(faces)}
             match = [index[face.mask] for face in side.faces]
             if side is cx:
                 assert match == list(range(len(faces)))
@@ -613,22 +642,63 @@ def test_partners_share_one_least_face_table(quintic_a5):
 
 def test_faces_are_enumerated_once_per_pair(monkeypatch):
     """A dual complex takes its faces from its partner: the face closure
-    runs once for the pair, on the mirror check and on CLI ``phi``."""
-    polytopes = []
-    enumerate_faces = cones._enumerate_faces
+    runs once for the pair, when the primal polytope is built, on the
+    mirror check and on CLI ``phi``."""
+    cube5 = build_cube(5)
+    enumerated = []
+    enumerate_faces = polytope_module._enumerate_faces
 
-    def counted(polytope):
-        polytopes.append(polytope)
-        return enumerate_faces(polytope)
+    def counted(vertices, facets):
+        enumerated.append(vertices)
+        return enumerate_faces(vertices, facets)
 
-    monkeypatch.setattr(cones, "_enumerate_faces", counted)
+    monkeypatch.setattr(polytope_module, "_enumerate_faces", counted)
     quintic = quintic_complex("(12)", "(12345)")
     assert mirror_check(quintic).verdict
-    assert polytopes == [quintic.polytope]
-    polytopes.clear()
+    assert enumerated == [quintic.polytope.vertices]
+    enumerated.clear()
     report, code = run(parse_config('{"builtin": "cube", "d": 5, "commands": ["phi"]}'))
     assert code == 0 and "phi[C*](class 0)" in report.render()
-    assert polytopes == [build_cube(5)]
+    assert enumerated == [cube5.vertices]
+
+
+def test_dual_reflexive_reads_the_lattice_upside_down(monkeypatch):
+    """The polar dual neither validates facets nor enumerates faces: its
+    face ``i`` is face ``i`` with vertices and facets swapped and the
+    complementary dimension, and the faces below it are those above face
+    ``i``.  Matched by vertex set, that is the lattice a fresh build of
+    the dual finds; the dual's dual is the polytope, lattice and all."""
+    polytopes = [build(d) for build in (build_cube, build_cross) for d in range(1, 6)]
+    polytopes += [build_fermat(d) for d in range(2, 6)]
+    fresh = [
+        LatticePolytope([a for a, _ in p.facets], [(v, 1) for v in p.vertices])
+        for p in polytopes
+    ]
+
+    def refused(*args):
+        raise AssertionError("the polar dual is checked again")
+
+    monkeypatch.setattr(polytope_module, "_validate_facets", refused)
+    monkeypatch.setattr(polytope_module, "_enumerate_faces", refused)
+    fields = lambda face: (face.index, face.vertex_ids, face.tight, face.dim, face.mask)
+    for p, reference in zip(polytopes, fresh):
+        dual = p.dual_reflexive()
+        assert dual == reference and dual.facets == reference.facets
+        assert dual.cone_rows == reference.cone_rows
+        index = {face.mask: face.index for face in reference.faces}
+        match = [index[face.mask] for face in dual.faces]
+        assert sorted(match) == list(range(len(reference.faces)))
+        for f, (face, primal) in enumerate(zip(dual.faces, p.faces)):
+            other = reference.faces[match[f]]
+            assert fields(face)[1:] == fields(other)[1:], (p, f)
+            assert face.index == f and face.dim == p.dim + 1 - primal.dim
+            above = [g for g, below in enumerate(p.below) if f in below]
+            assert list(dual.below[f]) == above, (p, f)
+            below = sorted(match[g] for g in dual.below[f])
+            assert below == list(reference.below[match[f]]), (p, f)
+        twice = dual.dual_reflexive()
+        assert twice == p and twice.below == p.below
+        assert list(map(fields, twice.faces)) == list(map(fields, p.faces))
 
 
 def test_dual_group_keeps_element_indices(cube4_central, quintic_a5):

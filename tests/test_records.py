@@ -18,7 +18,8 @@ from equimirror.cli.models import ModelConfig, parse_config, with_cap, with_comm
 from equimirror.cli.report import InvariantReport
 from equimirror.combinatorics import IdentityCheck, IdentityReport, Tables, tables_for
 from equimirror.errors import SubgroupMismatch
-from equimirror.geometry.cones import AbstractCone, Face
+from equimirror.geometry.cones import AbstractCone
+from equimirror.geometry.polytope import Face
 from equimirror.groups import GROUP_CAP_DEFAULT
 from equimirror.invariants import (
     ClosedForms,
