@@ -334,7 +334,7 @@ def run(
         raise ConfigError(
             f"--gamma {gamma} out of range; the group has {n} conjugacy classes"
         )
-    cx = ConeComplex(polytope, group)
+    cx = ConeComplex(polytope, group, config.cap_group)
     ctx = RunContext(complex=cx, gamma=gamma, quotient=config.quotient_only)
     report = InvariantReport(model=config.describe(), group=group_json(cx.group))
     report.text_lines = [f"model {name}, ambient dimension {cx.dim}"]
@@ -383,8 +383,9 @@ _MODELS: Dict[str, ModelConfig] = {
 
 
 def _complex_of(model: str) -> ConeComplex:
-    polytope, group, _ = build_model(_MODELS[model])
-    return ConeComplex(polytope, group)
+    config = _MODELS[model]
+    polytope, group, _ = build_model(config)
+    return ConeComplex(polytope, group, config.cap_group)
 
 
 def _diamond(cx: ConeComplex) -> Diamond:

@@ -19,6 +19,14 @@ earlier model computed, whichever order they run in.  A span is built
 only when the store misses.  The store holds only tuples and polynomials
 and ``counting.clear_cache`` drops it with the counts.
 
+Every value a complex's tables hold is a class function of (face,
+element) under any lattice symmetry of the polytope, so the stringy
+E-polynomial of a model of a simplex ``P`` is read off one complex of
+``P`` under its whole symmetry group ``Aut(P)``, kept for the process
+(:func:`automorphism_side`): models of different subgroups share its
+canonical pairs and tables.  That is done only where ``Aut(P)`` is small:
+at most :data:`AUT_ORDER_LIMIT` and the model's group cap.
+
 A dual complex (:meth:`ConeComplex.dual`) is read off its partner: its
 polytope is the partner's polar dual, whose face lattice is the
 partner's upside down, and it orders its faces as its partner does:
@@ -38,34 +46,45 @@ characteristic polynomials.  A primal cone is the quotient by the apex.
 from __future__ import annotations
 
 import weakref
+from math import factorial
 from operator import attrgetter
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..algebra.unipoly import UniPoly
 from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
-from ..groups import MatrixGroup, orbits, stabilizer
+from ..groups import GROUP_CAP_DEFAULT, MatrixGroup, orbits, stabilizer
 from . import counting
 from .intlinalg import IntMatrix, char_poly, integer_kernel, solve_in_row_basis
 from .polytope import LatticePolytope
 
 
 class ConeComplex:
-    """Cone over a polytope together with a lattice group action."""
+    """Cone over a polytope together with a lattice group action.
 
-    def __init__(self, polytope: LatticePolytope, group: MatrixGroup):
+    ``cap_group`` bounds the groups the complex builds for its own work
+    beside ``group`` (the ``Aut(P)`` of :func:`automorphism_side`), as the
+    model's cap bounds ``group``; its dual keeps it."""
+
+    def __init__(
+        self,
+        polytope: LatticePolytope,
+        group: MatrixGroup,
+        cap_group: int = GROUP_CAP_DEFAULT,
+    ):
         d = polytope.dim
         if group.dim != d:
             raise SubgroupMismatch(
                 f"group acts on Z^{group.dim} but the polytope lives in Z^{d}"
             )
         images = _vertex_action(polytope, group)
-        self._setup(polytope, group, _face_maps(images, polytope.faces))
+        self._setup(polytope, group, _face_maps(images, polytope.faces), cap_group)
 
-    def _setup(self, polytope, group, face_maps) -> None:
+    def _setup(self, polytope, group, face_maps, cap_group) -> None:
         """Set the fields from the polytope's face lattice and, per element,
-        the index of each face's image; shared by ``__init__`` and
-        :meth:`dual`."""
+        the index of each face's image; shared by ``__init__``,
+        :meth:`dual` and :func:`automorphism_side`."""
         self.polytope = polytope
+        self.cap_group = cap_group
         self.base_group = group
         self.dim = polytope.dim
         self.cdim = polytope.dim + 1
@@ -84,6 +103,9 @@ class ConeComplex:
         self._dual = None
         self.tables = None  # the combinatorial tables, set by tables_for
         self.stringy = None  # the stringy E-polynomial, set by e_stringy_reflexive
+        # the stringy E-polynomial's value (a BiLaurent) per class index,
+        # each computed once, on demand, by e_stringy_reflexive
+        self.stringy_values: Dict[int, object] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -248,16 +270,78 @@ class ConeComplex:
             group = self.base_group.dual_group()
             if self._partner is None:
                 polytope = self.polytope.dual_reflexive()
-                dual._setup(polytope, group, self._face_maps)
+                dual._setup(polytope, group, self._face_maps, self.cap_group)
                 dual._partner = (self.polytope, self.group, self._charpoly)
             else:  # the partner is gone: rebuild it from what was kept of it
                 polytope, homogenized, memo = self._partner
-                dual._setup(polytope, group, self._face_maps)
+                dual._setup(polytope, group, self._face_maps, self.cap_group)
                 dual.group, dual._charpoly = homogenized, memo
             dual._canonical_faces = self._canonical_faces
             dual._dual = weakref.ref(self)
             self._dual = dual
         return dual
+
+
+# -- the (P, Aut(P)) complex of a simplex --------------------------------------
+
+# The largest (d + 1)!, the bound on |Aut(P)| of a simplex, for which models
+# read the registry.  At 120 (the quintic) the nine-model sweep runs about
+# 40% faster and a lone model pays at most about 9 ms (in process) for
+# building Aut(P); at 720 and 5,040 a lone model of a small subgroup pays
+# more for it than it saves (fermat5 under a 6-cycle 107 -> 181 ms).
+AUT_ORDER_LIMIT = 120
+
+# per primal simplex, by its vertices: the complex of Aut(P), made by
+# automorphism_side for the first model of P that asks for it
+_aut_complexes: Dict[tuple, ConeComplex] = {}
+counting.clear_with_counts(_aut_complexes.clear)
+
+
+def automorphism_side(complex: ConeComplex) -> Optional[ConeComplex]:
+    """The side of the process's ``(P, Aut(P))`` complex that matches
+    ``complex``, with ``P`` the polytope of ``complex``'s primal side: that
+    complex for a primal, its :meth:`ConeComplex.dual` for a dual.
+
+    ``None`` unless ``P`` is a simplex whose bound ``(d + 1)!`` on
+    ``|Aut(P)|`` is at most :data:`AUT_ORDER_LIMIT` and ``complex``'s
+    ``cap_group``: the caller then sums its own tables.
+
+    ``complex``'s group is a subgroup of ``Aut(P)`` (it preserves ``P``), so
+    element ``e`` here is the element with the same matrix there, and a
+    class function of ``Aut(P)`` restricts to one here.  The registry makes
+    the complex the first time ``P`` is asked for, from
+    :meth:`LatticePolytope.simplex_automorphisms`, with its face maps read
+    off the vertex permutations found there.  A model's group of
+    ``|Aut(P)|`` elements is ``Aut(P)`` with the same sorted elements, so
+    it and its face maps are used as they are, and one of order
+    ``(d + 1)!`` needs no search.  The registry holds no model, so a model
+    is still freed by reference counting; ``counting.clear_cache`` empties
+    it."""
+    partner = complex._partner
+    polytope = complex.polytope if partner is None else partner[0]
+    bound = factorial(polytope.dim + 1)
+    if (
+        len(polytope.vertices) != polytope.dim + 1
+        or bound > min(AUT_ORDER_LIMIT, complex.cap_group)
+    ):
+        return None
+    shared = _aut_complexes.get(polytope.vertices)
+    if shared is None:
+        # a dual's face maps are its partner's, its elements the contragredients
+        group, maps = complex.base_group, complex._face_maps
+        if partner is not None:
+            group = group.dual_group()
+        if group.order < bound:
+            symmetries = polytope.simplex_automorphisms()
+            if len(symmetries) > group.order:
+                group = MatrixGroup(g for g, _ in symmetries)
+                perm_of = dict(symmetries)
+                images = [perm_of[g] for g in group.elements]
+                maps = _face_maps(images, polytope.faces)
+        shared = ConeComplex.__new__(ConeComplex)
+        shared._setup(polytope, group, maps, complex.cap_group)
+        _aut_complexes[polytope.vertices] = shared
+    return shared if partner is None else shared.dual()
 
 
 def _vertex_action(polytope, group) -> Tuple[Tuple[int, ...], ...]:
@@ -282,12 +366,11 @@ def _face_maps(images, faces) -> Tuple[Tuple[int, ...], ...]:
     """Per element, the index of each face's image, from the vertex images:
     a face is keyed by the bitmask of its vertices."""
     index_of = {f.mask: f.index for f in faces}
+    vertex_ids = [f.vertex_ids for f in faces]
     maps = []
     for row in images:
-        bits = [1 << j for j in row]
-        maps.append(
-            tuple(index_of[sum(bits[v] for v in f.vertex_ids)] for f in faces)
-        )
+        bit = [1 << j for j in row].__getitem__
+        maps.append(tuple([index_of[sum(map(bit, ids))] for ids in vertex_ids]))
     return tuple(maps)
 
 

@@ -33,9 +33,12 @@ the models run in.  Beside these counts, ``scan`` keeps its elimination
 plans, ``cones`` the characteristic polynomial of each face restriction
 (by tight cone rows and element rows) and ``combinatorics`` the
 ``h``/``g`` interval shapes.  None holds a complex or a group, so a model
-is freed by reference counting as before.  :func:`clear_cache` drops all
-four: the two above this module register how with
-:func:`clear_with_counts`.
+is freed by reference counting as before.  One more store is keyed by a
+polytope: for each simplex ``P`` an E-polynomial was asked of, ``cones``
+keeps one complex of ``P`` under its whole lattice symmetry group
+``Aut(P)``, whose stringy values every model of ``P`` reads; it holds no
+model.  :func:`clear_cache` drops all five: the modules above this one
+register how with :func:`clear_with_counts`.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ def clear_with_counts(clear: Callable[[], None]) -> None:
 
 def clear_cache() -> None:
     """Forget every count, face basis, elimination plan, face-restriction
-    characteristic polynomial and ``h``/``g`` shape."""
+    characteristic polynomial, ``h``/``g`` shape and ``(P, Aut(P))``
+    complex."""
     _bases.clear()
     scan.clear_plans()
     for clear in _clears:

@@ -14,7 +14,7 @@ polytope; a polar dual reads it upside down.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -25,6 +25,7 @@ from .intlinalg import (
     IntMatrix,
     _as_int,
     _as_int_row,
+    det,
     hnf_rows,
     integer_kernel,
     primitive,
@@ -135,6 +136,56 @@ class LatticePolytope(Frozen):
     def is_reflexive(self) -> bool:
         """True when every facet has lattice distance one from the origin."""
         return all(b == 1 for _, b in self.facets)
+
+    def simplex_automorphisms(self) -> Tuple[Tuple[IntMatrix, Tuple[int, ...]], ...]:
+        """``Aut(P)`` of a simplex: the unimodular maps preserving it, each
+        with its vertex permutation (entry ``i`` the index of the image of
+        vertex ``i``).
+
+        The ``d + 1`` vertices span ``R^d``, so ``d`` of them, the rows of
+        ``W``, are a basis, and a vertex permutation ``s`` is the action of
+        at most one linear map ``L``: the one with ``det W * L^T = adj(W)
+        W_s``, ``W_s`` the images of the rows.  Each of the ``(d + 1)!``
+        permutations is kept when that product is divisible by ``det W``
+        and ``L`` sends the last vertex where ``s`` does.  Then ``L`` is
+        integral and ``L P = P``, so ``|det L| = 1``."""
+        verts, d = self.vertices, self.dim
+        if len(verts) != d + 1:
+            raise ValueError(f"{len(verts)} vertices, not a simplex in Z^{d}")
+        for rest in range(d, -1, -1):
+            basis = [i for i in range(d + 1) if i != rest]
+            rows = [verts[i] for i in basis]
+            scale = det(IntMatrix(rows))
+            if scale:
+                break
+        # adj(W) = det W * W^-1 has the (k, c) cofactor of W at (c, k)
+        cofactors = [
+            [
+                (-1) ** (k + c) * det(IntMatrix(
+                    r[:c] + r[c + 1:] for i, r in enumerate(rows) if i != k
+                ))
+                for c in range(d)
+            ]
+            for k in range(d)
+        ]
+        # row k of W_s being vertex v adds cofactor (k, c) * v[r] to
+        # det W * L[r][c]; flat, row by row
+        terms = [
+            [tuple(cof[c] * v[r] for r in range(d) for c in range(d)) for v in verts]
+            for cof in cofactors
+        ]
+        out = []
+        for perm in permutations(range(d + 1)):
+            scaled = [
+                sum(x) for x in zip(*(t[perm[i]] for t, i in zip(terms, basis)))
+            ]
+            if any(x % scale for x in scaled):
+                continue
+            entries = [x // scale for x in scaled]
+            matrix = IntMatrix(entries[r * d:r * d + d] for r in range(d))
+            if matrix.apply(verts[rest]) == verts[perm[rest]]:
+                out.append((matrix, perm))
+        return tuple(out)
 
     def dual_reflexive(self) -> LatticePolytope:
         """The polar dual of a reflexive polytope (its vertices are integral

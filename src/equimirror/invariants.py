@@ -9,7 +9,15 @@ promise is checked and a violation raises instead of silently truncating.
 
 The tables come from :func:`tables_for`, one set per complex shared by
 every function here; the stringy E-polynomial is likewise kept on the
-complex.  Per-class results are bundled into :class:`EPoly`.  The coefficients are
+complex.  On a simplex (the Fermat family, its mirror) of dimension at
+most 4, within the model's group cap, every model reads its stringy
+E-polynomial off one complex of the polytope under its whole lattice
+symmetry group ``Aut(P)``, shared by the process, at the
+``Aut(P)``-class of each class representative; each ``Aut(P)``-class is
+summed once, on that complex's tables.  The stratified formula
+:func:`e_stringy_strata` runs on the model's own tables, so
+:func:`hypersurface_checks` compares the two.  Per-class results are
+bundled into :class:`EPoly`.  The coefficients are
 stored raw, i.e. as the alternating sums the formulas produce; the
 ``(-1)^{p+q}`` sign flip that turns them into Hodge numbers happens only
 in :func:`hodge_diamond`.
@@ -30,7 +38,7 @@ from .errors import (
     NotReflexive,
     SubgroupMismatch,
 )
-from .geometry.cones import ConeComplex, abstract_quotient
+from .geometry.cones import ConeComplex, abstract_quotient, automorphism_side
 from .geometry.intlinalg import char_poly
 from .groups import MatrixGroup
 from .records import Frozen
@@ -185,37 +193,58 @@ def e_stringy_reflexive(complex: ConeComplex) -> EPoly:
     and its polynomial is evaluated at the contragredient element (the
     same element index there).
 
+    It is a class function of (face, element) under every lattice symmetry
+    of the polytope, so on a simplex (the Fermat family and its mirror)
+    class ``k`` reads the value of the process's ``(P, Aut(P))`` complex at
+    the ``Aut(P)``-class of ``k``'s representative
+    (:func:`~equimirror.geometry.cones.automorphism_side`), and every model
+    of ``P`` works on that complex's canonical pairs.  A simplex whose
+    ``Aut(P)`` may be too large for that, and any other polytope, is
+    computed on its own tables.
+
     The result is kept on the complex (``complex.stringy``) and reused.
     """
     if not complex.polytope.is_reflexive():
         raise NotReflexive("stringy invariants need a reflexive polytope")
     if complex.stringy is not None:
         return complex.stringy
-    tables = tables_for(complex)
-    dual_tables = tables_for(complex.dual())
-    values = []
-    for e in complex.group.class_reps:
-        total = BiLaurent.zero()
-        for face in complex.invariant_faces(e):
-            face_dim = complex.faces[face].dim
-            primal = BiLaurent.from_unipoly(tables.stilde.poly(face, e), -1, 1)
-            partner = BiLaurent.from_unipoly(
-                dual_tables.stilde.poly(face, e), 1, 1
-            )
-            sign = complex.detsign(face, e) * (-1 if face_dim % 2 else 1)
-            total = total + BiLaurent.monomial(face_dim, 0, sign) * primal * partner
-        scaled = total * _UV_INVERSE * complex.detsign(complex.top_index, e)
-        if not scaled.is_polynomial():
-            raise InexactDivision(f"stringy E-polynomial is not polynomial: {scaled}")
-        values.append(_bounded(scaled, complex.dim - 1, "stringy E-polynomial"))
+    side = automorphism_side(complex)
+    if side is None:
+        side = complex
+    index_of, group = side.base_group.index_of, side.group
+    values = tuple(
+        _stringy_class_value(side, group.class_of(index_of[complex.base_element(e)]))
+        for e in complex.group.class_reps
+    )
     epoly = EPoly(
-        group=complex.group,
-        values=tuple(values),
-        dim=complex.dim,
-        kind="stringy-reflexive",
+        group=complex.group, values=values, dim=complex.dim, kind="stringy-reflexive"
     )
     complex.stringy = epoly
     return epoly
+
+
+def _stringy_class_value(complex: ConeComplex, k: int) -> BiLaurent:
+    """The stringy value at class ``k`` of the complex, from its tables and
+    its dual's, computed once per complex and class."""
+    value = complex.stringy_values.get(k)
+    if value is not None:
+        return value
+    e = complex.group.class_reps[k]
+    tables = tables_for(complex)
+    dual_tables = tables_for(complex.dual())
+    total = BiLaurent.zero()
+    for face in complex.invariant_faces(e):
+        face_dim = complex.faces[face].dim
+        primal = BiLaurent.from_unipoly(tables.stilde.poly(face, e), -1, 1)
+        partner = BiLaurent.from_unipoly(dual_tables.stilde.poly(face, e), 1, 1)
+        sign = complex.detsign(face, e) * (-1 if face_dim % 2 else 1)
+        total = total + BiLaurent.monomial(face_dim, 0, sign) * primal * partner
+    scaled = total * _UV_INVERSE * complex.detsign(complex.top_index, e)
+    if not scaled.is_polynomial():
+        raise InexactDivision(f"stringy E-polynomial is not polynomial: {scaled}")
+    value = _bounded(scaled, complex.dim - 1, "stringy E-polynomial")
+    complex.stringy_values[k] = value
+    return value
 
 
 def e_stringy_strata(complex: ConeComplex) -> EPoly:

@@ -6,6 +6,9 @@ expensive ones are session-scoped and shared across test modules.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from equimirror.cli.models import (
@@ -61,6 +64,15 @@ def slice_system(cone_rows, tight, matrix, m, interior=False):
     height-``m`` slice of the face picked out by ``tight``, fixed by
     ``matrix``; ``None`` when the height step does not divide ``m``."""
     return counting._slice(counting._face_basis(cone_rows, tight, matrix), m, interior)
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, the benchmark's model lists and orders."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_unimodular(rng, n: int) -> IntMatrix:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import random
 from fractions import Fraction
 from operator import attrgetter
-from pathlib import Path
 
 import pytest
-from conftest import moved_complex, quintic_complex, random_unimodular
+from conftest import (
+    benchmark_workloads,
+    moved_complex,
+    quintic_complex,
+    random_unimodular,
+)
 
 from equimirror.algebra import ClassPoly, UniPoly
 from equimirror.algebra.unipoly import truncate_tau
@@ -477,9 +480,16 @@ def _fixed_pair_orbits(cx) -> int:
 
 
 def test_mirror_check_keeps_one_entry_per_orbit():
-    cx = quintic_complex("(12)", "(12345)")
-    assert mirror_check(cx).verdict
-    for side in (cx, cx.dual()):
+    """The quintic's models compute on the process's ``(P, Aut(P))``
+    complex.  Once a subgroup's model has built it and the whole group's
+    model has asked for every class, each side keeps one characteristic
+    polynomial and one ``phi`` per orbit of fixed pairs under ``Aut(P)``."""
+    counting.clear_cache()
+    for words in (("(12)(34)", "(12345)"), ("(12)", "(12345)")):
+        assert mirror_check(quintic_complex(*words)).verdict
+    shared = cones.automorphism_side(quintic_complex())
+    assert shared.group.order == 120
+    for side in (shared, shared.dual()):
         orbits = _fixed_pair_orbits(side)
         assert len(side._charpoly) == orbits
         assert len(tables_for(side).phi._polys) == orbits
@@ -594,15 +604,6 @@ def test_verify_identities_uses_the_shared_tables():
 # -- process-wide stores ------------------------------------------------------------
 
 
-def _benchmark_workloads():
-    """``perfbench/workloads.py``, the benchmark's model lists and orders."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _recording(monkeypatch):
     """Record every face-restriction ``char_poly`` and ``_compute_h`` call."""
     restrictions, shapes = [], []
@@ -633,13 +634,15 @@ def _run_models(models):
 
 
 def test_sweep_reports_and_work_do_not_depend_on_model_order(monkeypatch):
-    """The charpoly and shape stores are keyed by data, so the sweep's nine
-    quintic models give the same reports in either seeded order and alone,
-    and either order computes each distinct restriction polynomial and each
-    distinct shape's ``h`` exactly once: 130 and 18, against 248 and 194
-    for per-complex memos.  A span is taken only for a restriction
-    polynomial the store lacks, so ``cones`` takes no more kernels."""
-    workloads = _benchmark_workloads()
+    """The sweep's nine quintic models read their stringy values off one
+    ``(P, Aut(P))`` complex, and the charpoly and shape stores are keyed by
+    data, so the models give the same reports in every seeded order and
+    alone, and every order computes each distinct restriction polynomial
+    and each distinct shape's ``h`` exactly once: 49 and 18, against 130
+    and 18 when each model summed its own tables and 248 and 194 for
+    per-complex memos.  A span is taken only for a restriction polynomial
+    the store lacks, so ``cones`` takes no more kernels."""
+    workloads = benchmark_workloads()
     restrictions, shapes = _recording(monkeypatch)
     kernels = []
 
@@ -654,28 +657,30 @@ def test_sweep_reports_and_work_do_not_depend_on_model_order(monkeypatch):
         del restrictions[:], shapes[:], kernels[:]
         return _run_models(models)
 
-    orders = [workloads.plan("quintic-mirror-sweep", seed) for seed in (1, 2)]
+    # seed 33 runs the whole group Sym5 first, so it lends the registry its group
+    orders = [workloads.plan("quintic-mirror-sweep", seed) for seed in (1, 2, 3, 33)]
     names = [[name for name, _ in models] for models in orders]
-    assert names[0] != names[1]
+    assert len({tuple(n) for n in names}) == 4 and names[3][0] == "Sym5"
     assert sorted(names[0]) == sorted(name for name, _ in workloads.QUINTIC_GROUPS)
     alone = {}
     for model in orders[0]:
         alone.update(cold([model]))
     for models in orders:
         assert cold(models) == alone
-        assert (len(restrictions), len(shapes)) == (130, 18)
+        assert (len(restrictions), len(shapes)) == (49, 18)
         assert len(kernels) <= len(restrictions)
 
 
 def test_stores_filled_by_other_models_give_the_computed_values(monkeypatch):
     """After the benchmark's sweep and cube4 runs have filled the stores,
     fresh complexes of the A5 and Z2 quintics and of cube4 under ``central``
-    find every restriction polynomial and shape there, and on both sides
-    each value is the one computed afresh: ``charpoly`` against
-    ``char_poly(rho)`` at every invariant pair, ``h``/``g`` of every cone
-    the tables used against a new table made after the stores are
-    cleared."""
-    workloads = _benchmark_workloads()
+    find every restriction polynomial and shape there.  The quintics read
+    their stringy values off the quintic's ``(P, Aut(P))`` complex, so its
+    two sides and cube4's are checked: on each, every value is the one
+    computed afresh, ``charpoly`` against ``char_poly(rho)`` at every
+    invariant pair, ``h``/``g`` of every cone the tables used against a new
+    table made after the stores are cleared."""
+    workloads = benchmark_workloads()
     counting.clear_cache()
     _run_models(
         workloads.plan("quintic-mirror-sweep", 1)
@@ -690,15 +695,19 @@ def test_stores_filled_by_other_models_give_the_computed_values(monkeypatch):
     for cx in models:
         assert mirror_check(cx).verdict
     assert restrictions == [] and shapes == []
-    sides = [side for cx in models for side in (cx, cx.dual())]
+    shared = cones.automorphism_side(models[0])
+    assert cones.automorphism_side(models[1]) is shared
+    sides = [shared, shared.dual(), models[2], models[2].dual()]
     checked = 0
     for side in sides:
         for e in range(side.group.order):
             for f in side.invariant_faces(e):
                 assert side.charpoly(f, e) == char_poly(side.rho(f, e)), (side, f, e)
                 checked += 1
-    # the invariant (face, element) pairs of the three models, both sides
-    assert checked == 968
+    # the invariant (face, element) pairs, both sides: under Aut(P) = Sym5,
+    # 120 elements times the 6 face orbits (Burnside); on cube4, its 82
+    # faces under the identity and the apex and top under -I
+    assert checked == 2 * 120 * 6 + 2 * (82 + 2)
     used = [(side, tables_for(side).hg) for side in sides]
     counting.clear_cache()
     compared = 0

@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import gc
+import json
+import math
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
-from conftest import at_identity
+from conftest import at_identity, benchmark_workloads
 
 from equimirror.algebra import BiLaurent, UniPoly
-from equimirror.cli.models import build_cross, build_cube, build_fermat, fermat_permutation
+from equimirror.cli.main import run
+from equimirror.cli.models import (
+    build_cube,
+    build_fermat,
+    build_model,
+    fermat_permutation,
+    parse_config,
+)
 from equimirror.cli.report import element_order
 from equimirror.errors import (
     IdentityFailure,
@@ -18,9 +28,10 @@ from equimirror.errors import (
     NotReflexive,
     SubgroupMismatch,
 )
-from equimirror.geometry import cones, intlinalg
+from equimirror.geometry import cones, counting, intlinalg
 from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.intlinalg import IntMatrix
+from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group
 from equimirror.invariants import (
     EPoly,
@@ -432,6 +443,181 @@ def test_stringy_is_kept_on_the_complex():
     del cx, own  # the tables refer to their complex
     gc.collect()
     assert ref() is None
+
+
+# -- the (P, Aut(P)) complex of a simplex ----------------------------------------
+
+
+def _own_table_stringy(cx):
+    """The stringy pairing summed per class on ``cx``'s own tables and its
+    dual's, not on the ``(P, Aut(P))`` complex."""
+    tables, dual_tables = tables_for(cx), tables_for(cx.dual())
+    values = []
+    for e in cx.group.class_reps:
+        total = BiLaurent.zero()
+        for face in cx.invariant_faces(e):
+            k = cx.faces[face].dim
+            primal = BiLaurent.from_unipoly(tables.stilde.poly(face, e), -1, 1)
+            partner = BiLaurent.from_unipoly(dual_tables.stilde.poly(face, e), 1, 1)
+            sign = cx.detsign(face, e) * (-1) ** k
+            total = total + BiLaurent.monomial(k, 0, sign) * primal * partner
+        values.append(total * BiLaurent.monomial(-1, -1, cx.detsign(cx.top_index, e)))
+    return tuple(values)
+
+
+def _fermat(d, words):
+    gens = [fermat_permutation(w, d) for w in words]
+    return ConeComplex(build_fermat(d), generate_group(gens, rank=d))
+
+
+def _random_sym5_words(seed):
+    """One or two random cycles on the five Fermat coordinates."""
+    rng = random.Random(seed)
+    return tuple(
+        "(" + "".join(map(str, rng.sample(range(1, 6), rng.randint(2, 5)))) + ")"
+        for _ in range(rng.randint(1, 2))
+    )
+
+
+_SYM4_SUBGROUPS = (
+    (), ("(12)",), ("(12)(34)",), ("(123)",), ("(1234)",), ("(12)", "(34)"),
+    ("(12)(34)", "(13)(24)"), ("(1234)", "(13)"), ("(12)(34)", "(123)"),
+    ("(12)", "(1234)"),
+)
+
+_REFERENCE_MODELS = (
+    [(f"sweep-{name}", 4, tuple(words))
+     for name, words in benchmark_workloads().QUINTIC_GROUPS]
+    + [(f"random-sym5-{seed}", 4, _random_sym5_words(seed)) for seed in range(6)]
+    + [(f"fermat3-{''.join(w) or 'trivial'}", 3, w) for w in _SYM4_SUBGROUPS]
+    + [(f"fermat{d}-trivial", d, ()) for d in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "d, words",
+    [model[1:] for model in _REFERENCE_MODELS],
+    ids=[model[0] for model in _REFERENCE_MODELS],
+)
+def test_aut_complex_values_restrict_to_each_models_own(d, words):
+    """On a simplex with ``(d + 1)! <= AUT_ORDER_LIMIT`` every model reads
+    its stringy values off the process's ``(P, Aut(P))`` complex (fermat5
+    sums its own tables); class by class, on both sides, they are the
+    values the model's own tables give, and the stratified formula, which
+    runs on the model's own tables, agrees with them."""
+    cx = _fermat(d, words)
+    assert mirror_check(cx).verdict
+    side = cones.automorphism_side(cx)
+    if math.factorial(d + 1) <= cones.AUT_ORDER_LIMIT:
+        assert side.base_group.order == math.factorial(d + 1)
+    else:
+        assert side is None
+    for side in (cx, cx.dual()):
+        assert e_stringy_reflexive(side).values == _own_table_stringy(side), words
+    assert hypersurface_checks(cx).ok
+
+
+def test_the_cubic_curve_reads_the_aut_complex(cubic_curve):
+    assert e_stringy_reflexive(cubic_curve).values == _own_table_stringy(cubic_curve)
+    assert cones.automorphism_side(cubic_curve).group.order == 6
+
+
+def test_only_an_e_polynomial_builds_the_aut_complex():
+    """Building a model and its complex, as the benchmark's set-up does,
+    registers no ``(P, Aut(P))`` complex; the first E-polynomial does, for
+    the primal polytope only, and ``counting.clear_cache`` drops it."""
+    counting.clear_cache()
+    config = parse_config(
+        json.dumps({"builtin": "fermat", "d": 4, "group": ["(12)(34)", "(123)"]})
+    )
+    polytope, group, _ = build_model(config)
+    cx = ConeComplex(polytope, group)
+    tables_for(cx.dual()).stilde.poly(cx.top_index, 0)
+    assert cones._aut_complexes == {}
+    shared = cones.automorphism_side(cx)
+    assert list(cones._aut_complexes) == [polytope.vertices]
+    assert cones.automorphism_side(cx.dual()) is shared.dual()
+    assert cones.automorphism_side(cx) is shared
+    counting.clear_cache()
+    assert cones._aut_complexes == {}
+
+
+def test_a_model_of_the_whole_of_aut_builds_no_second_group(monkeypatch):
+    """A model whose group is ``Aut(P)`` lends the registry its group and
+    face maps, and no vertex permutation is searched for when the order is
+    ``(d + 1)!``; the registry's complex keeps tables of its own."""
+    counting.clear_cache()
+    cx = quintic("(12)", "(12345)")
+
+    def no_search(polytope):
+        raise AssertionError("searched for the symmetries of a full group")
+
+    monkeypatch.setattr(LatticePolytope, "simplex_automorphisms", no_search)
+    shared = cones.automorphism_side(cx)
+    assert shared is not cx and shared.dual() is not cx.dual()
+    assert shared.base_group is cx.base_group
+    assert shared._face_maps is cx._face_maps
+    assert shared.dual().dual() is shared
+    assert mirror_check(cx).verdict
+    assert cx.tables is None and shared.tables is not None
+    counting.clear_cache()
+
+
+def test_a_dual_asking_first_registers_its_primal_side():
+    """The registry keys and builds the primal side even when a dual asks
+    first, from the dual's contragredient elements and shared face maps."""
+    counting.clear_cache()
+    for words in (("(12)", "(12345)"), ("(12)(34)",)):
+        cx = quintic(*words)
+        side = cones.automorphism_side(cx.dual())
+        shared = cones._aut_complexes[cx.polytope.vertices]
+        assert side is shared.dual()
+        assert shared.polytope is cx.polytope and shared.base_group.order == 120
+        assert set(shared.base_group.elements) >= set(cx.base_group.elements)
+        counting.clear_cache()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"builtin": "fermat", "d": 4, "group": [], "cap_group": 119},
+        {"builtin": "fermat", "d": 3, "group": ["(12)"], "cap_group": 2},
+        {"builtin": "fermat", "d": 5, "group": ["(12)(34)"]},
+        {"vertices": [[int(i == j) for j in range(5)] for i in range(5)] + [[-1] * 5],
+         "group": ["(12)"]},
+    ],
+    ids=["quintic-cap-119", "fermat3-cap-2", "fermat5", "mirror-simplex5"],
+)
+def test_a_large_aut_builds_no_aut_complex(config):
+    """A simplex whose ``(d + 1)!`` exceeds the model's group cap or
+    ``AUT_ORDER_LIMIT`` builds no ``Aut(P)``: its models sum their own
+    tables, with the values of the registry path."""
+    counting.clear_cache()
+    config = dict(config, commands=["stringy", "mirror-check"])
+    report, code = run(parse_config(json.dumps(config)))
+    assert code == 0 and cones._aut_complexes == {}
+    uncapped = dict(config, cap_group=10080)
+    counting.clear_cache()
+    again, _ = run(parse_config(json.dumps(uncapped)))
+    assert (again.to_json(), again.render()) == (report.to_json(), report.render())
+    counting.clear_cache()
+
+
+def test_cubes_build_no_aut_complex():
+    """Polytopes other than simplices keep their own tables: all ten
+    commands on cube4 with ``central`` and ``phi`` on cube5 register no
+    ``(P, Aut(P))`` complex."""
+    counting.clear_cache()
+    commands = ["faces", "phi", "hg", "stilde", "ehodge", "stringy", "mirror-check",
+                "diamond", "euler", "identities"]
+    for config in (
+        {"builtin": "cube", "d": 4, "group": ["central"], "commands": commands},
+        {"builtin": "cube", "d": 5, "group": [], "commands": ["phi"]},
+    ):
+        report, code = run(parse_config(json.dumps(config)))
+        assert code == 0
+    assert cones._aut_complexes == {}
+    counting.clear_cache()  # leave no cube5 counts for later tests to find
 
 
 # -- closed forms ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from conftest import moved_complex, quintic_complex, random_unimodular
@@ -710,3 +711,66 @@ def test_dual_group_keeps_element_indices(cube4_central, quintic_a5):
         for e, g in enumerate(group.elements):
             assert dual.base_group.elements[e] == group.dual_element(g)
             assert dual.group.elements[e] == cx.group.dual_element(cx.group.elements[e])
+
+
+# -- the lattice symmetries of a simplex -----------------------------------------
+
+
+def _brute_force_symmetries(polytope):
+    """Every vertex permutation whose linear map is integral: ``L`` solves
+    ``v_i . L^T = v_s(i)`` for all ``i`` at once, by Gauss-Jordan
+    elimination over the rationals."""
+    verts, d = polytope.vertices, polytope.dim
+    found = set()
+    for perm in itertools.permutations(range(len(verts))):
+        system = [
+            [Fraction(x) for x in v + verts[perm[i]]] for i, v in enumerate(verts)
+        ]
+        for c in range(d):
+            p = next(i for i in range(c, len(system)) if system[i][c])
+            system[c], system[p] = system[p], system[c]
+            system[c] = [x / system[c][c] for x in system[c]]
+            for i, row in enumerate(system):
+                if i != c and row[c]:
+                    system[i] = [x - row[c] * y for x, y in zip(row, system[c])]
+        # the rows left over must read 0 = 0, and L^T is integral
+        if any(any(row[d:]) for row in system[d:]):
+            continue
+        transpose = [row[d:] for row in system[:d]]
+        if all(x.denominator == 1 for row in transpose for x in row):
+            found.add((IntMatrix(zip(*transpose)), perm))
+    return found
+
+
+_SIMPLICES = (
+    [("fermat", d, build_fermat(d)) for d in range(2, 6)]
+    + [("simplex", d, build_simplex(d)) for d in range(1, 6)]
+    + [
+        ("cubic-curve", 2, LatticePolytope(((2, -1), (-1, 2), (-1, -1)))),
+        ("triangle", 2, LatticePolytope(((1, 0), (0, 1), (-2, -3)))),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "name, d, polytope", _SIMPLICES, ids=[f"{n}{d}" for n, d, _ in _SIMPLICES]
+)
+def test_simplex_automorphisms_match_a_brute_force_filter(name, d, polytope):
+    """``Aut(P)`` of a simplex is every vertex permutation whose linear map
+    is integral; each element is unimodular and maps the vertex set onto
+    itself as its permutation says."""
+    found = polytope.simplex_automorphisms()
+    assert set(found) == _brute_force_symmetries(polytope)
+    assert len({g for g, _ in found}) == len(found)
+    verts = polytope.vertices
+    for g, perm in found:
+        assert det(g) in (1, -1)
+        assert [g.apply(v) for v in verts] == [verts[j] for j in perm]
+    expected = {"fermat": math.factorial(d + 1), "simplex": math.factorial(d)}
+    orders = dict(expected, **{"cubic-curve": 6, "triangle": 1})
+    assert len(found) == orders[name]
+
+
+def test_simplex_automorphisms_need_a_simplex():
+    with pytest.raises(ValueError):
+        build_cube(2).simplex_automorphisms()
