@@ -528,8 +528,8 @@ _GOLDEN: Tuple[Tuple[str, str, Optional[int], str, object], ...] = (
 
 def _golden_case(name: str) -> Callable[[List[str]], None]:
     """The selftest case that checks every ``_GOLDEN`` row of ``name``,
-    building each of its models once (the complex keeps its tables, stringy
-    E-polynomial and dual, so rows share them)."""
+    building each of its models once (the complex keeps its tables and
+    dual and its side its stringy values, so rows share them)."""
 
     def case(failures: List[str]) -> None:
         models: Dict[str, ConeComplex] = {}

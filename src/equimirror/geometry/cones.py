@@ -21,11 +21,13 @@ and ``counting.clear_cache`` drops it with the counts.
 
 Every value a complex's tables hold is a class function of (face,
 element) under any lattice symmetry of the polytope, so the stringy
-E-polynomial of a model of a simplex ``P`` is read off one complex of
-``P`` under its whole symmetry group ``Aut(P)``, kept for the process
+values of a model of a simplex ``P`` and of its mirror, with the sign of
+the mirror identity, are read off one complex of ``P`` under its whole
+symmetry group ``Aut(P)`` and its dual, kept for the process
 (:func:`automorphism_side`): models of different subgroups share its
-canonical pairs and tables.  That is done only where ``Aut(P)`` is small:
-at most :data:`AUT_ORDER_LIMIT` and the model's group cap.
+canonical pairs, tables and stringy values, and build no dual of their
+own for them.  That is done only where ``Aut(P)`` is small: at most
+:data:`AUT_ORDER_LIMIT` and the model's group cap.
 
 A dual complex (:meth:`ConeComplex.dual`) is read off its partner: its
 polytope is the partner's polar dual, whose face lattice is the
@@ -102,9 +104,8 @@ class ConeComplex:
         # the dual itself if this complex built it, else a weak back-link
         self._dual = None
         self.tables = None  # the combinatorial tables, set by tables_for
-        self.stringy = None  # the stringy E-polynomial, set by e_stringy_reflexive
         # the stringy E-polynomial's value (a BiLaurent) per class index,
-        # each computed once, on demand, by e_stringy_reflexive
+        # each computed once, on demand, by the invariants that read it
         self.stringy_values: Dict[int, object] = {}
 
     # -- plumbing ---------------------------------------------------------

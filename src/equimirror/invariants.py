@@ -8,14 +8,15 @@ formula promises a polynomial (no negative exponents, bounded degree) that
 promise is checked and a violation raises instead of silently truncating.
 
 The tables come from :func:`tables_for`, one set per complex shared by
-every function here; the stringy E-polynomial is likewise kept on the
-complex.  On a simplex (the Fermat family, its mirror) of dimension at
-most 4, within the model's group cap, every model reads its stringy
-E-polynomial off one complex of the polytope under its whole lattice
-symmetry group ``Aut(P)``, shared by the process, at the
-``Aut(P)``-class of each class representative; each ``Aut(P)``-class is
-summed once, on that complex's tables.  The stratified formula
-:func:`e_stringy_strata` runs on the model's own tables, so
+every function here.  Each stringy value is read off one side: on a
+simplex (the Fermat family, its mirror) of dimension at most 4, within
+the model's group cap, the complex of the polytope under its whole
+lattice symmetry group ``Aut(P)``, shared by the process, at the
+``Aut(P)``-class of each class representative; elsewhere the complex
+itself.  The side keeps each class's value, summed once on its tables,
+and :func:`mirror_check` reads both halves of the mirror identity and its
+sign off that side and its dual.  The stratified formula
+:func:`e_stringy_strata` runs on the model's own tables and dual, so
 :func:`hypersurface_checks` compares the two.  Per-class results are
 bundled into :class:`EPoly`.  The coefficients are
 stored raw, i.e. as the alternating sums the formulas produce; the
@@ -189,38 +190,37 @@ def e_stringy_reflexive(complex: ConeComplex) -> EPoly:
         and the full cone) of
         (-u)^{dim F} det(rho_F) Stilde(F, v/u) Stilde(F*, uv)
 
-    where ``F*`` is the dual face, the same index in ``complex.dual()``,
+    where ``F*`` is the dual face, the same index in the dual complex,
     and its polynomial is evaluated at the contragredient element (the
     same element index there).
 
-    It is a class function of (face, element) under every lattice symmetry
-    of the polytope, so on a simplex (the Fermat family and its mirror)
-    class ``k`` reads the value of the process's ``(P, Aut(P))`` complex at
-    the ``Aut(P)``-class of ``k``'s representative
-    (:func:`~equimirror.geometry.cones.automorphism_side`), and every model
-    of ``P`` works on that complex's canonical pairs.  A simplex whose
-    ``Aut(P)`` may be too large for that, and any other polytope, is
-    computed on its own tables.
-
-    The result is kept on the complex (``complex.stringy``) and reused.
+    Class ``k`` reads the value the complex's side keeps at its class
+    there (:func:`_side_classes`).
     """
+    side, classes = _side_classes(complex)
+    values = tuple(_stringy_class_value(side, k) for k in classes)
+    return EPoly(
+        group=complex.group, values=values, dim=complex.dim, kind="stringy-reflexive"
+    )
+
+
+def _side_classes(complex: ConeComplex) -> Tuple[ConeComplex, Tuple[int, ...]]:
+    """The side that keeps the stringy values of ``complex`` and, per class
+    here, the class there.  They are class functions of (face, element)
+    under every lattice symmetry of the polytope, so on a small simplex the
+    side is the process's ``(P, Aut(P))`` complex, shared by every model of
+    ``P`` (:func:`~equimirror.geometry.cones.automorphism_side`); elsewhere
+    it is ``complex`` itself."""
     if not complex.polytope.is_reflexive():
         raise NotReflexive("stringy invariants need a reflexive polytope")
-    if complex.stringy is not None:
-        return complex.stringy
     side = automorphism_side(complex)
     if side is None:
         side = complex
-    index_of, group = side.base_group.index_of, side.group
-    values = tuple(
-        _stringy_class_value(side, group.class_of(index_of[complex.base_element(e)]))
-        for e in complex.group.class_reps
+    index_of, class_of = side.base_group.index_of, side.group.class_of
+    classes = tuple(
+        class_of(index_of[complex.base_element(e)]) for e in complex.group.class_reps
     )
-    epoly = EPoly(
-        group=complex.group, values=values, dim=complex.dim, kind="stringy-reflexive"
-    )
-    complex.stringy = epoly
-    return epoly
+    return side, classes
 
 
 def _stringy_class_value(complex: ConeComplex, k: int) -> BiLaurent:
@@ -375,28 +375,21 @@ class MirrorReport(Frozen):
 
 def mirror_check(complex: ConeComplex) -> MirrorReport:
     """Check ``E_st(X; u,v) = (-u)^{d-1} det(rho) E_st(X*; 1/u, v)`` per class,
-    with ``X*`` the polar-dual complex ``complex.dual()``."""
+    with both halves and the sign read off the side of :func:`_side_classes`
+    and its dual ``X*``, which shares its class indices: on a small simplex
+    the model's own dual is never built."""
     left = e_stringy_reflexive(complex)
-    right_side = e_stringy_reflexive(complex.dual())
+    side, classes = _side_classes(complex)
+    dual, reps, top = side.dual(), side.group.class_reps, side.top_index
     d = complex.dim
     sign = -1 if (d - 1) % 2 else 1
-    lefts, rights, residuals = [], [], []
-    for e in complex.group.class_reps:
-        factor = BiLaurent.monomial(
-            d - 1, 0, sign * complex.detsign(complex.top_index, e)
-        )
-        right = factor * right_side.value_of_element(e).invert_u()
-        value = left.value_of_element(e)
-        lefts.append(value)
+    rights, residuals = [], []
+    for value, k in zip(left.values, classes):
+        factor = BiLaurent.monomial(d - 1, 0, sign * side.detsign(top, reps[k]))
+        right = factor * _stringy_class_value(dual, k).invert_u()
         rights.append(right)
         residuals.append(value - right)
-    return MirrorReport(
-        group=complex.group,
-        dim=d,
-        left=tuple(lefts),
-        right=tuple(rights),
-        residual=tuple(residuals),
-    )
+    return MirrorReport(complex.group, d, left.values, tuple(rights), tuple(residuals))
 
 
 # ---------------------------------------------------------------------------

@@ -432,17 +432,90 @@ def test_a_dual_outlives_its_primal(monkeypatch):
         gc.enable()
 
 
-def test_stringy_is_kept_on_the_complex():
-    cx = ConeComplex(build_cube(3), generate_group([IntMatrix.identity(3).scale(-1)]))
-    st = e_stringy_reflexive(cx)
-    assert st is e_stringy_reflexive(cx) is cx.stringy
-    own = tables_for(cx)
-    assert mirror_check(cx).verdict
-    assert cx.dual().stringy is not None  # mirror_check kept the dual's too
-    ref = weakref.ref(cx)
-    del cx, own  # the tables refer to their complex
-    gc.collect()
-    assert ref() is None
+def test_mirror_check_builds_no_model_dual_on_a_simplex():
+    """On a simplex read off the ``(P, Aut(P))`` registry, ``mirror_check``
+    takes both halves and the sign off the registry side: it builds no dual
+    and no least-face table on the model, a second call adds no stringy
+    value to either registry side, and the model is freed by reference
+    counting.  cube3 under ``central`` still pairs with its own dual."""
+    counting.clear_cache()
+    models = [quintic(*words) for _, words in benchmark_workloads().QUINTIC_GROUPS]
+    models.append(_fermat(3, ("(12)",)))
+    gc.disable()
+    try:
+        for cx in models:
+            assert mirror_check(cx).verdict
+            assert cx._dual is None and cx._canonical_faces == {}
+            assert not hasattr(cx, "stringy")
+            side = cones.automorphism_side(cx)
+            kept = (dict(side.stringy_values), dict(side.dual().stringy_values))
+            assert kept[0] and kept[1]
+            assert mirror_check(cx).verdict and e_stringy_reflexive(cx).values
+            assert (side.stringy_values, side.dual().stringy_values) == kept
+            assert cx._dual is None
+        refs = [weakref.ref(cx) for cx in models]
+        del cx, models
+        assert all(ref() is None for ref in refs)
+        central = generate_group([IntMatrix.identity(3).scale(-1)])
+        cube = ConeComplex(build_cube(3), central)
+        assert cones.automorphism_side(cube) is None
+        assert mirror_check(cube).verdict and cube._dual is not None
+        assert cube.stringy_values and cube.dual().stringy_values
+        ref = weakref.ref(cube)
+        del cube
+        assert ref() is None
+    finally:
+        gc.enable()
+    counting.clear_cache()
+
+
+def _own_dual_mirror_check(cx):
+    """The mirror check on the model's own dual: the right half is
+    ``e_stringy_reflexive(cx.dual())`` and the sign is read off ``cx``."""
+    left = e_stringy_reflexive(cx)
+    right_side = e_stringy_reflexive(cx.dual())
+    d = cx.dim
+    lefts, rights, residuals = [], [], []
+    for e in cx.group.class_reps:
+        sign = (-1) ** (d - 1) * cx.detsign(cx.top_index, e)
+        right = right_side.value_of_element(e).invert_u()
+        right = BiLaurent.monomial(d - 1, 0, sign) * right
+        lefts.append(left.value_of_element(e))
+        rights.append(right)
+        residuals.append(lefts[-1] - right)
+    return tuple(lefts), tuple(rights), tuple(residuals)
+
+
+def _check_mirror_against_own_dual(cx):
+    """``mirror_check`` on ``cx`` and on its dual gives, class by class, the
+    halves and residuals of the check made on each one's own dual."""
+    for model in (cx, cx.dual()):
+        report = mirror_check(model)
+        assert report.verdict
+        got = (report.left, report.right, report.residual)
+        assert got == _own_dual_mirror_check(model)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"builtin": "cube", "d": 3, "group": ["central"]},
+        {"builtin": "cube", "d": 4, "group": ["central"]},
+        {"builtin": "fermat", "d": 5, "group": ["(12)"]},
+        {"builtin": "fermat", "d": 4, "group": ["(12)(34)", "(123)", "(12345)"],
+         "cap_group": 60},
+    ],
+    ids=["cube3-central", "cube4-central", "fermat5-12", "quintic-a5-cap-60"],
+)
+def test_mirror_check_agrees_with_the_models_own_dual(config):
+    """Off the registry (cubes, ``(d + 1)!`` above ``AUT_ORDER_LIMIT`` or
+    the group cap) the side is the model itself, and the check is the one
+    made on the model's own dual."""
+    config = parse_config(json.dumps(config))
+    polytope, group, _ = build_model(config)
+    cx = ConeComplex(polytope, group, config.cap_group)
+    assert cones.automorphism_side(cx) is None
+    _check_mirror_against_own_dual(cx)
 
 
 # -- the (P, Aut(P)) complex of a simplex ----------------------------------------
@@ -514,6 +587,7 @@ def test_aut_complex_values_restrict_to_each_models_own(d, words):
         assert side is None
     for side in (cx, cx.dual()):
         assert e_stringy_reflexive(side).values == _own_table_stringy(side), words
+    _check_mirror_against_own_dual(cx)
     assert hypersurface_checks(cx).ok
 
 

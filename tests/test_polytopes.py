@@ -594,9 +594,10 @@ def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
 def test_dual_spans_are_taken_on_demand(monkeypatch):
     """A dual is read off its partner with no integer linear algebra:
     building cube5's dual takes no kernel, and the mirror check on the A5
-    quintic calls ``rho`` on no read-off dual.  The span a dual's ``rho``
-    takes on demand follows the primal's rule, one kernel of the dual's
-    own tight cone rows per face but its top."""
+    quintic calls ``rho`` on no read-off dual and, reading its stringy
+    values off the registry side, builds no dual of the model.  The span a
+    dual's ``rho`` takes on demand follows the primal's rule, one kernel of
+    the dual's own tight cone rows per face but its top."""
     cx = trivial(build_cube(5))
     calls = _counted_kernels(monkeypatch)
     dual = cx.dual()
@@ -616,8 +617,9 @@ def test_dual_spans_are_taken_on_demand(monkeypatch):
     monkeypatch.setattr(ConeComplex, "rho", recorded)
     quintic = quintic_complex("(12)(34)", "(123)", "(12345)")
     assert mirror_check(quintic).verdict
-    assert quintic.dual().stringy is not None
-    assert not any(read_off)
+    side = cones.automorphism_side(quintic)
+    assert side.stringy_values and side.dual().stringy_values
+    assert quintic._dual is None and not any(read_off)
 
 
 def test_partners_share_one_least_face_table(quintic_a5):
