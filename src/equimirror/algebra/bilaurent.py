@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from ..errors import InexactDivision
-from .unipoly import UniPoly, _coerce, _div
+from .unipoly import _INT, UniPoly, _coerce, _div
 
 Key = Tuple[int, int]
 
@@ -106,7 +106,7 @@ class BiLaurent:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return BiLaurent(out)
+        return _built(out)
 
     __radd__ = __add__
 
@@ -124,7 +124,7 @@ class BiLaurent:
 
     def __mul__(self, other) -> BiLaurent:
         if isinstance(other, (int, Fraction)):
-            return BiLaurent({key: c * other for key, c in self.terms.items()})
+            return _built({key: c * other for key, c in self.terms.items()})
         if not isinstance(other, BiLaurent):
             return NotImplemented
         out: Dict[Key, object] = {}
@@ -132,7 +132,7 @@ class BiLaurent:
             for (p2, q2), c2 in other.terms.items():
                 key = (p1 + p2, q1 + q2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return BiLaurent(out)
+        return _built(out)
 
     __rmul__ = __mul__
 
@@ -225,6 +225,21 @@ class BiLaurent:
             f"{p},{q}": [c.numerator, c.denominator]
             for (p, q), c in sorted(self.terms.items())
         }
+
+
+_set_terms = BiLaurent.terms.__set__
+
+
+def _built(out: Dict[Key, object]) -> BiLaurent:
+    """``BiLaurent(out)`` for a map computed from the terms of clean Laurent
+    polynomials, whose keys are pairs of ``int``.  When every coefficient is
+    an ``int`` only the zero terms are dropped; otherwise the normalising
+    constructor runs, which keeps the integer-first rule."""
+    if not _INT.issuperset(map(type, out.values())):
+        return BiLaurent(out)
+    value = object.__new__(BiLaurent)
+    _set_terms(value, {key: c for key, c in out.items() if c})
+    return value
 
 
 def _power(var: str, e: int) -> str:

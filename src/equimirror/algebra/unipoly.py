@@ -17,7 +17,8 @@ no floating point anywhere downstream.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import add
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..errors import InexactDivision, NegativeExponent
 
@@ -116,10 +117,9 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        out = list(map(add, a, b))
+        out.extend(a[len(b):])
+        return _built(out)
 
     __radd__ = __add__
 
@@ -137,7 +137,7 @@ class UniPoly:
 
     def __mul__(self, other) -> UniPoly:
         if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
+            return _built([c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -148,7 +148,7 @@ class UniPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return UniPoly(out)
+        return _built(out)
 
     __rmul__ = __mul__
 
@@ -165,9 +165,18 @@ class UniPoly:
         return result
 
     def exact_div(self, divisor: UniPoly) -> UniPoly:
-        """Return ``self / divisor``, raising :class:`InexactDivision` on a remainder."""
+        """Return ``self / divisor``, raising :class:`InexactDivision` on a remainder.
+
+        Each quotient is computed once per process: it is kept in a store
+        keyed by the coefficients of both operands (:func:`clear_quotients`
+        empties it).  A division with a remainder is not kept, so it raises
+        on every call."""
         if not isinstance(divisor, UniPoly):
             divisor = UniPoly((divisor,))
+        key = (self.coeffs, divisor.coeffs)
+        hit = _quotients.get(key)
+        if hit is not None:
+            return hit
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -188,7 +197,8 @@ class UniPoly:
                     rem[k + i] -= c * d
         if any(rem):
             raise InexactDivision(f"{self!r} is not divisible by {divisor!r}")
-        return UniPoly(quo)
+        value = _quotients[key] = _built(quo)
+        return value
 
     # -- substitutions and reshaping -------------------------------------
 
@@ -204,10 +214,9 @@ class UniPoly:
             raise NegativeExponent(
                 f"cannot reverse degree-{self.degree} polynomial at exponent {k}"
             )
-        out = [0] * (k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k - i] = c
-        return UniPoly(out)
+        out = [0] * (k + 1 - len(self.coeffs))
+        out.extend(reversed(self.coeffs))
+        return _built(out)
 
     def is_palindromic(self, k: int) -> bool:
         """True when ``p(t) = t^k * p(1/t)``."""
@@ -253,6 +262,34 @@ class UniPoly:
             for i, c in enumerate(self.coeffs)
             if c != 0
         }
+
+
+_INT = frozenset((int,))
+_set_coeffs = UniPoly.coeffs.__set__
+
+
+def _built(cs: list) -> UniPoly:
+    """``UniPoly(cs)`` for a list computed from the coefficients of clean
+    polynomials.  When every entry is an ``int`` it is already in canonical
+    form, so only its trailing zeros are dropped; otherwise the normalising
+    constructor runs, which keeps the integer-first rule."""
+    if not _INT.issuperset(map(type, cs)):
+        return UniPoly(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    poly = object.__new__(UniPoly)
+    _set_coeffs(poly, tuple(cs))
+    return poly
+
+
+# exact quotients by (dividend coefficients, divisor coefficients), kept for
+# the process; only data, so any caller's division of the same pair hits it
+_quotients: Dict[Tuple[tuple, tuple], UniPoly] = {}
+
+
+def clear_quotients() -> None:
+    """Forget every quotient :meth:`UniPoly.exact_div` has kept."""
+    _quotients.clear()
 
 
 def _as_poly(value):

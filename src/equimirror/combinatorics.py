@@ -176,7 +176,7 @@ class HGTable(_Table):
         hit = self._h.get(key)
         if hit is not None:
             return hit
-        value = self._shape_h(self._shape(cone, e))
+        value = self._shape_h(self._shape(cone.complex, key))
         self._h[key] = value
         return value
 
@@ -185,33 +185,49 @@ class HGTable(_Table):
         hit = self._g.get(key)
         if hit is not None:
             return hit
-        value = self._shape_g(self._shape(cone, e))
+        value = self._shape_g(self._shape(cone.complex, key))
         self._g[key] = value
         return value
 
-    def _shape(self, cone: AbstractCone, e: int) -> int:
-        """The interned shape id of ``cone`` at element ``e``."""
-        k = cone.dim
-        if k == 0:
-            return 0
-        key = cone.key + (e,)
-        sid = self._shape_of.get(key)
+    def _shape(self, cx: ConeComplex, key: tuple) -> int:
+        """The interned shape id of the cone ``(kind, base, ambient)`` of
+        ``cx`` at element ``e``, for ``key = (kind, base, ambient, e)``.
+
+        The recursion runs on these flat keys and reads the face maps
+        directly; an :class:`AbstractCone` is made only for a key not seen
+        before, to read its top polynomial."""
+        shape_of = self._shape_of
+        sid = shape_of.get(key)
         if sid is not None:
             return sid
-        top = cone.top_element
-        if not cone.element_invariant(top, e):
-            raise NotInvariant(f"cone {cone.key} is not fixed by element {e}")
-        below = sorted(
-            self._shape(cone.subcone(x), e)
-            for x in cone.elements()
-            if x != top and cone.element_invariant(x, e)
-        )
+        kind, base, ambient, e = key
+        faces = cx.faces
+        k = faces[ambient].dim - faces[base].dim
+        if k == 0:
+            return 0
+        fixed = cx._face_maps[e]
+        quotient = kind == "Q"
+        top, bottom = (ambient, base) if quotient else (base, ambient)
+        if fixed[top] != top:
+            raise NotInvariant(f"cone {key[:3]} is not fixed by element {e}")
+        below = []
+        for x in cx.interval(base, ambient):
+            if x == top or fixed[x] != x:
+                continue
+            if x == bottom:  # the zero cone
+                below.append(0)
+                continue
+            sub = (kind, base, x, e) if quotient else (kind, x, ambient, e)
+            sid = shape_of.get(sub)
+            below.append(self._shape(cx, sub) if sid is None else sid)
+        below.sort()
+        cone = AbstractCone(cx, kind, base, ambient)
         shape = (k, cone.element_charpoly(top, e), tuple(below))
         sid = self._shape_ids.get(shape)
         if sid is None:
             sid = self._shape_ids[shape] = len(self._shapes)
             self._shapes.append(shape)
-        self._shape_of[key] = sid
+        shape_of[key] = sid
         return sid
 
     def _shape_h(self, sid: int) -> UniPoly:

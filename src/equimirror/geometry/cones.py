@@ -52,7 +52,7 @@ from math import factorial
 from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
-from ..algebra.unipoly import UniPoly
+from ..algebra.unipoly import UniPoly, clear_quotients
 from ..errors import NonInvertible, NotInvariant, SubgroupMismatch
 from ..groups import GROUP_CAP_DEFAULT, MatrixGroup, orbits, stabilizer
 from . import counting
@@ -98,6 +98,8 @@ class ConeComplex:
         self._face_maps = face_maps
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
+        # charpoly by the pair asked for, in front of canonical()
+        self._raw_charpoly: Dict[Tuple[int, int], UniPoly] = {}
         # on a complex read off its partner, the partner's polytope,
         # homogenized group and charpoly memo; None on a complex built here
         self._partner = None
@@ -107,6 +109,9 @@ class ConeComplex:
         # the stringy E-polynomial's value (a BiLaurent) per class index,
         # each computed once, on demand, by the invariants that read it
         self.stringy_values: Dict[int, object] = {}
+        # the affine E-polynomial of a face's slice (a BiLaurent) per
+        # canonical pair, kept the same way
+        self.affine_values: Dict[Tuple[int, int], object] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -198,16 +203,23 @@ class ConeComplex:
         annihilator of the span of face ``f'`` there, as the contragredient
         of its action on the quotient by that span, and a rational
         characteristic polynomial of finite order is its own contragredient
-        (its roots are roots of unity, closed under conjugation)."""
+        (its roots are roots of unity, closed under conjugation).
+
+        Each pair asked for is kept too, so a repeat skips ``canonical``."""
+        hit = self._raw_charpoly.get((f, e))
+        if hit is not None:
+            return hit
         key = self.canonical(f, e)
         partner = self._partner
         if partner is None:
-            return _span_charpoly(self.polytope, self.group, self._charpoly, key)
-        hit = self._charpoly.get(key)
-        if hit is None:
-            top = _span_charpoly(*partner, (self.apex_index, key[1]))
-            hit = top.exact_div(_span_charpoly(*partner, key))
-            self._charpoly[key] = hit
+            hit = _span_charpoly(self.polytope, self.group, self._charpoly, key)
+        else:
+            hit = self._charpoly.get(key)
+            if hit is None:
+                top = _span_charpoly(*partner, (self.apex_index, key[1]))
+                hit = top.exact_div(_span_charpoly(*partner, key))
+                self._charpoly[key] = hit
+        self._raw_charpoly[(f, e)] = hit
         return hit
 
     def char_series(self, f: int, e: int) -> UniPoly:
@@ -376,27 +388,30 @@ def _face_maps(images, faces) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _homogenize(g: IntMatrix) -> IntMatrix:
-    return IntMatrix([row + (0,) for row in g.rows] + [(0,) * g.nrows + (1,)])
+    rows = tuple(row + (0,) for row in g.rows)
+    return IntMatrix._derived(rows + ((0,) * g.nrows + (1,),))
 
 
 def _span(rows, cdim: int) -> IntMatrix:
     """The Hermite basis of the lattice the cone rows ``rows`` cut out in
     ``Z^cdim``, saturated: their integer kernel, or everything for none."""
     if rows:
-        return integer_kernel(IntMatrix(rows))
+        return integer_kernel(IntMatrix._derived(tuple(rows)))
     return IntMatrix.identity(cdim)
 
 
 def _action(span: IntMatrix, g: IntMatrix) -> IntMatrix:
     """The matrix of ``g`` on the row span of ``span``, in that basis."""
     cols = [solve_in_row_basis(span, g.apply(row)) for row in span.rows]
-    return IntMatrix.from_columns(cols)
+    return IntMatrix._derived(tuple(zip(*cols)))
 
 
 # face-restriction characteristic polynomials by (tight cone rows,
 # element rows), for every complex in the process
 _charpolys: Dict[tuple, UniPoly] = {}
 counting.clear_with_counts(_charpolys.clear)
+# the exact quotients of UniPoly.exact_div, most of them of these polynomials
+counting.clear_with_counts(clear_quotients)
 
 
 def _span_charpoly(polytope, group, memo, key: Tuple[int, int]) -> UniPoly:
@@ -435,9 +450,9 @@ class AbstractCone:
     of the concrete ones, so everything stays equivariant without ever
     constructing quotient lattices.
 
-    The ``h``/``g`` recursion builds one per subcone it visits, so the
-    fields are plain slots behind read-only properties: no per-field
-    ``object.__setattr__`` in the constructor.
+    The ``h``/``g`` recursion builds one per (cone, element) it has not seen,
+    so the fields are plain slots behind read-only properties: no
+    per-field ``object.__setattr__`` in the constructor.
     """
 
     __slots__ = ("_complex", "_kind", "_base", "_ambient")

@@ -26,19 +26,23 @@ the counts found so far, keyed by ``(m, interior)``.  A count is asked for
 over and over while the recursions assemble their tables, and across
 models that share a face and an element.
 
-This is one of four process-wide memos, each keyed by data alone (rows,
+This is one of five process-wide memos, each keyed by data alone (rows,
 matrices, polynomials), so a model of any group reuses what another model
 of the same polytope left and the work done does not depend on the order
 the models run in.  Beside these counts, ``scan`` keeps its elimination
 plans, ``cones`` the characteristic polynomial of each face restriction
-(by tight cone rows and element rows) and ``combinatorics`` the
-``h``/``g`` interval shapes.  None holds a complex or a group, so a model
-is freed by reference counting as before.  One more store is keyed by a
-polytope: for each simplex ``P`` an E-polynomial was asked of, ``cones``
-keeps one complex of ``P`` under its whole lattice symmetry group
-``Aut(P)``, whose stringy values every model of ``P`` reads; it holds no
-model.  :func:`clear_cache` drops all five: the modules above this one
-register how with :func:`clear_with_counts`.
+(by tight cone rows and element rows), ``combinatorics`` the ``h``/``g``
+interval shapes and ``algebra`` the quotient store of
+``UniPoly.exact_div`` (by the coefficients of both operands; a division
+with a remainder is never kept).  None holds a complex or a group, so a
+model is freed by reference counting as before.  One more store is keyed
+by a polytope: for each simplex ``P`` an E-polynomial was asked of,
+``cones`` keeps one complex of ``P`` under its whole lattice symmetry
+group ``Aut(P)``, whose stringy values every model of ``P`` reads; it
+holds no model.  :func:`clear_cache` drops all six: the modules above this
+one register how with :func:`clear_with_counts`.  The memos a complex
+keeps for itself (its characteristic polynomials by canonical pair and by
+the pair asked for, its affine and stringy values) go with the complex.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ def clear_with_counts(clear: Callable[[], None]) -> None:
 
 def clear_cache() -> None:
     """Forget every count, face basis, elimination plan, face-restriction
-    characteristic polynomial, ``h``/``g`` shape and ``(P, Aut(P))``
-    complex."""
+    characteristic polynomial, ``h``/``g`` shape, exact quotient and
+    ``(P, Aut(P))`` complex."""
     _bases.clear()
     scan.clear_plans()
     for clear in _clears:
@@ -109,7 +113,9 @@ def _face_basis(
     # with the height as coordinate 0 the Hermite kernel basis has height
     # g >= 0 in its first vector and 0 in every other one
     if eq_rows:
-        kernel = integer_kernel(IntMatrix([r[-1:] + r[:-1] for r in eq_rows]))
+        kernel = integer_kernel(
+            IntMatrix._derived(tuple(r[-1:] + r[:-1] for r in eq_rows))
+        )
     else:
         kernel = IntMatrix.identity(n)
     vectors = kernel.rows

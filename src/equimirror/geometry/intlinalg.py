@@ -28,8 +28,11 @@ solve, and the inverse of a unimodular ``M`` is the right block of the
 Hermite form of ``[M | I]`` (``groups.inverse_unimodular``).
 
 Entries are checked to be exactly integral once per row
-(``_as_int_row``), the one check every ``IntMatrix`` and every polytope
-input goes through.
+(``_as_int_row``), the one check every ``IntMatrix`` a caller builds and
+every polytope input goes through.  A matrix whose rows the package
+computed from checked integers (a transpose, a Hermite basis, a
+homogenized or contragredient group element) is made by
+``IntMatrix._derived``, which does not check them again.
 """
 
 from __future__ import annotations
@@ -93,8 +96,18 @@ class IntMatrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _derived(cls, rows: Tuple[Tuple[int, ...], ...]) -> IntMatrix:
+        """A matrix of rows computed from checked integers: a tuple of
+        ``int`` tuples of one width, kept as it is, without the check."""
+        matrix = object.__new__(cls)
+        _set_rows(matrix, rows)
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._derived(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def zero(cls, n: int, m: int) -> IntMatrix:
@@ -170,10 +183,13 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(self.columns())
+        return IntMatrix._derived(self.columns())
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.nrows))
+
+
+_set_rows = IntMatrix.rows.__set__
 
 
 def det(matrix: IntMatrix) -> int:
@@ -298,7 +314,7 @@ def integer_kernel(matrix: IntMatrix) -> IntMatrix:
     for j in range(n):
         aug[j][m + j] = 1
     rest = _echelon(aug, m)[1]
-    return IntMatrix(_hermite([r[m:] for r in rest], n))
+    return IntMatrix._derived(tuple(map(tuple, _hermite([r[m:] for r in rest], n))))
 
 
 def hnf_rows(matrix: IntMatrix) -> IntMatrix:
@@ -307,7 +323,8 @@ def hnf_rows(matrix: IntMatrix) -> IntMatrix:
     Pivots are positive, entries above each pivot are reduced to the range
     ``[0, pivot)``; the result is the canonical basis of the row span.
     """
-    return IntMatrix(_hermite([list(r) for r in matrix.rows], matrix.ncols))
+    hermite = _hermite([list(r) for r in matrix.rows], matrix.ncols)
+    return IntMatrix._derived(tuple(map(tuple, hermite)))
 
 
 def solve_in_row_basis(basis: IntMatrix, vector: Sequence[int]) -> Tuple[int, ...]:

@@ -155,15 +155,15 @@ class LatticePolytope(Frozen):
         for rest in range(d, -1, -1):
             basis = [i for i in range(d + 1) if i != rest]
             rows = [verts[i] for i in basis]
-            scale = det(IntMatrix(rows))
+            scale = det(IntMatrix._derived(tuple(rows)))
             if scale:
                 break
         # adj(W) = det W * W^-1 has the (k, c) cofactor of W at (c, k)
         cofactors = [
             [
-                (-1) ** (k + c) * det(IntMatrix(
+                (-1) ** (k + c) * det(IntMatrix._derived(tuple(
                     r[:c] + r[c + 1:] for i, r in enumerate(rows) if i != k
-                ))
+                )))
                 for c in range(d)
             ]
             for k in range(d)
@@ -182,7 +182,9 @@ class LatticePolytope(Frozen):
             if any(x % scale for x in scaled):
                 continue
             entries = [x // scale for x in scaled]
-            matrix = IntMatrix(entries[r * d:r * d + d] for r in range(d))
+            matrix = IntMatrix._derived(
+                tuple(tuple(entries[r * d:r * d + d]) for r in range(d))
+            )
             if matrix.apply(verts[rest]) == verts[perm[rest]]:
                 out.append((matrix, perm))
         return tuple(out)
@@ -247,7 +249,7 @@ def _validate_facets(
 def _affine_rank(points: Sequence[Vector]) -> int:
     if len(points) <= 1:
         return len(points) - 1
-    m = IntMatrix([vec_sub(p, points[0]) for p in points[1:]])
+    m = IntMatrix._derived(tuple(vec_sub(p, points[0]) for p in points[1:]))
     return hnf_rows(m).nrows
 
 
@@ -259,7 +261,7 @@ def _search_facets(verts: Tuple[Vector, ...], d: int) -> Tuple[Facet, ...]:
         )
     found = {}
     for subset in combinations(range(len(verts)), d):
-        rows = IntMatrix([verts[i] + (1,) for i in subset])
+        rows = IntMatrix._derived(tuple(verts[i] + (1,) for i in subset))
         kern = integer_kernel(rows)
         if kern.nrows != 1:
             continue

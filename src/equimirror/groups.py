@@ -54,8 +54,10 @@ def inverse_unimodular(matrix: IntMatrix) -> IntMatrix:
         raise NonInvertible(f"matrix has determinant {d}, not +-1")
     n = matrix.nrows
     identity = IntMatrix.identity(n)
-    hermite = hnf_rows(IntMatrix([r + e for r, e in zip(matrix.rows, identity.rows)]))
-    return IntMatrix([r[n:] for r in hermite.rows])
+    hermite = hnf_rows(
+        IntMatrix._derived(tuple(r + e for r, e in zip(matrix.rows, identity.rows)))
+    )
+    return IntMatrix._derived(tuple(r[n:] for r in hermite.rows))
 
 
 def _perm_order(perm: Base) -> int:
@@ -178,7 +180,7 @@ def generate_group(
                     nxt.append(b)
         frontier = nxt
     column = orbit.points.__getitem__
-    return MatrixGroup(IntMatrix(zip(*map(column, b))) for b in seen)
+    return MatrixGroup(IntMatrix._derived(tuple(zip(*map(column, b)))) for b in seen)
 
 
 class MatrixGroup:

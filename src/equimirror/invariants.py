@@ -143,7 +143,16 @@ def e_affine_face(complex: ConeComplex, f: int, e: int) -> BiLaurent:
     with all dimensions cone dimensions.  The result is a polynomial; a
     negative exponent surviving the cancellation is an implementation
     fault and raises :class:`InexactDivision`.
+
+    It is a class function of (face, element), so it is computed once per
+    orbit, at :meth:`ConeComplex.canonical`'s pair, and kept on the complex
+    (``complex.affine_values``).
     """
+    key = complex.canonical(f, e)
+    value = complex.affine_values.get(key)
+    if value is not None:
+        return value
+    f, e = key
     tables = tables_for(complex)
     face_dim = complex.faces[f].dim
     boundary = BiLaurent.zero()
@@ -164,6 +173,7 @@ def e_affine_face(complex: ConeComplex, f: int, e: int) -> BiLaurent:
         raise InexactDivision(
             f"affine E-polynomial of face {f} is not polynomial: {value}"
         )
+    complex.affine_values[key] = value
     return value
 
 

@@ -413,3 +413,70 @@ def test_classfun_polynomial_average():
     avg = fn.average()
     assert avg == UniPoly((1,)) or avg == UniPoly((1, 0))
     assert avg == UniPoly.one()
+
+
+# -- the quotient store ----------------------------------------------------------
+
+
+def _oracle_div(num, den):
+    """Long division on ``Fraction`` coefficient lists, as ``exact_div`` ran
+    before it kept its quotients: the canonical quotient coefficients, or
+    None when a remainder is left."""
+    rem = [Fraction(c) for c in num]
+    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(den) - 1] / den[-1]
+        quo[k] = c
+        for i, d in enumerate(den):
+            rem[k + i] -= c * d
+    if any(rem):
+        return None
+    return tuple(
+        c.numerator if c.denominator == 1 else c for c in _trimmed(quo)
+    )
+
+
+def test_quotient_store_keeps_exact_quotients_and_never_a_remainder():
+    """``exact_div`` keeps each quotient by the coefficients of the pair:
+    on seeded random polynomials, ``Fraction`` coefficients included, the
+    first and every repeat call give the quotient long division gives, a
+    pair that leaves a remainder raises on every call and is never kept,
+    and ``counting.clear_cache`` empties the store."""
+    from equimirror.algebra import unipoly
+    from equimirror.geometry import counting
+
+    counting.clear_cache()
+    assert not unipoly._quotients
+    rng = random.Random(20261020)
+    exact = inexact = 0
+    for _ in range(200):
+        a = UniPoly([_rand_coeff(rng) for _ in range(rng.randint(1, 5))])
+        b = UniPoly([_rand_coeff(rng) for _ in range(rng.randint(1, 4))])
+        if a.is_zero() or b.is_zero():
+            continue
+        r = UniPoly([_rand_coeff(rng) for _ in range(b.degree)])
+        for num in (a * b, a * b + r):
+            expected = _oracle_div(num.coeffs, b.coeffs)
+            key = (num.coeffs, b.coeffs)
+            if expected is None:
+                for _ in range(3):
+                    with pytest.raises(InexactDivision):
+                        num.exact_div(b)
+                assert key not in unipoly._quotients
+                inexact += 1
+                continue
+            first = num.exact_div(b)
+            assert first.coeffs == expected
+            assert_int_first(first)
+            assert unipoly._quotients[key] is first
+            for _ in range(2):
+                again = num.exact_div(b)
+                assert again.coeffs == expected
+                assert_int_first(again)
+            exact += 1
+    assert exact > 150 and inexact > 50
+    assert any(
+        type(c) is Fraction for q in unipoly._quotients.values() for c in q.coeffs
+    )
+    counting.clear_cache()
+    assert not unipoly._quotients

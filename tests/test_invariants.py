@@ -36,6 +36,7 @@ from equimirror.groups import generate_group
 from equimirror.invariants import (
     EPoly,
     cs_closed_forms,
+    e_affine_face,
     e_affine_hypersurface,
     e_stringy_reflexive,
     e_stringy_strata,
@@ -124,6 +125,84 @@ def test_affine_nonreflexive_is_fine(simplex3):
     affine = e_affine_hypersurface(simplex3)
     assert at_identity(affine).is_polynomial()
     assert hypersurface_checks(simplex3).ok
+
+
+def _affine_face_unmemoised(cx, f, e):
+    """``e_affine_face`` as it was before it kept its values: the face sum
+    at ``(f, e)`` itself, on the complex's shared tables."""
+    tables = tables_for(cx)
+    boundary = BiLaurent.zero()
+    for sub in cx.faces_below(f):
+        if not cx.is_invariant(sub, e):
+            continue
+        s_part = BiLaurent.from_unipoly(tables.stilde.poly(sub, e), -1, 1)
+        g_part = BiLaurent.from_unipoly(
+            tables.hg.g(cones.abstract_quotient(cx, sub, f), e), 1, 1
+        )
+        weight = BiLaurent.monomial(cx.faces[sub].dim, 0, cx.detsign(sub, e))
+        boundary = boundary + weight * s_part * g_part
+    sign = cx.detsign(f, e) * (-1 if cx.faces[f].dim % 2 else 1)
+    torus = BiLaurent.from_unipoly(
+        cx.charpoly(f, e).exact_div(UniPoly((-1, 1))), 1, 1
+    )
+    return (torus + sign * boundary) * BiLaurent.monomial(-1, -1)
+
+
+def _nonzero_fixed_pair_orbits(cx):
+    """The orbits of the invariant pairs ``(f, e)`` with ``f`` not the apex
+    under ``h . (f, e) = (h f, h e h^-1)``, counted by brute force."""
+    group = cx.group
+    fixed = {
+        (f, e)
+        for e in range(group.order)
+        for f in cx.invariant_faces(e)
+        if cx.faces[f].dim > 0
+    }
+    seen, count = set(), 0
+    for f, e in sorted(fixed):
+        if (f, e) in seen:
+            continue
+        count += 1
+        for h, x in enumerate(group.elements):
+            conjugate = group.index_of[x @ group.elements[e] @ group.inv(x)]
+            seen.add((cx.face_image(h, f), conjugate))
+    assert seen == fixed
+    return count
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ConeComplex(
+            build_cube(3), generate_group([IntMatrix.identity(3).scale(-1)])
+        ),
+        lambda: ConeComplex(
+            build_cube(4), generate_group([IntMatrix.identity(4).scale(-1)])
+        ),
+        lambda: quintic("(12)(34)", "(123)"),
+        lambda: _fermat(3, ("(12)",)),
+    ],
+    ids=["cube3-central", "cube4-central", "quintic-A4", "fermat3-(12)"],
+)
+def test_affine_slices_are_kept_once_per_orbit(make):
+    """``e_affine_face`` keeps one value per orbit of (face, element), at
+    the canonical pair: after ``e_stringy_strata`` on a fresh complex the
+    memo holds one entry per orbit of invariant nonzero pairs, and at every
+    invariant pair the kept value is the face sum computed there."""
+    cx = make()
+    assert cx.affine_values == {}
+    e_stringy_strata(cx)
+    assert len(cx.affine_values) == _nonzero_fixed_pair_orbits(cx)
+    assert all(cx.canonical(f, e) == (f, e) for f, e in cx.affine_values)
+    checked = 0
+    for e in range(cx.group.order):
+        for f in cx.invariant_faces(e):
+            if cx.faces[f].dim == 0:
+                continue
+            assert e_affine_face(cx, f, e) == _affine_face_unmemoised(cx, f, e)
+            checked += 1
+    assert checked >= len(cx.affine_values)
+    assert len(cx.affine_values) == _nonzero_fixed_pair_orbits(cx)
 
 
 def test_hypersurface_checks_green(
