@@ -4,8 +4,11 @@
 matrix group preserving it (:class:`NotInvariant` otherwise) and holds
 the faces of the cone over the polytope and the faces below each one, as
 the polytope built and checked them (:mod:`.polytope`), and the induced
-action of each group element on the faces, a face's image looked up by
-the bitmask of its moved vertices.  A face is lattice data only; its
+action of each group element on the faces.  Only the group's generators
+are applied to the vertices, a face's image looked up by the bitmask of
+its moved vertices; every other element's face map is composed from
+those along the group's closure (element ``x = g a`` maps face ``f`` to
+``g (a f)``).  A face is lattice data only; its
 span, the integer kernel of its tight cone rows, is computed by
 :meth:`ConeComplex.span` where a value needs it.  The one fact kept
 about a restriction is its characteristic polynomial, one per orbit of
@@ -65,7 +68,11 @@ class ConeComplex:
 
     ``cap_group`` bounds the groups the complex builds for its own work
     beside ``group`` (the ``Aut(P)`` of :func:`automorphism_side`), as the
-    model's cap bounds ``group``; its dual keeps it."""
+    model's cap bounds ``group``; its dual keeps it.
+
+    :class:`NotInvariant` is raised when a generator of ``group`` maps a
+    vertex off the polytope: the group preserves it if and only if its
+    generators do."""
 
     def __init__(
         self,
@@ -78,8 +85,16 @@ class ConeComplex:
             raise SubgroupMismatch(
                 f"group acts on Z^{group.dim} but the polytope lives in Z^{d}"
             )
-        images = _vertex_action(polytope, group)
-        self._setup(polytope, group, _face_maps(images, polytope.faces), cap_group)
+        faces = polytope.faces
+        maps = [()] * group.order
+        maps[group.identity_index] = tuple(range(len(faces)))
+        generators = [group.elements[g] for g in group.generators]
+        images = _face_maps(_vertex_action(polytope, generators), faces)
+        for g, image in zip(group.generators, images):
+            maps[g] = image
+        for x, g, a in group.closure:  # x = g a, so x f = g (a f)
+            maps[x] = tuple(map(maps[g].__getitem__, maps[a]))
+        self._setup(polytope, group, tuple(maps), cap_group)
 
     def _setup(self, polytope, group, face_maps, cap_group) -> None:
         """Set the fields from the polytope's face lattice and, per element,
@@ -357,11 +372,11 @@ def automorphism_side(complex: ConeComplex) -> Optional[ConeComplex]:
     return shared if partner is None else shared.dual()
 
 
-def _vertex_action(polytope, group) -> Tuple[Tuple[int, ...], ...]:
+def _vertex_action(polytope, elements) -> Tuple[Tuple[int, ...], ...]:
     """Per element, the index of each vertex's image."""
     vertex_of = {v: i for i, v in enumerate(polytope.vertices)}
     images = []
-    for g in group.elements:
+    for g in elements:
         row = []
         for v in polytope.vertices:
             w = g.apply(v)

@@ -53,8 +53,9 @@ from . import scan
 from .intlinalg import IntMatrix, integer_kernel, vec_dot
 
 Row = Tuple[int, ...]
-# (basis size, g, rows, counts by (m, interior)), one per slice family
-Family = Tuple[int, int, Tuple[Row, ...], Dict[Tuple[int, bool], int]]
+# (slice width, g, coefficient rows, height coefficients, counts by
+# (m, interior)), one per slice family
+Family = Tuple[int, int, Tuple[Row, ...], Tuple[int, ...], Dict[Tuple[int, bool], int]]
 
 _bases: Dict[tuple, Family] = {}
 
@@ -64,7 +65,7 @@ _clears: List[Callable[[], None]] = []
 
 def cache_size() -> int:
     """The number of counts held."""
-    return sum(len(family[3]) for family in _bases.values())
+    return sum(len(family[4]) for family in _bases.values())
 
 
 def clear_with_counts(clear: Callable[[], None]) -> None:
@@ -92,12 +93,17 @@ def homogenize(facets: Iterable[Tuple[Sequence[int], int]]) -> Tuple[Row, ...]:
 def _face_basis(
     cone_rows: Tuple[Row, ...], tight: Tuple[int, ...], matrix: IntMatrix
 ) -> Family:
-    """The fixed lattice of a face, height first: ``(k, g, rows, counts)``.
+    """The fixed lattice of a face, height first:
+    ``(k, g, coeffs, heights, counts)``.
 
-    Its basis has ``k`` vectors; vector 0 has height ``g >= 0`` and the
-    others height 0 (``g = 0`` when the whole kernel lies at height 0).
-    ``rows`` are the non-tight cone rows written in the basis; ``counts``
-    is the family's count memo.
+    Vector 0 of its basis has height ``g >= 0`` and the others height 0
+    (``g = 0`` when the whole kernel lies at height 0).  The non-tight
+    cone rows written in the basis are split once: for ``g > 0`` the
+    coefficient of vector 0, fixed to ``m / g`` in a slice, goes to
+    ``heights`` and the rest of the row to ``coeffs``; for ``g = 0`` the
+    rows are ``coeffs`` whole.  ``k`` is the width of ``coeffs``, the
+    number of variables of a slice; ``counts`` is the family's count
+    memo.  Every slice shares the ``coeffs`` tuples.
     """
     key = (cone_rows, tight, matrix.rows)
     hit = _bases.get(key)
@@ -123,28 +129,33 @@ def _face_basis(
     # back to the cone's coordinate order
     columns = [v[1:] + v[:1] for v in vectors]
     skip = set(tight)
-    rows = tuple(
+    rows = [
         tuple(vec_dot(row, c) for c in columns)
         for i, row in enumerate(cone_rows)
         if i not in skip
-    )
-    entry = _bases[key] = (len(columns), g, rows, {})
+    ]
+    if g:
+        coeffs = tuple(row[1:] for row in rows)
+        heights = tuple(row[0] for row in rows)
+    else:
+        coeffs, heights = tuple(rows), ()
+    entry = _bases[key] = (len(columns) - (g > 0), g, coeffs, heights, {})
     return entry
 
 
 def _slice(
     family: Family, m: int, interior: bool
 ) -> Optional[Tuple[List[Tuple[Row, int]], int]]:
-    k, g, rows, _ = family
+    k, g, coeffs, heights, _ = family
     rhs = -1 if interior else 0
     if g == 0:
         if m != 0:
             return None
-        return [(row, rhs) for row in rows], k
+        return [(cs, rhs) for cs in coeffs], k
     if m < 0 or m % g:
         return None
     t = m // g
-    return [(row[1:], rhs - row[0] * t) for row in rows], k - 1
+    return [(cs, rhs - h * t) for cs, h in zip(coeffs, heights)], k
 
 
 def fixed_slice_count(
@@ -163,7 +174,7 @@ def fixed_slice_count(
     if m < 0:
         return 0
     family = _face_basis(cone_rows, tight, matrix)
-    counts, key = family[3], (m, interior)
+    counts, key = family[4], (m, interior)
     hit = counts.get(key)
     if hit is None:
         system = _slice(family, m, interior)

@@ -241,11 +241,13 @@ def prepare_levels(
 
     The elimination is planned once per coefficient system (see
     :func:`eliminate`) and replayed for each call's right-hand sides.
+    Coefficients must be ``int``s and are taken as given, with no
+    conversion: a tuple row is kept as it is.
     """
     coeffs: List[Row] = []
     rhs: List[int] = []
     for cs, r in rows:
-        cs = tuple(int(c) for c in cs)
+        cs = tuple(cs)
         if len(cs) != k:
             raise ValueError(f"row of width {len(cs)} in a {k}-variable system")
         coeffs.append(cs)

@@ -15,6 +15,18 @@ columns (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 2005, ch. 4).  The closure, the inverses and the conjugacy
 classes compose these permutations and key elements by base image.
 
+A group keeps its closure.  :func:`generate_group` checks each
+generator's determinant, finds each new element's permutation as a
+generator's permutation composed with a known one, and hands the
+elements, their permutations and the closure record to the group, which
+checks and recomputes nothing per element: a product of unimodular
+generators is unimodular.  The group keeps its ``generators`` and one
+triple ``(x, g, a)`` with ``x = g a`` per other element, so anything
+else that respects products, such as the action on faces
+(:class:`~equimirror.geometry.cones.ConeComplex`), is computed on the
+generators and composed along the triples.  A group given by its element
+set checks every element's determinant and is its own generating set.
+
 Derived groups (contragredient, homogenized) are images
 (:meth:`MatrixGroup.image`): element ``i`` of an image is the image of
 element ``i``, so an image keeps its source's order and shares its
@@ -123,9 +135,14 @@ def generate_group(
     """Close a generating set under multiplication.
 
     The orbit of the basis vectors under the generators is found first;
-    the closure then runs on base images, each new one the image of a
-    known one under a generator's permutation of that orbit, and each
-    element's matrix is read off its base image.
+    the closure then runs on permutations of that orbit, the permutation
+    of ``g a`` being ``g``'s composed with ``a``'s, and keys each element
+    by its base image, off which its matrix is read.  Each new element
+    ``x = g a`` is recorded with its generator ``g`` and the known
+    element ``a``, and the group is built from the closure
+    (:meth:`MatrixGroup._closed`) with no second orbit, no per-element
+    permutation and no per-element determinant.  The ``generators`` it
+    records are the distinct non-identity ones given, in the given order.
 
     An empty generating set yields the trivial group (of the given
     ``rank``, defaulting to 1, since nothing else pins the rank down).
@@ -163,24 +180,40 @@ def generate_group(
                     nxt.append(q)
         frontier = nxt
     orbit = _Orbit(points, n)
-    moves = [orbit.images(orbit.base_of(g.columns())).__getitem__ for g in gens]
-    seen = {orbit.basis}
-    frontier = [orbit.basis]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for move in moves:
-                b = tuple(map(move, a))  # the base image of g a
-                if b not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(
-                            f"group closure exceeded the cap of {cap} elements"
-                        )
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    basis = orbit.basis
+    # element 0 is the identity; every other element x = g a is recorded
+    # as the triple (x, g, a), a generator's own as (g, g, 0)
+    perms: List[Base] = [tuple(range(len(orbit.points)))]
+    bases: List[Base] = [basis]
+    found: Dict[Base, int] = {basis: 0}
+    closure: List[Tuple[int, int, int]] = []
+
+    def add(perm: Base, a: int, g: int | None = None) -> int:
+        """The index of the element with permutation ``perm``, found as
+        ``g a`` (``g`` itself if ``g`` is None), recorded if it is new."""
+        base = tuple(map(perm.__getitem__, basis))
+        x = found.get(base)
+        if x is None:
+            if len(perms) >= cap:
+                raise CapExceeded(f"group closure exceeded the cap of {cap} elements")
+            x = found[base] = len(perms)
+            perms.append(perm)
+            bases.append(base)
+            closure.append((x, x if g is None else g, a))
+        return x
+
+    generators = []
+    for g in gens:
+        x = add(orbit.images(orbit.base_of(g.columns())), 0)
+        if x and x not in generators:
+            generators.append(x)
+    moves = [(g, perms[g].__getitem__) for g in generators]
+    for a, perm in enumerate(perms):  # perms grows as the closure runs
+        for g, move in moves:
+            add(tuple(map(move, perm)), a, g)  # the permutation of g a
     column = orbit.points.__getitem__
-    return MatrixGroup(IntMatrix._derived(tuple(zip(*map(column, b)))) for b in seen)
+    elements = [IntMatrix._derived(tuple(zip(*map(column, b)))) for b in bases]
+    return MatrixGroup._closed(elements, bases, perms, basis, generators, closure)
 
 
 class MatrixGroup:
@@ -197,20 +230,29 @@ class MatrixGroup:
     building the conjugacy classes forms for each class representative
     ``r`` must be elements.  That rejects every abelian non-group (there
     every element is a representative), but it is not a full ``|G|^2``
-    product check.
+    product check.  Every element's determinant is checked to be +-1.
+
+    The group records how it was generated: ``generators``, the indices
+    of its generators (never the identity), and ``closure``, one triple
+    ``(x, g, a)`` per other element with ``x = g a``, ``g`` a generator
+    and ``a`` the identity or an element of an earlier triple.  A map
+    that respects products (a permutation action) is therefore known on
+    every element once it is known on the generators.  An element set
+    given here is its own generating set: every non-identity ``x`` is a
+    generator, with the triple ``(x, x, identity)``.
+    :func:`generate_group` builds the group from its closure through
+    :meth:`_closed`, which checks nothing more: the generators' orbit
+    permutations and determinants were checked there, the closure knows
+    every element's permutation, and a product of unimodular generators
+    is unimodular.
     """
 
     def __init__(self, elements: Iterable[IntMatrix]):
         els = sorted(set(elements))
         if not els:
             raise ValueError("a group needs at least the identity")
-        self.elements: Tuple[IntMatrix, ...] = tuple(els)
-        self.dim = n = els[0].nrows
-        self.index_of: Dict[IntMatrix, int] = {g: i for i, g in enumerate(els)}
-        identity = self.index_of.get(IntMatrix.identity(n))
-        if identity is None:
-            raise ValueError("element set does not contain the identity")
-        self.identity_index: int = identity
+        self._set_elements(els)
+        n = self.dim
         if any(g.shape != (n, n) for g in els):
             raise ValueError("elements must be square matrices of equal size")
         columns = [tuple(zip(*g.rows)) for g in els]
@@ -218,10 +260,10 @@ class MatrixGroup:
         bases = [orbit.base_of(c) for c in columns]
         by_base = dict(zip(bases, range(len(els))))
         perms: List[Base] = [()] * len(els)
-        self._inverse: List[int] = [-1] * len(els)
+        inverse = [-1] * len(els)
         into_orbit = True
         for i, g in enumerate(els):
-            if self._inverse[i] >= 0:
+            if inverse[i] >= 0:
                 continue
             d = det(g)
             if d not in (1, -1):
@@ -233,14 +275,76 @@ class MatrixGroup:
                 j = None
             if j is None:
                 raise ValueError("element set is not closed under inversion")
-            self._inverse[i] = j
-            self._inverse[j] = i
+            inverse[i] = j
+            inverse[j] = i
             if -1 in perm:
                 into_orbit = False
             elif j != i:
                 perms[j] = tuple(sorted(range(len(perm)), key=perm.__getitem__))
         if not into_orbit:
             raise ValueError("element set is not closed under multiplication")
+        one = self.identity_index
+        generators = [x for x in range(len(els)) if x != one]
+        closure = [(x, x, one) for x in generators]
+        self._finish(inverse, generators, closure, bases, by_base, perms)
+
+    @classmethod
+    def _closed(
+        cls,
+        elements: List[IntMatrix],
+        bases: List[Base],
+        perms: List[Base],
+        basis: Base,
+        generators: List[int],
+        closure: List[Tuple[int, int, int]],
+    ) -> "MatrixGroup":
+        """The group of a closure run on orbit permutations: per element in
+        the order the closure found it, its matrix, base image and
+        permutation of the orbit; ``basis``, the positions of ``e_1..e_n``
+        there; and the generators and closure triples by that order.  The
+        elements are sorted and every index is renumbered to match; the
+        inverse of each element is read off its permutation."""
+        order = sorted(range(len(elements)), key=elements.__getitem__)
+        renumber = [0] * len(order)
+        for i, old in enumerate(order):
+            renumber[old] = i
+        group = cls.__new__(cls)
+        group._set_elements([elements[i] for i in order])
+        bases = [bases[i] for i in order]
+        perms = [perms[i] for i in order]
+        by_base = dict(zip(bases, range(len(order))))
+        inverse = [-1] * len(order)
+        for i, perm in enumerate(perms):
+            if inverse[i] < 0:
+                j = by_base[tuple(map(perm.index, basis))]
+                inverse[i] = j
+                inverse[j] = i
+        group._finish(
+            inverse,
+            [renumber[g] for g in generators],
+            [(renumber[x], renumber[g], renumber[a]) for x, g, a in closure],
+            bases,
+            by_base,
+            perms,
+        )
+        return group
+
+    def _set_elements(self, els: List[IntMatrix]) -> None:
+        """The sorted elements, their indices and the identity's."""
+        self.elements: Tuple[IntMatrix, ...] = tuple(els)
+        self.dim = n = els[0].nrows
+        self.index_of: Dict[IntMatrix, int] = {g: i for i, g in enumerate(els)}
+        identity = self.index_of.get(IntMatrix.identity(n))
+        if identity is None:
+            raise ValueError("element set does not contain the identity")
+        self.identity_index: int = identity
+
+    def _finish(self, inverse, generators, closure, bases, by_base, perms) -> None:
+        """What both constructors end in: the inverses, the generation
+        record and the conjugacy classes."""
+        self._inverse: List[int] = inverse
+        self.generators: Tuple[int, ...] = tuple(generators)
+        self.closure: Tuple[Tuple[int, int, int], ...] = tuple(closure)
         self._build_classes(bases, by_base, perms)
 
     # -- structure ----------------------------------------------------------

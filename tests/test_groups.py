@@ -11,7 +11,12 @@ from conftest import random_unimodular
 import equimirror.groups as groups_module
 from equimirror.algebra import ClassFun
 from equimirror.cli.main import _QUINTIC_GROUPS
-from equimirror.cli.models import ModelConfig, build_model, fermat_permutation
+from equimirror.cli.models import (
+    ModelConfig,
+    build_fermat,
+    build_model,
+    fermat_permutation,
+)
 from equimirror.cli.report import element_order
 from equimirror.errors import CapExceeded, NonInvertible, NotAnAction, SubgroupMismatch
 from equimirror.geometry.cones import ConeComplex
@@ -232,10 +237,99 @@ def test_permutation_build_matches_matrix_reference():
             assert x == min(xs)
 
 
+def assert_same_fields(built, ref):
+    """``built`` and ``ref`` agree on every field a caller reads: elements,
+    indices, inverses, classes, conjugators and centralizers."""
+    assert built.elements == ref.elements
+    assert built.index_of == ref.index_of
+    assert built.identity_index == ref.identity_index
+    assert [built.inv(g) for g in built.elements] == [ref.inv(g) for g in ref.elements]
+    assert built._inverse == ref._inverse
+    assert built.classes == ref.classes
+    assert built.class_reps == ref.class_reps
+    assert built.class_sizes == ref.class_sizes
+    assert built.class_orders == ref.class_orders
+    assert [built.conjugator(e) for e in range(built.order)] == [
+        ref.conjugator(e) for e in range(ref.order)
+    ]
+    assert [built.centralizer(r) for r in built.class_reps] == [
+        ref.centralizer(r) for r in ref.class_reps
+    ]
+
+
+def assert_closure_generates(group):
+    """Every closure triple ``(x, g, a)`` has ``x = g a`` with ``g`` a
+    generator and ``a`` the identity or an earlier ``x``, and the triples
+    reach every non-identity element exactly once."""
+    els, one = group.elements, group.identity_index
+    assert one not in group.generators
+    assert len(set(group.generators)) == len(group.generators)
+    known = {one}
+    for x, g, a in group.closure:
+        assert g in group.generators and a in known and x not in known
+        assert els[x] == els[g] @ els[a]
+        known.add(x)
+    assert known == set(range(group.order))
+
+
+def test_closure_build_matches_the_element_set_build():
+    """A group ``generate_group`` builds from its closure, with no ``det``,
+    second orbit or per-element ``images``, equals the group the public
+    constructor builds from its element set, field by field: on the
+    sweep's nine groups, ``Aut`` of fermat3 and fermat4, ``B4`` and two of
+    its subgroups, and seeded random generator sets.  The closure records
+    how the group was generated, and the homogenized and contragredient
+    images keep that record."""
+    cases = [[fermat_permutation(w, 4) for w in ws] for ws in _QUINTIC_GROUPS.values()]
+    for d in (3, 4):
+        cycle = "(" + "".join(str(k) for k in range(1, d + 2)) + ")"
+        cases.append([fermat_permutation("(12)", d), fermat_permutation(cycle, d)])
+    b4 = hyperoctahedral_generators(4)
+    cases += [b4, b4[:2], [b4[0], b4[2]]]
+    rng = random.Random(3301)
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        gens = [random_signed_permutation(rng, n) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            u = random_unimodular(rng, n)
+            u_inv = inverse_unimodular(u)
+            gens = [u @ g @ u_inv for g in gens]
+        # a repeated generator and the identity add no generator
+        gens += [gens[0], IntMatrix.identity(n)]
+        cases.append(gens)
+    orders = []
+    for gens in cases:
+        built = generate_group(gens)
+        ref = MatrixGroup(built.elements)
+        orders.append(built.order)
+        assert_same_fields(built, ref)
+        assert_closure_generates(built)
+        assert_closure_generates(ref)
+        one = built.identity_index
+        expected = []
+        for g in gens:
+            x = built.index_of[g]
+            if x != one and x not in expected:
+                expected.append(x)
+        assert list(built.generators) == expected
+        # an element set is its own generating set
+        assert ref.generators == tuple(x for x in range(ref.order) if x != one)
+        assert ref.closure == tuple((x, x, one) for x in ref.generators)
+        for image in (built.image(homogenize), built.dual_group()):
+            assert (image.generators, image.closure) == (built.generators, built.closure)
+            assert_closure_generates(image)
+    assert orders[:14] == [60, 120, 2, 4, 3, 5, 12, 6, 10, 24, 120, 384, 24, 8]
+    aut = {
+        d: {g for g, _ in (build_fermat(d).simplex_automorphisms())} for d in (3, 4)
+    }
+    assert set(generate_group(cases[9]).elements) == aut[3]
+    assert set(generate_group(cases[10]).elements) == aut[4]
+
+
 def test_group_build_forms_no_matrix_products(monkeypatch):
     """Closure, inverses and classes run on permutations: no matrix
     product, where a matrix build makes thousands.  The determinant guard
-    still runs, even on the trivial group."""
+    runs on the generators only, and on the trivial group's identity."""
     products, dets = [], []
 
     def counting_matmul(a, b, matmul=IntMatrix.__matmul__):
@@ -249,10 +343,13 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
     monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
     # groups calls intlinalg.det through its own module binding
     monkeypatch.setattr(groups_module, "det", recording_det)
-    sym5 = generate_group([fermat_permutation(w, 4) for w in _QUINTIC_GROUPS["Sym5"]])
+    sym5_gens = [fermat_permutation(w, 4) for w in _QUINTIC_GROUPS["Sym5"]]
+    sym5 = generate_group(sym5_gens)
     b4 = generate_group(hyperoctahedral_generators(4))
     assert (sym5.order, b4.order) == (120, 384)
     assert products == []
+    # only the generators' determinants are taken, none of an element's
+    assert dets == sym5_gens + hyperoctahedral_generators(4)
     dets.clear()
     trivial = generate_group([], rank=5)
     assert trivial.order == 1

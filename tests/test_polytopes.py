@@ -11,12 +11,14 @@ from fractions import Fraction
 import pytest
 from conftest import moved_complex, quintic_complex, random_unimodular
 
-from equimirror.cli.main import run
+from equimirror.cli.main import _QUINTIC_GROUPS, run
 from equimirror.cli.models import (
+    _BUILDERS,
     build_cross,
     build_cube,
     build_fermat,
     build_simplex,
+    fermat_permutation,
     parse_config,
 )
 from equimirror.errors import (
@@ -26,11 +28,17 @@ from equimirror.errors import (
     SubgroupMismatch,
 )
 from equimirror.geometry.cones import ConeComplex
-from equimirror.geometry import cones, intlinalg
+from equimirror.geometry import cones, counting, intlinalg
 from equimirror.geometry import polytope as polytope_module
 from equimirror.geometry.intlinalg import IntMatrix, det, hnf_rows, integer_kernel
 from equimirror.geometry.polytope import LatticePolytope
-from equimirror.groups import generate_group, parse_cycles, permutation_matrix
+from equimirror.groups import (
+    MatrixGroup,
+    generate_group,
+    parse_cycles,
+    permutation_matrix,
+    stabilizer,
+)
 from equimirror.invariants import mirror_check
 
 
@@ -318,6 +326,108 @@ def test_group_must_preserve_polytope():
         ConeComplex(asym, generate_group([swap]))
     with pytest.raises(SubgroupMismatch):
         ConeComplex(build_cube(3), generate_group([swap]))
+    # -I preserves the rhombus and the swap does not: one generator of two
+    # moving a vertex off is enough
+    rhombus = LatticePolytope(((1, 0), (-1, 0), (0, 2), (0, -2)))
+    ConeComplex(rhombus, generate_group([IntMatrix.identity(2).scale(-1)]))
+    with pytest.raises(NotInvariant):
+        ConeComplex(rhombus, generate_group([IntMatrix.identity(2).scale(-1), swap]))
+    # a group given by its element set has every element as a generator
+    with pytest.raises(NotInvariant):
+        ConeComplex(asym, MatrixGroup([IntMatrix.identity(2), swap]))
+
+
+def _reference_face_maps(cx: ConeComplex):
+    """Per element of ``cx``'s base group, each face's image, found by
+    applying the element to every vertex: the vertex-action reference."""
+    verts = cx.polytope.vertices
+    vertex_of = {v: i for i, v in enumerate(verts)}
+    face_of = {frozenset(f.vertex_ids): f.index for f in cx.faces}
+    maps = []
+    for g in cx.base_group.elements:
+        moved = [vertex_of[g.apply(v)] for v in verts]
+        maps.append(
+            tuple(face_of[frozenset(moved[j] for j in f.vertex_ids)] for f in cx.faces)
+        )
+    return tuple(maps)
+
+
+def _usual_groups(name: str, d: int):
+    """Generator sets of a builtin's usual groups: trivial, ``central``,
+    the coordinate permutations and, up to ``d = 4``, all signed
+    permutations for the cube and the cross-polytope; the coordinate
+    permutations for the simplex and all ``d + 1`` homogeneous ones for
+    the Fermat simplex."""
+    def cycle(n):
+        return "(" + "".join(str(k) for k in range(1, n + 1)) + ")"
+
+    minus = IntMatrix.identity(d).scale(-1)
+    perms = [] if d == 1 else [
+        permutation_matrix(parse_cycles(w), d) for w in ("(12)", cycle(d))
+    ]
+    if name == "fermat":
+        return [[], [fermat_permutation(w, d) for w in ("(12)", cycle(d + 1))]]
+    if name == "simplex":
+        return [[], perms] if perms else [[]]
+    flip = IntMatrix([[-1 if i == j == 0 else int(i == j) for j in range(d)]
+                      for i in range(d)])
+    out = [[], [minus], perms + [minus]]
+    if d <= 4:
+        out.append(perms + [flip])
+    return out
+
+
+def test_composed_face_maps_match_the_vertex_action():
+    """Face maps composed from the generators' along the closure equal the
+    vertex-action reference on every element: every builtin up to
+    ``d = 5`` under its usual groups, the quintic sweep's groups, a
+    ``stabilizer``-built group, the ``(P, Aut(P))`` registry side and
+    duals.  Building a complex applies only the generators, each to every
+    vertex once."""
+    models = []
+    for name, lo in (("cube", 1), ("cross", 1), ("simplex", 1), ("fermat", 2)):
+        for d in range(lo, 6):
+            polytope = _BUILDERS[name](d)
+            for gens in _usual_groups(name, d):
+                models.append((polytope, generate_group(gens, rank=d)))
+    quintic = build_fermat(4)
+    for words in _QUINTIC_GROUPS.values():
+        gens = [fermat_permutation(w, 4) for w in words]
+        models.append((quintic, generate_group(gens)))
+    sym5 = models[-8][1]
+    assert sym5.order == 120 and models[-9][1].order == 60
+    vertex = quintic.vertices[0]
+    models.append((quintic, stabilizer(sym5, vertex, lambda g, v: g.apply(v))))
+    assert models[-1][1].order == 24
+    applied = []
+    original = IntMatrix.apply
+
+    def counted(self, v):
+        applied.append(v)
+        return original(self, v)
+
+    complexes = []
+    for polytope, group in models:
+        polytope.faces  # the face lattice, built apart from the complex
+        applied.clear()
+        IntMatrix.apply = counted
+        try:
+            cx = ConeComplex(polytope, group)
+        finally:
+            IntMatrix.apply = original
+        assert len(applied) == len(group.generators) * len(polytope.vertices)
+        complexes.append(cx)
+    counting.clear_cache()
+    shared = cones.automorphism_side(quintic_complex("(12)(34)", "(123)"))
+    assert shared.base_group.order == 120
+    # the 3-cube under its 48 signed permutations, and the quintic under A5
+    b3 = next(cx for cx in complexes if cx.base_group.order == 48 and cx.face_count == 28)
+    a5 = complexes[-10]
+    assert a5.base_group.order == 60
+    complexes += [shared, shared.dual(), b3.dual(), a5.dual()]
+    for cx in complexes:
+        assert cx._face_maps == _reference_face_maps(cx), cx
+    counting.clear_cache()
 
 
 def test_homogenized_group_alignment(sym3_cube3):
