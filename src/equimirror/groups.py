@@ -397,7 +397,8 @@ class MatrixGroup:
     def image(self, hom: Callable[[IntMatrix], IntMatrix]) -> "MatrixGroup":
         """The image under an injective homomorphism ``hom``, element ``i``
         going to element ``i``: the image shares this group's inverses,
-        classes, conjugating elements and centralizers as they are."""
+        classes, conjugating elements, centralizers, generators and
+        closure triples as they are."""
         out = copy.copy(self)
         out.elements = tuple(hom(g) for g in self.elements)
         out.dim = out.elements[0].nrows
