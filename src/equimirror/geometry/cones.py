@@ -98,8 +98,8 @@ class ConeComplex:
 
     def _setup(self, polytope, group, face_maps, cap_group) -> None:
         """Set the fields from the polytope's face lattice and, per element,
-        the index of each face's image; shared by ``__init__``,
-        :meth:`dual` and :func:`automorphism_side`."""
+        the index of each face's image; shared by ``__init__`` and
+        :meth:`dual`."""
         self.polytope = polytope
         self.cap_group = cap_group
         self.base_group = group
@@ -337,12 +337,13 @@ def automorphism_side(complex: ConeComplex) -> Optional[ConeComplex]:
     ``complex``'s group is a subgroup of ``Aut(P)`` (it preserves ``P``), so
     element ``e`` here is the element with the same matrix there, and a
     class function of ``Aut(P)`` restricts to one here.  The registry makes
-    the complex the first time ``P`` is asked for, from
-    :meth:`LatticePolytope.simplex_automorphisms`, with its face maps read
-    off the vertex permutations found there.  A model's group of
-    ``|Aut(P)|`` elements is ``Aut(P)`` with the same sorted elements, so
-    it and its face maps are used as they are, and one of order
-    ``(d + 1)!`` needs no search.  The registry holds no model, so a model
+    the complex the first time ``P`` is asked for, as
+    ``ConeComplex(P, Aut(P))`` with ``Aut(P)`` built from the matrices
+    :meth:`LatticePolytope.simplex_automorphisms` finds (a closure checked
+    in full, whose face maps are composed from its generators').  A
+    model's group of ``|Aut(P)|`` elements is ``Aut(P)`` with the same
+    sorted elements, so it is used as it is, and one of order ``(d + 1)!``
+    needs no search.  The registry holds no model, so a model
     is still freed by reference counting; ``counting.clear_cache`` empties
     it."""
     partner = complex._partner
@@ -355,19 +356,14 @@ def automorphism_side(complex: ConeComplex) -> Optional[ConeComplex]:
         return None
     shared = _aut_complexes.get(polytope.vertices)
     if shared is None:
-        # a dual's face maps are its partner's, its elements the contragredients
-        group, maps = complex.base_group, complex._face_maps
-        if partner is not None:
+        group = complex.base_group
+        if partner is not None:  # a dual's elements are the contragredients
             group = group.dual_group()
         if group.order < bound:
             symmetries = polytope.simplex_automorphisms()
             if len(symmetries) > group.order:
                 group = MatrixGroup(g for g, _ in symmetries)
-                perm_of = dict(symmetries)
-                images = [perm_of[g] for g in group.elements]
-                maps = _face_maps(images, polytope.faces)
-        shared = ConeComplex.__new__(ConeComplex)
-        shared._setup(polytope, group, maps, complex.cap_group)
+        shared = ConeComplex(polytope, group, complex.cap_group)
         _aut_complexes[polytope.vertices] = shared
     return shared if partner is None else shared.dual()
 

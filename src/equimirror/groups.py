@@ -1,11 +1,11 @@
 """Finite groups of unimodular integer matrices.
 
 A :class:`MatrixGroup` is the closure of a generating set of integer
-matrices with determinant +1 or -1.  A group built from an element set
-(:func:`generate_group`, :func:`stabilizer`, ``MatrixGroup(...)``) keeps
-its elements sorted lexicographically by their rows; every deterministic
-iteration order in the package (conjugacy classes, class
-representatives, report layouts) derives from that single convention.
+matrices with determinant +1 or -1.  Every group (:func:`generate_group`,
+:func:`stabilizer`, ``MatrixGroup(...)``) keeps its elements sorted
+lexicographically by their rows; every deterministic iteration order in
+the package (conjugacy classes, class representatives, report layouts)
+derives from that single convention.
 
 Groups are built on permutations, with no matrix products.  The orbit of
 the basis vectors ``e_1..e_n`` is the set of all columns of all elements;
@@ -15,17 +15,19 @@ columns (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 2005, ch. 4).  The closure, the inverses and the conjugacy
 classes compose these permutations and key elements by base image.
 
-A group keeps its closure.  :func:`generate_group` checks each
-generator's determinant, finds each new element's permutation as a
-generator's permutation composed with a known one, and hands the
-elements, their permutations and the closure record to the group, which
-checks and recomputes nothing per element: a product of unimodular
-generators is unimodular.  The group keeps its ``generators`` and one
-triple ``(x, g, a)`` with ``x = g a`` per other element, so anything
-else that respects products, such as the action on faces
-(:class:`~equimirror.geometry.cones.ConeComplex`), is computed on the
-generators and composed along the triples.  A group given by its element
-set checks every element's determinant and is its own generating set.
+A group keeps its closure, and there is one way to build one
+(:meth:`MatrixGroup._close`).  It takes candidate matrices in order and
+makes one a generator only when the closure so far does not hold it; a
+generator's determinant is checked, and each new element's permutation
+is a generator's composed with a known one.  A product of unimodular
+generators is unimodular, so nothing is checked per element.
+:func:`generate_group` hands it the given generators; ``MatrixGroup``
+hands it an element set, sorted, with the closure capped at the set's
+size, which checks closure under multiplication in full.  The group
+keeps its ``generators`` and one triple ``(x, g, a)`` with ``x = g a``
+per other element, so anything else that respects products, such as the
+action on faces (:class:`~equimirror.geometry.cones.ConeComplex`), is
+computed on the generators and composed along the triples.
 
 Derived groups (contragredient, homogenized) are images
 (:meth:`MatrixGroup.image`): element ``i`` of an image is the image of
@@ -134,26 +136,23 @@ def generate_group(
 ) -> "MatrixGroup":
     """Close a generating set under multiplication.
 
-    The orbit of the basis vectors under the generators is found first;
-    the closure then runs on permutations of that orbit, the permutation
-    of ``g a`` being ``g``'s composed with ``a``'s, and keys each element
-    by its base image, off which its matrix is read.  Each new element
-    ``x = g a`` is recorded with its generator ``g`` and the known
-    element ``a``, and the group is built from the closure
-    (:meth:`MatrixGroup._closed`) with no second orbit, no per-element
-    permutation and no per-element determinant.  The ``generators`` it
-    records are the distinct non-identity ones given, in the given order.
+    Every generator's determinant is checked, the orbit of the basis
+    vectors under the generators is found, and the closure
+    (:meth:`MatrixGroup._close`) runs on permutations of that orbit with
+    the generators as its candidates, so the ``generators`` the group
+    records are those given that are not in the closure of the ones
+    before them, in the given order.
 
-    An empty generating set yields the trivial group (of the given
-    ``rank``, defaulting to 1, since nothing else pins the rank down).
-    Raises :class:`NonInvertible` for a generator whose determinant is not
-    +-1, and :class:`CapExceeded` as soon as the closure grows past ``cap``
+    An empty generating set is the identity alone (of the given ``rank``,
+    defaulting to 1, since nothing else pins the rank down).  Raises
+    :class:`NonInvertible` for a generator whose determinant is not +-1,
+    and :class:`CapExceeded` as soon as the closure grows past ``cap``
     elements, or the orbit past ``cap * n`` points (which a group within
     the cap cannot reach, and an infinite group always passes).
     """
     gens = [g if isinstance(g, IntMatrix) else IntMatrix(g) for g in generators]
     if not gens:
-        return MatrixGroup([IntMatrix.identity(rank if rank else 1)])
+        gens = [IntMatrix.identity(rank if rank else 1)]
     n = gens[0].nrows
     if rank is not None and rank != n:
         raise ValueError(f"generators have rank {n}, not the requested {rank}")
@@ -179,137 +178,134 @@ def generate_group(
                     points.add(q)
                     nxt.append(q)
         frontier = nxt
-    orbit = _Orbit(points, n)
-    basis = orbit.basis
-    # element 0 is the identity; every other element x = g a is recorded
-    # as the triple (x, g, a), a generator's own as (g, g, 0)
-    perms: List[Base] = [tuple(range(len(orbit.points)))]
-    bases: List[Base] = [basis]
-    found: Dict[Base, int] = {basis: 0}
-    closure: List[Tuple[int, int, int]] = []
-
-    def add(perm: Base, a: int, g: int | None = None) -> int:
-        """The index of the element with permutation ``perm``, found as
-        ``g a`` (``g`` itself if ``g`` is None), recorded if it is new."""
-        base = tuple(map(perm.__getitem__, basis))
-        x = found.get(base)
-        if x is None:
-            if len(perms) >= cap:
-                raise CapExceeded(f"group closure exceeded the cap of {cap} elements")
-            x = found[base] = len(perms)
-            perms.append(perm)
-            bases.append(base)
-            closure.append((x, x if g is None else g, a))
-        return x
-
-    generators = []
-    for g in gens:
-        x = add(orbit.images(orbit.base_of(g.columns())), 0)
-        if x and x not in generators:
-            generators.append(x)
-    moves = [(g, perms[g].__getitem__) for g in generators]
-    for a, perm in enumerate(perms):  # perms grows as the closure runs
-        for g, move in moves:
-            add(tuple(map(move, perm)), a, g)  # the permutation of g a
-    column = orbit.points.__getitem__
-    elements = [IntMatrix._derived(tuple(zip(*map(column, b)))) for b in bases]
-    return MatrixGroup._closed(elements, bases, perms, basis, generators, closure)
+    group = MatrixGroup.__new__(MatrixGroup)
+    group._close(gens, _Orbit(points, n), cap)
+    return group
 
 
 class MatrixGroup:
     """A finite group of unimodular integer matrices, given by its full element set.
 
     The element set must contain the identity and be closed under
-    inversion and multiplication.  Every element permutes the orbit of
-    the basis vectors (the set of all columns of all elements) and is
-    keyed by its base image, the positions of its columns in that orbit.
-    The inverse of ``g`` is read off the inverted permutation: its column
-    ``j`` is the point that ``g`` sends to ``e_j``.  Closure under
-    multiplication is checked only partly: every element must map the
-    orbit into itself, and the products ``x^-1 r`` and ``x^-1 r x`` that
-    building the conjugacy classes forms for each class representative
-    ``r`` must be elements.  That rejects every abelian non-group (there
-    every element is a representative), but it is not a full ``|G|^2``
-    product check.  Every element's determinant is checked to be +-1.
+    multiplication.  Every element permutes the orbit of the basis
+    vectors (the set of all columns of all elements) and is keyed by its
+    base image, the positions of its columns in that orbit.  The inverse
+    of ``g`` is read off the inverted permutation: its column ``j`` is the
+    point that ``g`` sends to ``e_j``.  Closure is checked in full: the
+    set's elements, sorted, are the candidates of the closure
+    (:meth:`_close`), capped at the set's size.  Every element the
+    closure reaches is a product of elements of the set and every element
+    of the set is reached, so the set is a group exactly when no
+    generator maps a point off the orbit and the closure stays within the
+    cap; any other set raises ``ValueError``.  Only the generators'
+    determinants are taken.
 
     The group records how it was generated: ``generators``, the indices
     of its generators (never the identity), and ``closure``, one triple
     ``(x, g, a)`` per other element with ``x = g a``, ``g`` a generator
     and ``a`` the identity or an element of an earlier triple.  A map
     that respects products (a permutation action) is therefore known on
-    every element once it is known on the generators.  An element set
-    given here is its own generating set: every non-identity ``x`` is a
-    generator, with the triple ``(x, x, identity)``.
-    :func:`generate_group` builds the group from its closure through
-    :meth:`_closed`, which checks nothing more: the generators' orbit
-    permutations and determinants were checked there, the closure knows
-    every element's permutation, and a product of unimodular generators
-    is unimodular.
+    every element once it is known on the generators.
     """
 
     def __init__(self, elements: Iterable[IntMatrix]):
-        els = sorted(set(elements))
-        if not els:
+        unique = set(elements)
+        if not unique:
             raise ValueError("a group needs at least the identity")
-        self._set_elements(els)
-        n = self.dim
+        els = sorted(unique)
+        n = els[0].nrows
         if any(g.shape != (n, n) for g in els):
             raise ValueError("elements must be square matrices of equal size")
-        columns = [tuple(zip(*g.rows)) for g in els]
-        orbit = _Orbit(set().union(*columns), n)
-        bases = [orbit.base_of(c) for c in columns]
-        by_base = dict(zip(bases, range(len(els))))
-        perms: List[Base] = [()] * len(els)
-        inverse = [-1] * len(els)
-        into_orbit = True
-        for i, g in enumerate(els):
-            if inverse[i] >= 0:
-                continue
-            d = det(g)
-            if d not in (1, -1):
-                raise NonInvertible(f"matrix has determinant {d}, not +-1")
-            perm = perms[i] = orbit.images(bases[i])
-            try:
-                j = by_base.get(tuple(map(perm.index, orbit.basis)))
-            except ValueError:  # some e_j is not the image of a point
-                j = None
-            if j is None:
-                raise ValueError("element set is not closed under inversion")
-            inverse[i] = j
-            inverse[j] = i
-            if -1 in perm:
-                into_orbit = False
-            elif j != i:
-                perms[j] = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-        if not into_orbit:
-            raise ValueError("element set is not closed under multiplication")
-        one = self.identity_index
-        generators = [x for x in range(len(els)) if x != one]
-        closure = [(x, x, one) for x in generators]
-        self._finish(inverse, generators, closure, bases, by_base, perms)
+        if IntMatrix.identity(n) not in unique:
+            raise ValueError("element set does not contain the identity")
+        orbit = _Orbit(set().union(*(zip(*g.rows) for g in els)), n)
+        self._close(els, orbit, len(els), from_set=True)
 
-    @classmethod
-    def _closed(
-        cls,
-        elements: List[IntMatrix],
-        bases: List[Base],
-        perms: List[Base],
-        basis: Base,
-        generators: List[int],
-        closure: List[Tuple[int, int, int]],
-    ) -> "MatrixGroup":
-        """The group of a closure run on orbit permutations: per element in
-        the order the closure found it, its matrix, base image and
-        permutation of the orbit; ``basis``, the positions of ``e_1..e_n``
-        there; and the generators and closure triples by that order.  The
-        elements are sorted and every index is renumbered to match; the
-        inverse of each element is read off its permutation."""
-        order = sorted(range(len(elements)), key=elements.__getitem__)
+    def _close(
+        self,
+        candidates: Sequence[IntMatrix],
+        orbit: _Orbit,
+        cap: int,
+        from_set: bool = False,
+    ) -> None:
+        """The closure both constructors end in, on permutations of
+        ``orbit``, which holds every column of every candidate.
+
+        The candidates are taken in order, and one becomes a generator only
+        when the closure so far does not hold it.  The closure is then
+        extended at once: each element is multiplied by each generator
+        once, ``|G|`` compositions per generator, the permutation of
+        ``g a`` being ``g``'s composed with ``a``'s.  Each new element
+        ``x = g a`` is recorded as ``(x, g, a)``, a generator as ``(g, g,
+        identity)``, and keyed by its base image, off which its matrix is
+        read.  The elements are then sorted and every index renumbered;
+        inverses are read off the permutations and the classes built.
+
+        For an element set (``from_set``) a generator's determinant is
+        checked here, and one that maps a point off the orbit, or a closure
+        past ``cap`` (the set's size), raises ``ValueError``.  For
+        :func:`generate_group`, which checked the determinants and the
+        orbit, a closure past ``cap`` raises :class:`CapExceeded`.  A
+        product of unimodular generators is unimodular, so no other
+        determinant is taken."""
+        basis = orbit.basis
+        perms: List[Base] = [tuple(range(len(orbit.points)))]
+        bases: List[Base] = [basis]
+        found: Dict[Base, int] = {basis: 0}
+        closure: List[Tuple[int, int, int]] = []
+        generators: List[int] = []
+        moves: List[Tuple[int, Callable[[int], int]]] = []
+
+        def add(perm: Base, g: int, a: int) -> None:
+            """Record the element with permutation ``perm`` as ``g a`` if
+            it is new."""
+            base = tuple(map(perm.__getitem__, basis))
+            if base not in found:
+                x = len(perms)
+                if x >= cap:
+                    if from_set:
+                        raise ValueError("element set is not closed under multiplication")
+                    raise CapExceeded(f"group closure exceeded the cap of {cap} elements")
+                found[base] = x
+                perms.append(perm)
+                bases.append(base)
+                closure.append((x, g, a))
+
+        a = 1  # elements 1 .. a - 1 were multiplied by every generator
+        for candidate in candidates:
+            base = orbit.base_of(tuple(zip(*candidate.rows)))
+            if base in found:
+                continue
+            if from_set:
+                d = det(candidate)
+                if d not in (1, -1):
+                    raise NonInvertible(f"matrix has determinant {d}, not +-1")
+            perm = orbit.images(base)
+            if -1 in perm:
+                raise ValueError("element set is not closed under multiplication")
+            x = len(perms)
+            generators.append(x)
+            add(perm, x, 0)
+            move = perm.__getitem__
+            for b in range(1, a):  # the known elements times the new generator
+                add(tuple(map(move, perms[b])), x, b)
+            moves.append((x, move))
+            while a < len(perms):  # perms grows as the closure runs
+                perm = perms[a]
+                for g, move in moves:
+                    add(tuple(map(move, perm)), g, a)  # the permutation of g a
+                a += 1
+
+        column = orbit.points.__getitem__
+        elements = [IntMatrix._derived(tuple(zip(*map(column, b)))) for b in bases]
+        order = sorted(range(len(elements)), key=[g.rows for g in elements].__getitem__)
         renumber = [0] * len(order)
         for i, old in enumerate(order):
             renumber[old] = i
-        group = cls.__new__(cls)
-        group._set_elements([elements[i] for i in order])
+        self.elements: Tuple[IntMatrix, ...] = tuple(elements[i] for i in order)
+        self.dim = len(basis)
+        self.index_of: Dict[IntMatrix, int] = {g: i for i, g in enumerate(self.elements)}
+        self.identity_index: int = renumber[0]
         bases = [bases[i] for i in order]
         perms = [perms[i] for i in order]
         by_base = dict(zip(bases, range(len(order))))
@@ -319,32 +315,11 @@ class MatrixGroup:
                 j = by_base[tuple(map(perm.index, basis))]
                 inverse[i] = j
                 inverse[j] = i
-        group._finish(
-            inverse,
-            [renumber[g] for g in generators],
-            [(renumber[x], renumber[g], renumber[a]) for x, g, a in closure],
-            bases,
-            by_base,
-            perms,
-        )
-        return group
-
-    def _set_elements(self, els: List[IntMatrix]) -> None:
-        """The sorted elements, their indices and the identity's."""
-        self.elements: Tuple[IntMatrix, ...] = tuple(els)
-        self.dim = n = els[0].nrows
-        self.index_of: Dict[IntMatrix, int] = {g: i for i, g in enumerate(els)}
-        identity = self.index_of.get(IntMatrix.identity(n))
-        if identity is None:
-            raise ValueError("element set does not contain the identity")
-        self.identity_index: int = identity
-
-    def _finish(self, inverse, generators, closure, bases, by_base, perms) -> None:
-        """What both constructors end in: the inverses, the generation
-        record and the conjugacy classes."""
         self._inverse: List[int] = inverse
-        self.generators: Tuple[int, ...] = tuple(generators)
-        self.closure: Tuple[Tuple[int, int, int], ...] = tuple(closure)
+        self.generators: Tuple[int, ...] = tuple(renumber[g] for g in generators)
+        self.closure: Tuple[Tuple[int, int, int], ...] = tuple(
+            (renumber[x], renumber[g], renumber[a]) for x, g, a in closure
+        )
         self._build_classes(bases, by_base, perms)
 
     # -- structure ----------------------------------------------------------
@@ -372,10 +347,8 @@ class MatrixGroup:
             members = []
             fixing = []
             for x_idx, (x_inv, x_base) in enumerate(zip(before, bases)):
-                xg = by_base.get(tuple(map(x_inv, base)))  # x^-1 r, then times x
-                m = None if xg is None else by_base.get(tuple(map(after[xg], x_base)))
-                if m is None:
-                    raise ValueError("element set is not closed under multiplication")
+                xg = by_base[tuple(map(x_inv, base))]  # x^-1 r, then times x
+                m = by_base[tuple(map(after[xg], x_base))]
                 if target[m] < 0:
                     target[m] = i
                     transporter[m] = x_idx

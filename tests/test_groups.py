@@ -127,7 +127,9 @@ def test_matrix_group_rejects_non_group_element_sets():
     identity = IntMatrix.identity(2)
     with pytest.raises(ValueError, match="does not contain the identity"):
         MatrixGroup([IntMatrix([[0, 1], [1, 0]])])
-    with pytest.raises(ValueError, match="not closed under inversion"):
+    # the shear is unimodular, but its square is missing: it maps the
+    # column (1, 1) to (2, 1), off the orbit of the set's columns
+    with pytest.raises(ValueError, match="not closed under multiplication"):
         MatrixGroup([identity, IntMatrix([[1, 1], [0, 1]])])
     # every element is an involution, but the reflection conjugates the
     # swap to the anti-swap, which is missing
@@ -137,6 +139,30 @@ def test_matrix_group_rejects_non_group_element_sets():
     # but -I * diag(1, -1) = diag(-1, 1) is missing
     with pytest.raises(ValueError, match="not closed under multiplication"):
         MatrixGroup([identity, identity.scale(-1), IntMatrix([[1, 0], [0, -1]])])
+
+
+def test_element_set_build_checks_closure_in_full():
+    """``MatrixGroup(S)`` builds exactly when ``S`` is closed under
+    products, over every subset holding the identity of the 8 signed
+    permutations of ``Z^2`` and of Sym3 as permutation matrices: those are
+    the 10 and 6 subgroups, and every other subset raises ``ValueError``."""
+    signed = generate_group(hyperoctahedral_generators(2))
+    sym3 = perm_group(["(12)", "(123)"], 3)
+    for group, subgroups in ((signed, 10), (sym3, 6)):
+        one = IntMatrix.identity(group.dim)
+        others = [g for g in group.elements if g != one]
+        closed_sets = 0
+        for mask in range(1 << len(others)):
+            subset = {one} | {g for k, g in enumerate(others) if mask >> k & 1}
+            if all(a @ b in subset for a in subset for b in subset):
+                closed_sets += 1
+                built = MatrixGroup(subset)
+                assert set(built.elements) == subset
+                assert_closure_generates(built)
+            else:
+                with pytest.raises(ValueError, match="not closed under multiplication"):
+                    MatrixGroup(subset)
+        assert closed_sets == subgroups
 
 
 def hyperoctahedral_generators(n):
@@ -160,6 +186,18 @@ def reference_generate(gens):
         frontier = {a @ g for a in frontier for g in gens} - seen
         seen |= frontier
     return seen
+
+
+def greedy_generators(group, candidates):
+    """Indices of the candidates that are not in the closure (by matrix
+    products) of the ones picked before them: the generators a build
+    records."""
+    picked, held = [], {IntMatrix.identity(group.dim)}
+    for c in candidates:
+        if c not in held:
+            picked.append(c)
+            held = reference_generate(picked)
+    return [group.index_of[c] for c in picked]
 
 
 def reference_build(elements):
@@ -277,9 +315,11 @@ def test_closure_build_matches_the_element_set_build():
     second orbit or per-element ``images``, equals the group the public
     constructor builds from its element set, field by field: on the
     sweep's nine groups, ``Aut`` of fermat3 and fermat4, ``B4`` and two of
-    its subgroups, and seeded random generator sets.  The closure records
-    how the group was generated, and the homogenized and contragredient
-    images keep that record."""
+    its subgroups, seeded random generator sets and Sym5 with a redundant
+    third generator.  The closure records how the group was generated: a
+    candidate is a generator only when the ones before it do not generate
+    it, for the given generators and for the sorted element set alike, and
+    the homogenized and contragredient images keep that record."""
     cases = [[fermat_permutation(w, 4) for w in ws] for ws in _QUINTIC_GROUPS.values()]
     for d in (3, 4):
         cycle = "(" + "".join(str(k) for k in range(1, d + 2)) + ")"
@@ -297,6 +337,8 @@ def test_closure_build_matches_the_element_set_build():
         # a repeated generator and the identity add no generator
         gens += [gens[0], IntMatrix.identity(n)]
         cases.append(gens)
+    # (13) is in the group (12) and (12345) generate
+    cases.append([fermat_permutation(w, 4) for w in ("(12)", "(12345)", "(13)")])
     orders = []
     for gens in cases:
         built = generate_group(gens)
@@ -305,16 +347,8 @@ def test_closure_build_matches_the_element_set_build():
         assert_same_fields(built, ref)
         assert_closure_generates(built)
         assert_closure_generates(ref)
-        one = built.identity_index
-        expected = []
-        for g in gens:
-            x = built.index_of[g]
-            if x != one and x not in expected:
-                expected.append(x)
-        assert list(built.generators) == expected
-        # an element set is its own generating set
-        assert ref.generators == tuple(x for x in range(ref.order) if x != one)
-        assert ref.closure == tuple((x, x, one) for x in ref.generators)
+        assert list(built.generators) == greedy_generators(built, gens)
+        assert list(ref.generators) == greedy_generators(ref, ref.elements)
         for image in (built.image(homogenize), built.dual_group()):
             assert (image.generators, image.closure) == (built.generators, built.closure)
             assert_closure_generates(image)
@@ -329,8 +363,12 @@ def test_closure_build_matches_the_element_set_build():
 def test_group_build_forms_no_matrix_products(monkeypatch):
     """Closure, inverses and classes run on permutations: no matrix
     product, where a matrix build makes thousands.  The determinant guard
-    runs on the generators only, and on the trivial group's identity."""
-    products, dets = [], []
+    runs on the given generators, on the trivial group's identity and, for
+    an element set (``Aut`` of the quintic from its 120 matrices), on the
+    generators the closure records only; the orbit action of an element
+    is found for the recorded generators only."""
+    aut_elements = [g for g, _ in build_fermat(4).simplex_automorphisms()]
+    products, dets, actions = [], [], []
 
     def counting_matmul(a, b, matmul=IntMatrix.__matmul__):
         products.append((a, b))
@@ -340,9 +378,14 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
         dets.append(m)
         return det(m)
 
+    def counting_images(orbit, base, images=groups_module._Orbit.images):
+        actions.append(base)
+        return images(orbit, base)
+
     monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
     # groups calls intlinalg.det through its own module binding
     monkeypatch.setattr(groups_module, "det", recording_det)
+    monkeypatch.setattr(groups_module._Orbit, "images", counting_images)
     sym5_gens = [fermat_permutation(w, 4) for w in _QUINTIC_GROUPS["Sym5"]]
     sym5 = generate_group(sym5_gens)
     b4 = generate_group(hyperoctahedral_generators(4))
@@ -350,10 +393,19 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
     assert products == []
     # only the generators' determinants are taken, none of an element's
     assert dets == sym5_gens + hyperoctahedral_generators(4)
+    assert len(actions) == len(sym5.generators) + len(b4.generators) == 5
     dets.clear()
     trivial = generate_group([], rank=5)
     assert trivial.order == 1
     assert dets == [IntMatrix.identity(5)]
+    dets.clear()
+    actions.clear()
+    aut = MatrixGroup(aut_elements)
+    assert aut.order == 120 and set(aut.elements) == set(sym5.elements)
+    assert products == []
+    assert 2 <= len(aut.generators) < 120
+    assert dets == [aut.elements[g] for g in aut.generators]
+    assert len(actions) == len(aut.generators)
 
 
 def power_order(g: IntMatrix) -> int:

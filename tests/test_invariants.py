@@ -696,9 +696,10 @@ def test_only_an_e_polynomial_builds_the_aut_complex():
 
 
 def test_a_model_of_the_whole_of_aut_builds_no_second_group(monkeypatch):
-    """A model whose group is ``Aut(P)`` lends the registry its group and
-    face maps, and no vertex permutation is searched for when the order is
-    ``(d + 1)!``; the registry's complex keeps tables of its own."""
+    """A model whose group is ``Aut(P)`` lends the registry its group, and
+    no vertex permutation is searched for when the order is ``(d + 1)!``;
+    the registry's complex composes the same face maps and keeps tables of
+    its own."""
     counting.clear_cache()
     cx = quintic("(12)", "(12345)")
 
@@ -709,10 +710,38 @@ def test_a_model_of_the_whole_of_aut_builds_no_second_group(monkeypatch):
     shared = cones.automorphism_side(cx)
     assert shared is not cx and shared.dual() is not cx.dual()
     assert shared.base_group is cx.base_group
-    assert shared._face_maps is cx._face_maps
+    assert shared._face_maps == cx._face_maps
     assert shared.dual().dual() is shared
     assert mirror_check(cx).verdict
     assert cx.tables is None and shared.tables is not None
+    counting.clear_cache()
+
+
+def test_a_redundant_generator_changes_no_report():
+    """Sym5 given ``(12)``, ``(12345)`` and ``(13)`` records two generators,
+    since ``(13)`` is in the closure of the first two, and has the elements,
+    classes, face maps and ``mirror-check`` report of Sym5 given the first
+    two alone."""
+    words = ["(12)", "(12345)"]
+    runs = []
+    for given in (words, words + ["(13)"]):
+        counting.clear_cache()
+        cx = quintic(*given)
+        config = {"builtin": "fermat", "d": 4, "group": given, "commands": ["mirror-check"]}
+        report, code = run(parse_config(json.dumps(config)))
+        assert code == 0
+        group = cx.base_group
+        runs.append((
+            len(group.generators),
+            group.elements,
+            group.classes,
+            cx._face_maps,
+            report.group,
+            report.results,
+            report.render(),
+        ))
+    assert runs[1][0] == runs[0][0] == 2
+    assert runs[1] == runs[0]
     counting.clear_cache()
 
 
