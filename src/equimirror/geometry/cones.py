@@ -16,11 +16,12 @@ about a restriction is its characteristic polynomial, one per orbit of
 restrictions share it), keyed by the orbit's :meth:`ConeComplex.canonical`
 pair; its determinant is read off the constant term.  The polynomial is a
 function of the face's tight cone rows and the element's rows alone, so
-behind each complex's memo sits one store for the process, keyed by that
-data: a model of another group of the same polytope finds there what an
-earlier model computed, whichever order they run in.  A span is built
-only when the store misses.  The store holds only tuples and polynomials
-and ``counting.clear_cache`` drops it with the counts.
+it is kept in one store for the process, keyed by that data, and no
+complex keeps a canonical memo of its own: a model of another group of
+the same polytope finds there what an earlier model computed, whichever
+order they run in.  A span is built only when the store misses.  The
+store holds only tuples and polynomials and ``counting.clear_cache``
+drops it with the counts.
 
 Every value a complex's tables hold is a class function of (face,
 element) under any lattice symmetry of the polytope, so the stringy
@@ -37,9 +38,10 @@ polytope is the partner's polar dual, whose face lattice is the
 partner's upside down, and it orders its faces as its partner does:
 face ``i`` is dual to face ``i`` as element ``e`` is to element ``e``,
 so its apex is not face 0.  Its characteristic polynomials are
-quotients of its partner's (the span of a dual face is the annihilator of
-its partner's span, on which an element acts as the contragredient of its
-action on the quotient by that span).  The two share one least-face
+quotients of its partner's two store values (the span of a dual face is
+the annihilator of its partner's span, on which an element acts as the
+contragredient of its action on the quotient by that span), and
+``UniPoly.exact_div`` keeps each quotient.  The two share one least-face
 table for :meth:`ConeComplex.canonical`.
 
 The module also provides the abstract cones the recursions run on:
@@ -112,11 +114,10 @@ class ConeComplex:
         self._below: Tuple[Tuple[int, ...], ...] = polytope.below
         self._face_maps = face_maps
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
-        self._charpoly: Dict[Tuple[int, int], UniPoly] = {}
         # charpoly by the pair asked for, in front of canonical()
         self._raw_charpoly: Dict[Tuple[int, int], UniPoly] = {}
-        # on a complex read off its partner, the partner's polytope,
-        # homogenized group and charpoly memo; None on a complex built here
+        # on a complex read off its partner, the partner's polytope and
+        # homogenized group; None on a complex built here
         self._partner = None
         # the dual itself if this complex built it, else a weak back-link
         self._dual = None
@@ -220,20 +221,19 @@ class ConeComplex:
         characteristic polynomial of finite order is its own contragredient
         (its roots are roots of unity, closed under conjugation).
 
-        Each pair asked for is kept too, so a repeat skips ``canonical``."""
+        The canonical values live in the process-wide store and the
+        quotients in ``UniPoly.exact_div``'s; only each pair asked for is
+        kept here, so a repeat skips ``canonical``."""
         hit = self._raw_charpoly.get((f, e))
         if hit is not None:
             return hit
         key = self.canonical(f, e)
         partner = self._partner
         if partner is None:
-            hit = _span_charpoly(self.polytope, self.group, self._charpoly, key)
+            hit = _span_charpoly(self.polytope, self.group, key)
         else:
-            hit = self._charpoly.get(key)
-            if hit is None:
-                top = _span_charpoly(*partner, (self.apex_index, key[1]))
-                hit = top.exact_div(_span_charpoly(*partner, key))
-                self._charpoly[key] = hit
+            top = _span_charpoly(*partner, (self.apex_index, key[1]))
+            hit = top.exact_div(_span_charpoly(*partner, key))
         self._raw_charpoly[(f, e)] = hit
         return hit
 
@@ -276,8 +276,8 @@ class ConeComplex:
         :meth:`LatticePolytope.dual_reflexive` reads them.
 
         The dual does no integer linear algebra when it is built and checks
-        no lattice.  It keeps its partner's polytope, homogenized group and
-        charpoly memo, and reads each :meth:`charpoly` off them.  Both
+        no lattice.  It keeps its partner's polytope and homogenized group,
+        and reads each :meth:`charpoly` off the store by them.  Both
         complexes share their face maps and their groups share classes,
         conjugators and centralizers, so they share one least-face table for
         :meth:`canonical` and one canonical pair per orbit.
@@ -289,7 +289,8 @@ class ConeComplex:
         dual keeps of its partner refers to neither complex, so it outlives
         the complex that built it: if that one is gone, the dual's dual is
         rebuilt from that data and is the same complex again, with its
-        polytope, faces, element order and memo."""
+        polytope, faces and element order, its characteristic polynomials
+        read from the store as before."""
         dual = self._dual
         if isinstance(dual, weakref.ref):
             dual = dual()
@@ -299,11 +300,11 @@ class ConeComplex:
             if self._partner is None:
                 polytope = self.polytope.dual_reflexive()
                 dual._setup(polytope, group, self._face_maps, self.cap_group)
-                dual._partner = (self.polytope, self.group, self._charpoly)
+                dual._partner = (self.polytope, self.group)
             else:  # the partner is gone: rebuild it from what was kept of it
-                polytope, homogenized, memo = self._partner
+                polytope, homogenized = self._partner
                 dual._setup(polytope, group, self._face_maps, self.cap_group)
-                dual.group, dual._charpoly = homogenized, memo
+                dual.group = homogenized
             dual._canonical_faces = self._canonical_faces
             dual._dual = weakref.ref(self)
             self._dual = dual
@@ -362,7 +363,7 @@ def automorphism_side(complex: ConeComplex) -> Optional[ConeComplex]:
         if group.order < bound:
             symmetries = polytope.simplex_automorphisms()
             if len(symmetries) > group.order:
-                group = MatrixGroup(g for g, _ in symmetries)
+                group = MatrixGroup(symmetries)
         shared = ConeComplex(polytope, group, complex.cap_group)
         _aut_complexes[polytope.vertices] = shared
     return shared if partner is None else shared.dual()
@@ -425,25 +426,22 @@ counting.clear_with_counts(_charpolys.clear)
 counting.clear_with_counts(clear_quotients)
 
 
-def _span_charpoly(polytope, group, memo, key: Tuple[int, int]) -> UniPoly:
+def _span_charpoly(polytope, group, key: Tuple[int, int]) -> UniPoly:
     """The characteristic polynomial of element ``key[1]`` of ``group`` on
-    the span of face ``key[0]`` of the cone over ``polytope``, kept in
-    ``memo`` and, by the face's tight cone rows and the element's rows, in
-    the process-wide store; the span is built only when the store misses."""
-    hit = memo.get(key)
+    the span of face ``key[0]`` of the cone over ``polytope``, kept in the
+    process-wide store by the face's tight cone rows and the element's
+    rows; the span is built only when the store misses."""
+    f, e = key
+    cone_rows, g = polytope.cone_rows, group.elements[e]
+    rows = tuple(cone_rows[i] for i in polytope.faces[f].tight)
+    data = (rows, g.rows)
+    hit = _charpolys.get(data)
     if hit is None:
-        f, e = key
-        cone_rows, g = polytope.cone_rows, group.elements[e]
-        rows = tuple(cone_rows[i] for i in polytope.faces[f].tight)
-        data = (rows, g.rows)
-        hit = _charpolys.get(data)
-        if hit is None:
-            hit = char_poly(_action(_span(rows, g.nrows), g))
-            # the constant term is (-1)^dim det(rho)
-            if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
-                raise NonInvertible("face restriction is not unimodular")
-            _charpolys[data] = hit
-        memo[key] = hit
+        hit = char_poly(_action(_span(rows, g.nrows), g))
+        # the constant term is (-1)^dim det(rho)
+        if hit.coefficient(0) not in (1, -1):  # pragma: no cover - sanity
+            raise NonInvertible("face restriction is not unimodular")
+        _charpolys[data] = hit
     return hit
 
 

@@ -41,8 +41,8 @@ by a polytope: for each simplex ``P`` an E-polynomial was asked of,
 group ``Aut(P)``, whose stringy values every model of ``P`` reads; it
 holds no model.  :func:`clear_cache` drops all six: the modules above this
 one register how with :func:`clear_with_counts`.  The memos a complex
-keeps for itself (its characteristic polynomials by canonical pair and by
-the pair asked for, its affine and stringy values) go with the complex.
+keeps for itself (its characteristic polynomials by the pair asked for,
+its affine and stringy values) go with the complex.
 """
 
 from __future__ import annotations

@@ -137,10 +137,8 @@ class LatticePolytope(Frozen):
         """True when every facet has lattice distance one from the origin."""
         return all(b == 1 for _, b in self.facets)
 
-    def simplex_automorphisms(self) -> Tuple[Tuple[IntMatrix, Tuple[int, ...]], ...]:
-        """``Aut(P)`` of a simplex: the unimodular maps preserving it, each
-        with its vertex permutation (entry ``i`` the index of the image of
-        vertex ``i``).
+    def simplex_automorphisms(self) -> Tuple[IntMatrix, ...]:
+        """``Aut(P)`` of a simplex: the unimodular maps preserving it.
 
         The ``d + 1`` vertices span ``R^d``, so ``d`` of them, the rows of
         ``W``, are a basis, and a vertex permutation ``s`` is the action of
@@ -186,7 +184,7 @@ class LatticePolytope(Frozen):
                 tuple(tuple(entries[r * d:r * d + d]) for r in range(d))
             )
             if matrix.apply(verts[rest]) == verts[perm[rest]]:
-                out.append((matrix, perm))
+                out.append(matrix)
         return tuple(out)
 
     def dual_reflexive(self) -> LatticePolytope:

@@ -18,8 +18,9 @@ classes compose these permutations and key elements by base image.
 A group keeps its closure, and there is one way to build one
 (:meth:`MatrixGroup._close`).  It takes candidate matrices in order and
 makes one a generator only when the closure so far does not hold it; a
-generator's determinant is checked, and each new element's permutation
-is a generator's composed with a known one.  A product of unimodular
+generator's determinant is checked and its permutation read with
+``apply``, one image per point, and each new element's permutation is a
+generator's composed with a known one.  A product of unimodular
 generators is unimodular, so nothing is checked per element.
 :func:`generate_group` hands it the given generators; ``MatrixGroup``
 hands it an element set, sorted, with the closure capped at the set's
@@ -90,45 +91,6 @@ def _perm_order(perm: Base) -> int:
     return order
 
 
-class _Orbit:
-    """A finite set of points holding the basis vectors, sorted, and the
-    action on it of a matrix given by its base image.
-
-    The image of a point ``p`` under ``g`` is ``sum_k p_k g e_k``, so it
-    depends only on the nonzero coefficients of ``p`` and the base image
-    at their positions; it is memoised on those.
-    """
-
-    def __init__(self, points: Iterable[Tuple[int, ...]], n: int):
-        self.points = sorted(points)
-        self.position = {p: i for i, p in enumerate(self.points)}
-        self.basis: Base = tuple(self.position[e] for e in IntMatrix.identity(n).rows)
-        self._terms: List[Tuple[Base, Base]] = []
-        for p in self.points:
-            support = tuple(k for k, c in enumerate(p) if c)
-            self._terms.append((support, tuple(p[k] for k in support)))
-        self._memo: Dict[tuple, int] = {}
-
-    def base_of(self, columns: Sequence[Tuple[int, ...]]) -> Base:
-        return tuple(map(self.position.__getitem__, columns))
-
-    def images(self, base: Base) -> Base:
-        """Position of ``g p`` for every point ``p``, where ``g`` has base
-        image ``base``; -1 where ``g p`` is not a point of the set."""
-        memo, points, out = self._memo, self.points, []
-        for support, coeffs in self._terms:
-            key = (coeffs, *map(base.__getitem__, support))
-            j = memo.get(key)
-            if j is None:
-                cols = [points[q] for q in key[1:]]
-                image = tuple(
-                    sum(c * x for c, x in zip(coeffs, row)) for row in zip(*cols)
-                )
-                j = memo[key] = self.position.get(image, -1)
-            out.append(j)
-        return tuple(out)
-
-
 def generate_group(
     generators: Sequence[IntMatrix],
     cap: int = GROUP_CAP_DEFAULT,
@@ -179,7 +141,7 @@ def generate_group(
                     nxt.append(q)
         frontier = nxt
     group = MatrixGroup.__new__(MatrixGroup)
-    group._close(gens, _Orbit(points, n), cap)
+    group._close(gens, points, cap)
     return group
 
 
@@ -218,21 +180,24 @@ class MatrixGroup:
             raise ValueError("elements must be square matrices of equal size")
         if IntMatrix.identity(n) not in unique:
             raise ValueError("element set does not contain the identity")
-        orbit = _Orbit(set().union(*(zip(*g.rows) for g in els)), n)
-        self._close(els, orbit, len(els), from_set=True)
+        points = set().union(*(zip(*g.rows) for g in els))
+        self._close(els, points, len(els), from_set=True)
 
     def _close(
         self,
         candidates: Sequence[IntMatrix],
-        orbit: _Orbit,
+        points: Iterable[Tuple[int, ...]],
         cap: int,
         from_set: bool = False,
     ) -> None:
         """The closure both constructors end in, on permutations of
-        ``orbit``, which holds every column of every candidate.
+        ``points``, a set holding the basis vectors and every column of
+        every candidate, sorted and keyed by position.
 
         The candidates are taken in order, and one becomes a generator only
-        when the closure so far does not hold it.  The closure is then
+        when the closure so far does not hold it; its permutation is read
+        with ``apply``, the position of its image of each point (-1 off the
+        set), one pass over the points per generator.  The closure is then
         extended at once: each element is multiplied by each generator
         once, ``|G|`` compositions per generator, the permutation of
         ``g a`` being ``g``'s composed with ``a``'s.  Each new element
@@ -248,8 +213,12 @@ class MatrixGroup:
         orbit, a closure past ``cap`` raises :class:`CapExceeded`.  A
         product of unimodular generators is unimodular, so no other
         determinant is taken."""
-        basis = orbit.basis
-        perms: List[Base] = [tuple(range(len(orbit.points)))]
+        points = sorted(points)
+        position = {p: i for i, p in enumerate(points)}
+        basis: Base = tuple(
+            position[e] for e in IntMatrix.identity(len(points[0])).rows
+        )
+        perms: List[Base] = [tuple(range(len(points)))]
         bases: List[Base] = [basis]
         found: Dict[Base, int] = {basis: 0}
         closure: List[Tuple[int, int, int]] = []
@@ -273,14 +242,14 @@ class MatrixGroup:
 
         a = 1  # elements 1 .. a - 1 were multiplied by every generator
         for candidate in candidates:
-            base = orbit.base_of(tuple(zip(*candidate.rows)))
+            base = tuple(map(position.__getitem__, zip(*candidate.rows)))
             if base in found:
                 continue
             if from_set:
                 d = det(candidate)
                 if d not in (1, -1):
                     raise NonInvertible(f"matrix has determinant {d}, not +-1")
-            perm = orbit.images(base)
+            perm = tuple([position.get(candidate.apply(p), -1) for p in points])
             if -1 in perm:
                 raise ValueError("element set is not closed under multiplication")
             x = len(perms)
@@ -296,7 +265,7 @@ class MatrixGroup:
                     add(tuple(map(move, perm)), g, a)  # the permutation of g a
                 a += 1
 
-        column = orbit.points.__getitem__
+        column = points.__getitem__
         elements = [IntMatrix._derived(tuple(zip(*map(column, b)))) for b in bases]
         order = sorted(range(len(elements)), key=[g.rows for g in elements].__getitem__)
         renumber = [0] * len(order)

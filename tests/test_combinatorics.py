@@ -479,20 +479,35 @@ def _fixed_pair_orbits(cx) -> int:
     return count
 
 
-def test_mirror_check_keeps_one_entry_per_orbit():
+def test_mirror_check_keeps_one_entry_per_orbit(monkeypatch):
     """The quintic's models compute on the process's ``(P, Aut(P))``
     complex.  Once a subgroup's model has built it and the whole group's
-    model has asked for every class, each side keeps one characteristic
-    polynomial and one ``phi`` per orbit of fixed pairs under ``Aut(P)``."""
+    model has asked for every class, the process has computed one
+    restriction characteristic polynomial and keeps one store entry per
+    orbit of fixed pairs under ``Aut(P)``; every fixed pair of either side
+    reads them with no further ``char_poly``, and each side keeps one
+    ``phi`` per orbit."""
+    polys = []
+
+    def counted(matrix, char_poly=cones.char_poly):
+        polys.append(matrix)
+        return char_poly(matrix)
+
+    monkeypatch.setattr(cones, "char_poly", counted)
     counting.clear_cache()
     for words in (("(12)(34)", "(12345)"), ("(12)", "(12345)")):
         assert mirror_check(quintic_complex(*words)).verdict
     shared = cones.automorphism_side(quintic_complex())
     assert shared.group.order == 120
+    orbits = _fixed_pair_orbits(shared)
+    assert len(polys) == len(cones._charpolys) == orbits
     for side in (shared, shared.dual()):
-        orbits = _fixed_pair_orbits(side)
-        assert len(side._charpoly) == orbits
+        assert _fixed_pair_orbits(side) == orbits
+        for e in range(side.group.order):
+            for f in side.invariant_faces(e):
+                side.charpoly(f, e)
         assert len(tables_for(side).phi._polys) == orbits
+    assert len(polys) == len(cones._charpolys) == orbits
 
 
 def test_phi_is_effective_on_cyclic_subgroups():

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from conftest import iter_system, slice_system
@@ -186,6 +191,91 @@ def test_cache_grows_and_clears():
     assert cache_size() == 0
     assert not counting._bases
     assert not scan._plans
+
+
+# Runs the benchmark's three workloads' models in a fresh process, then
+# clears the counting cache, and prints the size of every module-level
+# dict, list and set of the package (and of those inside a module-level
+# tuple, such as the shape store) at import, after the runs and after the
+# clear, with the shape store as it is left.
+_STORES_PROBE = """
+import importlib, json, pkgutil, sys
+import equimirror
+for info in pkgutil.walk_packages(equimirror.__path__, "equimirror."):
+    importlib.import_module(info.name)
+from equimirror.cli.main import run
+from equimirror.cli.models import parse_config
+from equimirror import combinatorics
+from equimirror.geometry import counting
+import workloads
+
+def sizes():
+    out = {}
+    for name, module in sorted(sys.modules.items()):
+        if not name.startswith("equimirror"):
+            continue
+        for key, value in vars(module).items():
+            if key.startswith("__"):
+                continue
+            parts = value if isinstance(value, tuple) else (value,)
+            for i, part in enumerate(parts):
+                if isinstance(part, (dict, list, set)):
+                    out[f"{name}.{key}" + (f"[{i}]" if part is not value else "")] = len(part)
+    return out
+
+before = sizes()
+for workload in ("cube4-central-all", "quintic-mirror-sweep", "cube5-phi"):
+    command = workloads.WORKLOADS[workload].get("command")
+    for name, config in workloads.plan(workload, 1):
+        if command:
+            config = dict(config, commands=[command])
+        assert run(parse_config(json.dumps(config)))[1] == 0, name
+filled = sizes()
+counting.clear_cache()
+store = combinatorics._shape_store
+print(json.dumps({
+    "before": before,
+    "filled": filled,
+    "cleared": sizes(),
+    "shapes": [list(store[0].values()), len(store[1]), len(store[2]), len(store[3])],
+    "zero": store[1][0] == combinatorics._ZERO_SHAPE,
+}))
+"""
+
+
+def test_clear_cache_empties_every_store_the_workloads_fill():
+    """After the benchmark's three workloads' models run in one process,
+    ``counting.clear_cache`` leaves the count bases, elimination plans,
+    charpoly store, ``(P, Aut(P))`` registry and quotient store empty and
+    the shape store holding only the zero shape; every module-level store
+    of the package is back to its size at import, so a store that is not
+    registered with ``clear_with_counts`` fails here."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _STORES_PROBE],
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")]),
+        },
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    named = (
+        "equimirror.geometry.counting._bases",
+        "equimirror.geometry.scan._plans",
+        "equimirror.geometry.cones._charpolys",
+        "equimirror.geometry.cones._aut_complexes",
+        "equimirror.algebra.unipoly._quotients",
+    )
+    for name in named:
+        assert result["filled"][name] > 0, name
+        assert result["cleared"][name] == 0, name
+    assert result["shapes"] == [[0], 1, 0, 0] and result["zero"]
+    assert result["filled"]["equimirror.combinatorics._shape_store[1]"] > 1
+    assert result["cleared"] == result["before"]
 
 
 def test_height_step_above_one():

@@ -353,9 +353,7 @@ def test_closure_build_matches_the_element_set_build():
             assert (image.generators, image.closure) == (built.generators, built.closure)
             assert_closure_generates(image)
     assert orders[:14] == [60, 120, 2, 4, 3, 5, 12, 6, 10, 24, 120, 384, 24, 8]
-    aut = {
-        d: {g for g, _ in (build_fermat(d).simplex_automorphisms())} for d in (3, 4)
-    }
+    aut = {d: set(build_fermat(d).simplex_automorphisms()) for d in (3, 4)}
     assert set(generate_group(cases[9]).elements) == aut[3]
     assert set(generate_group(cases[10]).elements) == aut[4]
 
@@ -365,10 +363,10 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
     product, where a matrix build makes thousands.  The determinant guard
     runs on the given generators, on the trivial group's identity and, for
     an element set (``Aut`` of the quintic from its 120 matrices), on the
-    generators the closure records only; the orbit action of an element
-    is found for the recorded generators only."""
-    aut_elements = [g for g, _ in build_fermat(4).simplex_automorphisms()]
-    products, dets, actions = [], [], []
+    generators the closure records only; the closure applies each recorded
+    generator, and no other matrix, once to each point of the orbit."""
+    aut_elements = list(build_fermat(4).simplex_automorphisms())
+    products, dets, actions, closing = [], [], [], []
 
     def counting_matmul(a, b, matmul=IntMatrix.__matmul__):
         products.append((a, b))
@@ -378,14 +376,29 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
         dets.append(m)
         return det(m)
 
-    def counting_images(orbit, base, images=groups_module._Orbit.images):
-        actions.append(base)
-        return images(orbit, base)
+    def counting_apply(m, vec, apply=IntMatrix.apply):
+        if closing:
+            actions.append(m)
+        return apply(m, vec)
+
+    def marked_close(group, *args, close=MatrixGroup._close, **kwargs):
+        closing.append(group)
+        try:
+            return close(group, *args, **kwargs)
+        finally:
+            closing.pop()
+
+    def expected_actions(group):
+        """Each recorded generator once per point of the orbit of the basis
+        vectors, the set of all columns of all elements."""
+        points = {col for g in group.elements for col in zip(*g.rows)}
+        return [group.elements[g] for g in group.generators for _ in points]
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(IntMatrix, "apply", counting_apply)
+    monkeypatch.setattr(MatrixGroup, "_close", marked_close)
     # groups calls intlinalg.det through its own module binding
     monkeypatch.setattr(groups_module, "det", recording_det)
-    monkeypatch.setattr(groups_module._Orbit, "images", counting_images)
     sym5_gens = [fermat_permutation(w, 4) for w in _QUINTIC_GROUPS["Sym5"]]
     sym5 = generate_group(sym5_gens)
     b4 = generate_group(hyperoctahedral_generators(4))
@@ -393,7 +406,8 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
     assert products == []
     # only the generators' determinants are taken, none of an element's
     assert dets == sym5_gens + hyperoctahedral_generators(4)
-    assert len(actions) == len(sym5.generators) + len(b4.generators) == 5
+    assert len(sym5.generators) + len(b4.generators) == 5
+    assert actions == expected_actions(sym5) + expected_actions(b4)
     dets.clear()
     trivial = generate_group([], rank=5)
     assert trivial.order == 1
@@ -405,7 +419,7 @@ def test_group_build_forms_no_matrix_products(monkeypatch):
     assert products == []
     assert 2 <= len(aut.generators) < 120
     assert dets == [aut.elements[g] for g in aut.generators]
-    assert len(actions) == len(aut.generators)
+    assert actions == expected_actions(aut)
 
 
 def power_order(g: IntMatrix) -> int:

@@ -461,16 +461,22 @@ def test_a_dual_outlives_its_primal(monkeypatch):
     with the dual of a model kept whole, and so does its mirror check.
     Its own dual is the dropped primal rebuilt from that data, with the
     same faces, spans, elements and characteristic polynomials and no
-    kernel taken.  Dropping the dual then frees both without the cycle
-    collector."""
-    kernels = []
+    kernel taken; it inherits no memo, and its characteristic polynomials
+    are read from the process's store with no ``char_poly`` call.
+    Dropping the dual then frees both without the cycle collector."""
+    kernels, polys = [], []
     original = intlinalg.integer_kernel
 
     def counted(matrix):
         kernels.append(matrix)
         return original(matrix)
 
+    def counted_poly(matrix, char_poly=cones.char_poly):
+        polys.append(matrix)
+        return char_poly(matrix)
+
     monkeypatch.setattr(cones, "integer_kernel", counted)
+    monkeypatch.setattr(cones, "char_poly", counted_poly)
     central = generate_group([IntMatrix.identity(3).scale(-1)])
     builds = (
         lambda: ConeComplex(build_cube(3), central),
@@ -490,6 +496,13 @@ def test_a_dual_outlives_its_primal(monkeypatch):
             kernels.clear()
             primal = dual.dual()
             assert kernels == []
+            polys.clear()
+            values = {
+                (f, e): primal.charpoly(f, e)
+                for e in range(whole.group.order)
+                for f in whole.invariant_faces(e)
+            }
+            assert polys == []
             assert primal.dual() is dual
             assert primal.base_group.elements == whole.base_group.elements
             assert primal.group.elements == whole.group.elements
@@ -498,9 +511,8 @@ def test_a_dual_outlives_its_primal(monkeypatch):
                     other.vertex_ids, other.tight, other.dim
                 )
                 assert primal.span(face.index) == whole.span(other.index)
-            for e in range(whole.group.order):
-                for f in whole.invariant_faces(e):
-                    assert primal.charpoly(f, e) == whole.charpoly(f, e), (f, e)
+            for (f, e), value in values.items():
+                assert value == whole.charpoly(f, e), (f, e)
             report, reference = mirror_check(dual), mirror_check(kept)
             assert report.verdict
             assert (report.left, report.right) == (reference.left, reference.right)

@@ -829,7 +829,7 @@ def test_dual_group_keeps_element_indices(cube4_central, quintic_a5):
 
 
 def _brute_force_symmetries(polytope):
-    """Every vertex permutation whose linear map is integral: ``L`` solves
+    """The linear map of every vertex permutation, where integral: ``L`` solves
     ``v_i . L^T = v_s(i)`` for all ``i`` at once, by Gauss-Jordan
     elimination over the rationals."""
     verts, d = polytope.vertices, polytope.dim
@@ -850,7 +850,7 @@ def _brute_force_symmetries(polytope):
             continue
         transpose = [row[d:] for row in system[:d]]
         if all(x.denominator == 1 for row in transpose for x in row):
-            found.add((IntMatrix(zip(*transpose)), perm))
+            found.add(IntMatrix(zip(*transpose)))
     return found
 
 
@@ -870,14 +870,14 @@ _SIMPLICES = (
 def test_simplex_automorphisms_match_a_brute_force_filter(name, d, polytope):
     """``Aut(P)`` of a simplex is every vertex permutation whose linear map
     is integral; each element is unimodular and maps the vertex set onto
-    itself as its permutation says."""
+    itself."""
     found = polytope.simplex_automorphisms()
     assert set(found) == _brute_force_symmetries(polytope)
-    assert len({g for g, _ in found}) == len(found)
+    assert len(set(found)) == len(found)
     verts = polytope.vertices
-    for g, perm in found:
+    for g in found:
         assert det(g) in (1, -1)
-        assert [g.apply(v) for v in verts] == [verts[j] for j in perm]
+        assert sorted(g.apply(v) for v in verts) == sorted(verts)
     expected = {"fermat": math.factorial(d + 1), "simplex": math.factorial(d)}
     orders = dict(expected, **{"cubic-curve": 6, "triangle": 1})
     assert len(found) == orders[name]
