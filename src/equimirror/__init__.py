@@ -8,7 +8,7 @@ invariants of the reflexive case, and the mirror pairing between a
 reflexive polytope and its polar dual.
 """
 
-from .algebra import BiLaurent, ClassFun, ClassPoly, Rational, UniPoly, truncate_tau
+from .algebra import BiLaurent, ClassFun, ClassPoly, UniPoly
 from .combinatorics import (
     HGTable,
     IdentityReport,
@@ -27,7 +27,6 @@ from .geometry import (
     IntMatrix,
     LatticePolytope,
     abstract_dual_face,
-    abstract_primal,
     abstract_quotient,
 )
 from .groups import MatrixGroup, generate_group, orbits, stabilizer
@@ -69,12 +68,10 @@ __all__ = [
     "MatrixGroup",
     "MirrorReport",
     "PhiTable",
-    "Rational",
     "StildeTable",
     "Tables",
     "UniPoly",
     "abstract_dual_face",
-    "abstract_primal",
     "abstract_quotient",
     "cs_closed_forms",
     "e_affine_face",
@@ -90,7 +87,6 @@ __all__ = [
     "orbits",
     "stabilizer",
     "tables_for",
-    "truncate_tau",
     "verify_identities",
     "__version__",
 ]

@@ -2,15 +2,13 @@
 
 from .bilaurent import BiLaurent
 from .classfun import ClassFun, ClassPoly
-from .unipoly import Rational, UniPoly, series_inverse, series_ratio, truncate_tau
+from .unipoly import UniPoly, series_inverse, series_ratio
 
 __all__ = [
     "BiLaurent",
     "ClassFun",
     "ClassPoly",
-    "Rational",
     "UniPoly",
     "series_inverse",
     "series_ratio",
-    "truncate_tau",
 ]

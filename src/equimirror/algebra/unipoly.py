@@ -22,8 +22,6 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from ..errors import InexactDivision, NegativeExponent
 
-Rational = Fraction
-
 
 def _coerce(value):
     """Canonical form of an exact coefficient: ``int`` when integral."""
@@ -218,10 +216,6 @@ class UniPoly:
         out.extend(reversed(self.coeffs))
         return _built(out)
 
-    def is_palindromic(self, k: int) -> bool:
-        """True when ``p(t) = t^k * p(1/t)``."""
-        return self.degree <= k and self == self.reverse(k)
-
     def evaluate(self, x):
         """Evaluate at ``x`` (Horner); ``x`` may be rational or a UniPoly."""
         acc = UniPoly(()) if isinstance(x, UniPoly) else 0
@@ -298,19 +292,6 @@ def _as_poly(value):
     if isinstance(value, (int, Fraction)):
         return UniPoly((value,))
     return NotImplemented
-
-
-def truncate_tau(p: UniPoly, bound) -> UniPoly:
-    """Keep only terms of degree at most ``floor(bound)``.
-
-    ``bound`` may be a half-integer, as in the g-polynomial truncation
-    where the cutoff is ``(dim - 1) / 2``.
-    """
-    if isinstance(bound, Fraction):
-        cut = bound.numerator // bound.denominator
-    else:
-        cut = int(bound)
-    return p.truncate(cut)
 
 
 def series_inverse(p: UniPoly, order: int) -> Sequence:

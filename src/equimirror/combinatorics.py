@@ -36,18 +36,16 @@ reconstruction of ``phi`` from lower faces — and reports any offending
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra.classfun import ClassFun, ClassPoly
-from .algebra.unipoly import UniPoly, series_ratio, truncate_tau
+from .algebra.unipoly import UniPoly, series_ratio
 from .errors import NotInvariant, PhiNotPolynomial
 from .geometry import counting
 from .geometry.cones import (
     AbstractCone,
     ConeComplex,
     abstract_dual_face,
-    abstract_primal,
     abstract_quotient,
 )
 from .records import Frozen
@@ -244,9 +242,7 @@ class HGTable(_Table):
                 value = ONE
             else:
                 one_minus_t = UniPoly([1, -1])
-                value = truncate_tau(
-                    one_minus_t * self._shape_h(sid), Fraction(k - 1, 2)
-                )
+                value = (one_minus_t * self._shape_h(sid)).truncate((k - 1) // 2)
             self._g_by_shape[sid] = value
         return value
 
@@ -262,10 +258,12 @@ class HGTable(_Table):
         return value
 
     def h_face(self, f: int, e: int) -> UniPoly:
-        return self.h(abstract_primal(self.complex, f), e)
+        cx = self.complex
+        return self.h(abstract_quotient(cx, cx.apex_index, f), e)
 
     def g_face(self, f: int, e: int) -> UniPoly:
-        return self.g(abstract_primal(self.complex, f), e)
+        cx = self.complex
+        return self.g(abstract_quotient(cx, cx.apex_index, f), e)
 
 
 class StildeTable(_Table):

@@ -4,7 +4,6 @@ from .cones import (
     AbstractCone,
     ConeComplex,
     abstract_dual_face,
-    abstract_primal,
     abstract_quotient,
 )
 from .intlinalg import IntMatrix, char_poly, det, integer_kernel
@@ -17,7 +16,6 @@ __all__ = [
     "IntMatrix",
     "LatticePolytope",
     "abstract_dual_face",
-    "abstract_primal",
     "abstract_quotient",
     "char_poly",
     "det",

@@ -33,11 +33,14 @@ canonical pairs, tables and stringy values, and build no dual of their
 own for them.  That is done only where ``Aut(P)`` is small: at most
 :data:`AUT_ORDER_LIMIT` and the model's group cap.
 
-A dual complex (:meth:`ConeComplex.dual`) is read off its partner: its
-polytope is the partner's polar dual, whose face lattice is the
+A dual complex (:meth:`ConeComplex.dual`) is built by the same
+constructor, on its partner's polar dual and the contragredient group,
+and is read off its partner: the polar dual's face lattice is the
 partner's upside down, and it orders its faces as its partner does:
 face ``i`` is dual to face ``i`` as element ``e`` is to element ``e``,
-so its apex is not face 0.  Its characteristic polynomials are
+so its apex is not face 0, and the face maps composed from the
+contragredient generators are the partner's.  The build does no integer
+linear algebra and checks no lattice.  Its characteristic polynomials are
 quotients of its partner's two store values (the span of a dual face is
 the annihilator of its partner's span, on which an element acts as the
 contragredient of its action on the quotient by that span), and
@@ -47,7 +50,8 @@ table for :meth:`ConeComplex.canonical`.
 The module also provides the abstract cones the recursions run on:
 intervals of the face poset read either upward (quotient cones) or
 downward (dual face cones), carrying ratios of the concrete
-characteristic polynomials.  A primal cone is the quotient by the apex.
+characteristic polynomials.  A face with its own face poset is the
+quotient by the apex, ``abstract_quotient(cx, cx.apex_index, f)``.
 """
 
 from __future__ import annotations
@@ -96,23 +100,17 @@ class ConeComplex:
             maps[g] = image
         for x, g, a in group.closure:  # x = g a, so x f = g (a f)
             maps[x] = tuple(map(maps[g].__getitem__, maps[a]))
-        self._setup(polytope, group, tuple(maps), cap_group)
-
-    def _setup(self, polytope, group, face_maps, cap_group) -> None:
-        """Set the fields from the polytope's face lattice and, per element,
-        the index of each face's image; shared by ``__init__`` and
-        :meth:`dual`."""
         self.polytope = polytope
         self.cap_group = cap_group
         self.base_group = group
-        self.dim = polytope.dim
-        self.cdim = polytope.dim + 1
+        self.dim = d
+        self.cdim = d + 1
         self.group = group.image(_homogenize)
-        self.faces = polytope.faces
-        self.apex_index = next(f.index for f in self.faces if f.dim == 0)
-        self.top_index = next(f.index for f in self.faces if f.dim == self.cdim)
+        self.faces = faces
+        self.apex_index = next(f.index for f in faces if f.dim == 0)
+        self.top_index = next(f.index for f in faces if f.dim == self.cdim)
         self._below: Tuple[Tuple[int, ...], ...] = polytope.below
-        self._face_maps = face_maps
+        self._face_maps: Tuple[Tuple[int, ...], ...] = tuple(maps)
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         # charpoly by the pair asked for, in front of canonical()
         self._raw_charpoly: Dict[Tuple[int, int], UniPoly] = {}
@@ -271,16 +269,19 @@ class ConeComplex:
         ``j`` (both lists are sorted; every offset of a reflexive polytope is
         1), so the dual of face ``i`` has the vertices ``faces[i].tight``,
         lies on the facets ``faces[i].vertex_ids`` and moves as face ``i``
-        does, since ``<g^-T a, g v> = <a, v>``: the face maps are shared, and
-        the faces below face ``i`` there are the faces above it here, as
-        :meth:`LatticePolytope.dual_reflexive` reads them.
+        does, since ``<g^-T a, g v> = <a, v>``: the face maps its
+        constructor composes from the contragredient generators are this
+        complex's, and the faces below face ``i`` there are the faces above
+        it here, as :meth:`LatticePolytope.dual_reflexive` reads them.
 
-        The dual does no integer linear algebra when it is built and checks
-        no lattice.  It keeps its partner's polytope and homogenized group,
-        and reads each :meth:`charpoly` off the store by them.  Both
-        complexes share their face maps and their groups share classes,
-        conjugators and centralizers, so they share one least-face table for
-        :meth:`canonical` and one canonical pair per orbit.
+        The dual is built by the constructor, on
+        :meth:`LatticePolytope.dual_reflexive` and
+        :meth:`MatrixGroup.dual_group`, so it does no integer linear algebra
+        and checks no lattice.  It keeps its partner's polytope and
+        homogenized group, and reads each :meth:`charpoly` off the store by
+        them.  Both complexes have the same face maps and their groups share
+        classes, conjugators and centralizers, so they share one least-face
+        table for :meth:`canonical` and one canonical pair per orbit.
 
         Polar duality and the contragredient are involutions, so the dual's
         dual is ``self`` while ``self`` is alive.  The complex that builds
@@ -288,23 +289,21 @@ class ConeComplex:
         reference to a model frees it without the cycle collector.  What the
         dual keeps of its partner refers to neither complex, so it outlives
         the complex that built it: if that one is gone, the dual's dual is
-        rebuilt from that data and is the same complex again, with its
-        polytope, faces and element order, its characteristic polynomials
-        read from the store as before."""
+        built again on the kept polytope, under the contragredient of the
+        dual's group, whose element ``e`` is the partner's, and is the same
+        complex again, its characteristic polynomials read from the store as
+        before."""
         dual = self._dual
         if isinstance(dual, weakref.ref):
             dual = dual()
         if dual is None:
-            dual = ConeComplex.__new__(ConeComplex)
             group = self.base_group.dual_group()
             if self._partner is None:
                 polytope = self.polytope.dual_reflexive()
-                dual._setup(polytope, group, self._face_maps, self.cap_group)
+                dual = ConeComplex(polytope, group, self.cap_group)
                 dual._partner = (self.polytope, self.group)
-            else:  # the partner is gone: rebuild it from what was kept of it
-                polytope, homogenized = self._partner
-                dual._setup(polytope, group, self._face_maps, self.cap_group)
-                dual.group = homogenized
+            else:  # the partner is gone: build it again
+                dual = ConeComplex(self._partner[0], group, self.cap_group)
             dual._canonical_faces = self._canonical_faces
             dual._dual = weakref.ref(self)
             self._dual = dual
@@ -510,11 +509,6 @@ class AbstractCone:
         if self._kind == "Q":
             return AbstractCone(self._complex, "Q", self._base, f)
         return AbstractCone(self._complex, "D", f, self._ambient)
-
-
-def abstract_primal(complex: ConeComplex, face: int) -> AbstractCone:
-    """Face ``face`` with its own face poset (quotient by the apex)."""
-    return AbstractCone(complex, "Q", complex.apex_index, face)
 
 
 def abstract_quotient(complex: ConeComplex, base: int, ambient: int) -> AbstractCone:

@@ -65,7 +65,8 @@ class LatticePolytope(Frozen):
     """An integral polytope of full dimension ``d`` in ``Z^d`` with the
     face lattice of the cone over it: ``faces`` in lexicographic order of
     vertex ids (the apex first) and, per face, ``below``, the faces below
-    it, ascending, itself and the apex included.
+    it, ascending, itself and the apex included.  ``cone_rows`` are the
+    facets homogenised: ``a . x <= b`` becomes the cone row ``(a, -b)``.
 
     Each given facet is checked alone: a primitive integer form, supporting,
     meeting the vertices in rank ``d - 1``, listed once; it is then a facet
@@ -79,7 +80,7 @@ class LatticePolytope(Frozen):
     ``G`` is not thin.
     """
 
-    __slots__ = ("vertices", "dim", "facets", "_cone_rows", "faces", "below")
+    __slots__ = ("vertices", "dim", "facets", "cone_rows", "faces", "below")
 
     def __init__(
         self,
@@ -123,13 +124,6 @@ class LatticePolytope(Frozen):
 
     def __repr__(self) -> str:
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)})"
-
-    # -- geometry ------------------------------------------------------------
-
-    @property
-    def cone_rows(self) -> Tuple[Vector, ...]:
-        """Homogenised facet rows of the cone over the polytope."""
-        return self._cone_rows
 
     # -- reflexivity -----------------------------------------------------------
 

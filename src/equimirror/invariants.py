@@ -430,9 +430,6 @@ class Diamond(Frozen):
     def invariant_entry(self, p: int, q: int) -> int:
         return self.invariant[p][q]
 
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        return self.invariant
-
 
 def hodge_diamond(epoly: EPoly) -> Diamond:
     """Read Hodge numbers off an E-polynomial: ``h^{p,q} = (-1)^{p+q} e^{p,q}``.

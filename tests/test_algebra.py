@@ -13,7 +13,6 @@ from equimirror.algebra import (
     UniPoly,
     series_inverse,
     series_ratio,
-    truncate_tau,
 )
 from equimirror.errors import InexactDivision
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
@@ -47,8 +46,7 @@ def test_exact_div_oracle():
 def test_reverse_and_palindromes():
     p = UniPoly((1, 12, 14, 12, 1))
     assert p.reverse(4) == p
-    assert p.is_palindromic(4)
-    assert not p.is_palindromic(5)
+    assert p != p.reverse(5)
     q = UniPoly((1, 3))
     assert q.reverse(3) == UniPoly((0, 0, 3, 1))
 
@@ -56,8 +54,10 @@ def test_reverse_and_palindromes():
 def test_truncate():
     p = UniPoly((1, 1, 1, 1))
     assert p.truncate(1) == UniPoly((1, 1))
-    assert truncate_tau(p, Fraction(3, 2)) == UniPoly((1, 1))
-    assert truncate_tau(p, 2) == UniPoly((1, 1, 1))
+    assert p.truncate(-1) == UniPoly.zero()
+    # the g cutoff floor((k - 1) / 2) at k = 4 and k = 5
+    assert p.truncate((4 - 1) // 2) == UniPoly((1, 1))
+    assert p.truncate((5 - 1) // 2) == UniPoly((1, 1, 1))
 
 
 def test_series_inverse_and_ratio():

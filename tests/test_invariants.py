@@ -283,17 +283,17 @@ def test_diamond_cube4(cube4):
 def test_diamond_elliptic_curve(cubic_curve):
     st = e_stringy_reflexive(cubic_curve)
     assert at_identity(st) == ONE - U - V + UV
-    assert hodge_diamond(st).rows() == ((1, 1), (1, 1))
+    assert hodge_diamond(st).invariant == ((1, 1), (1, 1))
     assert euler_characteristics(st).quotient == 0
 
 
 def test_diamond_k3_and_enriques(cube3, cube3_central):
     k3 = hodge_diamond(e_stringy_reflexive(cube3))
-    assert k3.rows() == ((1, 0, 1), (0, 20, 0), (1, 0, 1))
+    assert k3.invariant == ((1, 0, 1), (0, 20, 0), (1, 0, 1))
     assert euler_characteristics(e_stringy_reflexive(cube3)).quotient == 24
     enriques_st = e_stringy_reflexive(cube3_central)
     enriques = hodge_diamond(enriques_st)
-    assert enriques.rows() == ((1, 0, 0), (0, 10, 0), (0, 0, 1))
+    assert enriques.invariant == ((1, 0, 0), (0, 10, 0), (0, 0, 1))
     assert euler_characteristics(enriques_st).quotient == 12
 
 
@@ -460,8 +460,8 @@ def test_a_dual_outlives_its_primal(monkeypatch):
     characteristic polynomials need: on every invariant pair it agrees
     with the dual of a model kept whole, and so does its mirror check.
     Its own dual is the dropped primal rebuilt from that data, with the
-    same faces, spans, elements and characteristic polynomials and no
-    kernel taken; it inherits no memo, and its characteristic polynomials
+    same faces, spans, elements, face maps and characteristic polynomials
+    and no kernel taken; it inherits no memo, and its characteristic polynomials
     are read from the process's store with no ``char_poly`` call.
     Dropping the dual then frees both without the cycle collector."""
     kernels, polys = [], []
@@ -506,6 +506,7 @@ def test_a_dual_outlives_its_primal(monkeypatch):
             assert primal.dual() is dual
             assert primal.base_group.elements == whole.base_group.elements
             assert primal.group.elements == whole.group.elements
+            assert primal._face_maps == whole._face_maps
             for face, other in zip(primal.faces, whole.faces, strict=True):
                 assert (face.vertex_ids, face.tight, face.dim) == (
                     other.vertex_ids, other.tight, other.dim

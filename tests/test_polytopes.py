@@ -594,6 +594,9 @@ def _dual_reference_models(quintic_sym5, quintic_a5):
     yield quintic_sym5
     yield quintic_a5
     yield moved_complex(quintic_a5, random_unimodular(random.Random(2203), 4))
+    # Aut(P) of the quintic, whose generators are those its element-set
+    # closure records, not the model's
+    yield cones.automorphism_side(quintic_a5)
 
 
 def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
@@ -604,10 +607,13 @@ def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
     element, and the characteristic polynomial read off the primal's is
     the fresh build's, from its ``rho``, on every invariant pair.  The
     fresh build validates the dual's vertices and facets and enumerates
-    their lattice anew."""
+    their lattice anew.  The face maps the dual composes from the
+    contragredient generators are its partner's, as the least-face table
+    the two share needs."""
     models = 0
     for cx in _dual_reference_models(quintic_sym5, quintic_a5):
         dual = cx.dual()
+        assert dual._face_maps == cx._face_maps, cx
         p = dual.polytope
         polytope = LatticePolytope(p.vertices, p.facets)
         fresh = ConeComplex(polytope, cx.base_group.dual_group())
@@ -633,7 +639,7 @@ def test_dual_complex_matches_a_fresh_build(quintic_sym5, quintic_a5):
         assert match[dual.apex_index] == fresh.apex_index
         assert match[dual.top_index] == fresh.top_index
         models += 1
-    assert models == 25
+    assert models == 26
 
 
 def reference_lattice(polytope, group):
@@ -673,7 +679,7 @@ def reference_lattice(polytope, group):
 
 
 def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
-    """On both sides of the 25 dual reference models, the bitmask build
+    """On both sides of the 26 dual reference models, the bitmask build
     gives the reference's faces, faces below and face images.  A primal
     numbers its faces as the reference does; a dual is matched to it by
     vertex set, and its reference is taken on a polytope validated afresh
@@ -698,7 +704,7 @@ def test_face_lattice_matches_the_frozenset_reference(quintic_sym5, quintic_a5):
                 for f, j in enumerate(match):
                     assert match[side.face_image(e, f)] == maps[e][j], (side, e, f)
         models += 1
-    assert models == 25
+    assert models == 26
 
 
 def test_dual_spans_are_taken_on_demand(monkeypatch):

@@ -102,7 +102,7 @@ def test_invariant_records(square):
     diamond = check_record(
         Diamond, ("group", "size", "entries", "invariant"), (group, 0, ((fun,),), ((1,),))
     )
-    assert diamond.hodge(0, 0) is fun and diamond.rows() == ((1,),)
+    assert diamond.hodge(0, 0) is fun and diamond.invariant == ((1,),)
     check_record(EulerCharacteristics, ("per_class", "quotient"), (fun, Fraction(1)))
     check_record(
         ClosedForms, ("alpha", "stringy_identity", "quotient"), (UniPoly.one(), one, None)
