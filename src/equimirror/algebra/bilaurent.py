@@ -9,12 +9,15 @@ including exact division with a hard failure when a division does not come
 out evenly.  Coefficients follow the integer-first rule of
 :mod:`equimirror.algebra.unipoly` (``_coerce`` and ``_div``): an integral
 value is an ``int``, only a non-integral one is a ``fractions.Fraction``.
+The stringy and affine face sums add each term ``s * u^j * a(v/u) *
+b(uv)`` into one term map with :func:`accumulate_uv` and build one Laurent
+polynomial per sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..errors import InexactDivision
 from .unipoly import _INT, UniPoly, _coerce, _div
@@ -240,6 +243,26 @@ def _built(out: Dict[Key, object]) -> BiLaurent:
     value = object.__new__(BiLaurent)
     _set_terms(value, {key: c for key, c in out.items() if c})
     return value
+
+
+def accumulate_uv(out: Dict[Key, object], s, shift: int, a: Sequence, b: Sequence) -> None:
+    """Add ``s * u^shift * a(v/u) * b(uv)`` into the term map ``out`` in place.
+
+    ``a`` and ``b`` are the coefficient sequences of one-variable
+    polynomials, constant term first: ``t^k`` of ``a`` and ``t^m`` of ``b``
+    meet at ``u^(shift - k + m) v^(k + m)``.  This is the product form of
+    the stringy and affine face sums; each sum adds every face's term into
+    one map and builds one Laurent polynomial at the end with
+    :func:`_built`, which drops the terms that cancelled."""
+    get = out.get
+    for k, x in enumerate(a):
+        if x:
+            x *= s
+            p = shift - k
+            for m, y in enumerate(b):
+                if y:
+                    key = (p + m, k + m)
+                    out[key] = get(key, 0) + x * y
 
 
 def _power(var: str, e: int) -> str:

@@ -11,7 +11,9 @@ characteristic polynomial, so in practice the coefficients stay plain
 integers.  Everything that manipulates one-variable polynomials
 (characteristic polynomials, h/g recursions, numerators of lattice-point
 series) goes through this class, so all arithmetic stays exact: there is
-no floating point anywhere downstream.
+no floating point anywhere downstream.  A sum of products is added
+coefficient by coefficient into one list by :func:`accumulate` and made a
+polynomial once, by :func:`_built`.
 """
 
 from __future__ import annotations
@@ -274,6 +276,27 @@ def _built(cs: list) -> UniPoly:
     poly = object.__new__(UniPoly)
     _set_coeffs(poly, tuple(cs))
     return poly
+
+
+def accumulate(acc: list, s, a: Sequence, b: Sequence) -> None:
+    """Add ``s * a * b`` into the coefficient list ``acc`` in place.
+
+    ``a`` and ``b`` are coefficient sequences, constant term first, and
+    ``s`` is an exact scalar; ``acc`` is extended with zeros when it is
+    shorter than the product.  A sum over faces of products adds every term
+    into one list this way and builds one polynomial at the end with
+    :func:`_built`, so no term makes a product or a partial sum of its own.
+    """
+    if not a or not b:
+        return
+    short = len(a) + len(b) - 1 - len(acc)
+    if short > 0:
+        acc.extend([0] * short)
+    for i, x in enumerate(a):
+        if x:
+            x *= s
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
 
 
 # exact quotients by (dividend coefficients, divisor coefficients), kept for

@@ -9,7 +9,12 @@ same recursion serves faces, quotients and dual faces), and the
 ``stilde`` polynomial mixing ``phi`` with ``g`` of relative dual faces.
 
 Everything is evaluated one group element at a time with exact integer
-or rational arithmetic.  ``phi`` and ``stilde`` are class functions of
+or rational arithmetic.  Each sum over the faces below a face (``stilde``,
+``h`` from its children's ``g``, and the convolution and reconstruction
+checks) adds every term's coefficient products into one list with
+:func:`~equimirror.algebra.unipoly.accumulate` and builds one polynomial
+at the end, so no term makes a polynomial of its own.  ``phi`` and
+``stilde`` are class functions of
 (face, element), so they are memoised per orbit of (face, element) under
 simultaneous conjugation and computed only at the orbit's canonical pair
 (:meth:`ConeComplex.canonical`); ``h`` and ``g`` are computed once per
@@ -39,7 +44,7 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from .algebra.classfun import ClassFun, ClassPoly
-from .algebra.unipoly import UniPoly, series_ratio
+from .algebra.unipoly import UniPoly, _built, accumulate, series_ratio
 from .errors import NotInvariant, PhiNotPolynomial
 from .geometry import counting
 from .geometry.cones import (
@@ -51,6 +56,8 @@ from .geometry.cones import (
 from .records import Frozen
 
 ONE = UniPoly.one()
+T_MINUS_ONE = UniPoly((-1, 1))
+ONE_MINUS_T = UniPoly((1, -1))
 
 # The zero cone: dimension 0, top polynomial 1, nothing below the top.
 _ZERO_SHAPE = (0, ONE, ())
@@ -241,8 +248,7 @@ class HGTable(_Table):
             if k == 0:
                 value = ONE
             else:
-                one_minus_t = UniPoly([1, -1])
-                value = (one_minus_t * self._shape_h(sid)).truncate((k - 1) // 2)
+                value = (ONE_MINUS_T * self._shape_h(sid)).truncate((k - 1) // 2)
             self._g_by_shape[sid] = value
         return value
 
@@ -250,12 +256,11 @@ class HGTable(_Table):
         k, char_top, below = self._shapes[sid]
         if k == 0:
             return ONE
-        t_minus_one = UniPoly([-1, 1])
-        value = UniPoly.zero()
+        acc = []
         for sub in below:
-            ratio = char_top.exact_div(t_minus_one * self._shapes[sub][1])
-            value = value + ratio * self._shape_g(sub)
-        return value
+            ratio = char_top.exact_div(T_MINUS_ONE * self._shapes[sub][1])
+            accumulate(acc, 1, ratio.coeffs, self._shape_g(sub).coeffs)
+        return _built(acc)
 
     def h_face(self, f: int, e: int) -> UniPoly:
         cx = self.complex
@@ -286,18 +291,18 @@ class StildeTable(_Table):
             return hit
         f, e = key
         top_dim = cx.faces[f].dim
-        value = UniPoly.zero()
+        acc = []
         for sub in cx.faces_below(f):
             if not cx.is_invariant(sub, e):
                 continue
             sign = -1 if (top_dim - cx.faces[sub].dim) % 2 else 1
-            term = (
-                self.phi.poly(sub, e)
-                * self.hg.g(abstract_dual_face(cx, sub, f), e)
-                * (sign * cx.detsign(sub, e))
+            accumulate(
+                acc,
+                sign * cx.detsign(sub, e),
+                self.phi.poly(sub, e).coeffs,
+                self.hg.g(abstract_dual_face(cx, sub, f), e).coeffs,
             )
-            value = value + term
-        self._polys[key] = value
+        value = self._polys[key] = _built(acc)
         return value
 
     def class_poly_by_induction(self, f: Optional[int] = None) -> ClassPoly:
@@ -452,14 +457,14 @@ def verify_identities(
     reconstruction: List[Tuple[int, int, str]] = []
 
     for k, e in reps:
-        invariant = [f for f in range(cx.face_count) if cx.is_invariant(f, e)]
-        for f in invariant:
+        for f in cx.invariant_faces(e):
             dim = cx.faces[f].dim
+            phi_f = phi_t.poly(f, e)
+            char_f = cx.char_series(f, e)
+            below = [sub for sub in cx.faces_below(f) if cx.is_invariant(sub, e)]
             if dim > 0:
                 order = dim + _RECIPROCITY_DEPTH
-                expected = series_ratio(
-                    phi_t.poly(f, e).reverse(dim), cx.char_series(f, e), order
-                )
+                expected = series_ratio(phi_f.reverse(dim), char_f, order)
                 got = [
                     cx.count_fixed(f, e, m, interior=True) for m in range(order + 1)
                 ]
@@ -472,16 +477,16 @@ def verify_identities(
                 if h_poly != h_poly.reverse(dim - 1):
                     h_palin.append((f, k, f"h = {h_poly} is not palindromic"))
 
-                total = UniPoly.zero()
-                for sub in cx.faces_below(f):
-                    if not cx.is_invariant(sub, e):
-                        continue
+                acc = []
+                for sub in below:
                     sign = -1 if cx.faces[sub].dim % 2 else 1
-                    total = total + (
-                        hg_t.g(abstract_quotient(cx, sub, f), e)
-                        * hg_t.g(abstract_dual_face(cx, cx.apex_index, sub), e)
-                        * (sign * cx.detsign(sub, e))
+                    accumulate(
+                        acc,
+                        sign * cx.detsign(sub, e),
+                        hg_t.g(abstract_quotient(cx, sub, f), e).coeffs,
+                        hg_t.g(abstract_dual_face(cx, cx.apex_index, sub), e).coeffs,
                     )
+                total = _built(acc)
                 if total:
                     convolution.append((f, k, f"convolution sums to {total}"))
 
@@ -489,18 +494,14 @@ def verify_identities(
             if s_poly != s_poly.reverse(dim):
                 s_palin.append((f, k, f"stilde = {s_poly} is not palindromic"))
 
-            rebuilt = UniPoly.zero()
-            for sub in cx.faces_below(f):
-                if not cx.is_invariant(sub, e):
-                    continue
-                ratio = cx.char_series(f, e).exact_div(cx.char_series(sub, e))
-                rebuilt = rebuilt + phi_t.poly(sub, e).reverse(
-                    cx.faces[sub].dim
-                ) * ratio
-            if rebuilt != phi_t.poly(f, e):
-                reconstruction.append(
-                    (f, k, f"rebuilt {rebuilt} != table {phi_t.poly(f, e)}")
-                )
+            acc = []
+            for sub in below:
+                ratio = char_f.exact_div(cx.char_series(sub, e))
+                phi_sub = phi_t.poly(sub, e).reverse(cx.faces[sub].dim)
+                accumulate(acc, 1, phi_sub.coeffs, ratio.coeffs)
+            rebuilt = _built(acc)
+            if rebuilt != phi_f:
+                reconstruction.append((f, k, f"rebuilt {rebuilt} != table {phi_f}"))
 
     return IdentityReport(
         (

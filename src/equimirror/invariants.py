@@ -31,7 +31,8 @@ from math import comb
 from typing import Optional, Sequence, Tuple
 
 from .algebra import BiLaurent, ClassFun, ClassPoly, UniPoly
-from .combinatorics import IdentityCheck, IdentityReport, tables_for
+from .algebra.bilaurent import _built, accumulate_uv
+from .combinatorics import T_MINUS_ONE, IdentityCheck, IdentityReport, tables_for
 from .errors import (
     IdentityFailure,
     InexactDivision,
@@ -44,7 +45,6 @@ from .geometry.intlinalg import char_poly
 from .groups import MatrixGroup
 from .records import Frozen
 
-_T_MINUS_ONE = UniPoly((-1, 1))
 _UV_INVERSE = BiLaurent.monomial(-1, -1)
 
 
@@ -121,7 +121,7 @@ def face_torus_value(complex: ConeComplex, f: int, e: int) -> BiLaurent:
     """
     if complex.faces[f].dim == 0:
         raise NegativeExponent("the zero face carries no torus")
-    reduced = complex.charpoly(f, e).exact_div(_T_MINUS_ONE)
+    reduced = complex.charpoly(f, e).exact_div(T_MINUS_ONE)
     return BiLaurent.from_unipoly(reduced, 1, 1)
 
 
@@ -154,21 +154,20 @@ def e_affine_face(complex: ConeComplex, f: int, e: int) -> BiLaurent:
         return value
     f, e = key
     tables = tables_for(complex)
-    face_dim = complex.faces[f].dim
-    boundary = BiLaurent.zero()
+    faces = complex.faces
+    sign = -complex.detsign(f, e) if faces[f].dim % 2 else complex.detsign(f, e)
+    total = dict(face_torus_value(complex, f, e).terms)
     for sub in complex.faces_below(f):
         if not complex.is_invariant(sub, e):
             continue
-        sub_dim = complex.faces[sub].dim
-        s_part = BiLaurent.from_unipoly(tables.stilde.poly(sub, e), -1, 1)
-        g_part = BiLaurent.from_unipoly(
-            tables.hg.g(abstract_quotient(complex, sub, f), e), 1, 1
+        accumulate_uv(
+            total,
+            sign * complex.detsign(sub, e),
+            faces[sub].dim,
+            tables.stilde.poly(sub, e).coeffs,
+            tables.hg.g(abstract_quotient(complex, sub, f), e).coeffs,
         )
-        weight = BiLaurent.monomial(sub_dim, 0, complex.detsign(sub, e))
-        boundary = boundary + weight * s_part * g_part
-    sign = -complex.detsign(f, e) if face_dim % 2 else complex.detsign(f, e)
-    total = face_torus_value(complex, f, e) + sign * boundary
-    value = total * _UV_INVERSE
+    value = _built(total) * _UV_INVERSE
     if not value.is_polynomial():
         raise InexactDivision(
             f"affine E-polynomial of face {f} is not polynomial: {value}"
@@ -242,14 +241,19 @@ def _stringy_class_value(complex: ConeComplex, k: int) -> BiLaurent:
     e = complex.group.class_reps[k]
     tables = tables_for(complex)
     dual_tables = tables_for(complex.dual())
-    total = BiLaurent.zero()
+    top_sign = complex.detsign(complex.top_index, e)
+    total = {}
     for face in complex.invariant_faces(e):
         face_dim = complex.faces[face].dim
-        primal = BiLaurent.from_unipoly(tables.stilde.poly(face, e), -1, 1)
-        partner = BiLaurent.from_unipoly(dual_tables.stilde.poly(face, e), 1, 1)
         sign = complex.detsign(face, e) * (-1 if face_dim % 2 else 1)
-        total = total + BiLaurent.monomial(face_dim, 0, sign) * primal * partner
-    scaled = total * _UV_INVERSE * complex.detsign(complex.top_index, e)
+        accumulate_uv(
+            total,
+            top_sign * sign,
+            face_dim,
+            tables.stilde.poly(face, e).coeffs,
+            dual_tables.stilde.poly(face, e).coeffs,
+        )
+    scaled = _built(total) * _UV_INVERSE
     if not scaled.is_polynomial():
         raise InexactDivision(f"stringy E-polynomial is not polynomial: {scaled}")
     value = _bounded(scaled, complex.dim - 1, "stringy E-polynomial")

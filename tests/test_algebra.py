@@ -14,6 +14,7 @@ from equimirror.algebra import (
     series_inverse,
     series_ratio,
 )
+from equimirror.algebra import bilaurent, unipoly
 from equimirror.errors import InexactDivision
 from equimirror.groups import generate_group, parse_cycles, permutation_matrix
 
@@ -442,7 +443,6 @@ def test_quotient_store_keeps_exact_quotients_and_never_a_remainder():
     first and every repeat call give the quotient long division gives, a
     pair that leaves a remainder raises on every call and is never kept,
     and ``counting.clear_cache`` empties the store."""
-    from equimirror.algebra import unipoly
     from equimirror.geometry import counting
 
     counting.clear_cache()
@@ -480,3 +480,118 @@ def test_quotient_store_keeps_exact_quotients_and_never_a_remainder():
     )
     counting.clear_cache()
     assert not unipoly._quotients
+
+
+# -- the accumulate kernels --------------------------------------------------------
+#
+# The face sums add each term's coefficient products into one list or map
+# and build one polynomial at the end.  Every sum here is compared with the
+# operator arithmetic it replaces: a product and a partial sum per term.
+
+
+def _kernel_terms(rng, fractions):
+    """Seeded terms ``(s, a, b)``: signs of both kinds, empty operands, and
+    ``int`` or (with ``fractions``) mixed coefficients, zeros included."""
+
+    def operand():
+        n = rng.choice((0, 1, 2, 3, 4, 5))
+        if fractions:
+            return UniPoly([_rand_coeff(rng) for _ in range(n)]).coeffs
+        return UniPoly([rng.randint(-4, 4) for _ in range(n)]).coeffs
+
+    return [
+        (rng.choice((1, -1, 2, -3)), operand(), operand())
+        for _ in range(rng.randint(0, 5))
+    ]
+
+
+def _uv_term(s, shift, a, b):
+    """``s * u^shift * a(v/u) * b(uv)`` as the Laurent operators build it."""
+    return (
+        BiLaurent.monomial(shift, 0, s)
+        * BiLaurent.from_unipoly(UniPoly(a), -1, 1)
+        * BiLaurent.from_unipoly(UniPoly(b), 1, 1)
+    )
+
+
+def test_accumulate_matches_the_operator_sum():
+    rng = random.Random(20261022)
+    for trial in range(400):
+        terms = _kernel_terms(rng, fractions=trial % 2 == 1)
+        # every other sum also subtracts its own terms again: it cancels to 0
+        if trial % 3 == 0:
+            terms += [(-s, a, b) for s, a, b in terms]
+        acc = []
+        expected = UniPoly.zero()
+        for s, a, b in terms:
+            unipoly.accumulate(acc, s, a, b)
+            expected = expected + UniPoly(a) * UniPoly(b) * s
+        got = unipoly._built(acc)
+        assert got.coeffs == expected.coeffs
+        assert_int_first(got)
+        if trial % 3 == 0:
+            assert got.is_zero()
+
+
+def test_accumulate_edges():
+    acc = []
+    unipoly.accumulate(acc, 1, (), (1, 2))
+    unipoly.accumulate(acc, -1, (3,), ())
+    assert acc == [] and unipoly._built(acc).is_zero()
+    # a longer accumulator is not cut to the product's length
+    acc = [0, 0, 0, 7]
+    unipoly.accumulate(acc, -1, (1, 1), (1,))
+    assert unipoly._built(acc) == UniPoly((-1, -1, 0, 7))
+    # a Fraction sum that comes out integral is stored as an int
+    acc = []
+    unipoly.accumulate(acc, 1, (Fraction(1, 2),), (1, Fraction(1, 3)))
+    unipoly.accumulate(acc, 1, (Fraction(1, 2),), (1, Fraction(5, 3)))
+    got = unipoly._built(acc)
+    assert got.coeffs == (1, 1) and [type(c) for c in got.coeffs] == [int, int]
+    # a Fraction sum that cancels leaves no trailing zero behind
+    acc = []
+    unipoly.accumulate(acc, 1, (1, Fraction(1, 2)), (1, 1))
+    unipoly.accumulate(acc, -1, (0, Fraction(1, 2)), (1, 1))
+    assert unipoly._built(acc).coeffs == (1, 1)
+
+
+def test_accumulate_uv_matches_the_operator_sum():
+    rng = random.Random(1022)
+    for trial in range(400):
+        terms = [
+            (s, rng.randint(-2, 4), a, b)
+            for s, a, b in _kernel_terms(rng, fractions=trial % 2 == 1)
+        ]
+        if trial % 3 == 0:
+            terms += [(-s, shift, a, b) for s, shift, a, b in terms]
+        # the affine sum starts from the torus value's terms
+        start = BiLaurent.zero()
+        if trial % 5 == 0:
+            start = BiLaurent.from_unipoly(UniPoly([_rand_coeff(rng) for _ in "abc"]), 1, 1)
+        out = dict(start.terms)
+        expected = start
+        for s, shift, a, b in terms:
+            bilaurent.accumulate_uv(out, s, shift, a, b)
+            expected = expected + _uv_term(s, shift, a, b)
+        got = bilaurent._built(out)
+        assert got.terms == expected.terms
+        assert_int_first(got)
+        if trial % 3 == 0 and start.is_zero():
+            assert got.is_zero()
+
+
+def test_accumulate_uv_edges():
+    out = {}
+    bilaurent.accumulate_uv(out, 1, 3, (), (1, 2))
+    bilaurent.accumulate_uv(out, -1, 0, (3,), ())
+    assert bilaurent._built(out).is_zero()
+    # t^k of a and t^m of b meet at u^(shift - k + m) v^(k + m)
+    out = {}
+    bilaurent.accumulate_uv(out, -2, 1, (0, 1), (0, 0, 3))
+    assert out == {(2, 3): -6}
+    # a Fraction sum that comes out integral is stored as an int
+    out = {}
+    bilaurent.accumulate_uv(out, 1, 0, (Fraction(1, 2),), (1,))
+    bilaurent.accumulate_uv(out, 1, 0, (Fraction(3, 2),), (1,))
+    got = bilaurent._built(out)
+    assert got.terms == {(0, 0): 2} and type(got.terms[(0, 0)]) is int

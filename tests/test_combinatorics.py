@@ -15,7 +15,7 @@ from conftest import (
     random_unimodular,
 )
 
-from equimirror.algebra import ClassPoly, UniPoly
+from equimirror.algebra import ClassPoly, UniPoly, series_ratio
 from equimirror.cli.main import run
 from equimirror.cli.models import (
     COMMANDS,
@@ -607,6 +607,64 @@ def test_verify_identities_catches_fault(cube3):
     # the doctored run leaves the complex's shared tables untouched
     assert tables_for(cube3).phi.poly(top, 0) == UniPoly((1, 23, 23, 1))
     assert verify_identities(cube3).ok
+
+
+def test_verify_identities_reports_a_doctored_orbit_at_both_faces(cube4_central):
+    """``phi`` is kept per orbit, so doctoring it at a facet of cube4 under
+    ``central`` changes it at the facet and at the opposite one, which
+    ``-I`` swaps.  The checks still run at every invariant pair: reciprocity
+    fails at exactly those two faces, and reconstruction wherever the
+    product-and-partial-sum formula says, each with the message that
+    formula's polynomials give, the same at both faces."""
+    cx = cube4_central
+    identity = cx.group.identity_index
+    assert cx.group.order == 2
+    minus = 1 - identity
+    k = cx.group.class_of(identity)
+    assert cx.group.class_reps[k] == identity
+    top = cx.top_index
+    facet = next(f for f in range(cx.face_count) if cx.faces[f].dim == cx.dim)
+    opposite = cx.face_image(minus, facet)
+    assert opposite != facet
+    shared = tables_for(cx).phi
+    wrong = shared.poly(facet, identity) + UniPoly.monomial(1)
+    doctored = shared.override(facet, identity, wrong)
+    assert doctored.poly(opposite, identity) == wrong
+
+    report = verify_identities(cx, phi_table=doctored)
+    checks = {c.name: c.failures for c in report.checks}
+
+    dim = cx.faces[facet].dim
+    order = dim + 3
+    series = series_ratio(wrong.reverse(dim), cx.char_series(facet, identity), order)
+    counts = [cx.count_fixed(facet, identity, m, interior=True) for m in range(order + 1)]
+    message = f"interior counts {counts} != series {list(series)}"
+    assert checks["reciprocity"] == ((facet, k, message), (opposite, k, message))
+
+    def rebuilt(f):
+        value = UniPoly.zero()
+        for sub in cx.faces_below(f):
+            if cx.is_invariant(sub, identity):
+                ratio = cx.char_series(f, identity).exact_div(
+                    cx.char_series(sub, identity)
+                )
+                value = value + doctored.poly(sub, identity).reverse(
+                    cx.faces[sub].dim
+                ) * ratio
+        return value
+
+    expected = tuple(
+        (f, k, f"rebuilt {rebuilt(f)} != table {doctored.poly(f, identity)}")
+        for f in cx.invariant_faces(identity)
+        if rebuilt(f) != doctored.poly(f, identity)
+    )
+    assert checks["phi-reconstruction"] == expected
+    messages = {f: msg for f, _k, msg in expected}
+    assert {facet, opposite, top} <= set(messages)
+    assert messages[facet] == messages[opposite]
+    # the shared table never saw the doctored value
+    assert tables_for(cx).phi.poly(opposite, identity) != wrong
+    assert verify_identities(cx).ok
 
 
 def test_verify_identities_uses_the_shared_tables():

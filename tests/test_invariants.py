@@ -35,6 +35,7 @@ from equimirror.geometry.polytope import LatticePolytope
 from equimirror.groups import generate_group
 from equimirror.invariants import (
     EPoly,
+    _stringy_class_value,
     cs_closed_forms,
     e_affine_face,
     e_affine_hypersurface,
@@ -203,6 +204,96 @@ def test_affine_slices_are_kept_once_per_orbit(make):
             checked += 1
     assert checked >= len(cx.affine_values)
     assert len(cx.affine_values) == _nonzero_fixed_pair_orbits(cx)
+
+
+# -- the face sums against their operator formulas ---------------------------------
+
+
+def _stilde_by_operators(cx, f, e):
+    """``Stilde`` at ``(f, e)`` with a product and a partial sum per face
+    term, on the complex's shared ``phi`` and ``g``."""
+    tables = tables_for(cx)
+    value = UniPoly.zero()
+    for sub in cx.faces_below(f):
+        if not cx.is_invariant(sub, e):
+            continue
+        sign = -1 if (cx.faces[f].dim - cx.faces[sub].dim) % 2 else 1
+        value = value + (
+            tables.phi.poly(sub, e)
+            * tables.hg.g(cones.abstract_dual_face(cx, sub, f), e)
+            * (sign * cx.detsign(sub, e))
+        )
+    return value
+
+
+def _h_by_operators(hg, sid):
+    """``h`` of shape ``sid`` from its children's ``g``, term by term."""
+    k, char_top, below = hg._shapes[sid]
+    if k == 0:
+        return UniPoly.one()
+    value = UniPoly.zero()
+    for sub in below:
+        ratio = char_top.exact_div(UniPoly([-1, 1]) * hg._shapes[sub][1])
+        value = value + ratio * hg._shape_g(sub)
+    return value
+
+
+def _stringy_by_operators(cx, k):
+    """The stringy value at class ``k``, term by term, on the shared tables
+    of the complex and its dual."""
+    e = cx.group.class_reps[k]
+    tables, dual_tables = tables_for(cx), tables_for(cx.dual())
+    total = BiLaurent.zero()
+    for face in cx.invariant_faces(e):
+        face_dim = cx.faces[face].dim
+        primal = BiLaurent.from_unipoly(tables.stilde.poly(face, e), -1, 1)
+        partner = BiLaurent.from_unipoly(dual_tables.stilde.poly(face, e), 1, 1)
+        sign = cx.detsign(face, e) * (-1 if face_dim % 2 else 1)
+        total = total + BiLaurent.monomial(face_dim, 0, sign) * primal * partner
+    return total * BiLaurent.monomial(-1, -1) * cx.detsign(cx.top_index, e)
+
+
+def _canonical_pairs(cx):
+    return [
+        (f, e)
+        for e in range(cx.group.order)
+        for f in cx.invariant_faces(e)
+        if cx.canonical(f, e) == (f, e)
+    ]
+
+
+@pytest.mark.parametrize(
+    "model", ["sym3_cube3", "cube4_central", "quintic_a5", "quintic_a5-Aut(P)"]
+)
+def test_face_sums_equal_their_operator_formulas(model, request):
+    """The table sums add every face term into one coefficient list or map.
+    At every canonical pair of the complex (and of its dual, whose ``Stilde``
+    the stringy sum reads), ``Stilde``, ``h`` of every shape the table
+    reached, ``e_affine_face`` and every stringy class value equal the
+    product-and-partial-sum formulas."""
+    cx = request.getfixturevalue(model.split("-")[0])
+    if model.endswith("Aut(P)"):
+        cx = cones.automorphism_side(cx)
+        assert cx.group.order == 120
+    stringy = [_stringy_class_value(cx, k) for k in range(len(cx.group.classes))]
+    assert stringy == [
+        _stringy_by_operators(cx, k) for k in range(len(cx.group.classes))
+    ]
+    affine = 0
+    for f, e in _canonical_pairs(cx):
+        if cx.faces[f].dim > 0:
+            assert e_affine_face(cx, f, e) == _affine_face_unmemoised(cx, f, e)
+            affine += 1
+    assert affine
+    for side in (cx, cx.dual()):
+        tables = tables_for(side)
+        pairs = _canonical_pairs(side)
+        for f, e in pairs:
+            assert tables.stilde.poly(f, e) == _stilde_by_operators(side, f, e)
+        shapes = set(tables.hg._shape_of.values())
+        assert len(shapes) > 1
+        for sid in shapes:
+            assert tables.hg._shape_h(sid) == _h_by_operators(tables.hg, sid)
 
 
 def test_hypersurface_checks_green(
