@@ -65,8 +65,10 @@ _ZERO_SHAPE = (0, ONE, ())
 
 def _fresh_shapes() -> tuple:
     """An empty shape store holding the zero shape: shape -> shape id,
-    shape id -> shape, and ``h`` and ``g`` by shape id."""
-    return {_ZERO_SHAPE: 0}, [_ZERO_SHAPE], {}, {}
+    shape id -> shape, ``h`` and ``g`` by shape id, and by shape id the
+    divisor ``(t - 1) char`` that a cone with the shape below its top
+    hands to ``exact_div``."""
+    return {_ZERO_SHAPE: 0}, [_ZERO_SHAPE], {}, {}, {}
 
 
 # The shapes of every complex in the process.  Clearing replaces the store
@@ -171,10 +173,10 @@ class HGTable(_Table):
         self._g: Dict[tuple, UniPoly] = {}
         # cone.key + (e,) -> shape id
         self._shape_of: Dict[tuple, int] = {}
-        # the process's store: shape -> shape id; shape id -> shape; h and
-        # g by shape id
-        (self._shape_ids, self._shapes,
-         self._h_by_shape, self._g_by_shape) = _shape_store
+        # the process's store: shape -> shape id; shape id -> shape; h, g
+        # and the child divisor by shape id
+        (self._shape_ids, self._shapes, self._h_by_shape,
+         self._g_by_shape, self._divisors) = _shape_store
 
     def h(self, cone: AbstractCone, e: int) -> UniPoly:
         key = cone.key + (e,)
@@ -256,9 +258,13 @@ class HGTable(_Table):
         k, char_top, below = self._shapes[sid]
         if k == 0:
             return ONE
+        divisors = self._divisors
         acc = []
         for sub in below:
-            ratio = char_top.exact_div(T_MINUS_ONE * self._shapes[sub][1])
+            divisor = divisors.get(sub)
+            if divisor is None:
+                divisor = divisors[sub] = T_MINUS_ONE * self._shapes[sub][1]
+            ratio = char_top.exact_div(divisor)
             accumulate(acc, 1, ratio.coeffs, self._shape_g(sub).coeffs)
         return _built(acc)
 

@@ -114,6 +114,8 @@ class ConeComplex:
         self._canonical_faces: Dict[int, Tuple[int, ...]] = {}
         # charpoly by the pair asked for, in front of canonical()
         self._raw_charpoly: Dict[Tuple[int, int], UniPoly] = {}
+        # its reversal det(I - rho t), by the pair asked for
+        self._char_series: Dict[Tuple[int, int], UniPoly] = {}
         # on a complex read off its partner, the partner's polytope and
         # homogenized group; None on a complex built here
         self._partner = None
@@ -236,8 +238,14 @@ class ConeComplex:
         return hit
 
     def char_series(self, f: int, e: int) -> UniPoly:
-        """``det(I - rho t)``: the reversal of the monic polynomial."""
-        return self.charpoly(f, e).reverse(self.faces[f].dim)
+        """``det(I - rho t)``: the reversal of the monic polynomial, kept
+        per pair asked for."""
+        hit = self._char_series.get((f, e))
+        if hit is None:
+            hit = self._char_series[(f, e)] = self.charpoly(f, e).reverse(
+                self.faces[f].dim
+            )
+        return hit
 
     def detsign(self, f: int, e: int) -> int:
         """``det(rho)``, read off the characteristic polynomial."""

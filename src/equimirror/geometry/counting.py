@@ -20,11 +20,20 @@ integers.  Only the right-hand sides depend on ``m``, so every slice of a
 them once and replays the elimination for each height, and a box-like
 slice is counted as a product of ranges.
 
-Each slice family, one ``(cone rows, tight facets, element)``, has one
-process-wide memo entry: the number of basis vectors, ``g``, its rows and
-the counts found so far, keyed by ``(m, interior)``.  A count is asked for
-over and over while the recursions assemble their tables, and across
-models that share a face and an element.
+The memo is keyed by the slice *system*, not by the face and element
+that gave it: the slice width, ``g``, the coefficient rows and their
+height coefficients, with the counts found so far keyed by ``(m,
+interior)``.  A count is a function of the system alone, and the order of
+its rows and a repeated row change nothing (any row order eliminates to
+the same integer points, see ``scan.eliminate``), so the rows are put in
+one canonical order, sorted with exact duplicates dropped.  Faces whose
+fixed lattices give the same inequalities, such as the six facets of a
+cube under the identity, then share one entry and one elimination plan
+and are walked once per ``(m, interior)``.  A family, one ``(cone rows,
+tight facets, element)``, still needs its own kernel, so a second map
+leads from each family to its system.  A count is asked for over and over
+while the recursions assemble their tables, and across models that share
+a system.
 
 This is one of five process-wide memos, each keyed by data alone (rows,
 matrices, polynomials), so a model of any group reuses what another model
@@ -41,8 +50,8 @@ by a polytope: for each simplex ``P`` an E-polynomial was asked of,
 group ``Aut(P)``, whose stringy values every model of ``P`` reads; it
 holds no model.  :func:`clear_cache` drops all six: the modules above this
 one register how with :func:`clear_with_counts`.  The memos a complex
-keeps for itself (its characteristic polynomials by the pair asked for,
-its affine and stringy values) go with the complex.
+keeps for itself (its characteristic polynomials and their reversals by
+the pair asked for, its affine and stringy values) go with the complex.
 """
 
 from __future__ import annotations
@@ -54,9 +63,12 @@ from .intlinalg import IntMatrix, integer_kernel, vec_dot
 
 Row = Tuple[int, ...]
 # (slice width, g, coefficient rows, height coefficients, counts by
-# (m, interior)), one per slice family
+# (m, interior)), one per slice system
 Family = Tuple[int, int, Tuple[Row, ...], Tuple[int, ...], Dict[Tuple[int, bool], int]]
 
+# slice system (the first four fields of its Family) -> its Family
+_systems: Dict[tuple, Family] = {}
+# (cone rows, tight facets, element rows) -> the Family of its system
 _bases: Dict[tuple, Family] = {}
 
 # how to drop the process-wide memos of the modules above this one
@@ -64,8 +76,8 @@ _clears: List[Callable[[], None]] = []
 
 
 def cache_size() -> int:
-    """The number of counts held."""
-    return sum(len(family[4]) for family in _bases.values())
+    """The number of counts held, one per ``(system, m, interior)``."""
+    return sum(len(family[4]) for family in _systems.values())
 
 
 def clear_with_counts(clear: Callable[[], None]) -> None:
@@ -78,6 +90,7 @@ def clear_cache() -> None:
     """Forget every count, face basis, elimination plan, face-restriction
     characteristic polynomial, ``h``/``g`` shape, exact quotient and
     ``(P, Aut(P))`` complex."""
+    _systems.clear()
     _bases.clear()
     scan.clear_plans()
     for clear in _clears:
@@ -101,9 +114,11 @@ def _face_basis(
     cone rows written in the basis are split once: for ``g > 0`` the
     coefficient of vector 0, fixed to ``m / g`` in a slice, goes to
     ``heights`` and the rest of the row to ``coeffs``; for ``g = 0`` the
-    rows are ``coeffs`` whole.  ``k`` is the width of ``coeffs``, the
-    number of variables of a slice; ``counts`` is the family's count
-    memo.  Every slice shares the ``coeffs`` tuples.
+    rows are ``coeffs`` whole.  The ``(coeffs, heights)`` pairs are sorted
+    with exact duplicates dropped, so equal systems are equal tuples.
+    ``k`` is the width of ``coeffs``, the number of variables of a slice;
+    ``counts`` is the system's count memo, shared by every family with
+    that system.  Every slice shares the ``coeffs`` tuples.
     """
     key = (cone_rows, tight, matrix.rows)
     hit = _bases.get(key)
@@ -134,12 +149,18 @@ def _face_basis(
         for i, row in enumerate(cone_rows)
         if i not in skip
     ]
+    # one canonical order: the count does not depend on it
     if g:
-        coeffs = tuple(row[1:] for row in rows)
-        heights = tuple(row[0] for row in rows)
+        pairs = sorted(set((row[1:], row[0]) for row in rows))
+        coeffs = tuple(cs for cs, _ in pairs)
+        heights = tuple(h for _, h in pairs)
     else:
-        coeffs, heights = tuple(rows), ()
-    entry = _bases[key] = (len(columns) - (g > 0), g, coeffs, heights, {})
+        coeffs, heights = tuple(sorted(set(rows))), ()
+    system = (len(columns) - (g > 0), g, coeffs, heights)
+    entry = _systems.get(system)
+    if entry is None:
+        entry = _systems[system] = system + ({},)
+    _bases[key] = entry
     return entry
 
 

@@ -82,11 +82,11 @@ class LatticePolytope(Frozen):
 
     __slots__ = ("vertices", "dim", "facets", "cone_rows", "faces", "below")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         vertices: Iterable[Sequence[int]],
         facets: Optional[Iterable[Tuple[Sequence[int], int]]] = None,
-    ):
+    ) -> LatticePolytope:
         verts = tuple(sorted(set(map(_as_int_row, vertices))))
         if not verts:
             raise ValueError("a polytope needs at least one vertex")
@@ -105,14 +105,19 @@ class LatticePolytope(Frozen):
             fs = _search_facets(verts, d)
         else:
             fs = _validate_facets(verts, d, facets)
-        self._setup(verts, fs, *_enumerate_faces(verts, fs))
+        return cls._from_lattice(verts, fs, *_enumerate_faces(verts, fs))
 
-    def _setup(self, vertices, facets, faces, below) -> None:
-        """Set the fields from the vertices, the facets, the faces and the
-        faces below each one; shared by ``__init__`` and
-        :meth:`dual_reflexive`."""
-        dim = len(vertices[0])
-        self._fill(vertices, dim, facets, counting.homogenize(facets), faces, below)
+    @classmethod
+    def _from_lattice(cls, vertices, facets, faces, below) -> LatticePolytope:
+        """The one route that fills a polytope: from its vertices, its
+        facets, its faces and the faces below each one, taken as given.
+        ``LatticePolytope(vertices, facets)`` checks them first;
+        :meth:`dual_reflexive` reads them off its partner's lattice."""
+        polytope = object.__new__(cls)
+        polytope._fill(
+            vertices, len(vertices[0]), facets, counting.homogenize(facets), faces, below
+        )
+        return polytope
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticePolytope):
@@ -199,14 +204,12 @@ class LatticePolytope(Frozen):
         for g, below in enumerate(self.below):
             for f in below:
                 above[f].append(g)
-        dual = LatticePolytope.__new__(LatticePolytope)
-        dual._setup(
+        return LatticePolytope._from_lattice(
             tuple(a for a, _ in self.facets),
             tuple((v, 1) for v in self.vertices),
             faces,
             tuple(map(tuple, above)),
         )
-        return dual
 
 
 def _validate_facets(

@@ -1,6 +1,6 @@
 """The base of the package's immutable records.
 
-A record's fields are its ``__slots__``, set once by its own ``__init__``;
+A record's fields are its ``__slots__``, set once by its own constructor;
 any later assignment raises :class:`AttributeError`.  Equality and hashing
 are by identity.  The records are plain classes rather than ``dataclasses``
 because a dataclass generates and ``exec``s its methods when its module is
@@ -19,7 +19,7 @@ class Frozen:
     __slots__ = ()
 
     def _fill(self, *values: object) -> None:
-        """Set the fields, in ``__slots__`` order, from ``__init__``."""
+        """Set the fields, in ``__slots__`` order, from the constructor."""
         for name, value in zip(self.__slots__, values, strict=True):
             _set(self, name, value)
 

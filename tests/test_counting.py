@@ -12,13 +12,16 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from conftest import iter_system, slice_system
+from conftest import iter_system, quintic_complex, slice_system
 
 from equimirror.cli.models import build_cube, build_cross, build_fermat, build_simplex
 from equimirror.cli.models import fermat_permutation
-from equimirror.geometry import scan
+from equimirror.geometry import counting, scan
+from equimirror.geometry.cones import ConeComplex
 from equimirror.geometry.counting import cache_size, fixed_slice_count, homogenize
-from equimirror.geometry.intlinalg import IntMatrix, integer_kernel
+from equimirror.geometry.intlinalg import IntMatrix, hnf_rows, integer_kernel, vec_dot
+from equimirror.geometry.polytope import LatticePolytope, _search_facets
+from equimirror.groups import generate_group
 
 
 def count_polytope(polytope, m, matrix=None, interior=False):
@@ -27,16 +30,11 @@ def count_polytope(polytope, m, matrix=None, interior=False):
     return fixed_slice_count(rows, (), g, m, interior)
 
 
-def fixed_slice_points(cone_rows, tight, matrix, m, interior=False):
-    """The points ``fixed_slice_count`` counts (sorted), in cone coordinates.
-
-    The slice system's variables are coordinates in the Hermite basis of
-    the fixed lattice of the face, height first; the basis is rebuilt here
-    from the face's equalities, so a point is read back without the
-    counting code's own rows."""
-    system = slice_system(cone_rows, tight, matrix, m, interior)
-    if system is None:
-        return ()
+def fixed_basis(cone_rows, tight, matrix):
+    """The Hermite basis of the fixed lattice of the face picked out by
+    ``tight``, height first, as cone-coordinate vectors, and its height
+    step ``g``; rebuilt here from the face's equalities, without the
+    counting code."""
     n = matrix.nrows
     equalities = [cone_rows[i] for i in tight] + [
         row[:i] + (row[i] - 1,) + row[i + 1:]
@@ -48,7 +46,40 @@ def fixed_slice_points(cone_rows, tight, matrix, m, interior=False):
     else:
         kernel = IntMatrix.identity(n)
     basis = [v[1:] + v[:1] for v in kernel.rows]
-    g = basis[0][-1] if basis else 0
+    return basis, basis[0][-1] if basis else 0
+
+
+def unshared_count(cone_rows, tight, matrix, m, interior=False):
+    """The count ``fixed_slice_count`` gives, found without its store: the
+    non-tight cone rows written in :func:`fixed_basis`, in their original
+    order and with any repeats, counted by ``scan.count_system``."""
+    basis, g = fixed_basis(cone_rows, tight, matrix)
+    if m < 0 or (m % g if g else m):
+        return 0
+    prefix = (m // g,) if g else ()
+    rhs = -1 if interior else 0
+    rows = []
+    for i, row in enumerate(cone_rows):
+        if i in tight:
+            continue
+        written = [sum(a * b for a, b in zip(row, v)) for v in basis]
+        shift = sum(c * x for c, x in zip(written, prefix))
+        rows.append((tuple(written[len(prefix):]), rhs - shift))
+    return scan.count_system(rows, len(basis) - len(prefix))
+
+
+def fixed_slice_points(cone_rows, tight, matrix, m, interior=False):
+    """The points ``fixed_slice_count`` counts (sorted), in cone coordinates.
+
+    The slice system's variables are coordinates in the Hermite basis of
+    the fixed lattice of the face, height first; the basis is rebuilt here
+    by :func:`fixed_basis`, so a point is read back without the counting
+    code's own rows."""
+    system = slice_system(cone_rows, tight, matrix, m, interior)
+    if system is None:
+        return ()
+    basis, g = fixed_basis(cone_rows, tight, matrix)
+    n = matrix.nrows
     prefix = (m // g,) if g else ()
     return tuple(
         sorted(
@@ -170,8 +201,6 @@ def test_points_match_counts():
 
 
 def test_cache_grows_and_clears():
-    from equimirror.geometry import counting
-
     counting.clear_cache()
     assert cache_size() == 0
     assert not counting._bases
@@ -179,17 +208,18 @@ def test_cache_grows_and_clears():
     cube = build_cube(2)
     count_polytope(cube, 1)
     assert cache_size() == 1
-    assert len(counting._bases) == 1
+    assert len(counting._bases) == len(counting._systems) == 1
     assert len(scan._plans) == 1
     count_polytope(cube, 1)
     count_polytope(cube, 2)
     assert cache_size() == 2
-    assert len(counting._bases) == 1
+    assert len(counting._bases) == len(counting._systems) == 1
     # the two heights share one coefficient system, so one plan
     assert len(scan._plans) == 1
     counting.clear_cache()
     assert cache_size() == 0
     assert not counting._bases
+    assert not counting._systems
     assert not scan._plans
 
 
@@ -245,7 +275,8 @@ print(json.dumps({
 
 def test_clear_cache_empties_every_store_the_workloads_fill():
     """After the benchmark's three workloads' models run in one process,
-    ``counting.clear_cache`` leaves the count bases, elimination plans,
+    ``counting.clear_cache`` leaves the count store, the map from each
+    slice family to its system, the elimination plans,
     charpoly store, ``(P, Aut(P))`` registry and quotient store empty and
     the shape store holding only the zero shape; every module-level store
     of the package is back to its size at import, so a store that is not
@@ -264,6 +295,7 @@ def test_clear_cache_empties_every_store_the_workloads_fill():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     named = (
+        "equimirror.geometry.counting._systems",
         "equimirror.geometry.counting._bases",
         "equimirror.geometry.scan._plans",
         "equimirror.geometry.cones._charpolys",
@@ -347,8 +379,6 @@ def test_counts_match_brute_force(build, d):
 
 
 def test_one_kernel_per_face_and_element(monkeypatch):
-    from equimirror.geometry import counting
-
     calls = []
     original = counting.integer_kernel
 
@@ -364,4 +394,116 @@ def test_one_kernel_per_face_and_element(monkeypatch):
         for interior in (False, True):
             fixed_slice_count(rows, (0,), swap, m, interior)
     assert len(calls) == 1
+    counting.clear_cache()
+
+
+SWAP12 = IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def random_swap_polytope(rng):
+    """A lattice polytope in ``Z^3`` with its facets searched: the vertices
+    of the hull of a few random points of ``[-2, 2]^3`` and their images
+    under the swap of the first two coordinates."""
+    while True:
+        points = {tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(5)}
+        points = tuple(sorted(points | {SWAP12.apply(p) for p in points}))
+        edges = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
+        if hnf_rows(IntMatrix(edges)).nrows == 3:
+            break
+    # a point is a vertex when the normals of the hull's facets through it
+    # span the space
+    facets = _search_facets(points, 3)
+    vertices = []
+    for p in points:
+        normals = [a for a, b in facets if vec_dot(a, p) == b]
+        if len(normals) >= 3 and hnf_rows(IntMatrix(normals)).nrows == 3:
+            vertices.append(p)
+    return LatticePolytope(vertices)
+
+
+SHARED_STORE_MODELS = {
+    "sym3_cube3": lambda request: request.getfixturevalue("sym3_cube3"),
+    "cube3_central": lambda request: request.getfixturevalue("cube3_central"),
+    "cross3_central": lambda request: ConeComplex(
+        build_cross(3), generate_group([IntMatrix.identity(3).scale(-1)])
+    ),
+    "quintic_a4": lambda request: quintic_complex("(12)(34)", "(123)"),
+    "random_swap": lambda request: ConeComplex(
+        random_swap_polytope(random.Random(3803)), generate_group([SWAP12])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_STORE_MODELS))
+def test_shared_counts_match_an_unshared_reference(name, request):
+    """Every count the store serves, over every (face, fixing element),
+    height ``m <= dim + 2`` and both ``interior`` values, equals the count
+    of the family's own rows in their original order, walked apart from
+    the store."""
+    cx = SHARED_STORE_MODELS[name](request)
+    rows = cx.polytope.cone_rows
+    counting.clear_cache()
+    for face in cx.faces:
+        for e in range(cx.group.order):
+            if not cx.is_invariant(face.index, e):
+                continue
+            matrix = cx.group.elements[e]
+            for m in range(cx.dim + 3):
+                for interior in (False, True):
+                    expected = unshared_count(rows, face.tight, matrix, m, interior)
+                    got = cx.count_fixed(face.index, e, m, interior)
+                    assert got == expected, (name, face.index, e, m, interior)
+    # the families outnumber the systems they reach
+    assert len(counting._systems) < len(counting._bases)
+
+
+def random_bounded_rows(rng, k):
+    """A bounded system in ``k`` variables: a random box and random cuts."""
+    rows = []
+    for j in range(k):
+        unit = tuple(int(i == j) for i in range(k))
+        rows.append((unit, rng.randint(0, 4)))
+        rows.append((tuple(-x for x in unit), rng.randint(0, 4)))
+    for _ in range(rng.randint(0, 4)):
+        rows.append((tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(-3, 6)))
+    return rows
+
+
+def test_count_ignores_row_order_and_repeated_rows():
+    """What the canonical order of a slice system relies on: permuting the
+    rows of a system or repeating some of them leaves its count as it is."""
+    rng = random.Random(3801)
+    counts = set()
+    for trial in range(200):
+        k = rng.randint(1, 4)
+        rows = random_bounded_rows(rng, k)
+        expected = scan.count_system(rows, k)
+        counts.add(expected > 0)
+        for _ in range(3):
+            moved = rows + rng.sample(rows, rng.randint(0, len(rows)))
+            rng.shuffle(moved)
+            assert scan.count_system(moved, k) == expected, (trial, rows, moved)
+    assert counts == {True, False}
+
+
+def test_cube_facets_share_one_store_entry(cube3):
+    """Under the identity the six facets of the 3-cube give one slice
+    system: one store entry and one elimination plan serve them all, and
+    ``cache_size`` counts distinct ``(system, m, interior)`` keys."""
+    counting.clear_cache()
+    identity = cube3.group.identity_index
+    facets = [f.index for f in cube3.faces if f.dim == cube3.cdim - 1]
+    assert len(facets) == 6
+    for f in facets:
+        for m in range(4):
+            assert cube3.count_fixed(f, identity, m) == (2 * m + 1) ** 2
+            assert cube3.count_fixed(f, identity, m, True) == max(2 * m - 1, 0) ** 2
+    assert len(counting._bases) == 6
+    assert len(counting._systems) == 1
+    assert len(scan._plans) == 1
+    assert cache_size() == 8
+    # the top face is a second system
+    assert cube3.count_fixed(cube3.top_index, identity, 1) == 27
+    assert len(counting._systems) == 2
+    assert cache_size() == 9
     counting.clear_cache()
